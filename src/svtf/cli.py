@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chunks, planner, render, sample, segy, upload, volume
 from . import svt as svtmod
-from .errors import CapacityError, SvtfError
+from .errors import CapacityError, DataError, SvtfError
 
 
 def _triple(text: str, kind=float):
@@ -133,12 +133,22 @@ def _transfer_function(args) -> render.TransferFunction:
     return render.TransferFunction.grayscale(**kwargs)
 
 
+def _env_threads() -> int:
+    text = os.environ.get("SVTF_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DataError(f"SVTF_THREADS must be an integer >= 1, got {text!r}")
+    return threads
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svtf", description="Sparse volume texture toolkit"
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SVTF_THREADS", "1")))
+    parser.add_argument("--threads", type=int, default=_env_threads())
     parser.add_argument("-v", "--verbose", action="store_true")
     parser.add_argument("--deterministic", action="store_true",
                         help="force single-threaded execution")
@@ -385,8 +395,16 @@ def _cmd_chunk_compare(args, threads: int) -> int:
     return 0
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except DataError as exc:
+        return _fail(exc, 2)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -413,14 +431,9 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command]()
     except CapacityError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except SvtfError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 3)
+    except (SvtfError, OSError, ValueError) as exc:
+        return _fail(exc, 2)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,12 @@ fixed step count across the ray's AABB span,
 attenuated by extinction sigma = lut_opacity * density_scale. Sources are
 sampled at step midpoints, which converges to the analytic transmittance
 integral from below at second order in the step size.
+
+Both marches leave out the steps whose sample is exactly empty. When
+empty_value is 0 and the transfer function maps 0 to nothing, a sample whose
+trilinear footprint lies wholly in non-resident tiles has sigma 0 and emits
+nothing, so its step would multiply transmittance by 1.0 and add 0.0 (see
+_SkipGrid). Images and caches are bit-identical to marching every step.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .sample import sample_trilinear_many, trilinear_dense
-from .svt import SparseVolumeTexture
+from .svt import EMPTY_ENTRY, SparseVolumeTexture
 from .volume import VolumeDims, VoxelFormat
 
 MIN_TRANSMITTANCE = 1e-3
@@ -243,6 +249,119 @@ def _ray_aabb(origins, dirs, lo, hi):
     return np.maximum(near_ax.max(axis=1), 0.0), far_ax.min(axis=1)
 
 
+@dataclass(frozen=True)
+class _SkipGrid:
+    """Which samples of one mip level are exactly empty.
+
+    Per axis, the trilinear corners of a sample are the clamps of b and
+    b + 1, where b = floor(position - 0.5) is the base corner in the
+    level's voxels. They lie in b's tile, and in the next tile only when b
+    is the last voxel of its tile. So each tile is split into two cells per
+    axis, its last voxel layer and the rest, and a cell is live when a tile
+    its footprints can reach is resident. At a position whose base corner
+    lies in a cell that is not live, all eight corners read empty_value.
+    """
+
+    live: np.ndarray  # bool per cell, [z, y, x]
+    cells: tuple  # per axis (x, y, z): the cell of each voxel
+    scale: float  # mip-0 voxels per voxel of the level
+    top: np.ndarray  # largest voxel index per axis (x, y, z)
+    lo: np.ndarray | None  # mip-0 box around the live cells; None when none is live
+    hi: np.ndarray | None
+
+    def live_at(self, p: np.ndarray) -> np.ndarray:
+        """Per row of p (mip-0 positions): can the sample be non-zero?"""
+        # The clamped base corner, computed as sample_trilinear_many does.
+        b = np.floor(p / self.scale - 0.5)
+        np.clip(b, 0.0, self.top, out=b)
+        b = b.astype(np.intp)
+        cx, cy, cz = self.cells
+        return self.live[cz[b[:, 2]], cy[b[:, 1]], cx[b[:, 0]]]
+
+    def windows(self, origins, dirs, t0, dt, steps):
+        """Per ray, float bounds [first, last) of the step indices that can
+        reach a live cell, with a one-step margin on each side.
+
+        The box is one voxel wider on each side than the positions whose
+        base corner lies in a live cell. Every sample that may be non-zero
+        therefore lies a voxel or more inside each face of the box that is
+        not a face of the volume, far beyond any rounding error of the slab
+        test.
+        """
+        enter, leave = _ray_aabb(origins, dirs, self.lo, self.hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = np.floor((enter - t0) / dt - 0.5) - 1.0
+            last = np.floor((leave - t0) / dt - 0.5) + 2.0
+        # NaN, from dt == 0 or a non-finite ray, gives the full window.
+        return np.fmin(np.fmax(first, 0), steps), np.fmax(np.fmin(last, steps), 0)
+
+
+def _skip_grid(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
+    """The skip grid of a mip level, or None when skipping could change a
+    result or would skip nothing.
+
+    A skipped step must be one whose sample the marchers would give sigma 0
+    and a zero source. That holds for every sample whose base corner lies
+    in a cell that is not live exactly when empty_value is 0 (a lerp of
+    eight 0.0 corners is 0.0) and the transfer function maps 0 to sigma 0
+    and a zero source.
+    """
+    if svt.config.empty_value != 0.0 or not 0 <= mip < svt.mip_count:
+        return None  # a bad mip is reported by the sampler
+    sigma, rgb = tf.classify(np.zeros(1), svt.format)
+    if sigma[0] != 0.0 or (tf.emission_scale * rgb).any():
+        return None
+    ts = svt.config.tile_size
+    dims = svt.mip_dims(mip)
+    # Expand each axis from tiles T to cells 2T (rest of T: reaches T) and
+    # 2T + 1 (last layer of T: reaches T and T + 1).
+    live = np.pad(svt.mips[mip].entries != EMPTY_ENTRY, ((0, 1),) * 3)
+    for axis in range(3):
+        a = np.moveaxis(live, axis, 0)
+        e = np.repeat(a[:-1], 2, axis=0)
+        e[1::2] |= a[1:]
+        live = np.moveaxis(e, 0, axis)
+    if live.all():
+        return None
+    scale = float(1 << mip)
+    cells = tuple(
+        2 * (v // ts) + (v % ts == ts - 1) for v in map(np.arange, (dims.x, dims.y, dims.z))
+    )
+    lo = hi = None
+    if live.any():
+        # Per axis, the voxels that are base corners in a live cell.
+        on = [
+            np.flatnonzero(live.any(axis=other)[cell])
+            for other, cell in zip(((0, 1), (0, 2), (1, 2)), cells)
+        ]
+        lo = np.maximum([(v[0] - 0.5) * scale for v in on], 0.0)
+        hi = np.minimum([(v[-1] + 2.5) * scale for v in on], _extent(svt))
+    return _SkipGrid(
+        live=live,
+        cells=cells,
+        scale=scale,
+        top=np.asarray([dims.x - 1, dims.y - 1, dims.z - 1], dtype=np.float64),
+        lo=lo,
+        hi=hi,
+    )
+
+
+def _extent(svt: SparseVolumeTexture) -> np.ndarray:
+    vd = svt.virtual_dims
+    return np.asarray([vd.x, vd.y, vd.z], dtype=np.float64)
+
+
+def _drop(arrays, s: int, k: int, done: np.ndarray) -> int:
+    """Remove the rays flagged in done from rows s:k of every array, keeping
+    the order of the rest, which move up to end at row k. Returns the new
+    first row."""
+    kept = s + np.flatnonzero(~done)
+    s2 = k - len(kept)
+    for a in arrays:
+        a[s2:k] = np.take(a, kept, axis=0)
+    return s2
+
+
 def build_illumination_cache(
     svt: SparseVolumeTexture,
     tf: TransferFunction,
@@ -271,8 +390,7 @@ def build_illumination_cache(
         indexing="ij",
     )
     centers = np.stack([xc.ravel(), yc.ravel(), zc.ravel()], axis=1)
-    lo = np.zeros(3)
-    hi = np.asarray([vd.x, vd.y, vd.z], dtype=np.float64)
+    skip = _skip_grid(svt, tf, 0)
 
     flat = np.zeros((centers.shape[0], 3), dtype=np.float64)
     for light in lights:
@@ -291,17 +409,31 @@ def build_illumination_cache(
         else:
             raise TypeError(f"unknown light type {type(light).__name__}")
 
-        t0, t1 = _ray_aabb(centers, dirs, lo, hi)
+        t0, t1 = _ray_aabb(centers, dirs, np.zeros(3), _extent(svt))
         t1 = np.minimum(t1, t_stop)
         length = np.maximum(t1 - t0, 0.0)
         dt = length / shadow_steps
+        # Steps outside a ray's window would add sigma * dt == 0.0 to tau.
         tau = np.zeros(centers.shape[0], dtype=np.float64)
-        for j in range(shadow_steps):
-            t = t0 + (j + 0.5) * dt
-            p = centers + t[:, None] * dirs
+        every = np.ones(centers.shape[0], dtype=bool)
+        rays, first, last = _schedule(skip, centers, dirs, t0, dt, shadow_steps, every)
+        c, d, t0, dt = centers[rays], dirs[rays], t0[rays], dt[rays]
+        acc = np.zeros(len(rays), dtype=np.float64)
+        j = s = 0
+        while s < len(rays):
+            j = max(j, int(first[s]))
+            k = s + int(np.searchsorted(first[s:], j, side="right"))
+            t = t0[s:k] + (j + 0.5) * dt[s:k]
+            p = c[s:k] + t[:, None] * d[s:k]
             scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2])
             sigma, _ = tf.classify(scalars, svt.format)
-            tau += sigma * dt
+            acc[s:k] += sigma * dt[s:k]
+            j += 1
+            done = last[s:k] <= j
+            if done.any():
+                gone = s + np.flatnonzero(done)
+                tau[rays[gone]] = acc[gone]
+                s = _drop((rays, c, d, t0, dt, first, last, acc), s, k, done)
         trans = np.exp(-tau)
         weight = (atten * trans)[:, None]
         flat += np.asarray(light.intensity, dtype=np.float64)[None, :] * weight
@@ -310,12 +442,24 @@ def build_illumination_cache(
     return IlluminationCache(dims=dims, downsample_factor=downsample_factor, values=values)
 
 
-def _march_block(svt, cache, tf, params, origins, dirs):
+def _schedule(skip, origins, dirs, t0, dt, steps, march):
+    """The rays flagged in march whose step window is not empty, sorted by
+    first step, and their [first, last) windows."""
+    if skip is None:
+        rays = np.flatnonzero(march)
+        return rays, np.zeros(len(rays), np.int64), np.full(len(rays), steps, np.int64)
+    if skip.lo is None:  # no live cell: every window is empty
+        first = last = np.zeros(len(march))
+    else:
+        first, last = skip.windows(origins, dirs, t0, dt, steps)
+    rays = np.flatnonzero(march & (first < last))
+    rays = rays[np.argsort(first[rays], kind="stable")]
+    return rays, first[rays].astype(np.int64), last[rays].astype(np.int64)
+
+
+def _march_block(svt, cache, tf, params, origins, dirs, skip):
     n = origins.shape[0]
-    vd = svt.virtual_dims
-    lo = np.zeros(3)
-    hi = np.asarray([vd.x, vd.y, vd.z], dtype=np.float64)
-    t0, t1 = _ray_aabb(origins, dirs, lo, hi)
+    t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), _extent(svt))
     hit = t1 > t0
     steps = params.max_step_count
     dt = np.where(hit, (t1 - t0) / steps, 0.0)
@@ -327,32 +471,55 @@ def _march_block(svt, cache, tf, params, origins, dirs):
         cut_n = np.asarray(cut[0], dtype=np.float64)
         cut_off = float(cut[1])
 
-    alive = np.flatnonzero(hit)
-    for i in range(steps):
-        if not len(alive):
-            break
-        t = t0[alive] + (i + 0.5) * dt[alive]
-        p = origins[alive] + t[:, None] * dirs[alive]
-        if cut is not None:
-            visible = p @ cut_n + cut_off >= 0.0
-        else:
-            visible = None
-        scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2], params.mip)
-        sigma, rgb = tf.classify(scalars, svt.format)
-        if visible is not None:
-            sigma = np.where(visible, sigma, 0.0)
-            rgb = np.where(visible[:, None], rgb, 0.0)
-        # Incident light only matters where the transfer function emits;
-        # rgb == 0 kills the contribution regardless of the cache value.
-        source = tf.emission_scale * rgb
-        lit = np.flatnonzero(rgb.any(axis=1))
-        if len(lit):
-            incident = cache.sample_incident(p[lit, 0], p[lit, 1], p[lit, 2])
-            source[lit] *= 1.0 + incident
-        e_half = np.exp(-0.5 * dt[alive] * sigma)
-        radiance[alive] += (trans[alive] * e_half * dt[alive])[:, None] * source
-        trans[alive] *= e_half * e_half
-        alive = alive[trans[alive] > MIN_TRANSMITTANCE]
+    # A step outside a ray's window, or at a position whose base corner lies
+    # in a cell that is not live, has sigma == 0 and rgb == 0: it would multiply trans by 1.0 and
+    # add 0.0 to radiance, so it is left out. Rows s: of the march state
+    # hold the rays still marching, sorted by first step, so the rays
+    # marching at step i are rows s:k.
+    rays, first, last = _schedule(skip, origins, dirs, t0, dt, steps, hit)
+    o, d, t0, dt = origins[rays], dirs[rays], t0[rays], dt[rays]
+    rad = np.zeros((len(rays), 3), dtype=np.float64)
+    tr = np.ones(len(rays), dtype=np.float64)
+    i = s = 0
+    while s < len(rays):
+        i = max(i, int(first[s]))
+        k = s + int(np.searchsorted(first[s:], i, side="right"))
+        t = t0[s:k] + (i + 0.5) * dt[s:k]
+        p = o[s:k] + t[:, None] * d[s:k]
+        sel = slice(s, k)
+        if skip is not None:
+            live = skip.live_at(p)
+            if not live.all():
+                sel = s + np.flatnonzero(live)
+                p = p[live]
+        if len(p):
+            if cut is not None:
+                visible = p @ cut_n + cut_off >= 0.0
+            else:
+                visible = None
+            scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2], params.mip)
+            sigma, rgb = tf.classify(scalars, svt.format)
+            if visible is not None:
+                sigma = np.where(visible, sigma, 0.0)
+                rgb = np.where(visible[:, None], rgb, 0.0)
+            # Incident light only matters where the transfer function emits;
+            # rgb == 0 kills the contribution regardless of the cache value.
+            source = tf.emission_scale * rgb
+            lit = np.flatnonzero(rgb.any(axis=1))
+            if len(lit):
+                incident = cache.sample_incident(p[lit, 0], p[lit, 1], p[lit, 2])
+                source[lit] *= 1.0 + incident
+            dts = dt[sel]
+            e_half = np.exp(-0.5 * dts * sigma)
+            rad[sel] += (tr[sel] * e_half * dts)[:, None] * source
+            tr[sel] *= e_half * e_half
+        i += 1
+        done = ~(tr[s:k] > MIN_TRANSMITTANCE) | (last[s:k] <= i)
+        if done.any():
+            gone = s + np.flatnonzero(done)
+            radiance[rays[gone]] = rad[gone]
+            trans[rays[gone]] = tr[gone]
+            s = _drop((rays, o, d, t0, dt, first, last, rad, tr), s, k, done)
     return radiance, trans
 
 
@@ -373,19 +540,26 @@ def raymarch(
     n = origins.shape[0]
     radiance = np.zeros((n, 3), dtype=np.float64)
     trans = np.ones(n, dtype=np.float64)
+    skip = _skip_grid(svt, tf, params.mip)
 
     if threads > 1 and cam.height > 1:
-        blocks = np.array_split(np.arange(n), min(threads * 4, cam.height))
+        # Two blocks per thread, of interleaved rows so that they hold alike
+        # shares of empty and dense rays. Each block pays per-step Python
+        # work under the interpreter lock, so fewer blocks run faster, while
+        # smaller blocks keep the per-step temporaries, and so peak memory,
+        # low.
+        count = min(2 * threads, cam.height)
+        rows = np.arange(n).reshape(cam.height, cam.width)
+        blocks = [rows[r::count].ravel() for r in range(count)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
-                pool.submit(_march_block, svt, cache, tf, params, origins[b], dirs[b]): b
+                pool.submit(_march_block, svt, cache, tf, params, origins[b], dirs[b], skip): b
                 for b in blocks
-                if len(b)
             }
             for fut, b in futures.items():
                 radiance[b], trans[b] = fut.result()
     else:
-        radiance, trans = _march_block(svt, cache, tf, params, origins, dirs)
+        radiance, trans = _march_block(svt, cache, tf, params, origins, dirs, skip)
 
     background = np.asarray(params.background, dtype=np.float64)
     img = radiance + trans[:, None] * background[None, :]

@@ -226,6 +226,17 @@ def test_threads_env_default(monkeypatch):
     assert args.threads == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_threads_env_invalid_is_data_error(monkeypatch, capsys, tmp_path, value):
+    monkeypatch.setenv("SVTF_THREADS", value)
+    code, out, err = run(capsys, "inspect", str(tmp_path / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: DataError: SVTF_THREADS must be an integer >= 1, got {value!r}"
+    ]
+
+
 def test_probe_trilinear_matches_library(tmp_path, capsys, volume_file):
     svt_path = tmp_path / "vol.svtf"
     assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0

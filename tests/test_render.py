@@ -1,20 +1,29 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from conftest import make_volume
+from conftest import (
+    footprint_touches_resident,
+    make_volume,
+    reference_illumination_cache,
+    reference_raymarch,
+)
 
 from svtf import (
     Camera,
     DirectionalLight,
     PointLight,
     RenderParams,
+    SvtConfig,
     TransferFunction,
+    VoxelFormat,
     build_illumination_cache,
     build_svt,
     raymarch,
     write_image,
 )
+from svtf.render import _ray_aabb, _skip_grid
 
 
 def uniform_slab(n=32, value=255):
@@ -217,3 +226,161 @@ def test_tf_lut_file_roundtrip(tmp_path):
     bad.write_text("1 2 3\n")
     with pytest.raises(ValueError):
         TransferFunction.from_lut_file(bad)
+
+
+# --- exact empty-space skipping ---
+
+
+def sparse_volume(fmt, n=40, background=0):
+    """n^3 (not tile-aligned) with a blob across tile seams, a few single
+    voxels on tile faces, and empty tiles around them."""
+    values = np.random.default_rng(11).uniform(0.25, 1.0, (n, n, n))
+    if fmt is VoxelFormat.U8:
+        values = np.rint(values * 255.0)
+    occupied = np.zeros((n, n, n), dtype=bool)
+    occupied[12:21, 14:19, 10:20] = True
+    for z, y, x in ((31, 20, 5), (16, 2, 33), (39, 39, 39), (15, 31, 16)):
+        occupied[z, y, x] = True
+    return make_volume(np.where(occupied, values, background).astype(fmt.dtype), fmt)
+
+
+def opaque_zero_lut():
+    lut = TransferFunction.grayscale().lut.copy()
+    lut[0, 3] = 0.2  # 0 is visible and absorbs unless the window hides it
+    return lut
+
+
+RENDER_CASES = {
+    # name: (format, config, transfer function, lights, params, skipping on)
+    "u8": (  # dense enough that rays terminate early
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction.grayscale(density_scale=2.0, emission_scale=0.8),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, True,
+    ),
+    "f32-cut-point-light": (
+        VoxelFormat.F32, SvtConfig(),
+        TransferFunction.grayscale(density_scale=0.4, emission_scale=0.6),
+        [PointLight(position=(35.0, 45.0, 8.0), radius=20.0, intensity=(1.0, 0.8, 0.6))],
+        {"cut_plane": ((0.6, 0.0, 0.8), -14.0)}, True,
+    ),
+    "u8-mip1": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction.grayscale(density_scale=0.3, emission_scale=0.8),
+        [DirectionalLight(direction=(-1.0, 0.2, 0.1))], {"mip": 1}, True,
+    ),
+    "u8-nonzero-empty-value": (
+        VoxelFormat.U8, SvtConfig(empty_value=5.0),
+        TransferFunction.grayscale(density_scale=0.3, emission_scale=0.8),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, False,
+    ),
+    "u8-zero-absorbs": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction(opaque_zero_lut(), density_scale=0.05, emission_scale=0.8),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, False,
+    ),
+    "u8-window-hides-zero": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction(opaque_zero_lut(), density_scale=0.05, emission_scale=0.8,
+                         window=(0.1, 1.0)),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CASES))
+def test_skipping_is_bit_identical_to_reference(name):
+    fmt, config, tf, lights, extra, skipping = RENDER_CASES[name]
+    background = int(config.empty_value)
+    svt = build_svt(sparse_volume(fmt, background=background), config)
+    params = RenderParams(
+        camera=Camera(eye=(-30.0, 55.0, -45.0), look_at=(20.0, 18.0, 22.0),
+                      vfov_deg=60.0, width=23, height=17),
+        max_step_count=40, background=(0.1, 0.2, 0.3), **extra,
+    )
+    assert (_skip_grid(svt, tf, params.mip) is not None) == skipping
+    origins, dirs = params.camera.rays()
+    t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), np.full(3, 40.0))
+    assert (t1 > t0).any() and (t1 <= t0).any()  # some rays miss the box
+
+    cache = build_illumination_cache(svt, tf, lights, downsample_factor=4, shadow_steps=16)
+    want_cache = reference_illumination_cache(svt, tf, lights, 4, 16)
+    assert np.array_equal(cache.values, want_cache.values)
+    want = reference_raymarch(svt, want_cache, tf, params)
+    for threads in (1, 4):
+        assert np.array_equal(raymarch(svt, cache, tf, params, threads=threads), want)
+
+
+def test_one_row_image_with_threads_matches_reference():
+    fmt, config, tf, lights, _, _ = RENDER_CASES["u8"]
+    svt = build_svt(sparse_volume(fmt), config)
+    cache = build_illumination_cache(svt, tf, lights, downsample_factor=4, shadow_steps=16)
+    params = RenderParams(
+        camera=Camera(eye=(20.0, 17.0, -40.0), look_at=(20.0, 17.0, 20.0), width=31, height=1),
+        max_step_count=40,
+    )
+    want = reference_raymarch(svt, cache, tf, params)
+    assert np.array_equal(raymarch(svt, cache, tf, params, threads=4), want)
+
+
+def test_all_resident_volume_has_no_skip_grid():
+    assert _skip_grid(uniform_slab(), TransferFunction.grayscale(), 0) is None
+
+
+def test_all_empty_volume_skips_every_step():
+    svt = build_svt(make_volume(np.zeros((40, 40, 40), np.uint8)))
+    tf = TransferFunction.grayscale()
+    assert _skip_grid(svt, tf, 0).lo is None  # no cell is live
+    cache = build_illumination_cache(svt, tf, [DirectionalLight(direction=(0, -1, 0))])
+    np.testing.assert_array_equal(cache.values, 1.0)
+    light = PointLight(position=(20.0, 60.0, 20.0), radius=15.0)
+    lit = build_illumination_cache(svt, tf, [light], downsample_factor=4, shadow_steps=8)
+    assert np.array_equal(lit.values, reference_illumination_cache(svt, tf, [light], 4, 8).values)
+    params = RenderParams(camera=ortho_camera(40, 9, 7), max_step_count=16,
+                          background=(0.25, 0.5, 0.75))
+    img = raymarch(svt, cache, tf, params, threads=4)
+    np.testing.assert_array_equal(img, np.broadcast_to((0.25, 0.5, 0.75), img.shape))
+
+
+# One non-empty voxel per volume: the centre, the 6 faces, 12 edges and 8
+# corners of the second 16-voxel tile, then the first voxel of the partial
+# last tile of a 40-voxel axis (a mip-1 tile face) and the last voxel.
+_SINGLE_VOXELS = [*itertools.product((16, 24, 31), repeat=3), (32, 20, 33), (39, 39, 39)]
+
+
+@pytest.mark.parametrize("mip", [0, 1])
+def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
+    n = 40
+    rng = np.random.default_rng(3)
+    grid = np.arange(-2.5, 2.51, 0.25)  # hits voxel centres and faces exactly
+    near = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    for voxel in _SINGLE_VOXELS:
+        data = np.zeros((n, n, n), np.uint8)
+        data[voxel[::-1]] = 255
+        svt = build_svt(make_volume(data))
+        skip = _skip_grid(svt, TransferFunction.grayscale(), mip)
+        assert skip is not None
+        p = np.concatenate([
+            np.asarray(voxel) + 0.5 + near,
+            rng.uniform(-1.0, n + 1.0, (2000, 3)),
+            np.asarray([[n, n, n], [n, 0.0, n], [0.0, 0.0, 0.0], [16.0, 32.0, n]]),
+        ])
+        touches = footprint_touches_resident(svt, mip, p[:, 0], p[:, 1], p[:, 2])
+        assert touches.any()
+        assert skip.live_at(p)[touches].all()
+
+        # Step windows: every step whose footprint touches a resident tile
+        # lies inside its ray's window.
+        origins = rng.uniform(-30.0, n + 30.0, (300, 3))
+        dirs = np.asarray(voxel) + 0.5 + rng.uniform(-3.0, 3.0, (300, 3)) - origins
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), np.full(3, float(n)))
+        hit = t1 > t0
+        origins, dirs, t0, t1 = origins[hit], dirs[hit], t0[hit], t1[hit]
+        steps = 64
+        dt = (t1 - t0) / steps
+        first, last = skip.windows(origins, dirs, t0, dt, steps)
+        for i in range(steps):
+            t = t0 + (i + 0.5) * dt
+            q = origins + t[:, None] * dirs
+            inside = footprint_touches_resident(svt, mip, q[:, 0], q[:, 1], q[:, 2])
+            assert ((first <= i) & (i < last))[inside].all()
