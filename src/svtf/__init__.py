@@ -30,7 +30,6 @@ from .planner import (
     int32_regression_probe,
     net_payload_voxels,
     upload_buffer_bytes,
-    upload_buffer_bytes_exact,
 )
 from .render import (
     Camera,
@@ -47,15 +46,12 @@ from .sample import sample_nearest, sample_trilinear
 from .segy import SegYHeaderInfo, ibm_to_ieee, ieee_to_ibm, parse_segy, write_segy
 from .svt import (
     BuildStats,
-    PaddedTile,
     PageTable,
     SparseVolumeTexture,
     SvtConfig,
     TileAtlas,
     build_mip_level,
     build_svt,
-    extract_padded_tile,
-    is_tile_empty,
     load_svtf,
     save_svtf,
     tile_grid_dims,

@@ -133,14 +133,14 @@ def _transfer_function(args) -> render.TransferFunction:
     return render.TransferFunction.grayscale(**kwargs)
 
 
-def _env_threads() -> int:
-    text = os.environ.get("SVTF_THREADS", "1")
+def _thread_count(text: str, source: str) -> int:
+    """A thread count from the environment or a flag; DataError unless >= 1."""
     try:
         threads = int(text)
     except ValueError:
         threads = 0
     if threads < 1:
-        raise DataError(f"SVTF_THREADS must be an integer >= 1, got {text!r}")
+        raise DataError(f"{source} must be an integer >= 1, got {text!r}")
     return threads
 
 
@@ -148,7 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svtf", description="Sparse volume texture toolkit"
     )
-    parser.add_argument("--threads", type=int, default=_env_threads())
+    parser.add_argument(
+        "--threads",
+        default=_thread_count(os.environ.get("SVTF_THREADS", "1"), "SVTF_THREADS"),
+    )
     parser.add_argument("-v", "--verbose", action="store_true")
     parser.add_argument("--deterministic", action="store_true",
                         help="force single-threaded execution")
@@ -253,21 +256,22 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _cmd_build(args) -> int:
-    vol = volume.load_volume(args.input)
-    tex = svtmod.build_svt(vol, _svt_config(args))
-    svtmod.save_svtf(tex, args.output)
+def _print_svt_stats(tex) -> None:
     s = tex.stats
     print(f"mips: {tex.mip_count}")
     print(f"nonempty_voxel_count: {s.nonempty_voxel_count}")
     print(f"nonempty_tile_count: {' '.join(str(c) for c in s.nonempty_tile_count)}")
     print(f"padded_nonempty_voxel_count: {s.padded_nonempty_voxel_count}")
     print(f"mean_tile_occupancy: {s.mean_tile_occupancy:.4f}")
-    if tex.atlas.dims:
-        d = tex.atlas.dims
-        print(f"atlas_dims: {d.x} {d.y} {d.z}")
-    else:
-        print("atlas_dims: 0 0 0")
+    d = tex.atlas.dims
+    print(f"atlas_dims: {d.x} {d.y} {d.z}" if d else "atlas_dims: 0 0 0")
+
+
+def _cmd_build(args) -> int:
+    vol = volume.load_volume(args.input)
+    tex = svtmod.build_svt(vol, _svt_config(args))
+    svtmod.save_svtf(tex, args.output)
+    _print_svt_stats(tex)
     return 0
 
 
@@ -296,17 +300,7 @@ def _cmd_inspect(args) -> int:
         print(f"virtual_dims: {d.x} {d.y} {d.z}")
         print(f"tile_size: {tex.config.tile_size}")
         print(f"pad: {tex.config.pad}")
-        print(f"mips: {tex.mip_count}")
-        s = tex.stats
-        print(f"nonempty_voxel_count: {s.nonempty_voxel_count}")
-        print(f"nonempty_tile_count: {' '.join(str(c) for c in s.nonempty_tile_count)}")
-        print(f"padded_nonempty_voxel_count: {s.padded_nonempty_voxel_count}")
-        print(f"mean_tile_occupancy: {s.mean_tile_occupancy:.4f}")
-        if tex.atlas.dims:
-            a = tex.atlas.dims
-            print(f"atlas_dims: {a.x} {a.y} {a.z}")
-        else:
-            print("atlas_dims: 0 0 0")
+        _print_svt_stats(tex)
     else:
         vol = volume.load_volume(args.input)
         print("kind: volume")
@@ -321,7 +315,7 @@ def _cmd_dump_upload(args) -> int:
     tex = svtmod.load_svtf(args.svt)
     buf = upload.serialize_upload(tex, window_elements=args.window_elements)
     upload.save_upload(buf, args.output)
-    print(f"tiles: {len(buf.tiles)}")
+    print(f"tiles: {buf.tile_count}")
     print(f"windows: {len(buf.windows)}")
     print(f"total_bytes: {buf.total_bytes}")
     print(f"exceeds_uint32: {str(buf.exceeds_uint32).lower()}")
@@ -335,7 +329,7 @@ def _cmd_apply_upload(args) -> int:
     match = atlas.data.shape == tex.atlas.data.shape and np.array_equal(
         atlas.data, tex.atlas.data
     )
-    print(f"tiles: {len(buf.tiles)}")
+    print(f"tiles: {buf.tile_count}")
     print(f"atlas_match: {str(match).lower()}")
     if not match:
         print(
@@ -413,7 +407,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: Usage: a subcommand is required", file=sys.stderr)
         return 1
-    threads = 1 if args.deterministic else max(1, args.threads)
+    try:
+        threads = _thread_count(args.threads, "--threads")
+    except DataError as exc:
+        return _fail(exc, 2)
+    if args.deterministic:
+        threads = 1
 
     handlers = {
         "import-segy": lambda: _cmd_import_segy(args),

@@ -61,18 +61,14 @@ def net_payload_voxels(config: SvtConfig) -> int:
 def upload_buffer_bytes(nonempty_voxels: int, bytes_per_voxel: int, config: SvtConfig) -> int:
     """Estimated compressed-stream payload size in bytes.
 
-    Scales the non-empty voxel count by the padding and mip factors; the
-    exact counterpart is upload_buffer_bytes_exact, which uses the occupancy
-    popcounts of an actual build.
+    Scales the non-empty voxel count by the padding and mip factors; an
+    actual build's exact payload is its padded non-empty voxel count times
+    the bytes per voxel.
     """
     if nonempty_voxels < 0 or bytes_per_voxel < 0:
         raise ValueError("counts must be non-negative")
     size = Fraction(nonempty_voxels) * padding_factor(config) * MIP_FACTOR * bytes_per_voxel
     return _round_half_up(size)
-
-
-def upload_buffer_bytes_exact(padded_nonempty_voxels: int, bytes_per_voxel: int) -> int:
-    return padded_nonempty_voxels * bytes_per_voxel
 
 
 def derive_tile_counts(

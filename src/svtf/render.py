@@ -36,6 +36,11 @@ from .volume import VolumeDims, VoxelFormat
 MIN_TRANSMITTANCE = 1e-3
 
 
+def _check_finite(name: str, v) -> None:
+    if not np.isfinite(np.asarray(v, dtype=np.float64)).all():
+        raise ValueError(f"{name} must be finite, got {v}")
+
+
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
@@ -52,6 +57,7 @@ class DirectionalLight:
     intensity: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        _check_finite("direction", self.direction)
         object.__setattr__(self, "direction", tuple(_unit(self.direction)))
         if min(self.intensity) < 0:
             raise ValueError("intensity components must be >= 0")
@@ -66,6 +72,7 @@ class PointLight:
     intensity: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        _check_finite("position", self.position)
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
         if min(self.intensity) < 0:
@@ -100,11 +107,6 @@ class TransferFunction:
         ramp = np.linspace(0.0, 1.0, 256)
         lut = np.stack([ramp, ramp, ramp, ramp], axis=1)
         return TransferFunction(lut, density_scale, emission_scale, window)
-
-    @staticmethod
-    def constant(rgb=(1.0, 1.0, 1.0), opacity=1.0, density_scale=1.0, emission_scale=1.0):
-        lut = np.tile(np.asarray([*rgb, opacity], dtype=np.float64), (256, 1))
-        return TransferFunction(lut, density_scale, emission_scale)
 
     @staticmethod
     def from_lut_file(path, **kwargs) -> "TransferFunction":
@@ -162,6 +164,8 @@ class Camera:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dims must be positive")
+        for name in ("eye", "look_at", "up"):
+            _check_finite(name, getattr(self, name))
 
     def _basis(self):
         fwd = _unit(np.asarray(self.look_at, float) - np.asarray(self.eye, float))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AtlasCapacityExceeded, CorruptStream, DataError, OutOfGrid
+from .errors import AtlasCapacityExceeded, CorruptStream, DataError
 from .volume import DenseVolume, VolumeDims, VoxelFormat
 
 EMPTY_ENTRY = np.uint32(0xFFFFFFFF)
@@ -54,21 +54,6 @@ class SvtConfig:
     @property
     def max_slots_per_axis(self) -> int:
         return self.max_atlas_extent // self.padded_size
-
-
-@dataclass
-class PaddedTile:
-    tile_coord: tuple[int, int, int]
-    mip_level: int
-    values: np.ndarray  # (padded, padded, padded) in [z, y, x]
-    occupancy: np.ndarray  # bool, same shape, set where value is non-empty
-
-    def packed_occupancy(self) -> bytes:
-        return np.packbits(self.occupancy.ravel(), bitorder="little").tobytes()
-
-    @property
-    def popcount(self) -> int:
-        return int(self.occupancy.sum(dtype=np.int64))
 
 
 @dataclass
@@ -189,35 +174,6 @@ def _tile_aligned(data: np.ndarray, grid: VolumeDims, config: SvtConfig) -> np.n
     return data
 
 
-def extract_padded_tile(
-    volume: DenseVolume, tile_coord, config: SvtConfig, mip_level: int = 0
-) -> PaddedTile:
-    """Copy one tile plus its one-voxel border, clamping reads at the volume edge."""
-    tx, ty, tz = tile_coord
-    grid = tile_grid_dims(volume.dims, config.tile_size)
-    if not (0 <= tx < grid.x and 0 <= ty < grid.y and 0 <= tz < grid.z):
-        raise OutOfGrid(f"tile {tile_coord} outside grid {grid.x}x{grid.y}x{grid.z}")
-    ts, p = config.tile_size, config.pad
-    span = config.padded_size
-    ix = np.clip(np.arange(tx * ts - p, tx * ts - p + span), 0, volume.dims.x - 1)
-    iy = np.clip(np.arange(ty * ts - p, ty * ts - p + span), 0, volume.dims.y - 1)
-    iz = np.clip(np.arange(tz * ts - p, tz * ts - p + span), 0, volume.dims.z - 1)
-    values = volume.data[np.ix_(iz, iy, ix)]
-    return PaddedTile(
-        tile_coord=(tx, ty, tz),
-        mip_level=mip_level,
-        values=values,
-        occupancy=nonempty_mask(values, config),
-    )
-
-
-def is_tile_empty(tile: PaddedTile, config: SvtConfig) -> bool:
-    """A tile is empty iff its logical region is; pad content never counts."""
-    p, ts = config.pad, config.tile_size
-    logical = tile.values[p : p + ts, p : p + ts, p : p + ts]
-    return not nonempty_mask(logical, config).any()
-
-
 def _ceil_cbrt(n: int) -> int:
     if n <= 0:
         return 0
@@ -246,6 +202,18 @@ def slot_grid_for(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
             f"at max_atlas_extent {config.max_atlas_extent}"
         )
     return (side, side, sz)
+
+
+def slot_layout(data: np.ndarray, span: int, n: int):
+    """Slot view of an atlas plus the (az, ay, ax) coordinates of slots 0..n-1.
+
+    The view has shape (sz, sy, sx, span, span, span) and writes through to
+    data. Slots fill the atlas x fastest, then y, then z.
+    """
+    sz, sy, sx = (extent // span for extent in data.shape)
+    view = data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
+    slots = np.arange(n, dtype=np.int64)
+    return view, (slots // (sx * sy), (slots // sx) % sy, slots % sx)
 
 
 def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVolumeTexture:
@@ -302,27 +270,21 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     atlas_data = np.full(
         (sz * span, sy * span, sx * span), config.empty_value, dtype=volume.format.dtype
     )
-    slot_view = atlas_data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
+    slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
+    slot_entries = pack_entry(ax, ay, az)
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
 
     mips = []
     padded_nonempty = 0
     slot_base = 0
     for grid, resident, tiles in zip(grids, per_level_resident, per_level_tiles):
-        n = tiles.shape[0]
+        level_slots = slice(slot_base, slot_base + tiles.shape[0])
         entries = np.full(grid.as_zyx(), EMPTY_ENTRY, dtype=np.uint32)
-        if n:
-            slots = np.arange(slot_base, slot_base + n, dtype=np.int64)
-            ax = slots % sx
-            ay = (slots // sx) % sy
-            az = slots // (sx * sy)
-            entries.ravel()[np.flatnonzero(resident.ravel())] = (
-                ax | (ay << _COORD_BITS) | (az << 2 * _COORD_BITS)
-            ).astype(np.uint32)
-            slot_view[az, ay, ax] = tiles
-            padded_nonempty += int(nonempty_mask(tiles, config).sum(dtype=np.int64))
+        entries.ravel()[np.flatnonzero(resident.ravel())] = slot_entries[level_slots]
+        slot_view[az[level_slots], ay[level_slots], ax[level_slots]] = tiles
+        padded_nonempty += int(nonempty_mask(tiles, config).sum(dtype=np.int64))
         mips.append(PageTable(grid_dims=grid, entries=entries))
-        slot_base += n
+        slot_base = level_slots.stop
 
     if total and tile_counts[0]:
         occupancy = nonempty0 / (tile_counts[0] * ts**3)
@@ -346,40 +308,100 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
 
 def atlas_slot_blocks(svt: SparseVolumeTexture) -> np.ndarray:
     """All resident padded tiles as one (n, span, span, span) stack in slot order."""
-    span = svt.config.padded_size
-    n = svt.slot_count
-    if n == 0:
-        return np.empty((0, span, span, span), dtype=svt.format.dtype)
-    data = svt.atlas.data
-    sz, sy, sx = data.shape[0] // span, data.shape[1] // span, data.shape[2] // span
-    view = data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
-    slots = np.arange(n, dtype=np.int64)
-    return view[slots // (sx * sy), (slots // sx) % sy, slots % sx]
+    view, slots = slot_layout(svt.atlas.data, svt.config.padded_size, svt.slot_count)
+    return view[slots]
+
+
+def atlas_from_blocks(blocks: np.ndarray, config: SvtConfig, dtype) -> TileAtlas:
+    """Lay a slot-ordered stack of padded tiles out as a near-cubic atlas."""
+    n = len(blocks)
+    span = config.padded_size
+    sx, sy, sz = slot_grid_for(n, config)
+    data = np.full((sz * span, sy * span, sx * span), config.empty_value, dtype=dtype)
+    view, slots = slot_layout(data, span, n)
+    view[slots] = blocks.reshape(n, span, span, span)
+    return TileAtlas(dims=VolumeDims.from_zyx(data.shape) if n else None, data=data)
 
 
 # --- tile records (shared by the container file and the upload stream) ---
+#
+# A record is one padded tile: its occupancy bitmask (span^3 bits, LSB first,
+# zero-padded to whole bytes) followed by its non-empty values in padded
+# raster order, little-endian. Records are stored back to back in slot
+# order; record i starts at the sum of the sizes of records 0..i-1.
 
-def encode_tile_record(block: np.ndarray, config: SvtConfig) -> tuple[bytes, np.ndarray]:
-    """Occupancy-compress one padded tile: (mask bytes, packed non-empty values)."""
-    mask = nonempty_mask(block, config).ravel()
-    packed = np.packbits(mask, bitorder="little").tobytes()
-    return packed, block.ravel()[mask]
+# Slot-stack voxels the codec expands at a time, so its temporaries (the
+# unpacked masks and one chunk of values) stay small next to the atlas.
+_CHUNK_VOXELS = 2**20
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8
+)
 
 
-def decode_tile_record(
-    mask_bytes: bytes, values: np.ndarray, config: SvtConfig, dtype
+def _chunks(n: int, config: SvtConfig) -> list[slice]:
+    step = max(1, _CHUNK_VOXELS // config.padded_size**3)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def encode_records(blocks: np.ndarray, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy-compress a slot stack: (uint64 record offsets, uint8 records)."""
+    n = len(blocks)
+    dtype_le = blocks.dtype.newbyteorder("<")
+    sizes = np.zeros(n, dtype=np.int64)
+    parts = []
+    for chunk in _chunks(n, config):
+        flat = blocks[chunk].reshape(-1, config.padded_size**3)
+        occupied = nonempty_mask(flat, config)
+        payload = flat[occupied].astype(dtype_le, copy=False).view(np.uint8)
+        payload_ends = np.cumsum(occupied.sum(axis=1) * flat.dtype.itemsize)
+        masks = np.packbits(occupied, axis=1, bitorder="little")
+        payload_starts = np.concatenate(([0], payload_ends[:-1]))
+        bounds = zip(masks, payload_starts.tolist(), payload_ends.tolist())
+        parts += [p for m, a, b in bounds for p in (m, payload[a:b])]
+        sizes[chunk] = config.occupancy_mask_bytes + payload_ends - payload_starts
+    offsets = (np.cumsum(sizes) - sizes).astype(np.uint64)
+    return offsets, np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
+
+
+def decode_records(
+    records: np.ndarray, offsets: np.ndarray, config: SvtConfig, dtype
 ) -> np.ndarray:
-    span = config.padded_size
-    bits = np.unpackbits(
-        np.frombuffer(mask_bytes, dtype=np.uint8), count=span**3, bitorder="little"
-    ).astype(bool)
-    if int(bits.sum()) != len(values):
+    """Expand records back into the (n, span^3) slot stack.
+
+    The offsets must be exactly the running sum of the record sizes and the
+    records must end where the last one does; anything else is CorruptStream.
+    """
+    n = len(offsets)
+    span3 = config.padded_size**3
+    mask_bytes = config.occupancy_mask_bytes
+    dtype = np.dtype(dtype)
+    if n * mask_bytes > records.size:
+        raise CorruptStream(f"{n} tile records cannot fit in {records.size} bytes")
+    if n == 0:
+        if records.size:
+            raise CorruptStream(f"{records.size} record bytes but no tiles")
+        return np.empty((0, span3), dtype=dtype)
+    if int(np.max(offsets)) > records.size - mask_bytes:
         raise CorruptStream(
-            f"tile payload has {len(values)} values but mask popcount is {int(bits.sum())}"
+            f"tile record offset {int(np.max(offsets))} past the end of "
+            f"{records.size} record bytes"
         )
-    block = np.full(span**3, config.empty_value, dtype=dtype)
-    block[bits] = values
-    return block.reshape(span, span, span)
+    starts = np.asarray(offsets).astype(np.int64)
+    masks = sliding_window_view(records, mask_bytes)[starts]
+    if span3 % 8:
+        masks[:, -1] &= (1 << span3 % 8) - 1  # bits past span^3 are not voxels
+    ends = np.cumsum(mask_bytes + _POPCOUNT[masks].sum(axis=1, dtype=np.int64) * dtype.itemsize)
+    if starts[0] != 0 or (starts[1:] != ends[:-1]).any():
+        raise CorruptStream("tile record offsets are not the running sum of record sizes")
+    if ends[-1] != records.size:
+        raise CorruptStream(f"records need {int(ends[-1])} bytes, got {records.size}")
+    blocks = np.full((n, span3), config.empty_value, dtype=dtype)
+    for chunk in _chunks(n, config):
+        occupied = np.unpackbits(masks[chunk], axis=1, count=span3, bitorder="little")
+        bounds = zip((starts[chunk] + mask_bytes).tolist(), ends[chunk].tolist())
+        payload = np.concatenate([records[a:b] for a, b in bounds])
+        blocks[chunk][occupied.view(bool)] = payload.view(dtype.newbyteorder("<"))
+    return blocks
 
 
 # --- container file ---
@@ -390,6 +412,20 @@ _FORMAT_CODES = {VoxelFormat.U8: 0, VoxelFormat.F32: 1}
 _HEADER = struct.Struct("<4sII IIIdd QQQ I QQQ QQd")
 
 
+def format_for_code(code: int, path) -> VoxelFormat:
+    """The voxel format a file header's format code names."""
+    for fmt, fmt_code in _FORMAT_CODES.items():
+        if fmt_code == code:
+            return fmt
+    raise DataError(f"{path}: unknown voxel format code {code}")
+
+
+def check_available(raw: bytes, pos: int, size: int, path, what: str) -> None:
+    """CorruptStream unless raw holds `size` more bytes from pos."""
+    if size > len(raw) - pos:
+        raise CorruptStream(f"{path}: {what} truncated")
+
+
 def save_svtf(svt: SparseVolumeTexture, path) -> None:
     """Write the container: header, per-mip page tables, compressed tiles.
 
@@ -398,17 +434,7 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
     64-bit, relative to the start of the record section.
     """
     cfg = svt.config
-    blocks = atlas_slot_blocks(svt)
-    records = []
-    offsets = np.zeros(len(blocks), dtype=np.uint64)
-    pos = 0
-    for i, block in enumerate(blocks):
-        mask, values = encode_tile_record(block, cfg)
-        payload = values.astype(svt.format.dtype.newbyteorder("<")).tobytes()
-        records.append(mask + payload)
-        offsets[i] = pos
-        pos += len(mask) + len(payload)
-
+    offsets, records = encode_records(atlas_slot_blocks(svt), cfg)
     adims = svt.atlas.dims
     with open(path, "wb") as fh:
         fh.write(
@@ -437,10 +463,9 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
             g = table.grid_dims
             fh.write(struct.pack("<QQQQ", g.x, g.y, g.z, count))
             fh.write(table.entries.astype("<u4").tobytes())
-        fh.write(struct.pack("<Q", len(blocks)))
+        fh.write(struct.pack("<Q", len(offsets)))
         fh.write(offsets.astype("<u8").tobytes())
-        for rec in records:
-            fh.write(rec)
+        fh.write(records)
 
 
 def load_svtf(path) -> SparseVolumeTexture:
@@ -469,10 +494,7 @@ def load_svtf(path) -> SparseVolumeTexture:
     ) = _HEADER.unpack_from(raw, 0)
     if version != SVTF_VERSION:
         raise DataError(f"{path}: unsupported SVTF version {version}")
-    try:
-        fmt = {v: k for k, v in _FORMAT_CODES.items()}[fmt_code]
-    except KeyError:
-        raise DataError(f"{path}: unknown voxel format code {fmt_code}")
+    fmt = format_for_code(fmt_code, path)
     config = SvtConfig(
         tile_size=tile_size,
         pad=pad,
@@ -480,51 +502,38 @@ def load_svtf(path) -> SparseVolumeTexture:
         empty_value=empty_value,
         float_empty_threshold=threshold,
     )
-    span = config.padded_size
     pos = _HEADER.size
     mips, tile_counts = [], []
     for _ in range(mip_count):
+        check_available(raw, pos, 32, path, "page-table header")
         gx, gy, gz, count = struct.unpack_from("<QQQQ", raw, pos)
         pos += 32
         n = gx * gy * gz
+        check_available(raw, pos, 4 * n, path, "page table")
         entries = np.frombuffer(raw, dtype="<u4", count=n, offset=pos).reshape(gz, gy, gx)
         entries = entries.astype(np.uint32)
         pos += 4 * n
         mips.append(PageTable(grid_dims=VolumeDims(gx, gy, gz), entries=entries))
         tile_counts.append(int(count))
 
+    check_available(raw, pos, 8, path, "tile count")
     (tile_count,) = struct.unpack_from("<Q", raw, pos)
     pos += 8
-    offsets = np.frombuffer(raw, dtype="<u8", count=tile_count, offset=pos)
-    pos += 8 * tile_count
     if tile_count != sum(tile_counts):
         raise CorruptStream(f"{path}: tile count disagrees with per-mip counts")
+    check_available(raw, pos, 8 * tile_count, path, "tile offset table")
+    offsets = np.frombuffer(raw, dtype="<u8", count=tile_count, offset=pos)
+    pos += 8 * tile_count
 
-    if tile_count:
-        atlas_dims = VolumeDims(ax, ay, az)
-        atlas_data = np.full(atlas_dims.as_zyx(), empty_value, dtype=fmt.dtype)
-        sz, sy, sx = az // span, ay // span, ax // span
-        view = atlas_data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
-        mask_bytes = config.occupancy_mask_bytes
-        dtype_le = fmt.dtype.newbyteorder("<")
-        for i in range(tile_count):
-            rec_start = pos + int(offsets[i])
-            mask = raw[rec_start : rec_start + mask_bytes]
-            if len(mask) < mask_bytes:
-                raise CorruptStream(f"{path}: tile record {i} truncated")
-            bits = np.unpackbits(
-                np.frombuffer(mask, dtype=np.uint8), count=span**3, bitorder="little"
-            )
-            n_values = int(bits.sum())
-            val_start = rec_start + mask_bytes
-            if val_start + n_values * fmt.bytes_per_voxel > len(raw):
-                raise CorruptStream(f"{path}: tile record {i} truncated")
-            values = np.frombuffer(raw, dtype=dtype_le, count=n_values, offset=val_start)
-            block = decode_tile_record(mask, values.astype(fmt.dtype), config, fmt.dtype)
-            view[i // (sx * sy), (i // sx) % sy, i % sx] = block
-    else:
-        atlas_dims = None
-        atlas_data = np.full((0, 0, 0), empty_value, dtype=fmt.dtype)
+    records = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    try:
+        blocks = decode_records(records, offsets, config, fmt.dtype)
+    except CorruptStream as exc:
+        raise CorruptStream(f"{path}: {exc}") from None
+    del raw, records, offsets  # free the file before the atlas is allocated
+    atlas = atlas_from_blocks(blocks, config, fmt.dtype)
+    if atlas.data.shape != (az, ay, ax):
+        raise CorruptStream(f"{path}: atlas dims disagree with the tile count")
 
     stats = BuildStats(
         nonempty_voxel_count=nonempty,
@@ -537,6 +546,6 @@ def load_svtf(path) -> SparseVolumeTexture:
         format=fmt,
         virtual_dims=VolumeDims(vx, vy, vz),
         mips=mips,
-        atlas=TileAtlas(dims=atlas_dims, data=atlas_data),
+        atlas=atlas,
         stats=stats,
     )

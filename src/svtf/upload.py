@@ -2,11 +2,12 @@
 upload/decompress pass.
 
 Each resident tile becomes one record: its occupancy bitmask followed by
-the non-empty values in padded raster order. The value stream is cut into
-windows of at most 2^27 elements (the per-dispatch upload limit); tiles may
-span a window boundary, the apply pass carries the partial tile over. All
-offsets are unsigned 64-bit; a flag records streams whose byte size would
-overflow a uint32, which is the hard failure the stock engine guards with.
+the non-empty values in padded raster order (the record encoding of
+svt.encode_records, shared with the container file). The value stream is
+cut into windows of at most 2^27 elements (the per-dispatch upload limit);
+tiles may span a window boundary. All offsets are unsigned 64-bit; a flag
+records streams whose byte size would overflow a uint32, which is the hard
+failure the stock engine guards with.
 """
 
 from __future__ import annotations
@@ -19,22 +20,25 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptStream, DataError
+from .planner import UINT32_LIMIT
 from .svt import (
+    _FORMAT_CODES,
     EMPTY_ENTRY,
     SparseVolumeTexture,
     SvtConfig,
     TileAtlas,
+    atlas_from_blocks,
     atlas_slot_blocks,
-    decode_tile_record,
-    encode_tile_record,
-    slot_grid_for,
+    check_available,
+    decode_records,
+    encode_records,
+    format_for_code,
 )
-from .volume import VolumeDims, VoxelFormat
+from .volume import VoxelFormat
 
 log = logging.getLogger(__name__)
 
 WINDOW_ELEMENTS = 2**27
-UINT32_LIMIT = 2**32
 
 
 @dataclass
@@ -43,15 +47,20 @@ class UploadBuffer:
 
     config: SvtConfig
     format: VoxelFormat
-    tiles: list[tuple[bytes, np.ndarray]]  # (occupancy mask, packed values)
+    records: np.ndarray  # uint8, the records back to back in slot order
     tile_data_offsets: np.ndarray  # uint64 start offset of each record
     windows: list[tuple[int, int]]  # (start_element, element_count)
     total_bytes: int
     exceeds_uint32: bool
 
     @property
+    def tile_count(self) -> int:
+        return len(self.tile_data_offsets)
+
+    @property
     def total_elements(self) -> int:
-        return int(sum(len(v) for _, v in self.tiles))
+        masks = self.tile_count * self.config.occupancy_mask_bytes
+        return (self.records.size - masks) // self.format.bytes_per_voxel
 
 
 def window_table(total_elements: int, window_elements: int = WINDOW_ELEMENTS):
@@ -71,32 +80,21 @@ def serialize_upload(
     svt: SparseVolumeTexture, window_elements: int = WINDOW_ELEMENTS
 ) -> UploadBuffer:
     """Emit tiles in atlas-slot order as occupancy-compressed records."""
-    cfg = svt.config
-    bpv = svt.format.bytes_per_voxel
-    mask_bytes = cfg.occupancy_mask_bytes
-    tiles = []
-    offsets = np.zeros(svt.slot_count, dtype=np.uint64)
-    pos = 0
-    total_elements = 0
-    for i, block in enumerate(atlas_slot_blocks(svt)):
-        mask, values = encode_tile_record(block, cfg)
-        tiles.append((mask, values))
-        offsets[i] = pos
-        pos += mask_bytes + len(values) * bpv
-        total_elements += len(values)
-
-    exceeds = pos >= UINT32_LIMIT
+    offsets, records = encode_records(atlas_slot_blocks(svt), svt.config)
+    exceeds = records.size >= UINT32_LIMIT
     if exceeds:
-        log.warning("upload stream is %d bytes, beyond the uint32 offset range", pos)
-    return UploadBuffer(
-        config=cfg,
+        log.warning("upload stream is %d bytes, beyond the uint32 offset range", records.size)
+    buffer = UploadBuffer(
+        config=svt.config,
         format=svt.format,
-        tiles=tiles,
+        records=records,
         tile_data_offsets=offsets,
-        windows=window_table(total_elements, window_elements),
-        total_bytes=pos,
+        windows=[],
+        total_bytes=records.size,
         exceeds_uint32=exceeds,
     )
+    buffer.windows = window_table(buffer.total_elements, window_elements)
+    return buffer
 
 
 def _expected_tile_count(page_tables) -> int:
@@ -106,18 +104,16 @@ def _expected_tile_count(page_tables) -> int:
 def apply_upload(buffer: UploadBuffer, config: SvtConfig, page_tables) -> TileAtlas:
     """Expand an upload stream back into a dense tile atlas.
 
-    Values arrive strictly window by window; a tile whose payload straddles
-    a window boundary is completed when the next window is processed.
-    Offset, popcount, and window-table inconsistencies raise CorruptStream.
+    The windows must partition the element stream in order. A tile whose
+    payload straddles a window boundary is complete once the next window
+    has arrived, so with every window present the atlas does not depend on
+    where the boundaries fall. Tile-count, window-table, offset and
+    record-size inconsistencies raise CorruptStream.
     """
-    span = config.padded_size
-    mask_bytes = config.occupancy_mask_bytes
-    bpv = buffer.format.bytes_per_voxel
-    n_tiles = len(buffer.tiles)
-    if n_tiles != _expected_tile_count(page_tables):
+    expected = _expected_tile_count(page_tables)
+    if buffer.tile_count != expected:
         raise CorruptStream(
-            f"stream has {n_tiles} tiles, page tables reference "
-            f"{_expected_tile_count(page_tables)}"
+            f"stream has {buffer.tile_count} tiles, page tables reference {expected}"
         )
 
     total_elements = buffer.total_elements
@@ -130,57 +126,21 @@ def apply_upload(buffer: UploadBuffer, config: SvtConfig, page_tables) -> TileAt
         raise CorruptStream(
             f"windows cover {covered} elements, stream has {total_elements}"
         )
-
-    pos = 0
-    for i, (mask, values) in enumerate(buffer.tiles):
-        if len(mask) != mask_bytes:
-            raise CorruptStream(f"tile {i}: mask is {len(mask)} bytes, need {mask_bytes}")
-        if int(buffer.tile_data_offsets[i]) != pos:
-            raise CorruptStream(
-                f"tile {i}: offset {int(buffer.tile_data_offsets[i])} != expected {pos}"
-            )
-        pos += mask_bytes + len(values) * bpv
-    if pos != buffer.total_bytes:
-        raise CorruptStream(f"total_bytes {buffer.total_bytes} != record sum {pos}")
-
-    sx, sy, sz = slot_grid_for(n_tiles, config)
-    if n_tiles == 0:
-        return TileAtlas(
-            dims=None, data=np.full((0, 0, 0), config.empty_value, dtype=buffer.format.dtype)
+    if buffer.records.size != buffer.total_bytes:
+        raise CorruptStream(
+            f"total_bytes {buffer.total_bytes} != record bytes {buffer.records.size}"
         )
-    atlas_data = np.full(
-        (sz * span, sy * span, sx * span), config.empty_value, dtype=buffer.format.dtype
-    )
-    view = atlas_data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
 
-    # Window-by-window element cursor; tiles complete as their last element
-    # arrives, possibly one window later than they started.
-    tile_starts = np.cumsum([0] + [len(v) for _, v in buffer.tiles])
-    window_ends = [start + count for start, count in buffer.windows]
-    done_elements = 0
-    tile_idx = 0
-    for end in window_ends:
-        done_elements = end
-        while tile_idx < n_tiles and tile_starts[tile_idx + 1] <= done_elements:
-            mask, values = buffer.tiles[tile_idx]
-            block = decode_tile_record(mask, values, config, buffer.format.dtype)
-            view[
-                tile_idx // (sx * sy), (tile_idx // sx) % sy, tile_idx % sx
-            ] = block
-            tile_idx += 1
-    if tile_idx != n_tiles:
-        raise CorruptStream(f"stream ended with {n_tiles - tile_idx} tiles incomplete")
-
-    return TileAtlas(
-        dims=VolumeDims.from_zyx(atlas_data.shape), data=atlas_data
+    blocks = decode_records(
+        buffer.records, buffer.tile_data_offsets, config, buffer.format.dtype
     )
+    return atlas_from_blocks(blocks, config, buffer.format.dtype)
 
 
 # --- stream dump file ---
 
 SVTU_MAGIC = b"SVTU"
 SVTU_VERSION = 1
-_FORMAT_CODES = {VoxelFormat.U8: 0, VoxelFormat.F32: 1}
 _HEADER = struct.Struct("<4sII IIdd QQI Q")
 
 
@@ -196,19 +156,15 @@ def save_upload(buffer: UploadBuffer, path) -> None:
                 cfg.pad,
                 cfg.empty_value,
                 cfg.float_empty_threshold,
-                len(buffer.tiles),
+                buffer.tile_count,
                 buffer.total_bytes,
                 1 if buffer.exceeds_uint32 else 0,
                 len(buffer.windows),
             )
         )
-        for start, count in buffer.windows:
-            fh.write(struct.pack("<QQ", start, count))
+        fh.write(np.asarray(buffer.windows, dtype="<u8").tobytes())
         fh.write(buffer.tile_data_offsets.astype("<u8").tobytes())
-        dtype_le = buffer.format.dtype.newbyteorder("<")
-        for mask, values in buffer.tiles:
-            fh.write(mask)
-            fh.write(values.astype(dtype_le).tobytes())
+        fh.write(buffer.records)
 
 
 def load_upload(path, max_atlas_extent: int = 2048) -> UploadBuffer:
@@ -230,10 +186,7 @@ def load_upload(path, max_atlas_extent: int = 2048) -> UploadBuffer:
     ) = _HEADER.unpack_from(raw, 0)
     if version != SVTU_VERSION:
         raise DataError(f"{path}: unsupported SVTU version {version}")
-    try:
-        fmt = {v: k for k, v in _FORMAT_CODES.items()}[fmt_code]
-    except KeyError:
-        raise DataError(f"{path}: unknown voxel format code {fmt_code}")
+    fmt = format_for_code(fmt_code, path)
     config = SvtConfig(
         tile_size=tile_size,
         pad=pad,
@@ -242,39 +195,22 @@ def load_upload(path, max_atlas_extent: int = 2048) -> UploadBuffer:
         float_empty_threshold=threshold,
     )
     pos = _HEADER.size
-    windows = []
-    for _ in range(window_count):
-        start, count = struct.unpack_from("<QQ", raw, pos)
-        windows.append((start, count))
-        pos += 16
+    check_available(raw, pos, 16 * window_count, path, "window table")
+    windows = np.frombuffer(raw, dtype="<u8", count=2 * window_count, offset=pos)
+    pos += 16 * window_count
+    check_available(raw, pos, 8 * tile_count, path, "tile offset table")
     offsets = np.frombuffer(raw, dtype="<u8", count=tile_count, offset=pos).astype(np.uint64)
     pos += 8 * tile_count
-
-    mask_bytes = config.occupancy_mask_bytes
-    span3 = config.padded_size**3
-    dtype_le = fmt.dtype.newbyteorder("<")
-    tiles = []
-    for i in range(tile_count):
-        rec = pos + int(offsets[i])
-        mask = raw[rec : rec + mask_bytes]
-        if len(mask) < mask_bytes:
-            raise CorruptStream(f"{path}: tile {i} mask truncated")
-        bits = np.unpackbits(
-            np.frombuffer(mask, dtype=np.uint8), count=span3, bitorder="little"
-        )
-        n_values = int(bits.sum())
-        end = rec + mask_bytes + n_values * fmt.bytes_per_voxel
-        if end > len(raw):
-            raise CorruptStream(f"{path}: tile {i} payload truncated")
-        values = np.frombuffer(raw, dtype=dtype_le, count=n_values, offset=rec + mask_bytes)
-        tiles.append((mask, values.astype(fmt.dtype)))
+    records = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    if records.size != total_bytes:
+        raise CorruptStream(f"{path}: {records.size} record bytes, header says {total_bytes}")
 
     return UploadBuffer(
         config=config,
         format=fmt,
-        tiles=tiles,
+        records=records,
         tile_data_offsets=offsets,
-        windows=windows,
+        windows=[tuple(w) for w in windows.reshape(-1, 2).tolist()],
         total_bytes=total_bytes,
         exceeds_uint32=bool(overflow),
     )

@@ -5,21 +5,36 @@ arrays without touching page tables or atlases, so they stay independent
 of the code paths they check.
 """
 
+import logging
+import struct
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from svtf import (
+    BuildStats,
+    CorruptStream,
+    DataError,
     DenseVolume,
     DirectionalLight,
     IlluminationCache,
+    OutOfGrid,
+    PageTable,
     PointLight,
     SparseVolumeTexture,
+    SvtConfig,
+    TileAtlas,
     TransferFunction,
     VolumeDims,
     VoxelFormat,
+    window_table,
 )
 from svtf.render import MIN_TRANSMITTANCE, _ray_aabb
 from svtf.sample import sample_trilinear_many
+from svtf.svt import EMPTY_ENTRY, nonempty_mask, slot_grid_for, tile_grid_dims
+from svtf.upload import UINT32_LIMIT, WINDOW_ELEMENTS
 
 _ACCEPTANCE_RESULTS = []
 
@@ -114,6 +129,54 @@ def brute_force_mip(data_zyx: np.ndarray) -> np.ndarray:
                 ].astype(np.float64)
                 out[z, y, x] = block.mean()
     return out
+
+
+@dataclass
+class PaddedTile:
+    tile_coord: tuple[int, int, int]
+    mip_level: int
+    values: np.ndarray  # (padded, padded, padded) in [z, y, x]
+    occupancy: np.ndarray  # bool, same shape, set where value is non-empty
+
+    def packed_occupancy(self) -> bytes:
+        return np.packbits(self.occupancy.ravel(), bitorder="little").tobytes()
+
+    @property
+    def popcount(self) -> int:
+        return int(self.occupancy.sum(dtype=np.int64))
+
+
+def extract_padded_tile(
+    volume: DenseVolume, tile_coord, config: SvtConfig, mip_level: int = 0
+) -> PaddedTile:
+    """Copy one tile plus its one-voxel border, clamping reads at the volume edge."""
+    tx, ty, tz = tile_coord
+    grid = tile_grid_dims(volume.dims, config.tile_size)
+    if not (0 <= tx < grid.x and 0 <= ty < grid.y and 0 <= tz < grid.z):
+        raise OutOfGrid(f"tile {tile_coord} outside grid {grid.x}x{grid.y}x{grid.z}")
+    ts, p = config.tile_size, config.pad
+    span = config.padded_size
+    ix = np.clip(np.arange(tx * ts - p, tx * ts - p + span), 0, volume.dims.x - 1)
+    iy = np.clip(np.arange(ty * ts - p, ty * ts - p + span), 0, volume.dims.y - 1)
+    iz = np.clip(np.arange(tz * ts - p, tz * ts - p + span), 0, volume.dims.z - 1)
+    values = volume.data[np.ix_(iz, iy, ix)]
+    return PaddedTile(
+        tile_coord=(tx, ty, tz),
+        mip_level=mip_level,
+        values=values,
+        occupancy=nonempty_mask(values, config),
+    )
+
+
+def is_tile_empty(tile: PaddedTile, config: SvtConfig) -> bool:
+    """A tile is empty iff its logical region is; pad content never counts."""
+    p, ts = config.pad, config.tile_size
+    logical = tile.values[p : p + ts, p : p + ts, p : p + ts]
+    return not nonempty_mask(logical, config).any()
+
+
+def upload_buffer_bytes_exact(padded_nonempty_voxels: int, bytes_per_voxel: int) -> int:
+    return padded_nonempty_voxels * bytes_per_voxel
 
 
 # The marchers as they were before empty-space skipping, kept verbatim as
@@ -265,3 +328,420 @@ def footprint_touches_resident(svt, mip, px, py, pz) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+# The per-tile record codec, container and upload-stream code as they were
+# before the array codec, kept verbatim (names prefixed reference_) as the
+# byte-identity oracle for the array codec.
+
+_ref_log = logging.getLogger("svtf.upload")
+
+
+def reference_atlas_slot_blocks(svt: SparseVolumeTexture) -> np.ndarray:
+    """All resident padded tiles as one (n, span, span, span) stack in slot order."""
+    span = svt.config.padded_size
+    n = svt.slot_count
+    if n == 0:
+        return np.empty((0, span, span, span), dtype=svt.format.dtype)
+    data = svt.atlas.data
+    sz, sy, sx = data.shape[0] // span, data.shape[1] // span, data.shape[2] // span
+    view = data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
+    slots = np.arange(n, dtype=np.int64)
+    return view[slots // (sx * sy), (slots // sx) % sy, slots % sx]
+
+
+def encode_tile_record(block: np.ndarray, config: SvtConfig) -> tuple[bytes, np.ndarray]:
+    """Occupancy-compress one padded tile: (mask bytes, packed non-empty values)."""
+    mask = nonempty_mask(block, config).ravel()
+    packed = np.packbits(mask, bitorder="little").tobytes()
+    return packed, block.ravel()[mask]
+
+
+def decode_tile_record(
+    mask_bytes: bytes, values: np.ndarray, config: SvtConfig, dtype
+) -> np.ndarray:
+    span = config.padded_size
+    bits = np.unpackbits(
+        np.frombuffer(mask_bytes, dtype=np.uint8), count=span**3, bitorder="little"
+    ).astype(bool)
+    if int(bits.sum()) != len(values):
+        raise CorruptStream(
+            f"tile payload has {len(values)} values but mask popcount is {int(bits.sum())}"
+        )
+    block = np.full(span**3, config.empty_value, dtype=dtype)
+    block[bits] = values
+    return block.reshape(span, span, span)
+
+
+_REF_SVTF_MAGIC = b"SVTF"
+_REF_SVTF_VERSION = 1
+_REF_FORMAT_CODES = {VoxelFormat.U8: 0, VoxelFormat.F32: 1}
+_REF_SVTF_HEADER = struct.Struct("<4sII IIIdd QQQ I QQQ QQd")
+
+
+def reference_save_svtf(svt: SparseVolumeTexture, path) -> None:
+    cfg = svt.config
+    blocks = reference_atlas_slot_blocks(svt)
+    records = []
+    offsets = np.zeros(len(blocks), dtype=np.uint64)
+    pos = 0
+    for i, block in enumerate(blocks):
+        mask, values = encode_tile_record(block, cfg)
+        payload = values.astype(svt.format.dtype.newbyteorder("<")).tobytes()
+        records.append(mask + payload)
+        offsets[i] = pos
+        pos += len(mask) + len(payload)
+
+    adims = svt.atlas.dims
+    with open(path, "wb") as fh:
+        fh.write(
+            _REF_SVTF_HEADER.pack(
+                _REF_SVTF_MAGIC,
+                _REF_SVTF_VERSION,
+                _REF_FORMAT_CODES[svt.format],
+                cfg.tile_size,
+                cfg.pad,
+                cfg.max_atlas_extent,
+                cfg.empty_value,
+                cfg.float_empty_threshold,
+                svt.virtual_dims.x,
+                svt.virtual_dims.y,
+                svt.virtual_dims.z,
+                len(svt.mips),
+                adims.x if adims else 0,
+                adims.y if adims else 0,
+                adims.z if adims else 0,
+                svt.stats.nonempty_voxel_count,
+                svt.stats.padded_nonempty_voxel_count,
+                svt.stats.mean_tile_occupancy,
+            )
+        )
+        for table, count in zip(svt.mips, svt.stats.nonempty_tile_count):
+            g = table.grid_dims
+            fh.write(struct.pack("<QQQQ", g.x, g.y, g.z, count))
+            fh.write(table.entries.astype("<u4").tobytes())
+        fh.write(struct.pack("<Q", len(blocks)))
+        fh.write(offsets.astype("<u8").tobytes())
+        for rec in records:
+            fh.write(rec)
+
+
+def reference_load_svtf(path) -> SparseVolumeTexture:
+    raw = Path(path).read_bytes()
+    if len(raw) < _REF_SVTF_HEADER.size or raw[:4] != _REF_SVTF_MAGIC:
+        raise DataError(f"{path}: not an SVTF container")
+    (
+        _,
+        version,
+        fmt_code,
+        tile_size,
+        pad,
+        max_extent,
+        empty_value,
+        threshold,
+        vx,
+        vy,
+        vz,
+        mip_count,
+        ax,
+        ay,
+        az,
+        nonempty,
+        padded_nonempty,
+        occupancy,
+    ) = _REF_SVTF_HEADER.unpack_from(raw, 0)
+    if version != _REF_SVTF_VERSION:
+        raise DataError(f"{path}: unsupported SVTF version {version}")
+    try:
+        fmt = {v: k for k, v in _REF_FORMAT_CODES.items()}[fmt_code]
+    except KeyError:
+        raise DataError(f"{path}: unknown voxel format code {fmt_code}")
+    config = SvtConfig(
+        tile_size=tile_size,
+        pad=pad,
+        max_atlas_extent=max_extent,
+        empty_value=empty_value,
+        float_empty_threshold=threshold,
+    )
+    span = config.padded_size
+    pos = _REF_SVTF_HEADER.size
+    mips, tile_counts = [], []
+    for _ in range(mip_count):
+        gx, gy, gz, count = struct.unpack_from("<QQQQ", raw, pos)
+        pos += 32
+        n = gx * gy * gz
+        entries = np.frombuffer(raw, dtype="<u4", count=n, offset=pos).reshape(gz, gy, gx)
+        entries = entries.astype(np.uint32)
+        pos += 4 * n
+        mips.append(PageTable(grid_dims=VolumeDims(gx, gy, gz), entries=entries))
+        tile_counts.append(int(count))
+
+    (tile_count,) = struct.unpack_from("<Q", raw, pos)
+    pos += 8
+    offsets = np.frombuffer(raw, dtype="<u8", count=tile_count, offset=pos)
+    pos += 8 * tile_count
+    if tile_count != sum(tile_counts):
+        raise CorruptStream(f"{path}: tile count disagrees with per-mip counts")
+
+    if tile_count:
+        atlas_dims = VolumeDims(ax, ay, az)
+        atlas_data = np.full(atlas_dims.as_zyx(), empty_value, dtype=fmt.dtype)
+        sz, sy, sx = az // span, ay // span, ax // span
+        view = atlas_data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
+        mask_bytes = config.occupancy_mask_bytes
+        dtype_le = fmt.dtype.newbyteorder("<")
+        for i in range(tile_count):
+            rec_start = pos + int(offsets[i])
+            mask = raw[rec_start : rec_start + mask_bytes]
+            if len(mask) < mask_bytes:
+                raise CorruptStream(f"{path}: tile record {i} truncated")
+            bits = np.unpackbits(
+                np.frombuffer(mask, dtype=np.uint8), count=span**3, bitorder="little"
+            )
+            n_values = int(bits.sum())
+            val_start = rec_start + mask_bytes
+            if val_start + n_values * fmt.bytes_per_voxel > len(raw):
+                raise CorruptStream(f"{path}: tile record {i} truncated")
+            values = np.frombuffer(raw, dtype=dtype_le, count=n_values, offset=val_start)
+            block = decode_tile_record(mask, values.astype(fmt.dtype), config, fmt.dtype)
+            view[i // (sx * sy), (i // sx) % sy, i % sx] = block
+    else:
+        atlas_dims = None
+        atlas_data = np.full((0, 0, 0), empty_value, dtype=fmt.dtype)
+
+    stats = BuildStats(
+        nonempty_voxel_count=nonempty,
+        nonempty_tile_count=tuple(tile_counts),
+        padded_nonempty_voxel_count=padded_nonempty,
+        mean_tile_occupancy=occupancy,
+    )
+    return SparseVolumeTexture(
+        config=config,
+        format=fmt,
+        virtual_dims=VolumeDims(vx, vy, vz),
+        mips=mips,
+        atlas=TileAtlas(dims=atlas_dims, data=atlas_data),
+        stats=stats,
+    )
+
+
+@dataclass
+class ReferenceUploadBuffer:
+    """Serialized tile records plus the window table used to stream them."""
+
+    config: SvtConfig
+    format: VoxelFormat
+    tiles: list[tuple[bytes, np.ndarray]]  # (occupancy mask, packed values)
+    tile_data_offsets: np.ndarray  # uint64 start offset of each record
+    windows: list[tuple[int, int]]  # (start_element, element_count)
+    total_bytes: int
+    exceeds_uint32: bool
+
+    @property
+    def total_elements(self) -> int:
+        return int(sum(len(v) for _, v in self.tiles))
+
+
+def reference_serialize_upload(
+    svt: SparseVolumeTexture, window_elements: int = WINDOW_ELEMENTS
+) -> ReferenceUploadBuffer:
+    cfg = svt.config
+    bpv = svt.format.bytes_per_voxel
+    mask_bytes = cfg.occupancy_mask_bytes
+    tiles = []
+    offsets = np.zeros(svt.slot_count, dtype=np.uint64)
+    pos = 0
+    total_elements = 0
+    for i, block in enumerate(reference_atlas_slot_blocks(svt)):
+        mask, values = encode_tile_record(block, cfg)
+        tiles.append((mask, values))
+        offsets[i] = pos
+        pos += mask_bytes + len(values) * bpv
+        total_elements += len(values)
+
+    exceeds = pos >= UINT32_LIMIT
+    if exceeds:
+        _ref_log.warning("upload stream is %d bytes, beyond the uint32 offset range", pos)
+    return ReferenceUploadBuffer(
+        config=cfg,
+        format=svt.format,
+        tiles=tiles,
+        tile_data_offsets=offsets,
+        windows=window_table(total_elements, window_elements),
+        total_bytes=pos,
+        exceeds_uint32=exceeds,
+    )
+
+
+def _reference_expected_tile_count(page_tables) -> int:
+    return int(sum(int((t.entries != EMPTY_ENTRY).sum()) for t in page_tables))
+
+
+def reference_apply_upload(
+    buffer: ReferenceUploadBuffer, config: SvtConfig, page_tables
+) -> TileAtlas:
+    span = config.padded_size
+    mask_bytes = config.occupancy_mask_bytes
+    bpv = buffer.format.bytes_per_voxel
+    n_tiles = len(buffer.tiles)
+    if n_tiles != _reference_expected_tile_count(page_tables):
+        raise CorruptStream(
+            f"stream has {n_tiles} tiles, page tables reference "
+            f"{_reference_expected_tile_count(page_tables)}"
+        )
+
+    total_elements = buffer.total_elements
+    covered = 0
+    for start, count in buffer.windows:
+        if start != covered or count < 1 or count > WINDOW_ELEMENTS:
+            raise CorruptStream("window table does not partition the element stream")
+        covered += count
+    if covered != total_elements:
+        raise CorruptStream(
+            f"windows cover {covered} elements, stream has {total_elements}"
+        )
+
+    pos = 0
+    for i, (mask, values) in enumerate(buffer.tiles):
+        if len(mask) != mask_bytes:
+            raise CorruptStream(f"tile {i}: mask is {len(mask)} bytes, need {mask_bytes}")
+        if int(buffer.tile_data_offsets[i]) != pos:
+            raise CorruptStream(
+                f"tile {i}: offset {int(buffer.tile_data_offsets[i])} != expected {pos}"
+            )
+        pos += mask_bytes + len(values) * bpv
+    if pos != buffer.total_bytes:
+        raise CorruptStream(f"total_bytes {buffer.total_bytes} != record sum {pos}")
+
+    sx, sy, sz = slot_grid_for(n_tiles, config)
+    if n_tiles == 0:
+        return TileAtlas(
+            dims=None, data=np.full((0, 0, 0), config.empty_value, dtype=buffer.format.dtype)
+        )
+    atlas_data = np.full(
+        (sz * span, sy * span, sx * span), config.empty_value, dtype=buffer.format.dtype
+    )
+    view = atlas_data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
+
+    # Window-by-window element cursor; tiles complete as their last element
+    # arrives, possibly one window later than they started.
+    tile_starts = np.cumsum([0] + [len(v) for _, v in buffer.tiles])
+    window_ends = [start + count for start, count in buffer.windows]
+    done_elements = 0
+    tile_idx = 0
+    for end in window_ends:
+        done_elements = end
+        while tile_idx < n_tiles and tile_starts[tile_idx + 1] <= done_elements:
+            mask, values = buffer.tiles[tile_idx]
+            block = decode_tile_record(mask, values, config, buffer.format.dtype)
+            view[
+                tile_idx // (sx * sy), (tile_idx // sx) % sy, tile_idx % sx
+            ] = block
+            tile_idx += 1
+    if tile_idx != n_tiles:
+        raise CorruptStream(f"stream ended with {n_tiles - tile_idx} tiles incomplete")
+
+    return TileAtlas(
+        dims=VolumeDims.from_zyx(atlas_data.shape), data=atlas_data
+    )
+
+
+_REF_SVTU_MAGIC = b"SVTU"
+_REF_SVTU_VERSION = 1
+_REF_SVTU_HEADER = struct.Struct("<4sII IIdd QQI Q")
+
+
+def reference_save_upload(buffer: ReferenceUploadBuffer, path) -> None:
+    cfg = buffer.config
+    with open(path, "wb") as fh:
+        fh.write(
+            _REF_SVTU_HEADER.pack(
+                _REF_SVTU_MAGIC,
+                _REF_SVTU_VERSION,
+                _REF_FORMAT_CODES[buffer.format],
+                cfg.tile_size,
+                cfg.pad,
+                cfg.empty_value,
+                cfg.float_empty_threshold,
+                len(buffer.tiles),
+                buffer.total_bytes,
+                1 if buffer.exceeds_uint32 else 0,
+                len(buffer.windows),
+            )
+        )
+        for start, count in buffer.windows:
+            fh.write(struct.pack("<QQ", start, count))
+        fh.write(buffer.tile_data_offsets.astype("<u8").tobytes())
+        dtype_le = buffer.format.dtype.newbyteorder("<")
+        for mask, values in buffer.tiles:
+            fh.write(mask)
+            fh.write(values.astype(dtype_le).tobytes())
+
+
+def reference_load_upload(path, max_atlas_extent: int = 2048) -> ReferenceUploadBuffer:
+    raw = Path(path).read_bytes()
+    if len(raw) < _REF_SVTU_HEADER.size or raw[:4] != _REF_SVTU_MAGIC:
+        raise DataError(f"{path}: not an SVTU upload stream")
+    (
+        _,
+        version,
+        fmt_code,
+        tile_size,
+        pad,
+        empty_value,
+        threshold,
+        tile_count,
+        total_bytes,
+        overflow,
+        window_count,
+    ) = _REF_SVTU_HEADER.unpack_from(raw, 0)
+    if version != _REF_SVTU_VERSION:
+        raise DataError(f"{path}: unsupported SVTU version {version}")
+    try:
+        fmt = {v: k for k, v in _REF_FORMAT_CODES.items()}[fmt_code]
+    except KeyError:
+        raise DataError(f"{path}: unknown voxel format code {fmt_code}")
+    config = SvtConfig(
+        tile_size=tile_size,
+        pad=pad,
+        max_atlas_extent=max_atlas_extent,
+        empty_value=empty_value,
+        float_empty_threshold=threshold,
+    )
+    pos = _REF_SVTU_HEADER.size
+    windows = []
+    for _ in range(window_count):
+        start, count = struct.unpack_from("<QQ", raw, pos)
+        windows.append((start, count))
+        pos += 16
+    offsets = np.frombuffer(raw, dtype="<u8", count=tile_count, offset=pos).astype(np.uint64)
+    pos += 8 * tile_count
+
+    mask_bytes = config.occupancy_mask_bytes
+    span3 = config.padded_size**3
+    dtype_le = fmt.dtype.newbyteorder("<")
+    tiles = []
+    for i in range(tile_count):
+        rec = pos + int(offsets[i])
+        mask = raw[rec : rec + mask_bytes]
+        if len(mask) < mask_bytes:
+            raise CorruptStream(f"{path}: tile {i} mask truncated")
+        bits = np.unpackbits(
+            np.frombuffer(mask, dtype=np.uint8), count=span3, bitorder="little"
+        )
+        n_values = int(bits.sum())
+        end = rec + mask_bytes + n_values * fmt.bytes_per_voxel
+        if end > len(raw):
+            raise CorruptStream(f"{path}: tile {i} payload truncated")
+        values = np.frombuffer(raw, dtype=dtype_le, count=n_values, offset=rec + mask_bytes)
+        tiles.append((mask, values.astype(fmt.dtype)))
+
+    return ReferenceUploadBuffer(
+        config=config,
+        format=fmt,
+        tiles=tiles,
+        tile_data_offsets=offsets,
+        windows=windows,
+        total_bytes=total_bytes,
+        exceeds_uint32=bool(overflow),
+    )

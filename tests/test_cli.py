@@ -226,6 +226,16 @@ def test_threads_env_default(monkeypatch):
     assert args.threads == 1
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "abc"])
+def test_threads_flag_invalid_is_data_error(capsys, tmp_path, value):
+    code, out, err = run(capsys, "--threads", value, "inspect", str(tmp_path / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: DataError: --threads must be an integer >= 1, got {value!r}"
+    ]
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 def test_threads_env_invalid_is_data_error(monkeypatch, capsys, tmp_path, value):
     monkeypatch.setenv("SVTF_THREADS", value)
@@ -246,3 +256,28 @@ def test_probe_trilinear_matches_library(tmp_path, capsys, volume_file):
 
     want = sample_trilinear(load_svtf(svt_path), (3.25, 4.5, 9.75))
     assert float(kv(out)["value"]) == want
+
+
+@pytest.mark.parametrize(
+    "flags,code",
+    [
+        (["--light", "point:inf,0,0:1"], 1),
+        (["--light", "dir:nan,0,1"], 1),
+        (["--eye", "nan,10,-40"], 2),
+        (["--look-at", "16,inf,16"], 2),
+        (["--up", "0,nan,0"], 2),
+    ],
+)
+def test_render_rejects_non_finite_vectors(tmp_path, capsys, volume_file, flags, code):
+    svt_path = tmp_path / "vol.svtf"
+    assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0
+    out = tmp_path / "img.ppm"
+    got, _, err = run(
+        capsys, "render", str(svt_path), "-o", str(out),
+        "--size", "8x8", "--eye", "16,16,-40", "--look-at", "16,16,16",
+        "--steps", "8", *flags,
+    )
+    assert got == code
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert not out.exists()

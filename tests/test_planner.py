@@ -15,7 +15,6 @@ from svtf import (
     net_payload_voxels,
     serialize_upload,
     upload_buffer_bytes,
-    upload_buffer_bytes_exact,
 )
 from svtf.planner import derive_tile_counts
 
@@ -147,7 +146,7 @@ def test_net_payload_monotone(extent, pad):
 def test_estimate_close_to_exact_on_scattered_volumes(rng):
     # Near-dense random fill on tile-aligned dims: the analytic padding and
     # mip factors model real tiles, not clamp-extended slivers.
-    from conftest import make_volume
+    from conftest import make_volume, upload_buffer_bytes_exact
 
     for _ in range(5):
         dims = rng.choice([32, 48, 64], size=3)
@@ -161,7 +160,7 @@ def test_estimate_close_to_exact_on_scattered_volumes(rng):
         assert abs(estimate - exact) / exact < 0.10
         # and the exact mode matches the materialized stream payload
         buf = serialize_upload(svt)
-        payload = buf.total_bytes - len(buf.tiles) * svt.config.occupancy_mask_bytes
+        payload = buf.total_bytes - buf.tile_count * svt.config.occupancy_mask_bytes
         assert payload == exact
 
 

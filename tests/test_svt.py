@@ -3,6 +3,8 @@ import pytest
 from conftest import (
     brute_force_mip,
     brute_force_residency,
+    extract_padded_tile,
+    is_tile_empty,
     make_volume,
     random_volume,
 )
@@ -15,8 +17,6 @@ from svtf import (
     VoxelFormat,
     build_mip_level,
     build_svt,
-    extract_padded_tile,
-    is_tile_empty,
     load_svtf,
     save_svtf,
     tile_grid_dims,

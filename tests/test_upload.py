@@ -17,7 +17,8 @@ from svtf.upload import WINDOW_ELEMENTS, load_upload, save_upload
 def test_empty_svt_zero_tiles_zero_windows():
     svt = build_svt(make_volume(np.zeros((16, 16, 16), np.uint8)))
     buf = serialize_upload(svt)
-    assert len(buf.tiles) == 0
+    assert buf.tile_count == 0
+    assert buf.records.size == 0
     assert buf.windows == []
     assert buf.total_bytes == 0
     assert not buf.exceeds_uint32
@@ -63,8 +64,8 @@ def test_single_voxel_maps_to_slot():
     data[4, 5, 6] = 200
     svt = build_svt(make_volume(data))
     buf = serialize_upload(svt)
-    assert len(buf.tiles) == 1
-    mask, values = buf.tiles[0]
+    assert buf.tile_count == 1
+    values = buf.records[svt.config.occupancy_mask_bytes :]
     assert values.tolist() == [200]
     atlas = apply_upload(buf, svt.config, svt.mips)
     nz = np.argwhere(atlas.data != 0)
@@ -79,16 +80,20 @@ def test_offsets_strictly_increasing(rng):
     buf = serialize_upload(svt)
     offsets = buf.tile_data_offsets.astype(np.int64)
     assert (np.diff(offsets) > 0).all()
-    assert buf.total_bytes == int(offsets[-1]) + svt.config.occupancy_mask_bytes + len(
-        buf.tiles[-1][1]
-    ) * svt.format.bytes_per_voxel
+    mask_bytes = svt.config.occupancy_mask_bytes
+    last_mask = buf.records[offsets[-1] : offsets[-1] + mask_bytes]
+    last_values = int(
+        np.unpackbits(last_mask, count=svt.config.padded_size**3, bitorder="little").sum()
+    )
+    last_size = mask_bytes + last_values * svt.format.bytes_per_voxel
+    assert buf.total_bytes == int(offsets[-1]) + last_size
 
 
 def test_truncated_stream_rejected(rng):
     vol = random_volume(rng, max_dim=32, fill=0.5)
     svt = build_svt(vol)
     buf = serialize_upload(svt)
-    buf.tiles[-1] = (buf.tiles[-1][0], buf.tiles[-1][1][:-1])
+    buf.records = buf.records[:-1]
     with pytest.raises(CorruptStream):
         apply_upload(buf, svt.config, svt.mips)
 
@@ -97,7 +102,7 @@ def test_bad_offsets_rejected(rng):
     vol = random_volume(rng, max_dim=32, fill=0.5)
     svt = build_svt(vol)
     buf = serialize_upload(svt)
-    if len(buf.tiles) < 2:
+    if buf.tile_count < 2:
         pytest.skip("need two tiles")
     buf.tile_data_offsets = buf.tile_data_offsets.copy()
     buf.tile_data_offsets[1] += 1
@@ -133,7 +138,7 @@ def test_overflow_flag_on_synthetic_totals():
     big = up.UploadBuffer(
         config=buf.config,
         format=buf.format,
-        tiles=buf.tiles,
+        records=buf.records,
         tile_data_offsets=buf.tile_data_offsets,
         windows=buf.windows,
         total_bytes=2**32,
