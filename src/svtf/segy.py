@@ -20,11 +20,12 @@ from .errors import (
     TruncatedTrace,
     UnsupportedFormatCode,
 )
-from .volume import DenseVolume, VolumeDims, VoxelFormat
+from .volume import DenseVolume, VoxelFormat
 
 TEXTUAL_HEADER_BYTES = 3200
 BINARY_HEADER_BYTES = 400
 TRACE_HEADER_BYTES = 240
+TRACE_HEADER_WORDS = TRACE_HEADER_BYTES // 4
 
 # Zero-based byte offsets of the fields we use (SEG-Y rev 1 standard).
 OFF_SAMPLE_INTERVAL = 3216
@@ -38,6 +39,10 @@ FORMAT_IBM_FLOAT = 1
 FORMAT_IEEE_FLOAT = 5
 
 DEFAULT_AXIS_MAP = ("crossline", "inline", "sample")
+
+# Samples decoded or encoded at a time, so the float64 temporaries of the
+# IBM conversion stay small next to the cube.
+_CHUNK_SAMPLES = 2**20
 
 
 @dataclass
@@ -87,10 +92,6 @@ def _u16(buf: bytes, off: int) -> int:
     return struct.unpack_from(">H", buf, off)[0]
 
 
-def _i32(buf: bytes, off: int) -> int:
-    return struct.unpack_from(">i", buf, off)[0]
-
-
 def _axis_transpose(axis_map) -> tuple[int, int, int]:
     if sorted(axis_map) != sorted(DEFAULT_AXIS_MAP):
         raise DataError(
@@ -123,61 +124,65 @@ def parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInfo, DenseVo
     if samples == 0:
         raise DataError(f"{path}: binary header reports 0 samples per trace")
 
-    trace_bytes = samples * 4
-    pos = TEXTUAL_HEADER_BYTES + BINARY_HEADER_BYTES
-    inlines, crosslines, payloads = [], [], []
-    while pos < len(raw):
-        header = raw[pos : pos + TRACE_HEADER_BYTES]
-        if len(header) < TRACE_HEADER_BYTES:
-            raise TruncatedTrace(f"{path}: trace header truncated at byte {pos}")
-        ns_this = _u16(header, OFF_TRACE_SAMPLES)
-        if ns_this not in (0, samples):
-            raise InconsistentTraceLength(
-                f"{path}: trace at byte {pos} has {ns_this} samples, expected {samples}"
-            )
-        data = raw[pos + TRACE_HEADER_BYTES : pos + TRACE_HEADER_BYTES + trace_bytes]
-        if len(data) < trace_bytes:
-            raise TruncatedTrace(f"{path}: trace data truncated at byte {pos}")
-        inlines.append(_i32(header, OFF_INLINE))
-        crosslines.append(_i32(header, OFF_CROSSLINE))
-        payloads.append(data)
-        pos += TRACE_HEADER_BYTES + trace_bytes
+    # Traces are fixed-size records, so all full ones are rows of one
+    # big-endian word array viewed in place.
+    start = TEXTUAL_HEADER_BYTES + BINARY_HEADER_BYTES
+    row_words = TRACE_HEADER_WORDS + samples
+    count, tail = divmod(len(raw) - start, 4 * row_words)
+    words = np.frombuffer(raw, dtype=">u4", count=count * row_words, offset=start)
+    words = words.reshape(count, row_words)
+    end = start + count * 4 * row_words
 
-    if not payloads:
+    trace_samples = words[:, OFF_TRACE_SAMPLES // 4] & 0xFFFF
+    if tail >= TRACE_HEADER_BYTES:
+        trace_samples = np.append(trace_samples, _u16(raw, end + OFF_TRACE_SAMPLES))
+    bad = np.flatnonzero((trace_samples != 0) & (trace_samples != samples))
+    if bad.size:
+        i = int(bad[0])
+        raise InconsistentTraceLength(
+            f"{path}: trace at byte {start + i * 4 * row_words} has "
+            f"{trace_samples[i]} samples, expected {samples}"
+        )
+    if tail:
+        part = "header" if tail < TRACE_HEADER_BYTES else "data"
+        raise TruncatedTrace(f"{path}: trace {part} truncated at byte {end}")
+    if not count:
         raise DataError(f"{path}: no traces found")
 
-    il = np.asarray(inlines)
-    xl = np.asarray(crosslines)
+    signed = words.view(">i4")
+    il = signed[:, OFF_INLINE // 4].astype(np.int64)
+    xl = signed[:, OFF_CROSSLINE // 4].astype(np.int64)
     il_range = (int(il.min()), int(il.max()))
     xl_range = (int(xl.min()), int(xl.max()))
     n_il = il_range[1] - il_range[0] + 1
     n_xl = xl_range[1] - xl_range[0] + 1
-
-    words = np.frombuffer(b"".join(payloads), dtype=">u4").reshape(len(payloads), samples)
-    if format_code == FORMAT_IEEE_FLOAT:
-        values = words.view(">f4").astype(np.float32)
-    else:
-        values = ibm_to_ieee(words).astype(np.float32)
-
-    cube = np.zeros((n_il, n_xl, samples), dtype=np.float32)
-    filled = np.zeros((n_il, n_xl), dtype=bool)
     ii = il - il_range[0]
     xi = xl - xl_range[0]
-    if len(np.unique(ii * n_xl + xi)) != len(payloads):
+    if len(np.unique(ii * n_xl + xi)) != count:
         raise DataError(f"{path}: duplicate (inline, crossline) trace positions")
-    cube[ii, xi] = values
-    filled[ii, xi] = True
+
+    perm = _axis_transpose(axis_map)
+    shape = (n_il, n_xl, samples)
+    data_zyx = np.zeros(tuple(shape[axis] for axis in perm), dtype=np.float32)
+    cube = data_zyx.transpose(np.argsort(perm))  # [inline, crossline, sample]
+    step = max(1, _CHUNK_SAMPLES // samples)
+    for lo in range(0, count, step):
+        chunk = slice(lo, lo + step)
+        payload = words[chunk, TRACE_HEADER_WORDS:]
+        if format_code == FORMAT_IEEE_FLOAT:
+            cube[ii[chunk], xi[chunk]] = payload.view(">f4")
+        else:
+            cube[ii[chunk], xi[chunk]] = ibm_to_ieee(payload)
 
     info = SegYHeaderInfo(
         samples_per_trace=samples,
         sample_interval_us=interval,
         format_code=format_code,
-        trace_count=len(payloads),
+        trace_count=count,
         inline_range=il_range,
         crossline_range=xl_range,
-        missing_cells=int((~filled).sum()),
+        missing_cells=n_il * n_xl - count,
     )
-    data_zyx = np.ascontiguousarray(cube.transpose(_axis_transpose(axis_map)))
     return info, DenseVolume.from_array(data_zyx, VoxelFormat.F32)
 
 
@@ -191,10 +196,8 @@ def write_segy(
     """Write a volume as a synthetic rev-1 SEG-Y cube (one trace per cell)."""
     if format_code not in (FORMAT_IBM_FLOAT, FORMAT_IEEE_FLOAT):
         raise UnsupportedFormatCode(f"cannot write format code {format_code}")
-    perm = _axis_transpose(axis_map)
-    inverse = tuple(perm.index(i) for i in range(3))
-    cube = volume.data.astype(np.float32).transpose(inverse)  # [inline, crossline, sample]
-    n_il, n_xl, samples = cube.shape
+    cube = volume.data.transpose(np.argsort(_axis_transpose(axis_map)))
+    n_il, n_xl, samples = cube.shape  # [inline, crossline, sample]
     if samples > 0xFFFF:
         raise DataError(f"{samples} samples per trace exceeds the 16-bit header field")
 
@@ -205,17 +208,22 @@ def write_segy(
     struct.pack_into(">H", binary, 3500 - TEXTUAL_HEADER_BYTES, 0x0100)  # rev 1
     struct.pack_into(">H", binary, 3502 - TEXTUAL_HEADER_BYTES, 1)  # fixed-length traces
 
+    count = n_il * n_xl
+    words = np.zeros((count, TRACE_HEADER_WORDS + samples), dtype=">u4")
+    ii, xi = np.divmod(np.arange(count), n_xl)
+    words[:, OFF_TRACE_SAMPLES // 4] = samples
+    words[:, OFF_INLINE // 4] = ii + 1
+    words[:, OFF_CROSSLINE // 4] = xi + 1
+    step = max(1, _CHUNK_SAMPLES // samples)
+    for lo in range(0, count, step):
+        chunk = slice(lo, lo + step)
+        values = cube[ii[chunk], xi[chunk]].astype(np.float32, copy=False)
+        if format_code == FORMAT_IEEE_FLOAT:
+            words[chunk, TRACE_HEADER_WORDS:] = values.view(np.uint32)
+        else:
+            words[chunk, TRACE_HEADER_WORDS:] = ieee_to_ibm(values)
+
     with open(path, "wb") as fh:
         fh.write(b"\x00" * TEXTUAL_HEADER_BYTES)
         fh.write(binary)
-        for i in range(n_il):
-            for j in range(n_xl):
-                header = bytearray(TRACE_HEADER_BYTES)
-                struct.pack_into(">H", header, OFF_TRACE_SAMPLES, samples)
-                struct.pack_into(">i", header, OFF_INLINE, i + 1)
-                struct.pack_into(">i", header, OFF_CROSSLINE, j + 1)
-                fh.write(header)
-                if format_code == FORMAT_IEEE_FLOAT:
-                    fh.write(cube[i, j].astype(">f4").tobytes())
-                else:
-                    fh.write(ieee_to_ibm(cube[i, j]).astype(">u4").tobytes())
+        fh.write(words)

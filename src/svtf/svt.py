@@ -153,10 +153,18 @@ def build_mip_level(volume: DenseVolume) -> DenseVolume:
     return DenseVolume.from_array(out, volume.format)
 
 
+def mip_level_count(dims: VolumeDims, tile_size: int) -> int:
+    """Full resolution plus each halved level until one tile covers it."""
+    level = 0
+    while max(mip_level_dims(dims, level).as_zyx()) > tile_size:
+        level += 1
+    return level + 1
+
+
 def mip_chain(volume: DenseVolume, config: SvtConfig) -> list[DenseVolume]:
     """Full-resolution volume plus halved levels until one tile covers it."""
     levels = [volume]
-    while max(levels[-1].dims.x, levels[-1].dims.y, levels[-1].dims.z) > config.tile_size:
+    for _ in range(1, mip_level_count(volume.dims, config.tile_size)):
         levels.append(build_mip_level(levels[-1]))
     return levels
 
@@ -306,23 +314,6 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     )
 
 
-def atlas_slot_blocks(svt: SparseVolumeTexture) -> np.ndarray:
-    """All resident padded tiles as one (n, span, span, span) stack in slot order."""
-    view, slots = slot_layout(svt.atlas.data, svt.config.padded_size, svt.slot_count)
-    return view[slots]
-
-
-def atlas_from_blocks(blocks: np.ndarray, config: SvtConfig, dtype) -> TileAtlas:
-    """Lay a slot-ordered stack of padded tiles out as a near-cubic atlas."""
-    n = len(blocks)
-    span = config.padded_size
-    sx, sy, sz = slot_grid_for(n, config)
-    data = np.full((sz * span, sy * span, sx * span), config.empty_value, dtype=dtype)
-    view, slots = slot_layout(data, span, n)
-    view[slots] = blocks.reshape(n, span, span, span)
-    return TileAtlas(dims=VolumeDims.from_zyx(data.shape) if n else None, data=data)
-
-
 # --- tile records (shared by the container file and the upload stream) ---
 #
 # A record is one padded tile: its occupancy bitmask (span^3 bits, LSB first,
@@ -330,8 +321,8 @@ def atlas_from_blocks(blocks: np.ndarray, config: SvtConfig, dtype) -> TileAtlas
 # raster order, little-endian. Records are stored back to back in slot
 # order; record i starts at the sum of the sizes of records 0..i-1.
 
-# Slot-stack voxels the codec expands at a time, so its temporaries (the
-# unpacked masks and one chunk of values) stay small next to the atlas.
+# Slot voxels the codec gathers or scatters at a time, so its temporaries
+# (the unpacked masks and one chunk of values) stay small next to the atlas.
 _CHUNK_VOXELS = 2**20
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8
@@ -343,14 +334,14 @@ def _chunks(n: int, config: SvtConfig) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def encode_records(blocks: np.ndarray, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy-compress a slot stack: (uint64 record offsets, uint8 records)."""
-    n = len(blocks)
-    dtype_le = blocks.dtype.newbyteorder("<")
+def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy-compress atlas slots 0..n-1: (uint64 record offsets, uint8 records)."""
+    view, (az, ay, ax) = slot_layout(atlas.data, config.padded_size, n)
+    dtype_le = atlas.data.dtype.newbyteorder("<")
     sizes = np.zeros(n, dtype=np.int64)
     parts = []
     for chunk in _chunks(n, config):
-        flat = blocks[chunk].reshape(-1, config.padded_size**3)
+        flat = view[az[chunk], ay[chunk], ax[chunk]].reshape(-1, config.padded_size**3)
         occupied = nonempty_mask(flat, config)
         payload = flat[occupied].astype(dtype_le, copy=False).view(np.uint8)
         payload_ends = np.cumsum(occupied.sum(axis=1) * flat.dtype.itemsize)
@@ -365,14 +356,15 @@ def encode_records(blocks: np.ndarray, config: SvtConfig) -> tuple[np.ndarray, n
 
 def decode_records(
     records: np.ndarray, offsets: np.ndarray, config: SvtConfig, dtype
-) -> np.ndarray:
-    """Expand records back into the (n, span^3) slot stack.
+) -> TileAtlas:
+    """Expand records into the slots of a near-cubic atlas, in slot order.
 
     The offsets must be exactly the running sum of the record sizes and the
     records must end where the last one does; anything else is CorruptStream.
     """
     n = len(offsets)
-    span3 = config.padded_size**3
+    span = config.padded_size
+    span3 = span**3
     mask_bytes = config.occupancy_mask_bytes
     dtype = np.dtype(dtype)
     if n * mask_bytes > records.size:
@@ -380,7 +372,7 @@ def decode_records(
     if n == 0:
         if records.size:
             raise CorruptStream(f"{records.size} record bytes but no tiles")
-        return np.empty((0, span3), dtype=dtype)
+        return TileAtlas(dims=None, data=np.empty((0, 0, 0), dtype=dtype))
     if int(np.max(offsets)) > records.size - mask_bytes:
         raise CorruptStream(
             f"tile record offset {int(np.max(offsets))} past the end of "
@@ -395,13 +387,17 @@ def decode_records(
         raise CorruptStream("tile record offsets are not the running sum of record sizes")
     if ends[-1] != records.size:
         raise CorruptStream(f"records need {int(ends[-1])} bytes, got {records.size}")
-    blocks = np.full((n, span3), config.empty_value, dtype=dtype)
+    sx, sy, sz = slot_grid_for(n, config)
+    data = np.full((sz * span, sy * span, sx * span), config.empty_value, dtype=dtype)
+    view, (az, ay, ax) = slot_layout(data, span, n)
     for chunk in _chunks(n, config):
         occupied = np.unpackbits(masks[chunk], axis=1, count=span3, bitorder="little")
         bounds = zip((starts[chunk] + mask_bytes).tolist(), ends[chunk].tolist())
         payload = np.concatenate([records[a:b] for a, b in bounds])
-        blocks[chunk][occupied.view(bool)] = payload.view(dtype.newbyteorder("<"))
-    return blocks
+        blocks = np.full(occupied.shape, config.empty_value, dtype=dtype)
+        blocks[occupied.view(bool)] = payload.view(dtype.newbyteorder("<"))
+        view[az[chunk], ay[chunk], ax[chunk]] = blocks.reshape(-1, span, span, span)
+    return TileAtlas(dims=VolumeDims.from_zyx(data.shape), data=data)
 
 
 # --- container file ---
@@ -434,7 +430,7 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
     64-bit, relative to the start of the record section.
     """
     cfg = svt.config
-    offsets, records = encode_records(atlas_slot_blocks(svt), cfg)
+    offsets, records = encode_records(svt.atlas, svt.slot_count, cfg)
     adims = svt.atlas.dims
     with open(path, "wb") as fh:
         fh.write(
@@ -495,25 +491,36 @@ def load_svtf(path) -> SparseVolumeTexture:
     if version != SVTF_VERSION:
         raise DataError(f"{path}: unsupported SVTF version {version}")
     fmt = format_for_code(fmt_code, path)
-    config = SvtConfig(
-        tile_size=tile_size,
-        pad=pad,
-        max_atlas_extent=max_extent,
-        empty_value=empty_value,
-        float_empty_threshold=threshold,
-    )
+    try:
+        config = SvtConfig(
+            tile_size=tile_size,
+            pad=pad,
+            max_atlas_extent=max_extent,
+            empty_value=empty_value,
+            float_empty_threshold=threshold,
+        )
+        virtual_dims = VolumeDims(vx, vy, vz)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    levels = mip_level_count(virtual_dims, tile_size)
+    if mip_count != levels:
+        raise CorruptStream(f"{path}: {mip_count} mips, the virtual dims give {levels}")
     pos = _HEADER.size
     mips, tile_counts = [], []
-    for _ in range(mip_count):
+    for level in range(levels):
+        grid = tile_grid_dims(mip_level_dims(virtual_dims, level), tile_size)
         check_available(raw, pos, 32, path, "page-table header")
         gx, gy, gz, count = struct.unpack_from("<QQQQ", raw, pos)
         pos += 32
-        n = gx * gy * gz
-        check_available(raw, pos, 4 * n, path, "page table")
-        entries = np.frombuffer(raw, dtype="<u4", count=n, offset=pos).reshape(gz, gy, gx)
-        entries = entries.astype(np.uint32)
-        pos += 4 * n
-        mips.append(PageTable(grid_dims=VolumeDims(gx, gy, gz), entries=entries))
+        if (gx, gy, gz) != (grid.x, grid.y, grid.z):
+            raise CorruptStream(f"{path}: mip {level} page table has the wrong grid")
+        check_available(raw, pos, 4 * grid.count, path, "page table")
+        entries = np.frombuffer(raw, dtype="<u4", count=grid.count, offset=pos)
+        entries = entries.reshape(grid.as_zyx()).astype(np.uint32)
+        pos += 4 * grid.count
+        if int((entries != EMPTY_ENTRY).sum()) != count:
+            raise CorruptStream(f"{path}: mip {level} resident tiles disagree with its count")
+        mips.append(PageTable(grid_dims=grid, entries=entries))
         tile_counts.append(int(count))
 
     check_available(raw, pos, 8, path, "tile count")
@@ -527,13 +534,17 @@ def load_svtf(path) -> SparseVolumeTexture:
 
     records = np.frombuffer(raw, dtype=np.uint8, offset=pos)
     try:
-        blocks = decode_records(records, offsets, config, fmt.dtype)
+        atlas = decode_records(records, offsets, config, fmt.dtype)
     except CorruptStream as exc:
         raise CorruptStream(f"{path}: {exc}") from None
-    del raw, records, offsets  # free the file before the atlas is allocated
-    atlas = atlas_from_blocks(blocks, config, fmt.dtype)
     if atlas.data.shape != (az, ay, ax):
         raise CorruptStream(f"{path}: atlas dims disagree with the tile count")
+    span = config.padded_size
+    sy, sx = atlas.data.shape[1] // span, atlas.data.shape[2] // span
+    for level, table in enumerate(mips):
+        ex, ey, ez = unpack_entry(table.entries[table.entries != EMPTY_ENTRY])
+        if ((ex >= sx) | (ey >= sy) | ((ez * sy + ey) * sx + ex >= tile_count)).any():
+            raise CorruptStream(f"{path}: mip {level} page table points past the atlas slots")
 
     stats = BuildStats(
         nonempty_voxel_count=nonempty,
@@ -544,7 +555,7 @@ def load_svtf(path) -> SparseVolumeTexture:
     return SparseVolumeTexture(
         config=config,
         format=fmt,
-        virtual_dims=VolumeDims(vx, vy, vz),
+        virtual_dims=virtual_dims,
         mips=mips,
         atlas=atlas,
         stats=stats,

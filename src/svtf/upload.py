@@ -27,8 +27,6 @@ from .svt import (
     SparseVolumeTexture,
     SvtConfig,
     TileAtlas,
-    atlas_from_blocks,
-    atlas_slot_blocks,
     check_available,
     decode_records,
     encode_records,
@@ -80,7 +78,7 @@ def serialize_upload(
     svt: SparseVolumeTexture, window_elements: int = WINDOW_ELEMENTS
 ) -> UploadBuffer:
     """Emit tiles in atlas-slot order as occupancy-compressed records."""
-    offsets, records = encode_records(atlas_slot_blocks(svt), svt.config)
+    offsets, records = encode_records(svt.atlas, svt.slot_count, svt.config)
     exceeds = records.size >= UINT32_LIMIT
     if exceeds:
         log.warning("upload stream is %d bytes, beyond the uint32 offset range", records.size)
@@ -131,10 +129,7 @@ def apply_upload(buffer: UploadBuffer, config: SvtConfig, page_tables) -> TileAt
             f"total_bytes {buffer.total_bytes} != record bytes {buffer.records.size}"
         )
 
-    blocks = decode_records(
-        buffer.records, buffer.tile_data_offsets, config, buffer.format.dtype
-    )
-    return atlas_from_blocks(blocks, config, buffer.format.dtype)
+    return decode_records(buffer.records, buffer.tile_data_offsets, config, buffer.format.dtype)
 
 
 # --- stream dump file ---
@@ -187,13 +182,16 @@ def load_upload(path, max_atlas_extent: int = 2048) -> UploadBuffer:
     if version != SVTU_VERSION:
         raise DataError(f"{path}: unsupported SVTU version {version}")
     fmt = format_for_code(fmt_code, path)
-    config = SvtConfig(
-        tile_size=tile_size,
-        pad=pad,
-        max_atlas_extent=max_atlas_extent,
-        empty_value=empty_value,
-        float_empty_threshold=threshold,
-    )
+    try:
+        config = SvtConfig(
+            tile_size=tile_size,
+            pad=pad,
+            max_atlas_extent=max_atlas_extent,
+            empty_value=empty_value,
+            float_empty_threshold=threshold,
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     pos = _HEADER.size
     check_available(raw, pos, 16 * window_count, path, "window table")
     windows = np.frombuffer(raw, dtype="<u8", count=2 * window_count, offset=pos)

@@ -20,19 +20,39 @@ from svtf import (
     DenseVolume,
     DirectionalLight,
     IlluminationCache,
+    InconsistentTraceLength,
     OutOfGrid,
     PageTable,
     PointLight,
+    SegYHeaderInfo,
     SparseVolumeTexture,
     SvtConfig,
     TileAtlas,
     TransferFunction,
+    TruncatedTrace,
+    UnsupportedFormatCode,
     VolumeDims,
     VoxelFormat,
+    ibm_to_ieee,
+    ieee_to_ibm,
     window_table,
 )
 from svtf.render import MIN_TRANSMITTANCE, _ray_aabb
 from svtf.sample import sample_trilinear_many
+from svtf.segy import (
+    BINARY_HEADER_BYTES,
+    DEFAULT_AXIS_MAP,
+    FORMAT_IBM_FLOAT,
+    FORMAT_IEEE_FLOAT,
+    OFF_CROSSLINE,
+    OFF_FORMAT_CODE,
+    OFF_INLINE,
+    OFF_SAMPLE_INTERVAL,
+    OFF_SAMPLES_PER_TRACE,
+    OFF_TRACE_SAMPLES,
+    TEXTUAL_HEADER_BYTES,
+    TRACE_HEADER_BYTES,
+)
 from svtf.svt import EMPTY_ENTRY, nonempty_mask, slot_grid_for, tile_grid_dims
 from svtf.upload import UINT32_LIMIT, WINDOW_ELEMENTS
 
@@ -745,3 +765,145 @@ def reference_load_upload(path, max_atlas_extent: int = 2048) -> ReferenceUpload
         total_bytes=total_bytes,
         exceeds_uint32=bool(overflow),
     )
+
+
+# The SEG-Y reader and writer as they were before the strided word-array
+# versions, kept verbatim (names prefixed reference_) as their oracle.
+
+
+def _reference_u16(buf: bytes, off: int) -> int:
+    return struct.unpack_from(">H", buf, off)[0]
+
+
+def _reference_i32(buf: bytes, off: int) -> int:
+    return struct.unpack_from(">i", buf, off)[0]
+
+
+def _reference_axis_transpose(axis_map) -> tuple[int, int, int]:
+    if sorted(axis_map) != sorted(DEFAULT_AXIS_MAP):
+        raise DataError(
+            f"axis map must be a permutation of {DEFAULT_AXIS_MAP}, got {axis_map}"
+        )
+    # Canonical assembled cube is indexed [inline, crossline, sample];
+    # produce the permutation giving [z, y, x] for the requested mapping.
+    canonical = {"inline": 0, "crossline": 1, "sample": 2}
+    x_src, y_src, z_src = axis_map
+    return (canonical[z_src], canonical[y_src], canonical[x_src])
+
+
+def reference_parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInfo, DenseVolume]:
+    """Parse a SEG-Y file into a dense cube on the inline/crossline grid.
+
+    Grid cells with no trace are filled with 0 and counted in
+    missing_cells. Duplicate grid positions are rejected.
+    """
+    raw = Path(path).read_bytes()
+    if len(raw) < TEXTUAL_HEADER_BYTES + BINARY_HEADER_BYTES:
+        raise DataError(f"{path}: shorter than the 3600-byte SEG-Y header block")
+
+    samples = _reference_u16(raw, OFF_SAMPLES_PER_TRACE)
+    interval = _reference_u16(raw, OFF_SAMPLE_INTERVAL)
+    format_code = _reference_u16(raw, OFF_FORMAT_CODE)
+    if format_code not in (FORMAT_IBM_FLOAT, FORMAT_IEEE_FLOAT):
+        raise UnsupportedFormatCode(
+            f"{path}: format code {format_code} not supported (only 1 and 5)"
+        )
+    if samples == 0:
+        raise DataError(f"{path}: binary header reports 0 samples per trace")
+
+    trace_bytes = samples * 4
+    pos = TEXTUAL_HEADER_BYTES + BINARY_HEADER_BYTES
+    inlines, crosslines, payloads = [], [], []
+    while pos < len(raw):
+        header = raw[pos : pos + TRACE_HEADER_BYTES]
+        if len(header) < TRACE_HEADER_BYTES:
+            raise TruncatedTrace(f"{path}: trace header truncated at byte {pos}")
+        ns_this = _reference_u16(header, OFF_TRACE_SAMPLES)
+        if ns_this not in (0, samples):
+            raise InconsistentTraceLength(
+                f"{path}: trace at byte {pos} has {ns_this} samples, expected {samples}"
+            )
+        data = raw[pos + TRACE_HEADER_BYTES : pos + TRACE_HEADER_BYTES + trace_bytes]
+        if len(data) < trace_bytes:
+            raise TruncatedTrace(f"{path}: trace data truncated at byte {pos}")
+        inlines.append(_reference_i32(header, OFF_INLINE))
+        crosslines.append(_reference_i32(header, OFF_CROSSLINE))
+        payloads.append(data)
+        pos += TRACE_HEADER_BYTES + trace_bytes
+
+    if not payloads:
+        raise DataError(f"{path}: no traces found")
+
+    il = np.asarray(inlines)
+    xl = np.asarray(crosslines)
+    il_range = (int(il.min()), int(il.max()))
+    xl_range = (int(xl.min()), int(xl.max()))
+    n_il = il_range[1] - il_range[0] + 1
+    n_xl = xl_range[1] - xl_range[0] + 1
+
+    words = np.frombuffer(b"".join(payloads), dtype=">u4").reshape(len(payloads), samples)
+    if format_code == FORMAT_IEEE_FLOAT:
+        values = words.view(">f4").astype(np.float32)
+    else:
+        values = ibm_to_ieee(words).astype(np.float32)
+
+    cube = np.zeros((n_il, n_xl, samples), dtype=np.float32)
+    filled = np.zeros((n_il, n_xl), dtype=bool)
+    ii = il - il_range[0]
+    xi = xl - xl_range[0]
+    if len(np.unique(ii * n_xl + xi)) != len(payloads):
+        raise DataError(f"{path}: duplicate (inline, crossline) trace positions")
+    cube[ii, xi] = values
+    filled[ii, xi] = True
+
+    info = SegYHeaderInfo(
+        samples_per_trace=samples,
+        sample_interval_us=interval,
+        format_code=format_code,
+        trace_count=len(payloads),
+        inline_range=il_range,
+        crossline_range=xl_range,
+        missing_cells=int((~filled).sum()),
+    )
+    data_zyx = np.ascontiguousarray(cube.transpose(_reference_axis_transpose(axis_map)))
+    return info, DenseVolume.from_array(data_zyx, VoxelFormat.F32)
+
+
+def reference_write_segy(
+    path,
+    volume: DenseVolume,
+    format_code: int = FORMAT_IEEE_FLOAT,
+    sample_interval_us: int = 4000,
+    axis_map=DEFAULT_AXIS_MAP,
+) -> None:
+    """Write a volume as a synthetic rev-1 SEG-Y cube (one trace per cell)."""
+    if format_code not in (FORMAT_IBM_FLOAT, FORMAT_IEEE_FLOAT):
+        raise UnsupportedFormatCode(f"cannot write format code {format_code}")
+    perm = _reference_axis_transpose(axis_map)
+    inverse = tuple(perm.index(i) for i in range(3))
+    cube = volume.data.astype(np.float32).transpose(inverse)  # [inline, crossline, sample]
+    n_il, n_xl, samples = cube.shape
+    if samples > 0xFFFF:
+        raise DataError(f"{samples} samples per trace exceeds the 16-bit header field")
+
+    binary = bytearray(BINARY_HEADER_BYTES)
+    struct.pack_into(">H", binary, OFF_SAMPLE_INTERVAL - TEXTUAL_HEADER_BYTES, sample_interval_us)
+    struct.pack_into(">H", binary, OFF_SAMPLES_PER_TRACE - TEXTUAL_HEADER_BYTES, samples)
+    struct.pack_into(">H", binary, OFF_FORMAT_CODE - TEXTUAL_HEADER_BYTES, format_code)
+    struct.pack_into(">H", binary, 3500 - TEXTUAL_HEADER_BYTES, 0x0100)  # rev 1
+    struct.pack_into(">H", binary, 3502 - TEXTUAL_HEADER_BYTES, 1)  # fixed-length traces
+
+    with open(path, "wb") as fh:
+        fh.write(b"\x00" * TEXTUAL_HEADER_BYTES)
+        fh.write(binary)
+        for i in range(n_il):
+            for j in range(n_xl):
+                header = bytearray(TRACE_HEADER_BYTES)
+                struct.pack_into(">H", header, OFF_TRACE_SAMPLES, samples)
+                struct.pack_into(">i", header, OFF_INLINE, i + 1)
+                struct.pack_into(">i", header, OFF_CROSSLINE, j + 1)
+                fh.write(header)
+                if format_code == FORMAT_IEEE_FLOAT:
+                    fh.write(cube[i, j].astype(">f4").tobytes())
+                else:
+                    fh.write(ieee_to_ibm(cube[i, j]).astype(">u4").tobytes())

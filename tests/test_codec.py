@@ -23,6 +23,7 @@ from conftest import (
 
 from svtf import (
     CorruptStream,
+    DataError,
     SvtConfig,
     VoxelFormat,
     apply_upload,
@@ -32,6 +33,7 @@ from svtf import (
     serialize_upload,
 )
 from svtf.cli import main
+from svtf.svt import EMPTY_ENTRY, pack_entry
 from svtf.upload import WINDOW_ELEMENTS, load_upload, save_upload
 
 CASES = {
@@ -229,3 +231,147 @@ def test_trailing_bytes_rejected(tmp_path, written):
         load_svtf(svt_path)
     with pytest.raises(CorruptStream):
         apply_upload(load_upload(stream_path), svt.config, svt.mips)
+
+
+# --- page tables and header fields checked against the header on load ---
+
+_SVTF_FIELDS = {  # byte offset and struct code of .svtf header fields
+    "tile_size": (12, "<I"),
+    "pad": (16, "<I"),
+    "max_atlas_extent": (20, "<I"),
+    "float_empty_threshold": (32, "<d"),
+    "virtual_x": (40, "<Q"),
+    "virtual_y": (48, "<Q"),
+    "virtual_z": (56, "<Q"),
+    "mip_count": (64, "<I"),
+}
+_SVTU_FIELDS = {
+    "tile_size": (12, "<I"),
+    "pad": (16, "<I"),
+    "float_empty_threshold": (28, "<d"),
+}
+
+
+def _put(out: bytearray, fields, **values) -> None:
+    for name, value in values.items():
+        pos, code = fields[name]
+        struct.pack_into(code, out, pos, value)
+
+
+def _first_resident_entry_pos(svt) -> int:
+    """Byte position of mip 0's first resident page-table entry in a .svtf."""
+    index = int(np.flatnonzero(svt.mips[0].entries.ravel() != EMPTY_ENTRY)[0])
+    return _REF_SVTF_HEADER.size + 32 + 4 * index
+
+
+def corrupt_tables(blob: bytes, svt, kind: str) -> bytes:
+    entry = _first_resident_entry_pos(svt)
+    _, sy, sx = (extent // svt.config.padded_size for extent in svt.atlas.data.shape)
+    n = svt.slot_count
+    dims = svt.virtual_dims
+    out = bytearray(blob)
+    if kind == "entry_past_slots":
+        struct.pack_into("<I", out, entry, int(pack_entry(5, 0, 1023)))
+    elif kind in ("entry_x_past_atlas", "entry_y_past_atlas"):
+        # A slot index below the tile count, but outside the atlas row or layer.
+        assert sx * sy < n
+        packed = pack_entry(sx, 0, 0) if kind == "entry_x_past_atlas" else pack_entry(0, sy, 0)
+        struct.pack_into("<I", out, entry, int(packed))
+    elif kind == "entry_slot_past_count":
+        # Inside the atlas's slot layers, but the first slot past the tiles.
+        assert n < svt.atlas.data.size // svt.config.padded_size**3
+        struct.pack_into("<I", out, entry, int(pack_entry(n % sx, n // sx % sy, n // (sx * sy))))
+    elif kind == "entry_cleared":
+        struct.pack_into("<I", out, entry, int(EMPTY_ENTRY))
+    elif kind == "virtual_dims_doubled":
+        _put(out, _SVTF_FIELDS, virtual_x=2 * dims.x, virtual_y=2 * dims.y, virtual_z=2 * dims.z)
+    elif kind == "virtual_x_plus_tile":
+        _put(out, _SVTF_FIELDS, virtual_x=dims.x + svt.config.tile_size)
+    elif kind == "mip_count_plus_one":
+        _put(out, _SVTF_FIELDS, mip_count=len(svt.mips) + 1)
+    elif kind == "grid_x_plus_one":
+        struct.pack_into("<Q", out, _REF_SVTF_HEADER.size, svt.mips[0].grid_dims.x + 1)
+    else:
+        raise AssertionError(kind)
+    return bytes(out)
+
+
+TABLE_KINDS = [
+    "entry_past_slots",
+    "entry_x_past_atlas",
+    "entry_y_past_atlas",
+    "entry_slot_past_count",
+    "entry_cleared",
+    "virtual_dims_doubled",
+    "virtual_x_plus_tile",
+    "mip_count_plus_one",
+    "grid_x_plus_one",
+]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_corrupt_page_tables_fail_closed(tmp_path, capsys, rng, kind):
+    # 36 resident tiles: a 4x4 slot layer, so the atlas has three layers.
+    svt = build_svt(make_volume(rng.integers(1, 256, size=(48, 48, 48)).astype(np.uint8)))
+    good, bad = tmp_path / "good.svtf", tmp_path / "bad.svtf"
+    save_svtf(svt, good)
+    bad.write_bytes(corrupt_tables(good.read_bytes(), svt, kind))
+    with pytest.raises(CorruptStream):
+        load_svtf(bad)
+    one_error_line(capsys, ["inspect", str(bad)])
+    one_error_line(capsys, ["probe", str(bad), "--pos", "1,1,1"])
+
+
+def test_page_tables_of_a_valid_file_load(tmp_path, rng):
+    # A volume of at most one tile has one mip; one voxel more needs two.
+    for shape in [(1, 1, 1), (16, 16, 16), (17, 5, 33), (40, 3, 3)]:
+        svt = build_svt(make_volume(rng.integers(0, 2, size=shape).astype(np.uint8)))
+        path = tmp_path / "ok.svtf"
+        save_svtf(svt, path)
+        loaded = load_svtf(path)
+        assert [t.grid_dims for t in loaded.mips] == [t.grid_dims for t in svt.mips]
+
+
+_CONFIG_ERRORS = {
+    "tile_size_1": ({"tile_size": 1}, "tile_size must be >= 2"),
+    "pad_0": ({"pad": 0}, "pad must be >= 1"),
+    "negative_threshold": ({"float_empty_threshold": -1.0}, "float_empty_threshold"),
+}
+SVTF_CONFIG_ERRORS = {
+    **_CONFIG_ERRORS,
+    "extent_below_padded_tile": ({"max_atlas_extent": 17}, "smaller than one padded tile"),
+    "zero_virtual_dim": ({"virtual_y": 0}, "dims must be positive"),
+}
+SVTU_CONFIG_ERRORS = {
+    **_CONFIG_ERRORS,
+    # The extent is the caller's (2048 here); the header's tile size is too big.
+    "extent_below_padded_tile": ({"tile_size": 2047}, "smaller than one padded tile"),
+}
+
+
+@pytest.mark.parametrize("case", SVTF_CONFIG_ERRORS)
+def test_svtf_header_config_errors_are_data_errors(tmp_path, capsys, written, case):
+    _, _, svt_path, _ = written
+    values, message = SVTF_CONFIG_ERRORS[case]
+    out = bytearray(svt_path.read_bytes())
+    _put(out, _SVTF_FIELDS, **values)
+    bad = tmp_path / "bad.svtf"
+    bad.write_bytes(out)
+    with pytest.raises(DataError, match=message) as exc:
+        load_svtf(bad)
+    assert str(exc.value).startswith(f"{bad}: ")
+    one_error_line(capsys, ["inspect", str(bad)], error="DataError")
+
+
+@pytest.mark.parametrize("case", SVTU_CONFIG_ERRORS)
+def test_svtu_header_config_errors_are_data_errors(tmp_path, capsys, written, case):
+    _, _, svt_path, stream_path = written
+    values, message = SVTU_CONFIG_ERRORS[case]
+    out = bytearray(stream_path.read_bytes())
+    _put(out, _SVTU_FIELDS, **values)
+    bad = tmp_path / "bad.svtu"
+    bad.write_bytes(out)
+    with pytest.raises(DataError, match=message) as exc:
+        load_upload(bad)
+    assert str(exc.value).startswith(f"{bad}: ")
+    one_error_line(capsys, ["apply-upload", str(svt_path), str(bad)], error="DataError")

@@ -2,9 +2,10 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import make_volume
+from conftest import make_volume, reference_parse_segy, reference_write_segy
 
 from svtf import (
+    DataError,
     InconsistentTraceLength,
     TruncatedTrace,
     UnsupportedFormatCode,
@@ -14,7 +15,13 @@ from svtf import (
     parse_segy,
     write_segy,
 )
-from svtf.segy import OFF_FORMAT_CODE, OFF_TRACE_SAMPLES
+from svtf.segy import (
+    DEFAULT_AXIS_MAP,
+    OFF_CROSSLINE,
+    OFF_FORMAT_CODE,
+    OFF_INLINE,
+    OFF_TRACE_SAMPLES,
+)
 
 
 def ibm_oracle(word: int) -> float:
@@ -181,3 +188,171 @@ def test_axis_map_override(tmp_path):
     assert parsed.dims.as_zyx() == (3, 2, 2)
     default = parse_segy(path)[1]
     np.testing.assert_array_equal(parsed.data, default.data.transpose(0, 2, 1))
+
+
+# --- the strided reader and writer against the per-trace ones they replaced ---
+
+AXIS_MAPS = [DEFAULT_AXIS_MAP, ("inline", "sample", "crossline")]
+
+
+def _outcome(parse, path, axis_map):
+    """Everything parse gives for a file: its result, or its error."""
+    try:
+        info, vol = parse(path, axis_map)
+    except Exception as exc:  # the oracle compares whatever either side raises
+        return type(exc), str(exc)
+    return info, vol.dims, vol.format, vol.data.dtype, vol.data.tobytes(), repr(vol.value_range)
+
+
+def assert_parse_matches_reference(path, blob, axis_maps=AXIS_MAPS):
+    path.write_bytes(bytes(blob))
+    for axis_map in axis_maps:
+        assert _outcome(parse_segy, path, axis_map) == _outcome(
+            reference_parse_segy, path, axis_map
+        )
+
+
+def _trace_pos(t, samples):
+    return 3600 + t * (240 + 4 * samples)
+
+
+def _written(tmp_path, data, fmt=5, **kwargs):
+    """The SEG-Y bytes of a u8 or f32 [z, y, x] array, equal from both writers."""
+    vol = make_volume(data, VoxelFormat.U8 if data.dtype == np.uint8 else VoxelFormat.F32)
+    path, ref = tmp_path / "new.sgy", tmp_path / "ref.sgy"
+    write_segy(path, vol, format_code=fmt, **kwargs)
+    reference_write_segy(ref, vol, format_code=fmt, **kwargs)
+    blob = path.read_bytes()
+    assert blob == ref.read_bytes()
+    return bytearray(blob)
+
+
+@pytest.mark.parametrize("fmt", [1, 5])
+@pytest.mark.parametrize("axis_map", AXIS_MAPS)
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+def test_writer_and_reader_match_reference(tmp_path, rng, fmt, axis_map, dtype):
+    if dtype is np.uint8:
+        data = rng.integers(0, 256, size=(5, 3, 4)).astype(np.uint8)
+    else:
+        data = (rng.standard_normal((5, 3, 4)) * 1e3).astype(np.float32)
+        data[0, 0, :2] = (1e-40, -3.0e38)  # an f32 subnormal, a large magnitude
+    blob = _written(tmp_path, data, fmt, sample_interval_us=250, axis_map=axis_map)
+    assert_parse_matches_reference(tmp_path / "cube.sgy", blob)
+
+
+@pytest.mark.parametrize("fmt", [1, 5])
+def test_multi_chunk_cube_matches_reference(tmp_path, rng, fmt):
+    # 60,000 samples per trace: a 2^20-sample chunk holds 17 of the 20 traces.
+    samples = 60_000
+    blob = _written(tmp_path, rng.standard_normal((samples, 5, 4)).astype(np.float32), fmt)
+    grid = [(il, xl) for il in range(1, 6) for xl in range(1, 5)]
+    _set_grid(blob, samples, grid[::-1])
+    assert_parse_matches_reference(tmp_path / "big.sgy", blob)
+
+
+def test_writer_non_finite_values_match_reference(tmp_path):
+    data = np.array([np.nan, np.inf, -np.inf, -0.0, 1.5], dtype=np.float32).reshape(5, 1, 1)
+    with np.errstate(invalid="ignore"):
+        for fmt in (1, 5):
+            _written(tmp_path, data, fmt)
+
+
+def test_writer_errors_match_reference(tmp_path):
+    vol = make_volume(np.zeros((2, 2, 2), np.float32), VoxelFormat.F32)
+    tall = make_volume(np.zeros((1, 1, 0x10000), np.float32), VoxelFormat.F32)
+    for volume, kwargs in [
+        (vol, {"format_code": 3}),
+        (vol, {"axis_map": ("inline", "inline", "sample")}),
+        (tall, {"axis_map": ("sample", "inline", "crossline")}),
+    ]:
+        errors = []
+        for write in (write_segy, reference_write_segy):
+            with pytest.raises(DataError) as exc:
+                write(tmp_path / "bad.sgy", volume, **kwargs)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("fmt", [1, 5])
+def test_every_truncation_matches_reference(tmp_path, rng, fmt):
+    blob = _written(tmp_path, rng.standard_normal((3, 2, 2)).astype(np.float32), fmt)
+    for length in range(len(blob) + 1):
+        assert_parse_matches_reference(tmp_path / "cut.sgy", blob[:length], AXIS_MAPS[:1])
+
+
+@pytest.mark.parametrize("bad_samples", [0, 2, 4, 0xFFFF])
+def test_trace_sample_counts_match_reference(tmp_path, rng, bad_samples):
+    samples = 3
+    blob = _written(tmp_path, rng.standard_normal((samples, 2, 3)).astype(np.float32))
+    traces = 6
+    cuts = [
+        len(blob),
+        _trace_pos(traces - 1, samples) + 240,  # last trace keeps only its header
+        _trace_pos(traces - 1, samples) + 244,  # and one sample
+    ]
+    for t in range(traces):
+        bad = bytearray(blob)
+        struct.pack_into(">H", bad, _trace_pos(t, samples) + OFF_TRACE_SAMPLES, bad_samples)
+        for cut in cuts:
+            assert_parse_matches_reference(tmp_path / "ns.sgy", bad[:cut])
+    # The two bytes before the 16-bit field are not part of it.
+    high = bytearray(blob)
+    struct.pack_into(">H", high, _trace_pos(2, samples) + OFF_TRACE_SAMPLES - 2, 0xABCD)
+    assert_parse_matches_reference(tmp_path / "ns.sgy", high)
+
+
+def _set_grid(blob, samples, positions):
+    for t, (il, xl) in enumerate(positions):
+        struct.pack_into(">i", blob, _trace_pos(t, samples) + OFF_INLINE, il)
+        struct.pack_into(">i", blob, _trace_pos(t, samples) + OFF_CROSSLINE, xl)
+    return blob
+
+
+def _drop_traces(blob, samples, dropped):
+    traces = (len(blob) - 3600) // (240 + 4 * samples)
+    kept = [blob[_trace_pos(t, samples) : _trace_pos(t + 1, samples)] for t in range(traces)]
+    return blob[:3600] + b"".join(trace for t, trace in enumerate(kept) if t not in dropped)
+
+
+@pytest.mark.parametrize("fmt", [1, 5])
+def test_grid_positions_match_reference(tmp_path, rng, fmt):
+    samples = 4
+    blob = _written(tmp_path, rng.standard_normal((samples, 3, 2)).astype(np.float32), fmt)
+    grid = [(il, xl) for il in range(1, 4) for xl in range(1, 3)]
+    cases = [
+        _set_grid(bytearray(blob), samples, [grid[0]] + grid[:-1]),  # duplicate
+        _set_grid(bytearray(blob), samples, grid[::-1]),  # reversed order
+        _set_grid(bytearray(blob), samples, [(il + 1000, xl - 7) for il, xl in grid]),
+        _set_grid(bytearray(blob), samples, [(il - 2**31, 2**31 - xl) for il, xl in grid]),
+        _set_grid(bytearray(blob), samples, [(il * 3, xl * 5) for il, xl in grid]),  # sparse
+        _drop_traces(bytearray(blob), samples, {1, 4}),  # missing
+        _drop_traces(bytearray(blob), samples, {0, 1, 2, 3, 4}),  # one trace left
+    ]
+    for case in cases:
+        assert_parse_matches_reference(tmp_path / "grid.sgy", case)
+        # A bad axis map is reported only after the file checks pass.
+        assert_parse_matches_reference(
+            tmp_path / "grid.sgy", case, [("inline", "inline", "sample")]
+        )
+
+
+def test_patched_sample_words_match_reference(tmp_path):
+    words = [
+        0x7FFFFFFF,  # IBM: largest magnitude, beyond float32
+        0x61100000,  # IBM: 16^33, just beyond float32
+        0xE1100000,
+        0x00000001,  # IBM: far below the float32 subnormal range
+        0x80000001,
+        0x1C100000,  # IBM: 16^-36, a float32 subnormal
+        0x7FC00001,  # IEEE: quiet NaN with a payload
+        0x7F800001,  # IEEE: signalling NaN
+        0xFF800000,  # IEEE: -inf
+        0x00000001,  # IEEE: smallest subnormal
+    ]
+    for fmt in (1, 5):
+        blob = _written(tmp_path, np.ones((len(words), 1, 2), np.float32), fmt)
+        for t in range(2):
+            for i, word in enumerate(words):
+                struct.pack_into(">I", blob, _trace_pos(t, len(words)) + 240 + 4 * i, word)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_parse_matches_reference(tmp_path / "words.sgy", blob)
