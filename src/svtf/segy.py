@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DataError,
     InconsistentTraceLength,
+    OutOfGrid,
     TruncatedTrace,
     UnsupportedFormatCode,
 )
@@ -39,6 +40,12 @@ FORMAT_IBM_FLOAT = 1
 FORMAT_IEEE_FLOAT = 5
 
 DEFAULT_AXIS_MAP = ("crossline", "inline", "sample")
+
+# Most inline/crossline grid cells allowed per trace in the file. The cube
+# is allocated for the whole grid, so this keeps it within 16x the trace
+# payload the file holds; inline or crossline words that spread a few
+# traces over a far larger grid are corrupt, not a sparse survey.
+MAX_CELLS_PER_TRACE = 16
 
 # Samples decoded or encoded at a time, so the float64 temporaries of the
 # IBM conversion stay small next to the cube.
@@ -156,6 +163,12 @@ def parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInfo, DenseVo
     xl_range = (int(xl.min()), int(xl.max()))
     n_il = il_range[1] - il_range[0] + 1
     n_xl = xl_range[1] - xl_range[0] + 1
+    if n_il * n_xl > MAX_CELLS_PER_TRACE * count:
+        raise OutOfGrid(
+            f"{path}: inline range {il_range} and crossline range {xl_range} span "
+            f"{n_il * n_xl} grid cells for {count} traces (at most "
+            f"{MAX_CELLS_PER_TRACE} per trace)"
+        )
     ii = il - il_range[0]
     xi = xl - xl_range[0]
     if len(np.unique(ii * n_xl + xi)) != count:

@@ -137,19 +137,23 @@ def build_mip_level(volume: DenseVolume) -> DenseVolume:
     d = volume.data
     nz, ny, nx = d.shape
     oz, oy, ox = -(-nz // 2), -(-ny // 2), -(-nx // 2)
-    sums = np.zeros((oz * 2, oy * 2, ox * 2), dtype=np.float64)
-    sums[:nz, :ny, :nx] = d
-    sums = sums.reshape(oz, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5))
-    counts = (
-        np.where(np.arange(oz) * 2 + 1 < nz, 2, 1)[:, None, None]
-        * np.where(np.arange(oy) * 2 + 1 < ny, 2, 1)[None, :, None]
-        * np.where(np.arange(ox) * 2 + 1 < nx, 2, 1)[None, None, :]
+    u8 = volume.format is VoxelFormat.U8
+    padded = np.zeros((oz * 2, oy * 2, ox * 2), dtype=d.dtype)
+    padded[:nz, :ny, :nx] = d
+    # Eight u8 children sum to at most 2040, so uint16 holds u8 sums exactly.
+    sums = padded.reshape(oz, 2, oy, 2, ox, 2).sum(
+        axis=(1, 3, 5), dtype=np.uint16 if u8 else np.float64
     )
-    mean = sums / counts
-    if volume.format is VoxelFormat.U8:
-        out = np.floor(mean + 0.5).astype(np.uint8)
+    # Children per output voxel along each axis: 2, or 1 at an odd axis's end.
+    cz, cy, cx = (
+        np.minimum(n - 2 * np.arange(o), 2).astype(np.uint16)
+        for n, o in zip(d.shape, sums.shape)
+    )
+    counts = cz[:, None, None] * cy[:, None] * cx
+    if u8:  # floor(sum / count + 0.5), exactly
+        out = ((2 * sums + counts) // (2 * counts)).astype(np.uint8)
     else:
-        out = mean.astype(np.float32)
+        out = (sums / counts).astype(np.float32)
     return DenseVolume.from_array(out, volume.format)
 
 
@@ -167,19 +171,6 @@ def mip_chain(volume: DenseVolume, config: SvtConfig) -> list[DenseVolume]:
     for _ in range(1, mip_level_count(volume.dims, config.tile_size)):
         levels.append(build_mip_level(levels[-1]))
     return levels
-
-
-def _tile_aligned(data: np.ndarray, grid: VolumeDims, config: SvtConfig) -> np.ndarray:
-    """Edge-clamp data up to a tile-aligned shape (out-of-volume reads clamp)."""
-    ts = config.tile_size
-    widths = (
-        (0, grid.z * ts - data.shape[0]),
-        (0, grid.y * ts - data.shape[1]),
-        (0, grid.x * ts - data.shape[2]),
-    )
-    if any(w for _, w in widths):
-        return np.pad(data, widths, mode="edge")
-    return data
 
 
 def _ceil_cbrt(n: int) -> int:
@@ -230,34 +221,25 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     Deterministic: tiles take atlas slots in row-major (mip, tz, ty, tx)
     order. Voxels that compare empty are stored as empty_value exactly, so
     the atlas round-trips bit-identically through the upload stream.
+    Residency is found first; the atlas is then filled one tile row at a
+    time, so at most one row of padded tiles exists outside it.
     """
     config = config or SvtConfig()
     ts, p = config.tile_size, config.pad
     span = config.padded_size
 
     levels = mip_chain(volume, config)
-    per_level_tiles = []
-    per_level_resident = []
-    grids = []
-    for level in levels:
-        grid = tile_grid_dims(level.dims, ts)
-        grids.append(grid)
-        aligned = _tile_aligned(level.data, grid, config)
-        gz, gy, gx = grid.z, grid.y, grid.x
-        occupied = nonempty_mask(aligned, config)
-        resident = occupied.reshape(gz, ts, gy, ts, gx, ts).any(axis=(1, 3, 5))
-        per_level_resident.append(resident)
-        padded = np.pad(aligned, p, mode="edge")
-        windows = sliding_window_view(padded, (span, span, span))[::ts, ::ts, ::ts]
-        tiles = np.ascontiguousarray(windows[resident])
-        tiles[~nonempty_mask(tiles, config)] = np.asarray(
-            config.empty_value, dtype=tiles.dtype
-        )
-        per_level_tiles.append(tiles)
-
-    tile_counts = tuple(int(t.shape[0]) for t in per_level_tiles)
+    grids = [tile_grid_dims(level.dims, ts) for level in levels]
+    residents = []
+    for level, grid in zip(levels, grids):
+        nz, ny, nx = level.data.shape
+        occupied = np.zeros((grid.z * ts, grid.y * ts, grid.x * ts), dtype=bool)
+        occupied[:nz, :ny, :nx] = nonempty_mask(level.data, config)
+        if level is volume:
+            nonempty0 = int(np.count_nonzero(occupied))
+        residents.append(occupied.reshape(grid.z, ts, grid.y, ts, grid.x, ts).any(axis=(1, 3, 5)))
+    tile_counts = tuple(int(np.count_nonzero(resident)) for resident in residents)
     total = sum(tile_counts)
-    nonempty0 = int(nonempty_mask(volume.data, config).sum(dtype=np.int64))
 
     try:
         sx, sy, sz = slot_grid_for(total, config)
@@ -281,18 +263,29 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
     slot_entries = pack_entry(ax, ay, az)
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
+    empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
 
     mips = []
     padded_nonempty = 0
-    slot_base = 0
-    for grid, resident, tiles in zip(grids, per_level_resident, per_level_tiles):
-        level_slots = slice(slot_base, slot_base + tiles.shape[0])
+    slot = 0
+    for level, grid, resident, count in zip(levels, grids, residents, tile_counts):
         entries = np.full(grid.as_zyx(), EMPTY_ENTRY, dtype=np.uint32)
-        entries.ravel()[np.flatnonzero(resident.ravel())] = slot_entries[level_slots]
-        slot_view[az[level_slots], ay[level_slots], ax[level_slots]] = tiles
-        padded_nonempty += int(nonempty_mask(tiles, config).sum(dtype=np.int64))
+        entries[resident] = slot_entries[slot : slot + count]
+        nz, ny, nx = level.data.shape
+        yx_pad = (p, grid.y * ts - ny + p), (p, grid.x * ts - nx + p)
+        for tz in np.flatnonzero(resident.any(axis=(1, 2))).tolist():
+            # The row's span z planes, every read clamped to the volume edge.
+            z0 = tz * ts - p
+            lo, hi = max(z0, 0), min(z0 + span, nz)
+            slab = np.pad(level.data[lo:hi], ((lo - z0, z0 + span - hi), *yx_pad), mode="edge")
+            tiles = sliding_window_view(slab, (span, span, span))[0, ::ts, ::ts][resident[tz]]
+            occupied = nonempty_mask(tiles, config)
+            tiles[~occupied] = empty
+            padded_nonempty += int(np.count_nonzero(occupied))
+            row = slice(slot, slot + tiles.shape[0])
+            slot_view[az[row], ay[row], ax[row]] = tiles
+            slot = row.stop
         mips.append(PageTable(grid_dims=grid, entries=entries))
-        slot_base = level_slots.stop
 
     if total and tile_counts[0]:
         occupancy = nonempty0 / (tile_counts[0] * ts**3)

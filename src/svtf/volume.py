@@ -85,20 +85,23 @@ def read_raw(
 ) -> DenseVolume:
     """Read a headerless binary volume, converting byte order to host.
 
-    The file length must equal dims.count * bytes-per-voxel exactly.
+    The file length must equal dims.count * bytes-per-voxel exactly; it is
+    checked before anything is allocated, and the voxels are read once.
     """
     if endianness not in ("little", "big"):
         raise DataError(f"unknown endianness {endianness!r}")
-    raw = Path(path).read_bytes()
+    size = Path(path).stat().st_size
     expected = dims.count * format.bytes_per_voxel
-    if len(raw) != expected:
+    if size != expected:
         raise SizeMismatch(
-            f"{path}: file is {len(raw)} bytes, expected {expected} "
+            f"{path}: file is {size} bytes, expected {expected} "
             f"for {dims.x}x{dims.y}x{dims.z} {format.value}"
         )
     dtype = format.dtype.newbyteorder("<" if endianness == "little" else ">")
-    data = np.frombuffer(raw, dtype=dtype).astype(format.dtype).reshape(dims.as_zyx())
-    return DenseVolume.from_array(data, format)
+    data = np.fromfile(path, dtype=dtype, count=dims.count)
+    if not dtype.isnative:
+        data = data.byteswap(inplace=True).view(format.dtype)
+    return DenseVolume.from_array(data.reshape(dims.as_zyx()), format)
 
 
 def normalize_to_u8(volume: DenseVolume, value_range=None) -> DenseVolume:

@@ -12,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from numpy.lib.stride_tricks import sliding_window_view
 
 from svtf import (
+    AtlasCapacityExceeded,
     BuildStats,
     CorruptStream,
     DataError,
@@ -53,8 +56,21 @@ from svtf.segy import (
     TEXTUAL_HEADER_BYTES,
     TRACE_HEADER_BYTES,
 )
-from svtf.svt import EMPTY_ENTRY, nonempty_mask, slot_grid_for, tile_grid_dims
+from svtf.svt import (
+    EMPTY_ENTRY,
+    mip_level_count,
+    nonempty_mask,
+    pack_entry,
+    slot_grid_for,
+    slot_layout,
+    tile_grid_dims,
+)
 from svtf.upload import UINT32_LIMIT, WINDOW_ELEMENTS
+
+# Property tests draw the same cases on every run and keep no example
+# database, so no run depends on what an earlier run found.
+settings.register_profile("svtf", derandomize=True, database=None, deadline=None)
+settings.load_profile("svtf")
 
 _ACCEPTANCE_RESULTS = []
 
@@ -907,3 +923,146 @@ def reference_write_segy(
                     fh.write(cube[i, j].astype(">f4").tobytes())
                 else:
                     fh.write(ieee_to_ibm(cube[i, j]).astype(">u4").tobytes())
+
+
+# The builder as it was before it filled the atlas one tile row at a time,
+# kept verbatim (names prefixed reference_) as the bit-identity oracle for
+# build_svt and build_mip_level.
+
+
+def reference_build_mip_level(volume: DenseVolume) -> DenseVolume:
+    """Halve each axis (ceil), averaging the up-to-8 children of each voxel.
+
+    Children falling outside the volume are excluded from the mean rather
+    than padded, so border voxels average only what exists.
+    """
+    d = volume.data
+    nz, ny, nx = d.shape
+    oz, oy, ox = -(-nz // 2), -(-ny // 2), -(-nx // 2)
+    sums = np.zeros((oz * 2, oy * 2, ox * 2), dtype=np.float64)
+    sums[:nz, :ny, :nx] = d
+    sums = sums.reshape(oz, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5))
+    counts = (
+        np.where(np.arange(oz) * 2 + 1 < nz, 2, 1)[:, None, None]
+        * np.where(np.arange(oy) * 2 + 1 < ny, 2, 1)[None, :, None]
+        * np.where(np.arange(ox) * 2 + 1 < nx, 2, 1)[None, None, :]
+    )
+    mean = sums / counts
+    if volume.format is VoxelFormat.U8:
+        out = np.floor(mean + 0.5).astype(np.uint8)
+    else:
+        out = mean.astype(np.float32)
+    return DenseVolume.from_array(out, volume.format)
+
+
+def reference_mip_chain(volume: DenseVolume, config: SvtConfig) -> list[DenseVolume]:
+    """Full-resolution volume plus halved levels until one tile covers it."""
+    levels = [volume]
+    for _ in range(1, mip_level_count(volume.dims, config.tile_size)):
+        levels.append(reference_build_mip_level(levels[-1]))
+    return levels
+
+
+def _reference_tile_aligned(data: np.ndarray, grid: VolumeDims, config: SvtConfig) -> np.ndarray:
+    """Edge-clamp data up to a tile-aligned shape (out-of-volume reads clamp)."""
+    ts = config.tile_size
+    widths = (
+        (0, grid.z * ts - data.shape[0]),
+        (0, grid.y * ts - data.shape[1]),
+        (0, grid.x * ts - data.shape[2]),
+    )
+    if any(w for _, w in widths):
+        return np.pad(data, widths, mode="edge")
+    return data
+
+
+def reference_build_svt(
+    volume: DenseVolume, config: SvtConfig | None = None
+) -> SparseVolumeTexture:
+    """Build the page tables, mip chain, and packed tile atlas for a volume.
+
+    Deterministic: tiles take atlas slots in row-major (mip, tz, ty, tx)
+    order. Voxels that compare empty are stored as empty_value exactly, so
+    the atlas round-trips bit-identically through the upload stream.
+    """
+    config = config or SvtConfig()
+    ts, p = config.tile_size, config.pad
+    span = config.padded_size
+
+    levels = reference_mip_chain(volume, config)
+    per_level_tiles = []
+    per_level_resident = []
+    grids = []
+    for level in levels:
+        grid = tile_grid_dims(level.dims, ts)
+        grids.append(grid)
+        aligned = _reference_tile_aligned(level.data, grid, config)
+        gz, gy, gx = grid.z, grid.y, grid.x
+        occupied = nonempty_mask(aligned, config)
+        resident = occupied.reshape(gz, ts, gy, ts, gx, ts).any(axis=(1, 3, 5))
+        per_level_resident.append(resident)
+        padded = np.pad(aligned, p, mode="edge")
+        windows = sliding_window_view(padded, (span, span, span))[::ts, ::ts, ::ts]
+        tiles = np.ascontiguousarray(windows[resident])
+        tiles[~nonempty_mask(tiles, config)] = np.asarray(
+            config.empty_value, dtype=tiles.dtype
+        )
+        per_level_tiles.append(tiles)
+
+    tile_counts = tuple(int(t.shape[0]) for t in per_level_tiles)
+    total = sum(tile_counts)
+    nonempty0 = int(nonempty_mask(volume.data, config).sum(dtype=np.int64))
+
+    try:
+        sx, sy, sz = slot_grid_for(total, config)
+    except AtlasCapacityExceeded as exc:
+        from svtf import planner
+
+        exc.report = planner.check_overflow(
+            planner.PlanInputs(
+                config=config,
+                nonempty_voxels=nonempty0,
+                bytes_per_voxel=volume.format.bytes_per_voxel,
+                nonempty_tile_counts=tile_counts,
+            )
+        )
+        raise
+
+    atlas_dims = VolumeDims.from_zyx((sz * span, sy * span, sx * span)) if total else None
+    atlas_data = np.full(
+        (sz * span, sy * span, sx * span), config.empty_value, dtype=volume.format.dtype
+    )
+    slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
+    slot_entries = pack_entry(ax, ay, az)
+    atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
+
+    mips = []
+    padded_nonempty = 0
+    slot_base = 0
+    for grid, resident, tiles in zip(grids, per_level_resident, per_level_tiles):
+        level_slots = slice(slot_base, slot_base + tiles.shape[0])
+        entries = np.full(grid.as_zyx(), EMPTY_ENTRY, dtype=np.uint32)
+        entries.ravel()[np.flatnonzero(resident.ravel())] = slot_entries[level_slots]
+        slot_view[az[level_slots], ay[level_slots], ax[level_slots]] = tiles
+        padded_nonempty += int(nonempty_mask(tiles, config).sum(dtype=np.int64))
+        mips.append(PageTable(grid_dims=grid, entries=entries))
+        slot_base = level_slots.stop
+
+    if total and tile_counts[0]:
+        occupancy = nonempty0 / (tile_counts[0] * ts**3)
+    else:
+        occupancy = 0.0
+    stats = BuildStats(
+        nonempty_voxel_count=nonempty0,
+        nonempty_tile_count=tile_counts,
+        padded_nonempty_voxel_count=padded_nonempty,
+        mean_tile_occupancy=occupancy,
+    )
+    return SparseVolumeTexture(
+        config=config,
+        format=volume.format,
+        virtual_dims=volume.dims,
+        mips=mips,
+        atlas=atlas,
+        stats=stats,
+    )

@@ -164,6 +164,24 @@ def test_segy_bad_format_exit_code(tmp_path, capsys):
     assert err.startswith("error: UnsupportedFormatCode:")
 
 
+def test_segy_grid_far_larger_than_the_traces_exit_code(tmp_path, capsys):
+    import struct
+
+    from svtf.segy import OFF_INLINE
+
+    segy_path = tmp_path / "far.sgy"
+    write_segy(segy_path, make_volume(np.zeros((4, 3, 2), np.float32), VoxelFormat.F32))
+    raw = bytearray(segy_path.read_bytes())
+    assert len(raw) == 5136
+    struct.pack_into(">i", raw, 3600 + OFF_INLINE, -(2**31))  # first trace's inline
+    segy_path.write_bytes(raw)
+    code, out, err = run(capsys, "import-segy", str(segy_path), "-o", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: OutOfGrid:")
+
+
 def test_render_writes_ppm(tmp_path, capsys, volume_file):
     svt_path = tmp_path / "vol.svtf"
     assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0

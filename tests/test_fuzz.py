@@ -1,0 +1,126 @@
+"""Truncated and byte-flipped .svtf, .svtu and IBM SEG-Y files.
+
+Each mutated file must either load or raise a DataError: no other exception
+may escape, and nothing may be allocated from an unchecked header field. A
+container that loads must also answer a sample without error. The unmutated
+files must give back exactly what was written.
+"""
+
+import numpy as np
+import pytest
+from conftest import make_volume
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svtf import (
+    DataError,
+    SvtConfig,
+    VoxelFormat,
+    apply_upload,
+    build_svt,
+    load_svtf,
+    parse_segy,
+    sample_trilinear,
+    save_svtf,
+    serialize_upload,
+    write_segy,
+)
+from svtf.segy import OFF_CROSSLINE, OFF_INLINE, OFF_TRACE_SAMPLES, TRACE_HEADER_BYTES
+from svtf.upload import load_upload, save_upload
+
+SEGY_SAMPLES = 4
+
+KINDS = ("segy", "svtf", "svtu")
+
+
+def _hot_bytes(kind: str, size: int) -> list[int]:
+    """Byte positions where a flip changes structure rather than one voxel.
+
+    The container and stream keep their headers, page tables and offset
+    tables up front; a SEG-Y file keeps them in the binary header and in
+    each trace's sample count, inline and crossline words.
+    """
+    if kind != "segy":
+        return list(range(min(size, 1024)))
+    traces = range(3600, size, TRACE_HEADER_BYTES + 4 * SEGY_SAMPLES)
+    fields = (OFF_TRACE_SAMPLES, OFF_TRACE_SAMPLES + 1, *range(OFF_INLINE, OFF_CROSSLINE + 4))
+    return list(range(3200, 3600)) + [t + off for t in traces for off in fields]
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """The three files as written, plus what each must load back as."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(11)
+    data = np.where(rng.random((12, 10, 14)) < 0.2, rng.integers(1, 256, (12, 10, 14)), 0)
+    svt = build_svt(make_volume(data.astype(np.uint8)), SvtConfig(tile_size=4))
+    save_svtf(svt, root / "orig.svtf")
+    save_upload(serialize_upload(svt), root / "orig.svtu")
+    # Quarter steps are exact IBM floats, so the cube round-trips bit for bit.
+    cube = make_volume(rng.integers(-64, 64, (SEGY_SAMPLES, 3, 2)) / 4.0, VoxelFormat.F32)
+    write_segy(root / "orig.sgy", cube, format_code=1)
+    blobs = {
+        "svtf": (root / "orig.svtf").read_bytes(),
+        "svtu": (root / "orig.svtu").read_bytes(),
+        "segy": (root / "orig.sgy").read_bytes(),
+    }
+    return root, blobs, svt, cube
+
+
+def _load(kind, path, svt):
+    """What a file of this kind loads as: an atlas, or a volume's voxels."""
+    if kind == "svtf":
+        loaded = load_svtf(path)
+        dims = loaded.virtual_dims
+        sample_trilinear(loaded, (dims.x / 2, dims.y / 2, dims.z / 2), mip=loaded.mip_count - 1)
+        return loaded.atlas.data
+    if kind == "svtu":
+        return apply_upload(load_upload(path), svt.config, svt.mips).data
+    with np.errstate(all="ignore"):
+        return parse_segy(path)[1].data
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unmutated_files_round_trip(originals, kind):
+    root, blobs, svt, cube = originals
+    path = root / f"same.{kind}"
+    path.write_bytes(blobs[kind])
+    want = cube.data if kind == "segy" else svt.atlas.data
+    got = _load(kind, path, svt)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def mutations(draw, size, hot):
+    """A truncation, or one to four bytes XORed with a non-zero byte."""
+    if draw(st.booleans()):
+        return ("cut", draw(st.integers(0, size - 1)))
+    position = st.one_of(st.sampled_from(hot), st.integers(0, size - 1))
+    flips = st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=4)
+    return ("flip", draw(flips))
+
+
+def _mutated(blob, mutation):
+    how, arg = mutation
+    if how == "cut":
+        return blob[:arg]
+    out = bytearray(blob)
+    for pos, xor in arg:
+        out[pos] ^= xor
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_mutated_files_load_or_raise_data_error(originals, kind, data):
+    root, blobs, svt, _ = originals
+    blob = blobs[kind]
+    mutation = data.draw(mutations(len(blob), _hot_bytes(kind, len(blob))))
+    path = root / f"mutated.{kind}"
+    path.write_bytes(_mutated(blob, mutation))
+    try:
+        _load(kind, path, svt)
+    except DataError:
+        pass

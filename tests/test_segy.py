@@ -7,6 +7,7 @@ from conftest import make_volume, reference_parse_segy, reference_write_segy
 from svtf import (
     DataError,
     InconsistentTraceLength,
+    OutOfGrid,
     TruncatedTrace,
     UnsupportedFormatCode,
     VoxelFormat,
@@ -17,6 +18,7 @@ from svtf import (
 )
 from svtf.segy import (
     DEFAULT_AXIS_MAP,
+    MAX_CELLS_PER_TRACE,
     OFF_CROSSLINE,
     OFF_FORMAT_CODE,
     OFF_INLINE,
@@ -334,6 +336,36 @@ def test_grid_positions_match_reference(tmp_path, rng, fmt):
         assert_parse_matches_reference(
             tmp_path / "grid.sgy", case, [("inline", "inline", "sample")]
         )
+
+
+def test_grid_far_larger_than_the_traces_is_out_of_grid(tmp_path, rng):
+    # 3x2 traces of 4 samples; a first inline of -2^31 spans a 2^31-row grid.
+    blob = _written(tmp_path, rng.standard_normal((4, 3, 2)).astype(np.float32))
+    assert len(blob) == 5136
+    struct.pack_into(">i", blob, _trace_pos(0, 4) + OFF_INLINE, -(2**31))
+    path = tmp_path / "far.sgy"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(OutOfGrid, match="for 6 traces"):
+        parse_segy(path)
+
+
+@pytest.mark.parametrize("last_inline,fits", [(48, True), (49, False)])
+def test_grid_cells_per_trace_bound(tmp_path, rng, last_inline, fits):
+    # Six traces on inlines 1, 2 and last_inline, crosslines 1 and 2: the
+    # grid holds 2 * last_inline cells, 96 = 16 per trace at the bound.
+    samples = 4
+    blob = _written(tmp_path, rng.standard_normal((samples, 3, 2)).astype(np.float32))
+    grid = [(il, xl) for il in (1, 2, last_inline) for xl in (1, 2)]
+    _set_grid(blob, samples, grid)
+    assert (2 * last_inline <= MAX_CELLS_PER_TRACE * len(grid)) == fits
+    if fits:
+        assert_parse_matches_reference(tmp_path / "bound.sgy", blob)
+        info, _ = parse_segy(tmp_path / "bound.sgy")
+        assert info.missing_cells == 2 * last_inline - len(grid)
+    else:
+        (tmp_path / "bound.sgy").write_bytes(bytes(blob))
+        with pytest.raises(OutOfGrid):
+            parse_segy(tmp_path / "bound.sgy")
 
 
 def test_patched_sample_words_match_reference(tmp_path):

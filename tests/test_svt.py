@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -7,6 +9,8 @@ from conftest import (
     is_tile_empty,
     make_volume,
     random_volume,
+    reference_build_mip_level,
+    reference_build_svt,
 )
 
 from svtf import (
@@ -277,3 +281,102 @@ def test_float_threshold_drops_tiles():
     cfg = SvtConfig(float_empty_threshold=1e-3)
     svt = build_svt(make_volume(data, VoxelFormat.F32), cfg)
     assert svt.stats.nonempty_tile_count == (0,)
+
+
+def assert_build_matches_reference(vol, cfg):
+    got, want = build_svt(vol, cfg), reference_build_svt(vol, cfg)
+    assert got.atlas.dims == want.atlas.dims
+    assert got.atlas.data.dtype == want.atlas.data.dtype
+    assert got.atlas.data.shape == want.atlas.data.shape
+    assert got.atlas.data.tobytes() == want.atlas.data.tobytes()
+    assert len(got.mips) == len(want.mips)
+    for a, b in zip(got.mips, want.mips):
+        assert a.grid_dims == b.grid_dims
+        assert a.entries.dtype == b.entries.dtype
+        np.testing.assert_array_equal(a.entries, b.entries)
+    assert got.stats == want.stats
+
+
+def random_build_case(rng):
+    """A u8 or f32 volume of unaligned dims with a random config.
+
+    Tiles of 2 to 16 voxels, pad 1 or 2, a non-zero empty value in half the
+    cases, and for f32 a threshold that near-empty background falls within.
+    """
+    f32 = bool(rng.integers(2))
+    shape = tuple(int(n) for n in rng.integers(1, 41, size=3))
+    empty = float(rng.choice([0.0, 3.0, -1.5 if f32 else 200.0]))
+    threshold = float(rng.choice([0.0, 0.25])) if f32 else 0.0
+    occupied = rng.random(shape) < rng.uniform(0, 0.2)
+    if f32:
+        background = np.float32(empty) + rng.uniform(-threshold, threshold, shape)
+        values = rng.standard_normal(shape) * 10
+        data = np.where(occupied, values, background).astype(np.float32)
+    else:
+        data = np.where(occupied, rng.integers(0, 256, shape), int(empty)).astype(np.uint8)
+    cfg = SvtConfig(
+        tile_size=int(rng.integers(2, 17)),
+        pad=int(rng.integers(1, 3)),
+        empty_value=empty,
+        float_empty_threshold=threshold,
+    )
+    return make_volume(data, VoxelFormat.F32 if f32 else VoxelFormat.U8), cfg
+
+
+def test_build_matches_reference_on_random_configs():
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        assert_build_matches_reference(*random_build_case(rng))
+
+
+@pytest.mark.parametrize("fmt", [VoxelFormat.U8, VoxelFormat.F32])
+@pytest.mark.parametrize("shape", [(16, 16, 16), (17, 5, 33), (1, 1, 1), (40, 3, 2)])
+@pytest.mark.parametrize("fill", ["empty", "full", "one"])
+def test_build_matches_reference_on_edge_volumes(fmt, shape, fill):
+    data = np.zeros(shape, fmt.dtype)
+    if fill == "full":
+        data[:] = 7
+    elif fill == "one":
+        data[tuple(n - 1 for n in shape)] = 7
+    for cfg in (SvtConfig(), SvtConfig(tile_size=2, pad=2), SvtConfig(tile_size=4, empty_value=7)):
+        assert_build_matches_reference(make_volume(data, fmt), cfg)
+
+
+def test_mip_level_matches_reference_on_extreme_values():
+    rng = np.random.default_rng(99)
+    u8_values = np.array([0, 1, 127, 128, 254, 255], np.uint8)
+    f32_values = np.array(
+        [3.4e38, -3.4e38, 1e38, 1e-38, -1e-38, 1e-45, 1.0, 1e7, 0.0, -0.0, np.inf, np.nan],
+        np.float32,
+    )
+    for i in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=3))
+        if i % 2:
+            vol = make_volume(rng.choice(f32_values, size=shape), VoxelFormat.F32)
+        else:
+            vol = make_volume(rng.choice(u8_values, size=shape), VoxelFormat.U8)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = build_mip_level(vol), reference_build_mip_level(vol)
+        assert got.data.dtype == want.data.dtype
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_build_peak_memory_is_bounded():
+    # A sparse 128^3 u8 survey: 40 of 512 tiles hold a voxel. The peak
+    # traced allocation must stay below 5x the volume plus the atlas; the
+    # float64 mip sums and per-level tile stacks of the old builder took
+    # about 9x the volume.
+    rng = np.random.default_rng(3)
+    data = np.zeros((128, 128, 128), np.uint8)
+    tiles = rng.choice(512, size=40, replace=False)
+    tz, ty, tx = np.unravel_index(tiles, (8, 8, 8))
+    data[tz * 16 + 5, ty * 16 + 9, tx * 16 + 3] = rng.integers(1, 256, size=40)
+    vol = make_volume(data)
+    tracemalloc.start()
+    try:
+        svt = build_svt(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svt.stats.nonempty_tile_count[0] == 40
+    assert peak < 5 * data.nbytes + svt.atlas.data.nbytes

@@ -32,6 +32,20 @@ def test_read_raw_big_endian_float(tmp_path):
     assert vol.data[0, 0, 0] == 100.0
 
 
+@pytest.mark.parametrize("fmt", [VoxelFormat.U8, VoxelFormat.F32])
+def test_read_raw_big_endian_round_trip(tmp_path, rng, fmt):
+    if fmt is VoxelFormat.U8:
+        data = rng.integers(0, 256, size=(3, 4, 5)).astype(np.uint8)
+    else:
+        data = rng.standard_normal((3, 4, 5)).astype(np.float32) * 1e3
+    path = tmp_path / "big.raw"
+    path.write_bytes(data.astype(fmt.dtype.newbyteorder(">")).tobytes())
+    vol = read_raw(path, VolumeDims(5, 4, 3), fmt, endianness="big")
+    assert vol.data.dtype == fmt.dtype and vol.data.dtype.isnative
+    assert vol.data.tobytes() == data.tobytes()
+    assert vol.value_range == (float(data.min()), float(data.max()))
+
+
 def test_read_raw_size_mismatch(tmp_path):
     path = tmp_path / "short.raw"
     path.write_bytes(bytes(7))
