@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .sample import sample_trilinear_many, trilinear_dense
-from .svt import EMPTY_ENTRY, SparseVolumeTexture
+from .svt import NO_TILE, SparseVolumeTexture
 from .volume import VolumeDims, VoxelFormat
 
 MIN_TRANSMITTANCE = 1e-3
@@ -257,16 +257,12 @@ def _ray_aabb(origins, dirs, lo, hi):
 class _SkipGrid:
     """Which samples of one mip level are exactly empty.
 
-    Per axis, the trilinear corners of a sample are the clamps of b and
-    b + 1, where b = floor(position - 0.5) is the base corner in the
-    level's voxels. They lie in b's tile, and in the next tile only when b
-    is the last voxel of its tile. So each tile is split into two cells per
-    axis, its last voxel layer and the rest, and a cell is live when a tile
-    its footprints can reach is resident. At a position whose base corner
-    lies in a cell that is not live, all eight corners read empty_value.
+    These are the samples whose base corner lies in a cell of the level's
+    footprint table that names no tile (svt.FootprintTable): all eight
+    corners of such a footprint read empty_value.
     """
 
-    live: np.ndarray  # bool per cell, [z, y, x]
+    live: np.ndarray  # bool per footprint-table cell, [z, y, x]
     cells: tuple  # per axis (x, y, z): the cell of each voxel
     scale: float  # mip-0 voxels per voxel of the level
     top: np.ndarray  # largest voxel index per axis (x, y, z)
@@ -310,39 +306,29 @@ def _skip_grid(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
     eight 0.0 corners is 0.0) and the transfer function maps 0 to sigma 0
     and a zero source.
     """
-    if svt.config.empty_value != 0.0 or not 0 <= mip < svt.mip_count:
-        return None  # a bad mip is reported by the sampler
+    table = svt.footprint_table(mip)  # fetched here, before any march thread starts
+    if svt.config.empty_value != 0.0:
+        return None
     sigma, rgb = tf.classify(np.zeros(1), svt.format)
     if sigma[0] != 0.0 or (tf.emission_scale * rgb).any():
         return None
-    ts = svt.config.tile_size
-    dims = svt.mip_dims(mip)
-    # Expand each axis from tiles T to cells 2T (rest of T: reaches T) and
-    # 2T + 1 (last layer of T: reaches T and T + 1).
-    live = np.pad(svt.mips[mip].entries != EMPTY_ENTRY, ((0, 1),) * 3)
-    for axis in range(3):
-        a = np.moveaxis(live, axis, 0)
-        e = np.repeat(a[:-1], 2, axis=0)
-        e[1::2] |= a[1:]
-        live = np.moveaxis(e, 0, axis)
+    live = table.base != NO_TILE
     if live.all():
         return None
+    dims = svt.mip_dims(mip)
     scale = float(1 << mip)
-    cells = tuple(
-        2 * (v // ts) + (v % ts == ts - 1) for v in map(np.arange, (dims.x, dims.y, dims.z))
-    )
     lo = hi = None
     if live.any():
         # Per axis, the voxels that are base corners in a live cell.
         on = [
             np.flatnonzero(live.any(axis=other)[cell])
-            for other, cell in zip(((0, 1), (0, 2), (1, 2)), cells)
+            for other, cell in zip(((0, 1), (0, 2), (1, 2)), table.cells)
         ]
         lo = np.maximum([(v[0] - 0.5) * scale for v in on], 0.0)
         hi = np.minimum([(v[-1] + 2.5) * scale for v in on], _extent(svt))
     return _SkipGrid(
         live=live,
-        cells=cells,
+        cells=table.cells,
         scale=scale,
         top=np.asarray([dims.x - 1, dims.y - 1, dims.z - 1], dtype=np.float64),
         lo=lo,

@@ -1,52 +1,39 @@
-"""Virtual-space scalar lookup through the page table.
+"""Virtual-space scalar lookup through the footprint tables.
 
 Positions are continuous mip-0 voxel coordinates: voxel (i, j, k) is
 centered at (i+0.5, j+0.5, k+0.5). Trilinear lookups reproduce dense
-clamped-edge interpolation of the mip-level volume exactly. When the tile
-under the interpolation base corner is resident, all eight corners come
-from that single padded tile (the guarantee the one-voxel border exists
-for); when it is empty, corners fall back to per-voxel page-table lookups
-so values next to resident neighbors stay exact.
+clamped-edge interpolation of the mip-level volume exactly. Each lookup
+reads all eight corners of its footprint from the one padded tile that the
+level's footprint table names for the clamped base corner (the guarantee
+the tile border exists for): the base corner's own tile when it is
+resident, else a resident neighbour whose padding covers the footprint. A
+footprint that reaches no resident tile reads empty_value. Nearest lookups
+read a voxel as the base corner of a footprint.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .svt import EMPTY_ENTRY, SparseVolumeTexture, unpack_entry
+from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
 
 
-def _level(svt: SparseVolumeTexture, mip: int):
-    if not 0 <= mip < svt.mip_count:
-        raise ValueError(f"mip {mip} out of range (have {svt.mip_count})")
-    dims = svt.mip_dims(mip)
-    table = svt.mips[mip]
-    return dims, table.grid_dims, table.entries.ravel()
+def _corner_index(svt: SparseVolumeTexture, table: FootprintTable, cx, cy, cz):
+    """(Flat atlas index, live) of in-bounds base corners of a mip level.
 
-
-def _gather_voxels(svt, entries_flat, grid, cx, cy, cz):
-    """Values of integer voxels (already clamped in-bounds) via the page table."""
-    ts = svt.config.tile_size
-    pad = svt.config.pad
-    span = svt.config.padded_size
-    tx, ty, tz = cx // ts, cy // ts, cz // ts
-    packed = entries_flat[(tz * grid.y + ty) * grid.x + tx]
-    resident = packed != EMPTY_ENTRY
-    out = np.full(cx.shape, svt.config.empty_value, dtype=np.float64)
-    if resident.any():
-        ax, ay, az = unpack_entry(packed[resident])
-        adata = svt.atlas.data
-        vx = ax.astype(np.int64) * span + pad + (cx[resident] - tx[resident] * ts)
-        vy = ay.astype(np.int64) * span + pad + (cy[resident] - ty[resident] * ts)
-        vz = az.astype(np.int64) * span + pad + (cz[resident] - tz[resident] * ts)
-        flat = (vz * adata.shape[1] + vy) * adata.shape[2] + vx
-        out[resident] = adata.ravel()[flat].astype(np.float64)
-    return out
+    The index is only meaningful where live, that is where the level's
+    footprint table names a tile for the corner's cell.
+    """
+    x, y, z = table.cells
+    base = table.base[z[cz], y[cy], x[cx]]
+    _, a_y, a_x = svt.atlas.data.shape
+    return base + (cz * a_y + cy) * a_x + cx, base != NO_TILE
 
 
 def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
     """Nearest-voxel values; out of bounds and empty tiles give empty_value."""
-    dims, grid, entries = _level(svt, mip)
+    table = svt.footprint_table(mip)
+    dims = svt.mip_dims(mip)
     scale = float(1 << mip)
     vx = np.floor(np.asarray(px, dtype=np.float64) / scale).astype(np.int64)
     vy = np.floor(np.asarray(py, dtype=np.float64) / scale).astype(np.int64)
@@ -54,11 +41,16 @@ def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> n
     inside = (
         (vx >= 0) & (vx < dims.x) & (vy >= 0) & (vy < dims.y) & (vz >= 0) & (vz < dims.z)
     )
+    flat, live = _corner_index(
+        svt,
+        table,
+        np.clip(vx, 0, dims.x - 1),
+        np.clip(vy, 0, dims.y - 1),
+        np.clip(vz, 0, dims.z - 1),
+    )
+    live &= inside
     out = np.full(vx.shape, svt.config.empty_value, dtype=np.float64)
-    if inside.any():
-        out[inside] = _gather_voxels(
-            svt, entries, grid, vx[inside], vy[inside], vz[inside]
-        )
+    out[live] = svt.atlas.data.ravel()[flat[live]]
     return out
 
 
@@ -73,10 +65,8 @@ def _lerp3(c000, c100, c010, c110, c001, c101, c011, c111, fx, fy, fz):
 
 
 def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
-    dims, grid, entries = _level(svt, mip)
-    ts = svt.config.tile_size
-    pad = svt.config.pad
-    span = svt.config.padded_size
+    table = svt.footprint_table(mip)
+    dims = svt.mip_dims(mip)
     scale = float(1 << mip)
 
     px = np.asarray(px, dtype=np.float64)
@@ -96,57 +86,16 @@ def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) ->
     sy = np.clip(by + 1, 0, dims.y - 1) - c0y
     sz = np.clip(bz + 1, 0, dims.z - 1) - c0z
 
-    tx, ty, tz = c0x // ts, c0y // ts, c0z // ts
-    packed = entries[(tz * grid.y + ty) * grid.x + tx]
-    resident = packed != EMPTY_ENTRY
-
-    corners = [np.full(qx.shape, svt.config.empty_value, dtype=np.float64) for _ in range(8)]
-
-    if resident.any():
-        ax, ay, az = unpack_entry(packed[resident])
-        adata = svt.atlas.data
-        ox = ax.astype(np.int64) * span + pad + (c0x[resident] - tx[resident] * ts)
-        oy = ay.astype(np.int64) * span + pad + (c0y[resident] - ty[resident] * ts)
-        oz = az.astype(np.int64) * span + pad + (c0z[resident] - tz[resident] * ts)
-        base_flat = (oz * adata.shape[1] + oy) * adata.shape[2] + ox
-        dx = sx[resident]
-        dy = sy[resident] * adata.shape[2]
-        dz = sz[resident] * adata.shape[1] * adata.shape[2]
-        flat_data = adata.ravel()
-        for ez, ey, ex in np.ndindex(2, 2, 2):
-            idx = base_flat + ez * dz + ey * dy + ex * dx
-            corners[(ez << 2) | (ey << 1) | ex][resident] = flat_data[idx].astype(np.float64)
-
-    # Empty base tile: if all eight corners stay inside it, they are all
-    # empty_value, which the corner arrays already hold. Only positions whose
-    # +1 corners spill into a neighboring tile need per-voxel lookups.
-    spills = (
-        ((c0x - tx * ts == ts - 1) & (sx == 1))
-        | ((c0y - ty * ts == ts - 1) & (sy == 1))
-        | ((c0z - tz * ts == ts - 1) & (sz == 1))
-    )
-    fallback = ~resident & spills
-    if fallback.any():
-        fx0, fy0, fz0 = c0x[fallback], c0y[fallback], c0z[fallback]
-        fsx, fsy, fsz = sx[fallback], sy[fallback], sz[fallback]
-        for ez, ey, ex in np.ndindex(2, 2, 2):
-            corners[(ez << 2) | (ey << 1) | ex][fallback] = _gather_voxels(
-                svt, entries, grid, fx0 + ex * fsx, fy0 + ey * fsy, fz0 + ez * fsz
-            )
-
-    return _lerp3(
-        corners[0b000],
-        corners[0b001],
-        corners[0b010],
-        corners[0b011],
-        corners[0b100],
-        corners[0b101],
-        corners[0b110],
-        corners[0b111],
-        fx,
-        fy,
-        fz,
-    )
+    flat, live = _corner_index(svt, table, c0x, c0y, c0z)
+    corners = np.full((8, *qx.shape), svt.config.empty_value, dtype=np.float64)
+    if live.any():
+        _, a_y, a_x = svt.atlas.data.shape
+        flat = flat[live]
+        dx, dy, dz = sx[live], sy[live] * a_x, sz[live] * (a_y * a_x)
+        data = svt.atlas.data.ravel()
+        for k, (ez, ey, ex) in enumerate(np.ndindex(2, 2, 2)):
+            corners[k][live] = data[flat + ez * dz + ey * dy + ex * dx]
+    return _lerp3(*corners, fx, fy, fz)
 
 
 def sample_nearest(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:

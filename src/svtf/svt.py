@@ -4,11 +4,14 @@ The volume is cut into tile_size^3 logical tiles, each stored with a one
 voxel border (18^3 by default) so trilinear filtering never has to leave a
 tile. Only tiles whose logical region holds at least one non-empty voxel
 get a slot in the physical atlas; a per-mip page table maps tile coords to
-slots, with 0xFFFFFFFF marking empty tiles.
+slots, with 0xFFFFFFFF marking empty tiles. A per-mip footprint table,
+derived from the page table, names the padded tile that answers each
+trilinear footprint.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +24,10 @@ from .volume import DenseVolume, VolumeDims, VoxelFormat
 
 EMPTY_ENTRY = np.uint32(0xFFFFFFFF)
 _COORD_BITS = 10  # per-axis field in a packed page-table entry
+NO_TILE = np.iinfo(np.int64).min  # footprint-table cell that no resident tile answers
+# Voxels that a thresholded mask and the tile-record codec handle at a time,
+# so that their temporaries stay small next to the atlas.
+_CHUNK_VOXELS = 2**20
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,26 @@ class BuildStats:
     mean_tile_occupancy: float
 
 
+@dataclass(frozen=True)
+class FootprintTable:
+    """The padded tile that answers each trilinear footprint of a mip level.
+
+    Per axis, the corners of a footprint are the clamps of b and b + 1 (b:
+    the clamped base corner). They lie in b's tile T, and in T + 1 only when
+    b is T's last voxel, so each tile has two cells per axis: its last voxel
+    layer and the rest. base[cell] is the flat atlas index of level voxel
+    (0, 0, 0) seen through one resident tile's padded block, so a corner
+    (x, y, z) is at base + (z*A_y + y)*A_x + x. The tile is the cell's own
+    tile T if resident, else any resident tile the cell's footprints reach:
+    as pad >= 1 its block holds all eight corners, with the values of their
+    own tiles, or empty_value where those are not resident. NO_TILE marks a
+    cell whose footprints reach no resident tile.
+    """
+
+    base: np.ndarray  # int64 per cell, [z, y, x]
+    cells: tuple  # per axis (x, y, z): the cell of each voxel of the level
+
+
 @dataclass
 class SparseVolumeTexture:
     config: SvtConfig
@@ -84,10 +111,26 @@ class SparseVolumeTexture:
     mips: list[PageTable]
     atlas: TileAtlas
     stats: BuildStats = field(repr=False, default=None)
+    # Footprint tables by mip, built on first use. Nothing reassigns mips or
+    # atlas after construction, so a table never goes stale.
+    _footprints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def mip_count(self) -> int:
         return len(self.mips)
+
+    def footprint_table(self, mip: int) -> FootprintTable:
+        """The level's footprint table; ValueError for a mip it does not have.
+
+        Fetch it before starting threads that sample the level, so that they
+        do not each build it.
+        """
+        if not 0 <= mip < self.mip_count:
+            raise ValueError(f"mip {mip} out of range (have {self.mip_count})")
+        table = self._footprints.get(mip)
+        if table is None:
+            table = self._footprints[mip] = _footprint_table(self, mip)
+        return table
 
     def mip_dims(self, level: int) -> VolumeDims:
         return mip_level_dims(self.virtual_dims, level)
@@ -107,6 +150,31 @@ def unpack_entry(entry):
     return (e & mask, (e >> _COORD_BITS) & mask, (e >> 2 * _COORD_BITS) & mask)
 
 
+def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
+    ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
+    entries = svt.mips[mip].entries
+    _, a_y, a_x = svt.atlas.data.shape
+    resident = entries != EMPTY_ENTRY
+    tz, ty, tx = np.nonzero(resident)
+    ax, ay, az = (a.astype(np.int64) * span + pad for a in unpack_entry(entries[resident]))
+    # One extra NO_TILE layer per axis stands for the tiles past the grid.
+    base = np.full([g + 1 for g in entries.shape], NO_TILE, dtype=np.int64)
+    base[tz, ty, tx] = ((az - tz * ts) * a_y + ay - ty * ts) * a_x + ax - tx * ts
+    # Expand each axis from tiles T to cells 2T (the rest of T: reaches T)
+    # and 2T + 1 (the last layer of T: reaches T and T + 1, and takes T + 1's
+    # base only when T is not resident).
+    for axis in range(3):
+        tiles = np.moveaxis(base, axis, 0)
+        cells = np.repeat(tiles[:-1], 2, axis=0)
+        np.copyto(cells[1::2], tiles[1:], where=cells[1::2] == NO_TILE)
+        base = np.moveaxis(cells, 0, axis)
+    dims = svt.mip_dims(mip)
+    cells = tuple(
+        2 * (v // ts) + (v % ts == ts - 1) for v in map(np.arange, (dims.x, dims.y, dims.z))
+    )
+    return FootprintTable(base=np.ascontiguousarray(base), cells=cells)
+
+
 def tile_grid_dims(dims: VolumeDims, tile_size: int) -> VolumeDims:
     if tile_size < 2:
         raise ValueError("tile_size must be >= 2")
@@ -120,12 +188,38 @@ def mip_level_dims(dims: VolumeDims, level: int) -> VolumeDims:
     return VolumeDims(-(-dims.x // f), -(-dims.y // f), -(-dims.z // f))
 
 
+def check_empty_value(value: float, fmt: VoxelFormat, source="") -> None:
+    """DataError unless the voxel format holds empty_value exactly.
+
+    Empty voxels are stored as empty_value in the format's dtype, and
+    lookups outside resident tiles return it as is, so both must agree.
+    """
+    if fmt is VoxelFormat.U8:
+        ok = float(value).is_integer() and 0 <= value <= 255
+    else:
+        with np.errstate(over="ignore"):
+            ok = float(np.float32(value)) == value
+    if not ok:
+        raise DataError(f"{source}empty_value {value!r} is not a {fmt.value} voxel value")
+
+
 def nonempty_mask(values: np.ndarray, config: SvtConfig) -> np.ndarray:
-    """Boolean mask of voxels counted as occupied under the config."""
+    """Boolean mask of voxels counted as occupied under the config.
+
+    With a float threshold the comparison runs in float64, a bounded chunk
+    of the leading axis at a time.
+    """
     if values.dtype.kind in "ui" or config.float_empty_threshold == 0:
         return values != np.asarray(config.empty_value, dtype=values.dtype)
-    delta = np.abs(values.astype(np.float64) - config.empty_value)
-    return delta > config.float_empty_threshold
+    out = np.empty(values.shape, dtype=bool)
+    rows = max(1, min(len(values), _CHUNK_VOXELS // max(1, math.prod(values.shape[1:]))))
+    buffer = np.empty((rows, *values.shape[1:]), dtype=np.float64)
+    for lo in range(0, len(values), rows):
+        chunk = values[lo : lo + rows]
+        delta = buffer[: len(chunk)]
+        np.subtract(chunk, config.empty_value, out=delta, dtype=np.float64)
+        np.greater(np.abs(delta, out=delta), config.float_empty_threshold, out=out[lo : lo + rows])
+    return out
 
 
 def build_mip_level(volume: DenseVolume) -> DenseVolume:
@@ -215,6 +309,24 @@ def slot_layout(data: np.ndarray, span: int, n: int):
     return view, (slots // (sx * sy), (slots // sx) % sy, slots % sx)
 
 
+def _page_entries(residents, data: np.ndarray, span: int) -> list[np.ndarray]:
+    """Per-mip page-table entries for per-mip residency masks.
+
+    Resident tiles take the atlas slots in row-major (mip, tz, ty, tx) order,
+    so residency alone fixes every entry.
+    """
+    counts = [int(np.count_nonzero(resident)) for resident in residents]
+    _, (az, ay, ax) = slot_layout(data, span, sum(counts))
+    slot_entries = pack_entry(ax, ay, az)
+    tables, slot = [], 0
+    for resident, count in zip(residents, counts):
+        entries = np.full(resident.shape, EMPTY_ENTRY, dtype=np.uint32)
+        entries[resident] = slot_entries[slot : slot + count]
+        tables.append(entries)
+        slot += count
+    return tables
+
+
 def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVolumeTexture:
     """Build the page tables, mip chain, and packed tile atlas for a volume.
 
@@ -225,6 +337,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     time, so at most one row of padded tiles exists outside it.
     """
     config = config or SvtConfig()
+    check_empty_value(config.empty_value, volume.format)
     ts, p = config.tile_size, config.pad
     span = config.padded_size
 
@@ -261,16 +374,14 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         (sz * span, sy * span, sx * span), config.empty_value, dtype=volume.format.dtype
     )
     slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
-    slot_entries = pack_entry(ax, ay, az)
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
+    tables = _page_entries(residents, atlas_data, span)
 
     mips = []
     padded_nonempty = 0
     slot = 0
-    for level, grid, resident, count in zip(levels, grids, residents, tile_counts):
-        entries = np.full(grid.as_zyx(), EMPTY_ENTRY, dtype=np.uint32)
-        entries[resident] = slot_entries[slot : slot + count]
+    for level, grid, resident, entries in zip(levels, grids, residents, tables):
         nz, ny, nx = level.data.shape
         yx_pad = (p, grid.y * ts - ny + p), (p, grid.x * ts - nx + p)
         for tz in np.flatnonzero(resident.any(axis=(1, 2))).tolist():
@@ -314,9 +425,6 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
 # raster order, little-endian. Records are stored back to back in slot
 # order; record i starts at the sum of the sizes of records 0..i-1.
 
-# Slot voxels the codec gathers or scatters at a time, so its temporaries
-# (the unpacked masks and one chunk of values) stay small next to the atlas.
-_CHUNK_VOXELS = 2**20
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8
 )
@@ -484,6 +592,7 @@ def load_svtf(path) -> SparseVolumeTexture:
     if version != SVTF_VERSION:
         raise DataError(f"{path}: unsupported SVTF version {version}")
     fmt = format_for_code(fmt_code, path)
+    check_empty_value(empty_value, fmt, f"{path}: ")
     try:
         config = SvtConfig(
             tile_size=tile_size,
@@ -532,12 +641,11 @@ def load_svtf(path) -> SparseVolumeTexture:
         raise CorruptStream(f"{path}: {exc}") from None
     if atlas.data.shape != (az, ay, ax):
         raise CorruptStream(f"{path}: atlas dims disagree with the tile count")
-    span = config.padded_size
-    sy, sx = atlas.data.shape[1] // span, atlas.data.shape[2] // span
-    for level, table in enumerate(mips):
-        ex, ey, ez = unpack_entry(table.entries[table.entries != EMPTY_ENTRY])
-        if ((ex >= sx) | (ey >= sy) | ((ez * sy + ey) * sx + ex >= tile_count)).any():
-            raise CorruptStream(f"{path}: mip {level} page table points past the atlas slots")
+    residents = [table.entries != EMPTY_ENTRY for table in mips]
+    want = _page_entries(residents, atlas.data, config.padded_size)
+    for level, (table, entries) in enumerate(zip(mips, want)):
+        if not np.array_equal(table.entries, entries):
+            raise CorruptStream(f"{path}: mip {level} page table is not in atlas slot order")
 
     stats = BuildStats(
         nonempty_voxel_count=nonempty,

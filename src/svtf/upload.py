@@ -28,6 +28,7 @@ from .svt import (
     SvtConfig,
     TileAtlas,
     check_available,
+    check_empty_value,
     decode_records,
     encode_records,
     format_for_code,
@@ -182,6 +183,7 @@ def load_upload(path, max_atlas_extent: int = 2048) -> UploadBuffer:
     if version != SVTU_VERSION:
         raise DataError(f"{path}: unsupported SVTU version {version}")
     fmt = format_for_code(fmt_code, path)
+    check_empty_value(empty_value, fmt, f"{path}: ")
     try:
         config = SvtConfig(
             tile_size=tile_size,

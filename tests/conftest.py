@@ -64,6 +64,7 @@ from svtf.svt import (
     slot_grid_for,
     slot_layout,
     tile_grid_dims,
+    unpack_entry,
 )
 from svtf.upload import UINT32_LIMIT, WINDOW_ELEMENTS
 
@@ -106,6 +107,33 @@ def random_volume(rng, max_dim=64, fmt=VoxelFormat.U8, fill=0.5) -> DenseVolume:
         values[values == 0] = 1.0
         data = np.where(occupied, values, np.float32(0)).astype(np.float32)
     return make_volume(data, fmt)
+
+
+def random_build_case(rng, max_fill=0.2):
+    """A u8 or f32 volume of unaligned dims with a random config.
+
+    Tiles of 2 to 16 voxels, pad 1 or 2, a non-zero empty value in half the
+    cases, up to max_fill of the voxels occupied, and for f32 a threshold
+    that near-empty background falls within.
+    """
+    f32 = bool(rng.integers(2))
+    shape = tuple(int(n) for n in rng.integers(1, 41, size=3))
+    empty = float(rng.choice([0.0, 3.0, -1.5 if f32 else 200.0]))
+    threshold = float(rng.choice([0.0, 0.25])) if f32 else 0.0
+    occupied = rng.random(shape) < rng.uniform(0, max_fill)
+    if f32:
+        background = np.float32(empty) + rng.uniform(-threshold, threshold, shape)
+        values = rng.standard_normal(shape) * 10
+        data = np.where(occupied, values, background).astype(np.float32)
+    else:
+        data = np.where(occupied, rng.integers(0, 256, shape), int(empty)).astype(np.uint8)
+    cfg = SvtConfig(
+        tile_size=int(rng.integers(2, 17)),
+        pad=int(rng.integers(1, 3)),
+        empty_value=empty,
+        float_empty_threshold=threshold,
+    )
+    return make_volume(data, VoxelFormat.F32 if f32 else VoxelFormat.U8), cfg
 
 
 def dense_trilinear_oracle(data_zyx: np.ndarray, px, py, pz) -> np.ndarray:
@@ -1065,4 +1093,142 @@ def reference_build_svt(
         mips=mips,
         atlas=atlas,
         stats=stats,
+    )
+
+
+# The sampler as it was before it read every footprint through the
+# footprint tables, kept verbatim (names prefixed reference_) as the
+# bit-identity oracle for sample_trilinear_many and sample_nearest_many.
+
+
+def _reference_level(svt: SparseVolumeTexture, mip: int):
+    if not 0 <= mip < svt.mip_count:
+        raise ValueError(f"mip {mip} out of range (have {svt.mip_count})")
+    dims = svt.mip_dims(mip)
+    table = svt.mips[mip]
+    return dims, table.grid_dims, table.entries.ravel()
+
+
+def _reference_gather_voxels(svt, entries_flat, grid, cx, cy, cz):
+    """Values of integer voxels (already clamped in-bounds) via the page table."""
+    ts = svt.config.tile_size
+    pad = svt.config.pad
+    span = svt.config.padded_size
+    tx, ty, tz = cx // ts, cy // ts, cz // ts
+    packed = entries_flat[(tz * grid.y + ty) * grid.x + tx]
+    resident = packed != EMPTY_ENTRY
+    out = np.full(cx.shape, svt.config.empty_value, dtype=np.float64)
+    if resident.any():
+        ax, ay, az = unpack_entry(packed[resident])
+        adata = svt.atlas.data
+        vx = ax.astype(np.int64) * span + pad + (cx[resident] - tx[resident] * ts)
+        vy = ay.astype(np.int64) * span + pad + (cy[resident] - ty[resident] * ts)
+        vz = az.astype(np.int64) * span + pad + (cz[resident] - tz[resident] * ts)
+        flat = (vz * adata.shape[1] + vy) * adata.shape[2] + vx
+        out[resident] = adata.ravel()[flat].astype(np.float64)
+    return out
+
+
+def reference_sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
+    """Nearest-voxel values; out of bounds and empty tiles give empty_value."""
+    dims, grid, entries = _reference_level(svt, mip)
+    scale = float(1 << mip)
+    vx = np.floor(np.asarray(px, dtype=np.float64) / scale).astype(np.int64)
+    vy = np.floor(np.asarray(py, dtype=np.float64) / scale).astype(np.int64)
+    vz = np.floor(np.asarray(pz, dtype=np.float64) / scale).astype(np.int64)
+    inside = (
+        (vx >= 0) & (vx < dims.x) & (vy >= 0) & (vy < dims.y) & (vz >= 0) & (vz < dims.z)
+    )
+    out = np.full(vx.shape, svt.config.empty_value, dtype=np.float64)
+    if inside.any():
+        out[inside] = _reference_gather_voxels(
+            svt, entries, grid, vx[inside], vy[inside], vz[inside]
+        )
+    return out
+
+
+def _reference_lerp3(c000, c100, c010, c110, c001, c101, c011, c111, fx, fy, fz):
+    v00 = c000 * (1.0 - fx) + c100 * fx
+    v10 = c010 * (1.0 - fx) + c110 * fx
+    v01 = c001 * (1.0 - fx) + c101 * fx
+    v11 = c011 * (1.0 - fx) + c111 * fx
+    v0 = v00 * (1.0 - fy) + v10 * fy
+    v1 = v01 * (1.0 - fy) + v11 * fy
+    return v0 * (1.0 - fz) + v1 * fz
+
+
+def reference_sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
+    dims, grid, entries = _reference_level(svt, mip)
+    ts = svt.config.tile_size
+    pad = svt.config.pad
+    span = svt.config.padded_size
+    scale = float(1 << mip)
+
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    pz = np.asarray(pz, dtype=np.float64)
+    if mip:
+        px, py, pz = px / scale, py / scale, pz / scale
+    qx, qy, qz = px - 0.5, py - 0.5, pz - 0.5
+    bx, by, bz = np.floor(qx), np.floor(qy), np.floor(qz)
+    fx, fy, fz = qx - bx, qy - by, qz - bz
+    bx, by, bz = bx.astype(np.int64), by.astype(np.int64), bz.astype(np.int64)
+
+    c0x = np.clip(bx, 0, dims.x - 1)
+    c0y = np.clip(by, 0, dims.y - 1)
+    c0z = np.clip(bz, 0, dims.z - 1)
+    sx = np.clip(bx + 1, 0, dims.x - 1) - c0x  # 0 or 1
+    sy = np.clip(by + 1, 0, dims.y - 1) - c0y
+    sz = np.clip(bz + 1, 0, dims.z - 1) - c0z
+
+    tx, ty, tz = c0x // ts, c0y // ts, c0z // ts
+    packed = entries[(tz * grid.y + ty) * grid.x + tx]
+    resident = packed != EMPTY_ENTRY
+
+    corners = [np.full(qx.shape, svt.config.empty_value, dtype=np.float64) for _ in range(8)]
+
+    if resident.any():
+        ax, ay, az = unpack_entry(packed[resident])
+        adata = svt.atlas.data
+        ox = ax.astype(np.int64) * span + pad + (c0x[resident] - tx[resident] * ts)
+        oy = ay.astype(np.int64) * span + pad + (c0y[resident] - ty[resident] * ts)
+        oz = az.astype(np.int64) * span + pad + (c0z[resident] - tz[resident] * ts)
+        base_flat = (oz * adata.shape[1] + oy) * adata.shape[2] + ox
+        dx = sx[resident]
+        dy = sy[resident] * adata.shape[2]
+        dz = sz[resident] * adata.shape[1] * adata.shape[2]
+        flat_data = adata.ravel()
+        for ez, ey, ex in np.ndindex(2, 2, 2):
+            idx = base_flat + ez * dz + ey * dy + ex * dx
+            corners[(ez << 2) | (ey << 1) | ex][resident] = flat_data[idx].astype(np.float64)
+
+    # Empty base tile: if all eight corners stay inside it, they are all
+    # empty_value, which the corner arrays already hold. Only positions whose
+    # +1 corners spill into a neighboring tile need per-voxel lookups.
+    spills = (
+        ((c0x - tx * ts == ts - 1) & (sx == 1))
+        | ((c0y - ty * ts == ts - 1) & (sy == 1))
+        | ((c0z - tz * ts == ts - 1) & (sz == 1))
+    )
+    fallback = ~resident & spills
+    if fallback.any():
+        fx0, fy0, fz0 = c0x[fallback], c0y[fallback], c0z[fallback]
+        fsx, fsy, fsz = sx[fallback], sy[fallback], sz[fallback]
+        for ez, ey, ex in np.ndindex(2, 2, 2):
+            corners[(ez << 2) | (ey << 1) | ex][fallback] = _reference_gather_voxels(
+                svt, entries, grid, fx0 + ex * fsx, fy0 + ey * fsy, fz0 + ez * fsz
+            )
+
+    return _reference_lerp3(
+        corners[0b000],
+        corners[0b001],
+        corners[0b010],
+        corners[0b011],
+        corners[0b100],
+        corners[0b101],
+        corners[0b110],
+        corners[0b111],
+        fx,
+        fy,
+        fz,
     )

@@ -117,6 +117,17 @@ def test_build_capacity_exit_code(tmp_path, capsys):
     assert err.startswith("error: AtlasCapacityExceeded:")
 
 
+@pytest.mark.parametrize("empty", ["300", "-1", "inf", "3.5", "nan"])
+def test_build_rejects_an_empty_value_u8_cannot_hold(tmp_path, capsys, volume_file, empty):
+    out = tmp_path / "x.svtf"
+    code, _, err = run(capsys, "build", str(volume_file), "-o", str(out), "--empty", empty)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: DataError: empty_value ")
+    assert not out.exists()
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     bogus = tmp_path / "bogus.svtf"
     bogus.write_bytes(b"nope")

@@ -239,6 +239,7 @@ _SVTF_FIELDS = {  # byte offset and struct code of .svtf header fields
     "tile_size": (12, "<I"),
     "pad": (16, "<I"),
     "max_atlas_extent": (20, "<I"),
+    "empty_value": (24, "<d"),
     "float_empty_threshold": (32, "<d"),
     "virtual_x": (40, "<Q"),
     "virtual_y": (48, "<Q"),
@@ -248,6 +249,7 @@ _SVTF_FIELDS = {  # byte offset and struct code of .svtf header fields
 _SVTU_FIELDS = {
     "tile_size": (12, "<I"),
     "pad": (16, "<I"),
+    "empty_value": (20, "<d"),
     "float_empty_threshold": (28, "<d"),
 }
 
@@ -258,10 +260,14 @@ def _put(out: bytearray, fields, **values) -> None:
         struct.pack_into(code, out, pos, value)
 
 
+def _resident_indices(svt) -> list[int]:
+    """Flat indices of mip 0's resident page-table entries."""
+    return np.flatnonzero(svt.mips[0].entries.ravel() != EMPTY_ENTRY).tolist()
+
+
 def _first_resident_entry_pos(svt) -> int:
     """Byte position of mip 0's first resident page-table entry in a .svtf."""
-    index = int(np.flatnonzero(svt.mips[0].entries.ravel() != EMPTY_ENTRY)[0])
-    return _REF_SVTF_HEADER.size + 32 + 4 * index
+    return _REF_SVTF_HEADER.size + 32 + 4 * _resident_indices(svt)[0]
 
 
 def corrupt_tables(blob: bytes, svt, kind: str) -> bytes:
@@ -281,6 +287,15 @@ def corrupt_tables(blob: bytes, svt, kind: str) -> bytes:
         # Inside the atlas's slot layers, but the first slot past the tiles.
         assert n < svt.atlas.data.size // svt.config.padded_size**3
         struct.pack_into("<I", out, entry, int(pack_entry(n % sx, n // sx % sy, n // (sx * sy))))
+    elif kind == "entries_swapped":
+        # Two valid slots, each named by the other's tile.
+        second = _REF_SVTF_HEADER.size + 32 + 4 * _resident_indices(svt)[1]
+        a, b = out[entry : entry + 4], out[second : second + 4]
+        out[entry : entry + 4], out[second : second + 4] = b, a
+    elif kind == "entry_duplicated":
+        # The first resident tile also names the second one's slot.
+        second = _REF_SVTF_HEADER.size + 32 + 4 * _resident_indices(svt)[1]
+        out[entry : entry + 4] = out[second : second + 4]
     elif kind == "entry_cleared":
         struct.pack_into("<I", out, entry, int(EMPTY_ENTRY))
     elif kind == "virtual_dims_doubled":
@@ -301,6 +316,8 @@ TABLE_KINDS = [
     "entry_x_past_atlas",
     "entry_y_past_atlas",
     "entry_slot_past_count",
+    "entries_swapped",
+    "entry_duplicated",
     "entry_cleared",
     "virtual_dims_doubled",
     "virtual_x_plus_tile",
@@ -336,6 +353,10 @@ _CONFIG_ERRORS = {
     "tile_size_1": ({"tile_size": 1}, "tile_size must be >= 2"),
     "pad_0": ({"pad": 0}, "pad must be >= 1"),
     "negative_threshold": ({"float_empty_threshold": -1.0}, "float_empty_threshold"),
+    # The files hold u8 voxels.
+    "empty_value_300": ({"empty_value": 300.0}, "empty_value 300.0 is not a u8 voxel value"),
+    "empty_value_fraction": ({"empty_value": 3.5}, "empty_value 3.5 is not a u8"),
+    "empty_value_nan": ({"empty_value": float("nan")}, "empty_value nan is not a u8"),
 }
 SVTF_CONFIG_ERRORS = {
     **_CONFIG_ERRORS,
@@ -361,6 +382,7 @@ def test_svtf_header_config_errors_are_data_errors(tmp_path, capsys, written, ca
         load_svtf(bad)
     assert str(exc.value).startswith(f"{bad}: ")
     one_error_line(capsys, ["inspect", str(bad)], error="DataError")
+    one_error_line(capsys, ["probe", str(bad), "--pos", "1,1,1"], error="DataError")
 
 
 @pytest.mark.parametrize("case", SVTU_CONFIG_ERRORS)

@@ -20,7 +20,9 @@ from svtf import (
     VoxelFormat,
     build_illumination_cache,
     build_svt,
+    load_svtf,
     raymarch,
+    save_svtf,
     write_image,
 )
 from svtf.render import _ray_aabb, _skip_grid
@@ -320,6 +322,25 @@ def test_one_row_image_with_threads_matches_reference():
     )
     want = reference_raymarch(svt, cache, tf, params)
     assert np.array_equal(raymarch(svt, cache, tf, params, threads=4), want)
+
+
+@pytest.mark.parametrize("name", ["u8", "u8-nonzero-empty-value"])
+@pytest.mark.parametrize("mip", [0, 1])
+def test_freshly_loaded_texture_renders_alike_on_any_thread_count(tmp_path, name, mip):
+    # A loaded texture has no footprint table yet; raymarch builds it before
+    # its threads start.
+    fmt, config, tf, lights, _, _ = RENDER_CASES[name]
+    path = tmp_path / "volume.svtf"
+    save_svtf(build_svt(sparse_volume(fmt, background=int(config.empty_value)), config), path)
+    cache = build_illumination_cache(load_svtf(path), tf, lights, 4, 16)
+    params = RenderParams(
+        camera=Camera(eye=(-30.0, 55.0, -45.0), look_at=(20.0, 18.0, 22.0),
+                      vfov_deg=60.0, width=23, height=17),
+        max_step_count=40, mip=mip,
+    )
+    one, four = (raymarch(load_svtf(path), cache, tf, params, threads=t) for t in (1, 4))
+    assert np.array_equal(one, four)
+    assert one.any()
 
 
 def test_all_resident_volume_has_no_skip_grid():

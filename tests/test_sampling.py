@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import dense_trilinear_oracle, make_volume, random_volume
+from conftest import (
+    dense_trilinear_oracle,
+    make_volume,
+    random_build_case,
+    random_volume,
+    reference_sample_nearest_many,
+    reference_sample_trilinear_many,
+)
 
 from svtf import SvtConfig, VoxelFormat, build_svt, sample_nearest, sample_trilinear
 from svtf.sample import sample_nearest_many, sample_trilinear_many
@@ -153,3 +160,59 @@ def test_scalar_wrappers_match_batch(rng):
     assert sample_nearest(svt, pos) == sample_nearest_many(
         svt, np.asarray([pos[0]]), np.asarray([pos[1]]), np.asarray([pos[2]])
     )[0]
+
+
+def seam_positions(rng, svt, mip, n):
+    """n mip-0 positions around one mip level: half of each axis's
+    coordinates on or half a voxel off its tile seams and last voxel layers,
+    the rest uniform with a margin outside the volume, plus NaN rows."""
+    scale = float(1 << mip)
+    ts = svt.config.tile_size
+    dims = svt.mip_dims(mip)
+    axes = []
+    for extent in (dims.x, dims.y, dims.z):
+        p = rng.uniform(-2.0, extent + 2.0, n)
+        seams = np.arange(0, extent + ts, ts, dtype=np.float64)
+        on = rng.random(n) < 0.5
+        offsets = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n)
+        p[on] = rng.choice(seams, size=int(on.sum())) + offsets[on]
+        p[-3:] = [np.nan, np.nan, 0.0]
+        axes.append(p * scale)
+    axes[0][-1] = np.nan  # one row NaN on a single axis
+    return axes
+
+
+def test_sampling_is_bit_identical_to_reference():
+    """The footprint-table sampler against the per-voxel gather it replaced:
+    u8/f32, tile 2-16, pad 1-2, empty_value 0/3/-1.5/200, threshold 0/0.25,
+    densities 0-1, every mip, compared as float64 bit patterns."""
+    rng = np.random.default_rng(606)
+    compared = 0
+    for _ in range(300):
+        vol, cfg = random_build_case(rng, max_fill=1.0)
+        svt = build_svt(vol, cfg)
+        for mip in range(svt.mip_count):
+            px, py, pz = seam_positions(rng, svt, mip, 96)
+            with np.errstate(invalid="ignore"):
+                pairs = (
+                    (sample_trilinear_many, reference_sample_trilinear_many),
+                    (sample_nearest_many, reference_sample_nearest_many),
+                )
+                for fn, ref in pairs:
+                    got, want = fn(svt, px, py, pz, mip), ref(svt, px, py, pz, mip)
+                    assert got.dtype == want.dtype == np.float64
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                    compared += 1
+    assert compared >= 1000
+
+
+def test_each_texture_samples_its_own_atlas(rng):
+    # Textures built and dropped in a loop can reuse object ids; each must
+    # still read its own page tables and atlas.
+    for _ in range(50):
+        vol = random_volume(rng, max_dim=24, fill=rng.uniform(0.01, 0.3))
+        svt = build_svt(vol, SvtConfig(tile_size=4))
+        px, py, pz = positions_with_seams(rng, vol.dims, 64)
+        got = sample_trilinear_many(svt, px, py, pz)
+        np.testing.assert_array_equal(got, dense_trilinear_oracle(vol.data, px, py, pz))
+        del svt

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import (
     extract_padded_tile,
     is_tile_empty,
     make_volume,
+    random_build_case,
     random_volume,
     reference_build_mip_level,
     reference_build_svt,
@@ -15,6 +17,7 @@ from conftest import (
 
 from svtf import (
     AtlasCapacityExceeded,
+    DataError,
     OutOfGrid,
     SvtConfig,
     VolumeDims,
@@ -22,6 +25,8 @@ from svtf import (
     build_mip_level,
     build_svt,
     load_svtf,
+    sample_nearest,
+    sample_trilinear,
     save_svtf,
     tile_grid_dims,
 )
@@ -297,32 +302,6 @@ def assert_build_matches_reference(vol, cfg):
     assert got.stats == want.stats
 
 
-def random_build_case(rng):
-    """A u8 or f32 volume of unaligned dims with a random config.
-
-    Tiles of 2 to 16 voxels, pad 1 or 2, a non-zero empty value in half the
-    cases, and for f32 a threshold that near-empty background falls within.
-    """
-    f32 = bool(rng.integers(2))
-    shape = tuple(int(n) for n in rng.integers(1, 41, size=3))
-    empty = float(rng.choice([0.0, 3.0, -1.5 if f32 else 200.0]))
-    threshold = float(rng.choice([0.0, 0.25])) if f32 else 0.0
-    occupied = rng.random(shape) < rng.uniform(0, 0.2)
-    if f32:
-        background = np.float32(empty) + rng.uniform(-threshold, threshold, shape)
-        values = rng.standard_normal(shape) * 10
-        data = np.where(occupied, values, background).astype(np.float32)
-    else:
-        data = np.where(occupied, rng.integers(0, 256, shape), int(empty)).astype(np.uint8)
-    cfg = SvtConfig(
-        tile_size=int(rng.integers(2, 17)),
-        pad=int(rng.integers(1, 3)),
-        empty_value=empty,
-        float_empty_threshold=threshold,
-    )
-    return make_volume(data, VoxelFormat.F32 if f32 else VoxelFormat.U8), cfg
-
-
 def test_build_matches_reference_on_random_configs():
     rng = np.random.default_rng(2024)
     for _ in range(120):
@@ -380,3 +359,74 @@ def test_build_peak_memory_is_bounded():
         tracemalloc.stop()
     assert svt.stats.nonempty_tile_count[0] == 40
     assert peak < 5 * data.nbytes + svt.atlas.data.nbytes
+
+
+@pytest.mark.parametrize("spread,bound", [("scattered", 3.0), ("few_tiles", 2.0)])
+def test_threshold_mask_peak_memory_is_bounded(spread, bound):
+    # A 128^3 f32 volume: 1% of its voxels set at random, so every tile is
+    # resident and the atlas is 1.8x the volume, or one voxel in each of 40
+    # of 512 tiles. With a float threshold the mask compares in float64;
+    # over the whole level at once that took a traced build peak of 4.4x
+    # the volume in both cases (2.5x and 1.7x without a threshold).
+    rng = np.random.default_rng(5)
+    data = np.zeros((128, 128, 128), np.float32)
+    if spread == "scattered":
+        occupied = rng.random(data.shape) < 0.01
+    else:
+        occupied = np.zeros(data.shape, dtype=bool)
+        tz, ty, tx = np.unravel_index(rng.choice(512, size=40, replace=False), (8, 8, 8))
+        occupied[tz * 16 + 5, ty * 16 + 9, tx * 16 + 3] = True
+    data[occupied] = rng.uniform(1.0, 10.0, int(occupied.sum()))
+    vol = make_volume(data, VoxelFormat.F32)
+    tracemalloc.start()
+    try:
+        svt = build_svt(vol, SvtConfig(float_empty_threshold=0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svt.stats.nonempty_voxel_count == int(occupied.sum())
+    assert peak <= bound * data.nbytes
+
+
+@pytest.mark.parametrize(
+    "fmt,value",
+    [
+        (VoxelFormat.U8, 300.0),
+        (VoxelFormat.U8, 256.0),
+        (VoxelFormat.U8, -1.0),
+        (VoxelFormat.U8, 3.5),
+        (VoxelFormat.U8, float("inf")),
+        (VoxelFormat.U8, float("nan")),
+        (VoxelFormat.F32, 0.1),
+        (VoxelFormat.F32, 1e300),
+        (VoxelFormat.F32, float("nan")),
+    ],
+)
+def test_build_rejects_an_empty_value_the_format_cannot_hold(fmt, value):
+    vol = make_volume(np.ones((4, 4, 4), fmt.dtype), fmt)
+    message = re.escape(f"empty_value {value!r} is not a {fmt.value} voxel value")
+    with pytest.raises(DataError, match=message):
+        build_svt(vol, SvtConfig(empty_value=value))
+
+
+@pytest.mark.parametrize(
+    "fmt,value",
+    [
+        (VoxelFormat.U8, 0.0),
+        (VoxelFormat.U8, 255.0),
+        (VoxelFormat.F32, -1.5),
+        (VoxelFormat.F32, float(np.float32(0.1))),
+    ],
+)
+def test_empty_value_the_format_holds_samples_alike_everywhere(fmt, value):
+    # Empty voxels read through a resident neighbour's padding and inside an
+    # empty tile both give empty_value exactly. Tiles 0 and 2 of 3 along x
+    # are resident.
+    data = np.full((4, 4, 12), value, fmt.dtype)
+    data[:, :, 3] = data[:, :, 8] = 7
+    svt = build_svt(make_volume(data, fmt), SvtConfig(tile_size=4, empty_value=value))
+    assert svt.stats.nonempty_tile_count[0] == 2
+    assert sample_nearest(svt, (7.5, 1.5, 1.5)) == value  # through tile 2's padding
+    assert sample_nearest(svt, (5.5, 1.5, 1.5)) == value  # inside empty tile 1
+    # Base corner in tile 0, its +1 corner in tile 1, read through tile 0.
+    assert sample_trilinear(svt, (4.0, 1.5, 1.5)) == 7 * 0.5 + value * 0.5
