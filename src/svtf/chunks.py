@@ -125,7 +125,7 @@ def render_chunked(
     whole = build_svt(volume, config)
     if mode == "unified":
         cache = build_illumination_cache(
-            whole, tf, lights, downsample_factor, params.shadow_steps
+            whole, tf, lights, downsample_factor, params.shadow_steps, threads=threads
         )
     else:
         edges = split.edges(volume.dims)
@@ -134,7 +134,7 @@ def render_chunked(
             chunk_svt = build_svt(_chunk_volume(volume, split, i), config)
             caches.append(
                 build_illumination_cache(
-                    chunk_svt, tf, lights, downsample_factor, params.shadow_steps
+                    chunk_svt, tf, lights, downsample_factor, params.shadow_steps, threads=threads
                 )
             )
         cache = _ChunkedCaches(axis=split.axis, edges=edges, caches=caches)

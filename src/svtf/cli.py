@@ -355,7 +355,7 @@ def _cmd_render(args, threads: int) -> int:
     tf = _transfer_function(args)
     params = _render_params(args)
     cache = render.build_illumination_cache(
-        tex, tf, args.light, args.downsample, args.shadow_steps
+        tex, tf, args.light, args.downsample, args.shadow_steps, threads=threads
     )
     image = render.raymarch(tex, cache, tf, params, threads=threads)
     render.write_image(image, args.output)

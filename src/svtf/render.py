@@ -29,8 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .sample import sample_trilinear_many, trilinear_dense
-from .svt import NO_TILE, SparseVolumeTexture
+from .sample import (
+    corner_axis,
+    footprint_cells,
+    level_coords,
+    sample_trilinear_many,
+    trilinear_dense,
+)
+from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
 from .volume import VolumeDims, VoxelFormat
 
 MIN_TRANSMITTANCE = 1e-3
@@ -127,15 +133,29 @@ class TransferFunction:
             raise ValueError("lut entries must be integers 0-255")
         return TransferFunction(lut / 255.0, **kwargs)
 
+    def tables(self):
+        """(sigma, rgb) by row: the 256 LUT entries, then row 256, zero, for
+        samples outside the window."""
+        sigma = np.append(self.lut[:, 3] * self.density_scale, 0.0)
+        return sigma, np.vstack([self.lut[:, :3], np.zeros(3)])
+
+    def rows(self, scalars: np.ndarray, fmt: VoxelFormat, visible=None) -> np.ndarray:
+        """The table row of each raw sample: its nearest LUT entry, or 256
+        where the sample lies outside the window (NaN lies outside every
+        window) or, if given, visible is False."""
+        u = scalars / 255.0 if fmt is VoxelFormat.U8 else scalars
+        k = np.rint(u * 255.0)
+        np.clip(k, 0, 255, out=k)
+        shown = (u >= self.window[0]) & (u <= self.window[1])
+        if visible is not None:
+            shown &= visible
+        return np.where(shown, k, 256.0).astype(np.intp)
+
     def classify(self, scalars: np.ndarray, fmt: VoxelFormat):
         """Map raw samples to (sigma, rgb); outside the window both are zero."""
-        u = scalars / 255.0 if fmt is VoxelFormat.U8 else scalars
-        visible = (u >= self.window[0]) & (u <= self.window[1])
-        idx = np.clip(np.rint(u * 255.0), 0, 255).astype(np.int64)
-        entry = self.lut[idx]
-        sigma = np.where(visible, entry[:, 3] * self.density_scale, 0.0)
-        rgb = np.where(visible[:, None], entry[:, :3], 0.0)
-        return sigma, rgb
+        sigma, rgb = self.tables()
+        row = self.rows(scalars, fmt)
+        return sigma[row], rgb[row]
 
 
 @dataclass
@@ -247,10 +267,14 @@ def _ray_aabb(origins, dirs, lo, hi):
     # A parallel axis constrains nothing when the origin lies inside its
     # slab (faces inclusive) and everything when it does not.
     parallel = dirs == 0.0
-    inside = (origins >= lo[None, :]) & (origins <= hi[None, :])
-    near_ax = np.where(parallel, np.where(inside, -np.inf, np.inf), near_ax)
-    far_ax = np.where(parallel, np.where(inside, np.inf, -np.inf), far_ax)
-    return np.maximum(near_ax.max(axis=1), 0.0), far_ax.min(axis=1)
+    if parallel.any():
+        inside = (origins >= lo[None, :]) & (origins <= hi[None, :])
+        near_ax = np.where(parallel, np.where(inside, -np.inf, np.inf), near_ax)
+        far_ax = np.where(parallel, np.where(inside, np.inf, -np.inf), far_ax)
+    # Column by column: far faster than a reduction along rows of three.
+    near = np.maximum(np.maximum(near_ax[:, 0], near_ax[:, 1]), near_ax[:, 2])
+    far = np.minimum(np.minimum(far_ax[:, 0], far_ax[:, 1]), far_ax[:, 2])
+    return np.maximum(near, 0.0, out=near), far
 
 
 @dataclass(frozen=True)
@@ -262,21 +286,20 @@ class _SkipGrid:
     corners of such a footprint read empty_value.
     """
 
-    live: np.ndarray  # bool per footprint-table cell, [z, y, x]
-    cells: tuple  # per axis (x, y, z): the cell of each voxel
-    scale: float  # mip-0 voxels per voxel of the level
-    top: np.ndarray  # largest voxel index per axis (x, y, z)
+    table: FootprintTable
+    live: np.ndarray  # bool per footprint-table cell, flat
+    dims: VolumeDims  # of the level
+    mip: int
     lo: np.ndarray | None  # mip-0 box around the live cells; None when none is live
     hi: np.ndarray | None
 
     def live_at(self, p: np.ndarray) -> np.ndarray:
         """Per row of p (mip-0 positions): can the sample be non-zero?"""
-        # The clamped base corner, computed as sample_trilinear_many does.
-        b = np.floor(p / self.scale - 0.5)
-        np.clip(b, 0.0, self.top, out=b)
-        b = b.astype(np.intp)
-        cx, cy, cz = self.cells
-        return self.live[cz[b[:, 2]], cy[b[:, 1]], cx[b[:, 0]]]
+        px, py, pz = level_coords(p[:, 0], p[:, 1], p[:, 2], self.mip)
+        x, _, _ = corner_axis(px - 0.5, self.dims.x, 1)
+        y, _, _ = corner_axis(py - 0.5, self.dims.y, 1)
+        z, _, _ = corner_axis(pz - 0.5, self.dims.z, 1)
+        return self.live[footprint_cells(self.table, x, y, z)]
 
     def windows(self, origins, dirs, t0, dt, steps):
         """Per ray, float bounds [first, last) of the step indices that can
@@ -315,7 +338,6 @@ def _skip_grid(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
     live = table.base != NO_TILE
     if live.all():
         return None
-    dims = svt.mip_dims(mip)
     scale = float(1 << mip)
     lo = hi = None
     if live.any():
@@ -327,12 +349,7 @@ def _skip_grid(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
         lo = np.maximum([(v[0] - 0.5) * scale for v in on], 0.0)
         hi = np.minimum([(v[-1] + 2.5) * scale for v in on], _extent(svt))
     return _SkipGrid(
-        live=live,
-        cells=table.cells,
-        scale=scale,
-        top=np.asarray([dims.x - 1, dims.y - 1, dims.z - 1], dtype=np.float64),
-        lo=lo,
-        hi=hi,
+        table=table, live=live.ravel(), dims=svt.mip_dims(mip), mip=mip, lo=lo, hi=hi
     )
 
 
@@ -352,20 +369,85 @@ def _drop(arrays, s: int, k: int, done: np.ndarray) -> int:
     return s2
 
 
+def _march(skip, origins, dirs, t0, dt, steps, march, outs, step, stop=None):
+    """March the rays flagged in march, at most `steps` steps of length dt
+    from t0 each, sampling at step midpoints.
+
+    outs are per-ray result arrays: each marching ray's rows seed its march
+    state and take it back when the ray ends. step(p, sel, dts, state)
+    updates the state rows sel of the marching rays from their samples at
+    positions p, with step lengths dts; stop(*state rows s:k), when given,
+    flags the marching rays that end early.
+
+    A step outside a ray's window, or at a position whose base corner lies
+    in a cell that is not live, has sigma == 0 and a zero source, so it
+    would change no state and is left out. Rows s: of the state hold the
+    rays still marching, sorted by first step, so the rays marching at step
+    i are rows s:k.
+    """
+    rays, first, last = _schedule(skip, origins, dirs, t0, dt, steps, march)
+    o, d, t0, dt = origins[rays], dirs[rays], t0[rays], dt[rays]
+    state = [out[rays] for out in outs]
+    i = s = 0
+    while s < len(rays):
+        i = max(i, int(first[s]))
+        k = s + int(np.searchsorted(first[s:], i, side="right"))
+        rows = slice(s, k)
+        t = t0[rows] + (i + 0.5) * dt[rows]
+        p = o[rows] + t[:, None] * d[rows]
+        sel = rows
+        if skip is not None:
+            live = skip.live_at(p)
+            if not live.all():
+                sel = s + np.flatnonzero(live)
+                p = p[live]
+        if len(p):
+            step(p, sel, dt[sel], state)
+        i += 1
+        done = last[rows] <= i
+        if stop is not None:
+            done |= stop(*(a[rows] for a in state))
+        if done.any():
+            gone = s + np.flatnonzero(done)
+            for out, a in zip(outs, state):
+                out[rays[gone]] = a[gone]
+            s = _drop((rays, o, d, t0, dt, first, last, *state), s, k, done)
+
+
+def _in_blocks(fn, rows: np.ndarray, threads: int):
+    """fn(block) -> [(block, result)] for the rays of a (rows, width) grid
+    of ray indices: one block of every ray on one thread, else two blocks
+    per thread of interleaved rows, so that they hold alike shares of empty
+    and dense rays. Each block pays per-step Python work under the
+    interpreter lock, so fewer blocks run faster, while smaller blocks keep
+    the per-step temporaries, and so peak memory, low."""
+    if threads <= 1 or len(rows) <= 1:
+        every = rows.ravel()
+        return [(every, fn(every))]
+    count = min(2 * threads, len(rows))
+    blocks = [rows[r::count].ravel() for r in range(count)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [(b, pool.submit(fn, b)) for b in blocks]
+        return [(b, fut.result()) for b, fut in futures]
+
+
 def build_illumination_cache(
     svt: SparseVolumeTexture,
     tf: TransferFunction,
     lights,
     downsample_factor: int = 4,
     shadow_steps: int = 64,
+    threads: int = 1,
 ) -> IlluminationCache:
     """Beer-Lambert transmittance from every cache voxel toward every light.
 
     Light contributions add linearly, so the cache of a union of light sets
-    is the sum of the individual caches.
+    is the sum of the individual caches. Deterministic: the cache is
+    bit-identical for any thread count (voxels are independent).
     """
     if downsample_factor < 1:
         raise ValueError("downsample_factor must be >= 1")
+    lights = list(lights)
     vd = svt.virtual_dims
     dims = VolumeDims(
         -(-vd.x // downsample_factor),
@@ -381,53 +463,47 @@ def build_illumination_cache(
     )
     centers = np.stack([xc.ravel(), yc.ravel(), zc.ravel()], axis=1)
     skip = _skip_grid(svt, tf, 0)
+    sigma_of, _ = tf.tables()
+
+    def absorb(p, sel, dts, state):
+        scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2])
+        state[0][sel] += sigma_of[tf.rows(scalars, svt.format)] * dts
+
+    def light_block(block):
+        c = centers[block]
+        flat = np.zeros((len(c), 3), dtype=np.float64)
+        for light in lights:
+            if isinstance(light, DirectionalLight):
+                d = -np.asarray(light.direction, dtype=np.float64)
+                dirs = np.broadcast_to(d, c.shape)
+                t_stop = np.full(len(c), np.inf)
+                atten = 1.0
+            elif isinstance(light, PointLight):
+                to_light = np.asarray(light.position, dtype=np.float64)[None, :] - c
+                dist = np.linalg.norm(to_light, axis=1)
+                dist = np.maximum(dist, 1e-12)
+                dirs = to_light / dist[:, None]
+                t_stop = dist
+                atten = 1.0 / (1.0 + (dist / light.radius) ** 2)
+            else:
+                raise TypeError(f"unknown light type {type(light).__name__}")
+
+            t0, t1 = _ray_aabb(c, dirs, np.zeros(3), _extent(svt))
+            t1 = np.minimum(t1, t_stop)
+            length = np.maximum(t1 - t0, 0.0)
+            dt = length / shadow_steps
+            tau = np.zeros(len(c), dtype=np.float64)
+            every = np.ones(len(c), dtype=bool)
+            _march(skip, c, dirs, t0, dt, shadow_steps, every, [tau], absorb)
+            trans = np.exp(-tau)
+            weight = (atten * trans)[:, None]
+            flat += np.asarray(light.intensity, dtype=np.float64)[None, :] * weight
+        return flat
 
     flat = np.zeros((centers.shape[0], 3), dtype=np.float64)
-    for light in lights:
-        if isinstance(light, DirectionalLight):
-            d = -np.asarray(light.direction, dtype=np.float64)
-            dirs = np.broadcast_to(d, centers.shape)
-            t_stop = np.full(centers.shape[0], np.inf)
-            atten = 1.0
-        elif isinstance(light, PointLight):
-            to_light = np.asarray(light.position, dtype=np.float64)[None, :] - centers
-            dist = np.linalg.norm(to_light, axis=1)
-            dist = np.maximum(dist, 1e-12)
-            dirs = to_light / dist[:, None]
-            t_stop = dist
-            atten = 1.0 / (1.0 + (dist / light.radius) ** 2)
-        else:
-            raise TypeError(f"unknown light type {type(light).__name__}")
-
-        t0, t1 = _ray_aabb(centers, dirs, np.zeros(3), _extent(svt))
-        t1 = np.minimum(t1, t_stop)
-        length = np.maximum(t1 - t0, 0.0)
-        dt = length / shadow_steps
-        # Steps outside a ray's window would add sigma * dt == 0.0 to tau.
-        tau = np.zeros(centers.shape[0], dtype=np.float64)
-        every = np.ones(centers.shape[0], dtype=bool)
-        rays, first, last = _schedule(skip, centers, dirs, t0, dt, shadow_steps, every)
-        c, d, t0, dt = centers[rays], dirs[rays], t0[rays], dt[rays]
-        acc = np.zeros(len(rays), dtype=np.float64)
-        j = s = 0
-        while s < len(rays):
-            j = max(j, int(first[s]))
-            k = s + int(np.searchsorted(first[s:], j, side="right"))
-            t = t0[s:k] + (j + 0.5) * dt[s:k]
-            p = c[s:k] + t[:, None] * d[s:k]
-            scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2])
-            sigma, _ = tf.classify(scalars, svt.format)
-            acc[s:k] += sigma * dt[s:k]
-            j += 1
-            done = last[s:k] <= j
-            if done.any():
-                gone = s + np.flatnonzero(done)
-                tau[rays[gone]] = acc[gone]
-                s = _drop((rays, c, d, t0, dt, first, last, acc), s, k, done)
-        trans = np.exp(-tau)
-        weight = (atten * trans)[:, None]
-        flat += np.asarray(light.intensity, dtype=np.float64)[None, :] * weight
-
+    voxel_rows = np.arange(len(centers)).reshape(dims.z * dims.y, dims.x)
+    for block, values in _in_blocks(light_block, voxel_rows, threads):
+        flat[block] = values
     values = flat.reshape(dims.z, dims.y, dims.x, 3)
     return IlluminationCache(dims=dims, downsample_factor=downsample_factor, values=values)
 
@@ -453,63 +529,37 @@ def _march_block(svt, cache, tf, params, origins, dirs, skip):
     hit = t1 > t0
     steps = params.max_step_count
     dt = np.where(hit, (t1 - t0) / steps, 0.0)
-
-    radiance = np.zeros((n, 3), dtype=np.float64)
-    trans = np.ones(n, dtype=np.float64)
+    sigma_of, rgb_of = tf.tables()
+    source_of = tf.emission_scale * rgb_of
+    # Incident light only matters where the transfer function emits;
+    # rgb == 0 kills the contribution regardless of the cache value.
+    lit_of = rgb_of.any(axis=1)
     cut = params.cut_plane
     if cut is not None:
         cut_n = np.asarray(cut[0], dtype=np.float64)
         cut_off = float(cut[1])
 
-    # A step outside a ray's window, or at a position whose base corner lies
-    # in a cell that is not live, has sigma == 0 and rgb == 0: it would multiply trans by 1.0 and
-    # add 0.0 to radiance, so it is left out. Rows s: of the march state
-    # hold the rays still marching, sorted by first step, so the rays
-    # marching at step i are rows s:k.
-    rays, first, last = _schedule(skip, origins, dirs, t0, dt, steps, hit)
-    o, d, t0, dt = origins[rays], dirs[rays], t0[rays], dt[rays]
-    rad = np.zeros((len(rays), 3), dtype=np.float64)
-    tr = np.ones(len(rays), dtype=np.float64)
-    i = s = 0
-    while s < len(rays):
-        i = max(i, int(first[s]))
-        k = s + int(np.searchsorted(first[s:], i, side="right"))
-        t = t0[s:k] + (i + 0.5) * dt[s:k]
-        p = o[s:k] + t[:, None] * d[s:k]
-        sel = slice(s, k)
-        if skip is not None:
-            live = skip.live_at(p)
-            if not live.all():
-                sel = s + np.flatnonzero(live)
-                p = p[live]
-        if len(p):
-            if cut is not None:
-                visible = p @ cut_n + cut_off >= 0.0
-            else:
-                visible = None
-            scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2], params.mip)
-            sigma, rgb = tf.classify(scalars, svt.format)
-            if visible is not None:
-                sigma = np.where(visible, sigma, 0.0)
-                rgb = np.where(visible[:, None], rgb, 0.0)
-            # Incident light only matters where the transfer function emits;
-            # rgb == 0 kills the contribution regardless of the cache value.
-            source = tf.emission_scale * rgb
-            lit = np.flatnonzero(rgb.any(axis=1))
-            if len(lit):
-                incident = cache.sample_incident(p[lit, 0], p[lit, 1], p[lit, 2])
-                source[lit] *= 1.0 + incident
-            dts = dt[sel]
-            e_half = np.exp(-0.5 * dts * sigma)
-            rad[sel] += (tr[sel] * e_half * dts)[:, None] * source
-            tr[sel] *= e_half * e_half
-        i += 1
-        done = ~(tr[s:k] > MIN_TRANSMITTANCE) | (last[s:k] <= i)
-        if done.any():
-            gone = s + np.flatnonzero(done)
-            radiance[rays[gone]] = rad[gone]
-            trans[rays[gone]] = tr[gone]
-            s = _drop((rays, o, d, t0, dt, first, last, rad, tr), s, k, done)
+    def shade(p, sel, dts, state):
+        rad, tr = state
+        visible = None if cut is None else p @ cut_n + cut_off >= 0.0
+        scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2], params.mip)
+        row = tf.rows(scalars, svt.format, visible)
+        sigma = sigma_of[row]
+        source = source_of[row]
+        lit = np.flatnonzero(lit_of[row])
+        if len(lit):
+            incident = cache.sample_incident(p[lit, 0], p[lit, 1], p[lit, 2])
+            source[lit] *= 1.0 + incident
+        e_half = np.exp(-0.5 * dts * sigma)
+        rad[sel] += (tr[sel] * e_half * dts)[:, None] * source
+        tr[sel] *= e_half * e_half
+
+    radiance = np.zeros((n, 3), dtype=np.float64)
+    trans = np.ones(n, dtype=np.float64)
+    _march(
+        skip, origins, dirs, t0, dt, steps, hit, [radiance, trans], shade,
+        stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE),
+    )
     return radiance, trans
 
 
@@ -532,25 +582,12 @@ def raymarch(
     trans = np.ones(n, dtype=np.float64)
     skip = _skip_grid(svt, tf, params.mip)
 
-    if threads > 1 and cam.height > 1:
-        # Two blocks per thread, of interleaved rows so that they hold alike
-        # shares of empty and dense rays. Each block pays per-step Python
-        # work under the interpreter lock, so fewer blocks run faster, while
-        # smaller blocks keep the per-step temporaries, and so peak memory,
-        # low.
-        count = min(2 * threads, cam.height)
-        rows = np.arange(n).reshape(cam.height, cam.width)
-        blocks = [rows[r::count].ravel() for r in range(count)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_march_block, svt, cache, tf, params, origins[b], dirs[b], skip): b
-                for b in blocks
-            }
-            for fut, b in futures.items():
-                radiance[b], trans[b] = fut.result()
-    else:
-        radiance, trans = _march_block(svt, cache, tf, params, origins, dirs, skip)
+    def block(b):
+        return _march_block(svt, cache, tf, params, origins[b], dirs[b], skip)
 
+    pixel_rows = np.arange(n).reshape(cam.height, cam.width)
+    for b, (rad, tr) in _in_blocks(block, pixel_rows, threads):
+        radiance[b], trans[b] = rad, tr
     background = np.asarray(params.background, dtype=np.float64)
     img = radiance + trans[:, None] * background[None, :]
     return img.reshape(cam.height, cam.width, 3)

@@ -9,6 +9,12 @@ the tile border exists for): the base corner's own tile when it is
 resident, else a resident neighbour whose padding covers the footprint. A
 footprint that reaches no resident tile reads empty_value. Nearest lookups
 read a voxel as the base corner of a footprint.
+
+Every lookup, sparse or dense, addresses its corners the same way
+(corner_axis): per axis the clamped base corner and the step to the
+second corner, which is the axis stride or, at a clamped edge, 0. The
+eight corner indices are the flat base index plus sums of the three steps,
+and _gather_lerp blends them in one fixed float64 order.
 """
 
 from __future__ import annotations
@@ -18,84 +24,115 @@ import numpy as np
 from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
 
 
-def _corner_index(svt: SparseVolumeTexture, table: FootprintTable, cx, cy, cz):
-    """(Flat atlas index, live) of in-bounds base corners of a mip level.
+def corner_axis(q: np.ndarray, n: int, stride: int):
+    """One axis, of n voxels and the given stride, of the footprints whose
+    base corner is floor(q): the clamped base corner, the step from it to
+    the second corner, and the fraction q - floor(q).
 
-    The index is only meaningful where live, that is where the level's
-    footprint table names a tile for the corner's cell.
+    The step is stride where 0 <= floor(q) < n - 1, else 0: the clamp of
+    floor(q) + 1 less the clamped base corner, times stride. A NaN q gives
+    corner 0, step 0 and a NaN fraction.
     """
-    x, y, z = table.cells
-    base = table.base[z[cz], y[cy], x[cx]]
-    _, a_y, a_x = svt.atlas.data.shape
-    return base + (cz * a_y + cy) * a_x + cx, base != NO_TILE
+    b = np.floor(q)
+    f = q - b
+    b = b.astype(np.int64)
+    # Viewed unsigned, a negative b (or NaN's int64 minimum) is out of range.
+    step = (b.view(np.uint64) < n - 1).astype(np.int64)
+    if stride != 1:
+        step *= stride
+    np.clip(b, 0, n - 1, out=b)
+    return b, step, f
+
+
+def footprint_cells(table: FootprintTable, x, y, z) -> np.ndarray:
+    """Flat index into table.base of the cells of clamped base corners."""
+    _, t_y, t_x = table.base.shape
+    cx, cy, cz = table.cells
+    cell = (cz * (t_y * t_x))[z]
+    cell += (cy * t_x)[y]
+    cell += cx[x]
+    return cell
+
+
+def _gather_lerp(take, i, dx, dy, dz, fx, fy, fz):
+    """Blend of the eight corners i + {0, dx} + {0, dy} + {0, dz}, read by
+    take, as dense clamped-edge interpolation does: x first, then y, then z.
+    """
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+
+    def along_x(j):
+        v = take(j) * gx
+        v += take(j + dx) * fx
+        return v
+
+    k = i + dz
+    v0 = along_x(i) * gy
+    v0 += along_x(i + dy) * fy
+    v1 = along_x(k) * gy
+    v1 += along_x(k + dy) * fy
+    v0 *= 1.0 - fz
+    v1 *= fz
+    v0 += v1
+    return v0
+
+
+def level_coords(px, py, pz, mip: int):
+    """Positions as float64 voxel coordinates of the mip level."""
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    pz = np.asarray(pz, dtype=np.float64)
+    if mip:
+        scale = float(1 << mip)
+        px, py, pz = px / scale, py / scale, pz / scale
+    return px, py, pz
 
 
 def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
     """Nearest-voxel values; out of bounds and empty tiles give empty_value."""
     table = svt.footprint_table(mip)
     dims = svt.mip_dims(mip)
-    scale = float(1 << mip)
-    vx = np.floor(np.asarray(px, dtype=np.float64) / scale).astype(np.int64)
-    vy = np.floor(np.asarray(py, dtype=np.float64) / scale).astype(np.int64)
-    vz = np.floor(np.asarray(pz, dtype=np.float64) / scale).astype(np.int64)
-    inside = (
-        (vx >= 0) & (vx < dims.x) & (vy >= 0) & (vy < dims.y) & (vz >= 0) & (vz < dims.z)
-    )
-    flat, live = _corner_index(
-        svt,
-        table,
-        np.clip(vx, 0, dims.x - 1),
-        np.clip(vy, 0, dims.y - 1),
-        np.clip(vz, 0, dims.z - 1),
-    )
-    live &= inside
-    out = np.full(vx.shape, svt.config.empty_value, dtype=np.float64)
-    out[live] = svt.atlas.data.ravel()[flat[live]]
+    data = svt.atlas.data
+    _, a_y, a_x = data.shape
+    px, py, pz = level_coords(px, py, pz, mip)
+    inside = (px >= 0) & (px < dims.x) & (py >= 0) & (py < dims.y) & (pz >= 0) & (pz < dims.z)
+    x, _, _ = corner_axis(px, dims.x, 1)
+    y, _, _ = corner_axis(py, dims.y, 1)
+    z, _, _ = corner_axis(pz, dims.z, 1)
+    base = table.base.ravel()[footprint_cells(table, x, y, z)]
+    live = inside & (base != NO_TILE)
+    out = np.full(px.shape, svt.config.empty_value, dtype=np.float64)
+    flat = base[live] + (z[live] * a_y + y[live]) * a_x + x[live]
+    out[live] = data.ravel()[flat]
     return out
-
-
-def _lerp3(c000, c100, c010, c110, c001, c101, c011, c111, fx, fy, fz):
-    v00 = c000 * (1.0 - fx) + c100 * fx
-    v10 = c010 * (1.0 - fx) + c110 * fx
-    v01 = c001 * (1.0 - fx) + c101 * fx
-    v11 = c011 * (1.0 - fx) + c111 * fx
-    v0 = v00 * (1.0 - fy) + v10 * fy
-    v1 = v01 * (1.0 - fy) + v11 * fy
-    return v0 * (1.0 - fz) + v1 * fz
 
 
 def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
     table = svt.footprint_table(mip)
     dims = svt.mip_dims(mip)
-    scale = float(1 << mip)
+    data = svt.atlas.data
+    _, a_y, a_x = data.shape
+    px, py, pz = level_coords(px, py, pz, mip)
+    x, dx, fx = corner_axis(px - 0.5, dims.x, 1)
+    y, dy, fy = corner_axis(py - 0.5, dims.y, a_x)
+    z, dz, fz = corner_axis(pz - 0.5, dims.z, a_y * a_x)
 
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    pz = np.asarray(pz, dtype=np.float64)
-    if mip:
-        px, py, pz = px / scale, py / scale, pz / scale
-    qx, qy, qz = px - 0.5, py - 0.5, pz - 0.5
-    bx, by, bz = np.floor(qx), np.floor(qy), np.floor(qz)
-    fx, fy, fz = qx - bx, qy - by, qz - bz
-    bx, by, bz = bx.astype(np.int64), by.astype(np.int64), bz.astype(np.int64)
-
-    c0x = np.clip(bx, 0, dims.x - 1)
-    c0y = np.clip(by, 0, dims.y - 1)
-    c0z = np.clip(bz, 0, dims.z - 1)
-    sx = np.clip(bx + 1, 0, dims.x - 1) - c0x  # 0 or 1
-    sy = np.clip(by + 1, 0, dims.y - 1) - c0y
-    sz = np.clip(bz + 1, 0, dims.z - 1) - c0z
-
-    flat, live = _corner_index(svt, table, c0x, c0y, c0z)
-    corners = np.full((8, *qx.shape), svt.config.empty_value, dtype=np.float64)
-    if live.any():
-        _, a_y, a_x = svt.atlas.data.shape
-        flat = flat[live]
-        dx, dy, dz = sx[live], sy[live] * a_x, sz[live] * (a_y * a_x)
-        data = svt.atlas.data.ravel()
-        for k, (ez, ey, ex) in enumerate(np.ndindex(2, 2, 2)):
-            corners[k][live] = data[flat + ez * dz + ey * dy + ex * dx]
-    return _lerp3(*corners, fx, fy, fz)
+    base = table.base.ravel().take(footprint_cells(table, x, y, z))
+    dead = base == NO_TILE
+    empty = svt.config.empty_value
+    if dead.all():  # also every lookup in an empty atlas
+        return _gather_lerp(lambda j: empty, 0, 0, 0, 0, fx, fy, fz)
+    flat = z * (a_y * a_x)
+    flat += y * a_x
+    flat += x
+    flat += base
+    # Live indices lie in the atlas; a dead row's index is negative, reads
+    # voxel 0 under mode="clip", and is then replaced.
+    voxels = data.ravel()
+    out = _gather_lerp(lambda j: voxels.take(j, mode="clip"), flat, dx, dy, dz, fx, fy, fz)
+    if dead.any():
+        out[dead] = _gather_lerp(lambda j: empty, 0, 0, 0, 0, fx[dead], fy[dead], fz[dead])
+    return out
 
 
 def sample_nearest(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:
@@ -111,34 +148,17 @@ def sample_trilinear(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:
 def trilinear_dense(arr: np.ndarray, px, py, pz) -> np.ndarray:
     """Clamped-edge trilinear lookup in a dense [z, y, x(, c)] array.
 
-    Uses the same arithmetic order as the sparse path; the renderer uses it
-    for illumination-cache lookups.
+    Uses the same corner addressing and arithmetic order as the sparse
+    path; the renderer uses it for illumination-cache lookups.
     """
     nz, ny, nx = arr.shape[:3]
-    qx = np.asarray(px, dtype=np.float64) - 0.5
-    qy = np.asarray(py, dtype=np.float64) - 0.5
-    qz = np.asarray(pz, dtype=np.float64) - 0.5
-    bx, by, bz = np.floor(qx), np.floor(qy), np.floor(qz)
-    fx, fy, fz = qx - bx, qy - by, qz - bz
+    rows = arr.astype(np.float64, copy=False).reshape(nz * ny * nx, *arr.shape[3:])
+    x, dx, fx = corner_axis(np.asarray(px, dtype=np.float64) - 0.5, nx, 1)
+    y, dy, fy = corner_axis(np.asarray(py, dtype=np.float64) - 0.5, ny, nx)
+    z, dz, fz = corner_axis(np.asarray(pz, dtype=np.float64) - 0.5, nz, ny * nx)
     if arr.ndim > 3:
         fx, fy, fz = fx[..., None], fy[..., None], fz[..., None]
-    c0x = np.clip(bx.astype(np.int64), 0, nx - 1)
-    c0y = np.clip(by.astype(np.int64), 0, ny - 1)
-    c0z = np.clip(bz.astype(np.int64), 0, nz - 1)
-    c1x = np.clip(bx.astype(np.int64) + 1, 0, nx - 1)
-    c1y = np.clip(by.astype(np.int64) + 1, 0, ny - 1)
-    c1z = np.clip(bz.astype(np.int64) + 1, 0, nz - 1)
-    a = arr.astype(np.float64, copy=False)
-    return _lerp3(
-        a[c0z, c0y, c0x],
-        a[c0z, c0y, c1x],
-        a[c0z, c1y, c0x],
-        a[c0z, c1y, c1x],
-        a[c1z, c0y, c0x],
-        a[c1z, c0y, c1x],
-        a[c1z, c1y, c0x],
-        a[c1z, c1y, c1x],
-        fx,
-        fy,
-        fz,
-    )
+    flat = z * (ny * nx)
+    flat += y * nx
+    flat += x
+    return _gather_lerp(lambda j: rows.take(j, axis=0, mode="clip"), flat, dx, dy, dz, fx, fy, fz)

@@ -47,7 +47,7 @@ class SvtConfig:
             raise ValueError("pad must be >= 1")
         if self.max_atlas_extent < self.padded_size:
             raise ValueError("max_atlas_extent smaller than one padded tile")
-        if self.float_empty_threshold < 0:
+        if not self.float_empty_threshold >= 0:  # NaN too
             raise ValueError("float_empty_threshold must be >= 0")
 
     @property

@@ -40,8 +40,7 @@ from svtf import (
     ieee_to_ibm,
     window_table,
 )
-from svtf.render import MIN_TRANSMITTANCE, _ray_aabb
-from svtf.sample import sample_trilinear_many
+from svtf.render import MIN_TRANSMITTANCE
 from svtf.segy import (
     BINARY_HEADER_BYTES,
     DEFAULT_AXIS_MAP,
@@ -244,7 +243,27 @@ def upload_buffer_bytes_exact(padded_nonempty_voxels: int, bytes_per_voxel: int)
 
 
 # The marchers as they were before empty-space skipping, kept verbatim as
-# the bit-identity oracle for the skipping marchers.
+# the bit-identity oracle for the skipping marchers, except that they clip
+# rays, sample, classify and look up the cache through the reference_ copies
+# of the code they called then, so that they stay independent of today's
+# kernels.
+
+
+def reference_ray_aabb(origins, dirs, lo, hi):
+    """Slab intersection; returns (t_near, t_far) with t_near clamped to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t0 = (lo[None, :] - origins) * inv
+        t1 = (hi[None, :] - origins) * inv
+        near_ax = np.minimum(t0, t1)
+        far_ax = np.maximum(t0, t1)
+    # A parallel axis constrains nothing when the origin lies inside its
+    # slab (faces inclusive) and everything when it does not.
+    parallel = dirs == 0.0
+    inside = (origins >= lo[None, :]) & (origins <= hi[None, :])
+    near_ax = np.where(parallel, np.where(inside, -np.inf, np.inf), near_ax)
+    far_ax = np.where(parallel, np.where(inside, np.inf, -np.inf), far_ax)
+    return np.maximum(near_ax.max(axis=1), 0.0), far_ax.min(axis=1)
 
 
 def reference_illumination_cache(
@@ -295,7 +314,7 @@ def reference_illumination_cache(
         else:
             raise TypeError(f"unknown light type {type(light).__name__}")
 
-        t0, t1 = _ray_aabb(centers, dirs, lo, hi)
+        t0, t1 = reference_ray_aabb(centers, dirs, lo, hi)
         t1 = np.minimum(t1, t_stop)
         length = np.maximum(t1 - t0, 0.0)
         dt = length / shadow_steps
@@ -303,8 +322,8 @@ def reference_illumination_cache(
         for j in range(shadow_steps):
             t = t0 + (j + 0.5) * dt
             p = centers + t[:, None] * dirs
-            scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2])
-            sigma, _ = tf.classify(scalars, svt.format)
+            scalars = reference_sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2])
+            sigma, _ = reference_classify(tf, scalars, svt.format)
             tau += sigma * dt
         trans = np.exp(-tau)
         weight = (atten * trans)[:, None]
@@ -319,7 +338,7 @@ def reference_march_block(svt, cache, tf, params, origins, dirs):
     vd = svt.virtual_dims
     lo = np.zeros(3)
     hi = np.asarray([vd.x, vd.y, vd.z], dtype=np.float64)
-    t0, t1 = _ray_aabb(origins, dirs, lo, hi)
+    t0, t1 = reference_ray_aabb(origins, dirs, lo, hi)
     hit = t1 > t0
     steps = params.max_step_count
     dt = np.where(hit, (t1 - t0) / steps, 0.0)
@@ -341,8 +360,8 @@ def reference_march_block(svt, cache, tf, params, origins, dirs):
             visible = p @ cut_n + cut_off >= 0.0
         else:
             visible = None
-        scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2], params.mip)
-        sigma, rgb = tf.classify(scalars, svt.format)
+        scalars = reference_sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2], params.mip)
+        sigma, rgb = reference_classify(tf, scalars, svt.format)
         if visible is not None:
             sigma = np.where(visible, sigma, 0.0)
             rgb = np.where(visible[:, None], rgb, 0.0)
@@ -351,7 +370,10 @@ def reference_march_block(svt, cache, tf, params, origins, dirs):
         source = tf.emission_scale * rgb
         lit = np.flatnonzero(rgb.any(axis=1))
         if len(lit):
-            incident = cache.sample_incident(p[lit, 0], p[lit, 1], p[lit, 2])
+            f = float(cache.downsample_factor)
+            incident = reference_trilinear_dense(
+                cache.values, p[lit, 0] / f, p[lit, 1] / f, p[lit, 2] / f
+            )
             source[lit] *= 1.0 + incident
         e_half = np.exp(-0.5 * dt[alive] * sigma)
         radiance[alive] += (trans[alive] * e_half * dt[alive])[:, None] * source
@@ -1228,6 +1250,58 @@ def reference_sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: i
         corners[0b101],
         corners[0b110],
         corners[0b111],
+        fx,
+        fy,
+        fz,
+    )
+
+
+# The transfer-function classify and the dense trilinear lookup as they were
+# before the table classify and the shared corner addressing, kept verbatim
+# (names prefixed reference_) as their bit-identity oracle.
+
+
+def reference_classify(tf: TransferFunction, scalars: np.ndarray, fmt: VoxelFormat):
+    """Map raw samples to (sigma, rgb); outside the window both are zero."""
+    u = scalars / 255.0 if fmt is VoxelFormat.U8 else scalars
+    visible = (u >= tf.window[0]) & (u <= tf.window[1])
+    idx = np.clip(np.rint(u * 255.0), 0, 255).astype(np.int64)
+    entry = tf.lut[idx]
+    sigma = np.where(visible, entry[:, 3] * tf.density_scale, 0.0)
+    rgb = np.where(visible[:, None], entry[:, :3], 0.0)
+    return sigma, rgb
+
+
+def reference_trilinear_dense(arr: np.ndarray, px, py, pz) -> np.ndarray:
+    """Clamped-edge trilinear lookup in a dense [z, y, x(, c)] array.
+
+    Uses the same arithmetic order as the sparse path; the renderer uses it
+    for illumination-cache lookups.
+    """
+    nz, ny, nx = arr.shape[:3]
+    qx = np.asarray(px, dtype=np.float64) - 0.5
+    qy = np.asarray(py, dtype=np.float64) - 0.5
+    qz = np.asarray(pz, dtype=np.float64) - 0.5
+    bx, by, bz = np.floor(qx), np.floor(qy), np.floor(qz)
+    fx, fy, fz = qx - bx, qy - by, qz - bz
+    if arr.ndim > 3:
+        fx, fy, fz = fx[..., None], fy[..., None], fz[..., None]
+    c0x = np.clip(bx.astype(np.int64), 0, nx - 1)
+    c0y = np.clip(by.astype(np.int64), 0, ny - 1)
+    c0z = np.clip(bz.astype(np.int64), 0, nz - 1)
+    c1x = np.clip(bx.astype(np.int64) + 1, 0, nx - 1)
+    c1y = np.clip(by.astype(np.int64) + 1, 0, ny - 1)
+    c1z = np.clip(bz.astype(np.int64) + 1, 0, nz - 1)
+    a = arr.astype(np.float64, copy=False)
+    return _reference_lerp3(
+        a[c0z, c0y, c0x],
+        a[c0z, c0y, c1x],
+        a[c0z, c1y, c0x],
+        a[c0z, c1y, c1x],
+        a[c1z, c0y, c0x],
+        a[c1z, c0y, c1x],
+        a[c1z, c1y, c0x],
+        a[c1z, c1y, c1x],
         fx,
         fy,
         fz,

@@ -128,6 +128,46 @@ def test_build_rejects_an_empty_value_u8_cannot_hold(tmp_path, capsys, volume_fi
     assert not out.exists()
 
 
+def test_build_rejects_a_nan_float_empty_threshold(tmp_path, capsys):
+    raw = tmp_path / "ones.raw"
+    save_volume(make_volume(np.ones((8, 8, 8), np.float32), VoxelFormat.F32), raw)
+    out = tmp_path / "o.svtf"
+    code, _, err = run(
+        capsys, "build", str(raw), "-o", str(out), "--float-empty-threshold", "nan"
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ValueError: float_empty_threshold must be >= 0")
+    assert not out.exists()
+
+
+def test_render_of_a_nan_voxel_exits_0_with_a_finite_image(tmp_path, capsys):
+    # NaN is a legal f32 voxel value; samples that read it lie outside
+    # every transfer-function window.
+    data = np.full((16, 16, 16), 0.5, np.float32)
+    data[8, 8, 8] = np.nan
+    raw = tmp_path / "v.raw"
+    save_volume(make_volume(data, VoxelFormat.F32), raw)
+    svt_path = tmp_path / "v.svtf"
+    assert run(capsys, "build", str(raw), "-o", str(svt_path))[0] == 0
+    out = tmp_path / "v.ppm"
+    # Pixel (8, 8)'s ray and the shadow rays of cache row (y, z) = (8, 8)
+    # pass through the NaN voxel's centre.
+    code, _, err = run(
+        capsys, "render", str(svt_path), "-o", str(out), "--size", "16x16",
+        "--ortho-height", "16", "--eye", "8,8,-30", "--look-at", "8,8,8",
+        "--steps", "32", "--light", "dir:1,0,0", "--downsample", "1",
+        "--density-scale", "0.2",
+    )
+    assert code == 0
+    assert err == ""
+    header = b"P6\n16 16\n255\n"
+    blob = out.read_bytes()
+    assert blob.startswith(header) and len(blob) == len(header) + 16 * 16 * 3
+    assert np.frombuffer(blob[len(header):], np.uint8).any()
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     bogus = tmp_path / "bogus.svtf"
     bogus.write_bytes(b"nope")

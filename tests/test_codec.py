@@ -353,6 +353,7 @@ _CONFIG_ERRORS = {
     "tile_size_1": ({"tile_size": 1}, "tile_size must be >= 2"),
     "pad_0": ({"pad": 0}, "pad must be >= 1"),
     "negative_threshold": ({"float_empty_threshold": -1.0}, "float_empty_threshold"),
+    "nan_threshold": ({"float_empty_threshold": float("nan")}, "float_empty_threshold"),
     # The files hold u8 voxels.
     "empty_value_300": ({"empty_value": 300.0}, "empty_value 300.0 is not a u8 voxel value"),
     "empty_value_fraction": ({"empty_value": 3.5}, "empty_value 3.5 is not a u8"),

@@ -6,7 +6,9 @@ import pytest
 from conftest import (
     footprint_touches_resident,
     make_volume,
+    reference_classify,
     reference_illumination_cache,
+    reference_ray_aabb,
     reference_raymarch,
 )
 
@@ -304,9 +306,10 @@ def test_skipping_is_bit_identical_to_reference(name):
     t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), np.full(3, 40.0))
     assert (t1 > t0).any() and (t1 <= t0).any()  # some rays miss the box
 
-    cache = build_illumination_cache(svt, tf, lights, downsample_factor=4, shadow_steps=16)
     want_cache = reference_illumination_cache(svt, tf, lights, 4, 16)
-    assert np.array_equal(cache.values, want_cache.values)
+    for threads in (1, 4):
+        cache = build_illumination_cache(svt, tf, lights, 4, 16, threads=threads)
+        assert np.array_equal(cache.values, want_cache.values)
     want = reference_raymarch(svt, want_cache, tf, params)
     for threads in (1, 4):
         assert np.array_equal(raymarch(svt, cache, tf, params, threads=threads), want)
@@ -405,3 +408,67 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
             q = origins + t[:, None] * dirs
             inside = footprint_touches_resident(svt, mip, q[:, 0], q[:, 1], q[:, 2])
             assert ((first <= i) & (i < last))[inside].all()
+
+
+def _classify_scalars(rng, fmt, window):
+    """Samples around every LUT entry, its rounding midpoints, the window
+    edges and beyond the format's range, in the format's raw units."""
+    k = np.arange(256.0)
+    lo, hi = window
+    edges = np.asarray([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    u = np.concatenate([
+        k / 255.0, (k + 0.5) / 255.0, (k - 0.5) / 255.0, edges,
+        rng.uniform(-0.5, 1.5, 400), [-np.inf, np.inf, -1e300, 1e300],
+    ])
+    return u * 255.0 if fmt is VoxelFormat.U8 else u
+
+
+def test_table_classify_is_bit_identical_to_reference():
+    """The 257-row table classify against the LUT gather it replaced: u8 and
+    f32 samples, windows inside, at and beyond [0, 1], signed-zero and zero
+    LUT entries, zero and non-zero scales."""
+    rng = np.random.default_rng(707)
+    windows = [(0.0, 1.0), (0.1, 1.0), (0.0, 0.5), (-0.5, 2.0), (100 / 255, 101 / 255)]
+    for trial in range(40):
+        lut = rng.random((256, 4))
+        lut[rng.random((256, 4)) < 0.2] = 0.0
+        lut[rng.random((256, 4)) < 0.05] = -0.0
+        window = windows[trial % len(windows)] if trial < 20 else tuple(
+            np.sort(rng.uniform(-0.2, 1.2, 2))
+        )
+        scale = [0.0, 1.0, float(rng.uniform(0.01, 5.0))][trial % 3]
+        tf = TransferFunction(lut, density_scale=scale, window=window)
+        for fmt in (VoxelFormat.U8, VoxelFormat.F32):
+            scalars = _classify_scalars(rng, fmt, window)
+            sigma, rgb = tf.classify(scalars, fmt)
+            want_sigma, want_rgb = reference_classify(tf, scalars, fmt)
+            assert sigma.shape == want_sigma.shape and rgb.shape == want_rgb.shape
+            assert np.array_equal(sigma.view(np.int64), want_sigma.view(np.int64))
+            assert np.array_equal(rgb.view(np.int64), want_rgb.view(np.int64))
+
+
+def test_classify_sends_nan_samples_to_zero():
+    lut = np.ones((256, 4))
+    tf = TransferFunction(lut, window=(-np.inf, np.inf))
+    for fmt in (VoxelFormat.U8, VoxelFormat.F32):
+        sigma, rgb = tf.classify(np.asarray([np.nan, 0.0]), fmt)
+        assert sigma.tolist() == [0.0, 1.0]
+        assert rgb.tolist() == [[0.0] * 3, [1.0] * 3]
+
+
+def test_ray_box_clip_matches_reference():
+    """_ray_aabb against the row-reduction version it replaced, on rays in
+    general position, parallel to one or two axes, and from origins on and
+    outside the faces."""
+    rng = np.random.default_rng(808)
+    lo, hi = np.zeros(3), np.asarray([40.0, 24.0, 33.0])
+    origins = rng.uniform(-20.0, 60.0, (3000, 3))
+    origins[::5] = rng.integers(0, 3, (600, 3)) * hi / 2  # faces and centre planes
+    dirs = rng.standard_normal((3000, 3))
+    dirs[rng.random((3000, 3)) < 0.3] = 0.0
+    dirs[(dirs == 0.0).all(axis=1), 0] = -1.0
+    for d in (dirs, dirs[~(dirs == 0.0).any(axis=1)]):
+        o = origins[: len(d)]
+        got, want = _ray_aabb(o, d, lo, hi), reference_ray_aabb(o, d, lo, hi)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

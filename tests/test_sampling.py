@@ -7,10 +7,11 @@ from conftest import (
     random_volume,
     reference_sample_nearest_many,
     reference_sample_trilinear_many,
+    reference_trilinear_dense,
 )
 
 from svtf import SvtConfig, VoxelFormat, build_svt, sample_nearest, sample_trilinear
-from svtf.sample import sample_nearest_many, sample_trilinear_many
+from svtf.sample import sample_nearest_many, sample_trilinear_many, trilinear_dense
 from svtf.svt import mip_chain
 
 
@@ -216,3 +217,27 @@ def test_each_texture_samples_its_own_atlas(rng):
         got = sample_trilinear_many(svt, px, py, pz)
         np.testing.assert_array_equal(got, dense_trilinear_oracle(vol.data, px, py, pz))
         del svt
+
+
+def test_dense_lookup_is_bit_identical_to_reference():
+    """trilinear_dense against the 3-D fancy-index lookup it replaced: scalar
+    and RGB grids, one-voxel axes, u8/f32/f64 values, positions on voxel
+    centres and faces, outside the grid, and NaN."""
+    rng = np.random.default_rng(909)
+    for trial in range(120):
+        nz, ny, nx = rng.integers(1, 9, 3)
+        shape = (nz, ny, nx) if trial % 2 else (nz, ny, nx, 3)
+        dtype = (np.uint8, np.float32, np.float64)[trial % 3]
+        arr = (rng.random(shape) * 255).astype(dtype)
+        n = 200
+        axes = []
+        for extent in (nx, ny, nz):
+            p = rng.uniform(-2.0, extent + 2.0, n)
+            p[: n // 2] = rng.integers(-1, 2 * extent + 2, n // 2) / 2.0
+            axes.append(p)
+        axes[trial % 3][-1] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = trilinear_dense(arr, *axes)
+            want = reference_trilinear_dense(arr, *axes)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
