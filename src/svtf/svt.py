@@ -7,12 +7,18 @@ get a slot in the physical atlas; a per-mip page table maps tile coords to
 slots, with 0xFFFFFFFF marking empty tiles. A per-mip footprint table,
 derived from the page table, names the padded tile that answers each
 trilinear footprint.
+
+A loaded container keeps its tile records as they are in the file until the
+first voxel read: load_svtf checks them, and everything else it reads, in
+full, so the expansion into the atlas cannot fail, and a stream or a re-saved
+container reuses the record bytes without building an atlas.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,10 +75,35 @@ class PageTable:
     entries: np.ndarray  # uint32, shape grid_dims.as_zyx(), EMPTY_ENTRY = empty
 
 
-@dataclass
 class TileAtlas:
-    dims: VolumeDims | None  # None when no tile is resident
-    data: np.ndarray
+    """The physical atlas: padded tiles in slot order, a (z, y, x) array.
+
+    An atlas that load_svtf returns holds the container's checked tile
+    records instead. The first read of .data expands them, once and under a
+    lock however many threads read, and drops them, so the atlas holds its
+    records or its voxels, never both. dims needs neither.
+    """
+
+    def __init__(self, dims: VolumeDims | None, data: np.ndarray | None):
+        self.dims = dims  # None when no tile is resident
+        self._data = data
+        self._records: _TileRecords | None = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def _holding(cls, records: _TileRecords) -> TileAtlas:
+        atlas = cls(records.dims, None)
+        atlas._records = records
+        return atlas
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            with self._lock:
+                if self._data is None:
+                    self._data = _expand(self._records)
+                    self._records = None
+        return self._data
 
 
 @dataclass
@@ -153,7 +184,7 @@ def unpack_entry(entry):
 def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
     ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
     entries = svt.mips[mip].entries
-    _, a_y, a_x = svt.atlas.data.shape
+    a_y, a_x = (svt.atlas.dims.y, svt.atlas.dims.x) if svt.atlas.dims else (0, 0)
     resident = entries != EMPTY_ENTRY
     tz, ty, tx = np.nonzero(resident)
     ax, ay, az = (a.astype(np.int64) * span + pad for a in unpack_entry(entries[resident]))
@@ -297,26 +328,35 @@ def slot_grid_for(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
     return (side, side, sz)
 
 
+def _slot_coords(shape: tuple[int, int, int], span: int, n: int):
+    """(az, ay, ax) of slots 0..n-1 of an atlas of this (z, y, x) shape.
+
+    Slots fill the atlas x fastest, then y, then z.
+    """
+    _, sy, sx = (extent // span for extent in shape)
+    slots = np.arange(n, dtype=np.int64)
+    return slots // (sx * sy), (slots // sx) % sy, slots % sx
+
+
 def slot_layout(data: np.ndarray, span: int, n: int):
     """Slot view of an atlas plus the (az, ay, ax) coordinates of slots 0..n-1.
 
     The view has shape (sz, sy, sx, span, span, span) and writes through to
-    data. Slots fill the atlas x fastest, then y, then z.
+    data.
     """
     sz, sy, sx = (extent // span for extent in data.shape)
     view = data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
-    slots = np.arange(n, dtype=np.int64)
-    return view, (slots // (sx * sy), (slots // sx) % sy, slots % sx)
+    return view, _slot_coords(data.shape, span, n)
 
 
-def _page_entries(residents, data: np.ndarray, span: int) -> list[np.ndarray]:
-    """Per-mip page-table entries for per-mip residency masks.
+def _page_entries(residents, shape: tuple[int, int, int], span: int) -> list[np.ndarray]:
+    """Per-mip page-table entries for per-mip residency masks and an atlas shape.
 
     Resident tiles take the atlas slots in row-major (mip, tz, ty, tx) order,
     so residency alone fixes every entry.
     """
     counts = [int(np.count_nonzero(resident)) for resident in residents]
-    _, (az, ay, ax) = slot_layout(data, span, sum(counts))
+    az, ay, ax = _slot_coords(shape, span, sum(counts))
     slot_entries = pack_entry(ax, ay, az)
     tables, slot = [], 0
     for resident, count in zip(residents, counts):
@@ -325,6 +365,11 @@ def _page_entries(residents, data: np.ndarray, span: int) -> list[np.ndarray]:
         tables.append(entries)
         slot += count
     return tables
+
+
+def _mean_tile_occupancy(nonempty: int, tiles0: int, tile_size: int) -> float:
+    """Non-empty voxels per mip-0 tile voxel; 0.0 without a mip-0 tile."""
+    return nonempty / (tiles0 * tile_size**3) if tiles0 else 0.0
 
 
 def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVolumeTexture:
@@ -376,7 +421,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
-    tables = _page_entries(residents, atlas_data, span)
+    tables = _page_entries(residents, atlas_data.shape, span)
 
     mips = []
     padded_nonempty = 0
@@ -398,15 +443,11 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
             slot = row.stop
         mips.append(PageTable(grid_dims=grid, entries=entries))
 
-    if total and tile_counts[0]:
-        occupancy = nonempty0 / (tile_counts[0] * ts**3)
-    else:
-        occupancy = 0.0
     stats = BuildStats(
         nonempty_voxel_count=nonempty0,
         nonempty_tile_count=tile_counts,
         padded_nonempty_voxel_count=padded_nonempty,
-        mean_tile_occupancy=occupancy,
+        mean_tile_occupancy=_mean_tile_occupancy(nonempty0, tile_counts[0], ts),
     )
     return SparseVolumeTexture(
         config=config,
@@ -436,7 +477,13 @@ def _chunks(n: int, config: SvtConfig) -> list[slice]:
 
 
 def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy-compress atlas slots 0..n-1: (uint64 record offsets, uint8 records)."""
+    """Occupancy-compress atlas slots 0..n-1: (uint64 record offsets, uint8 records).
+
+    An atlas that still holds its records gives them back as they are.
+    """
+    held = atlas._records
+    if held is not None and len(held.offsets) == n and held.config == config:
+        return held.offsets, held.records
     view, (az, ay, ax) = slot_layout(atlas.data, config.padded_size, n)
     dtype_le = atlas.data.dtype.newbyteorder("<")
     sizes = np.zeros(n, dtype=np.int64)
@@ -455,13 +502,29 @@ def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndar
     return offsets, np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
 
 
-def decode_records(
+@dataclass(frozen=True)
+class _TileRecords:
+    """Tile records that passed every check, and the atlas they expand into."""
+
+    records: np.ndarray  # uint8
+    offsets: np.ndarray  # uint64, read-only, owning its memory
+    shape: tuple[int, int, int]  # the atlas's (z, y, x) voxels
+    config: SvtConfig
+    dtype: np.dtype
+
+    @property
+    def dims(self) -> VolumeDims | None:
+        return VolumeDims.from_zyx(self.shape) if len(self.offsets) else None
+
+
+def _checked_records(
     records: np.ndarray, offsets: np.ndarray, config: SvtConfig, dtype
-) -> TileAtlas:
-    """Expand records into the slots of a near-cubic atlas, in slot order.
+) -> _TileRecords:
+    """Check records for expansion into a near-cubic atlas, in slot order.
 
     The offsets must be exactly the running sum of the record sizes and the
     records must end where the last one does; anything else is CorruptStream.
+    More tiles than the atlas extent holds is AtlasCapacityExceeded.
     """
     n = len(offsets)
     span = config.padded_size
@@ -470,35 +533,62 @@ def decode_records(
     dtype = np.dtype(dtype)
     if n * mask_bytes > records.size:
         raise CorruptStream(f"{n} tile records cannot fit in {records.size} bytes")
-    if n == 0:
-        if records.size:
-            raise CorruptStream(f"{records.size} record bytes but no tiles")
-        return TileAtlas(dims=None, data=np.empty((0, 0, 0), dtype=dtype))
-    if int(np.max(offsets)) > records.size - mask_bytes:
-        raise CorruptStream(
-            f"tile record offset {int(np.max(offsets))} past the end of "
-            f"{records.size} record bytes"
-        )
-    starts = np.asarray(offsets).astype(np.int64)
-    masks = sliding_window_view(records, mask_bytes)[starts]
-    if span3 % 8:
-        masks[:, -1] &= (1 << span3 % 8) - 1  # bits past span^3 are not voxels
-    ends = np.cumsum(mask_bytes + _POPCOUNT[masks].sum(axis=1, dtype=np.int64) * dtype.itemsize)
-    if starts[0] != 0 or (starts[1:] != ends[:-1]).any():
-        raise CorruptStream("tile record offsets are not the running sum of record sizes")
-    if ends[-1] != records.size:
-        raise CorruptStream(f"records need {int(ends[-1])} bytes, got {records.size}")
+    if n == 0 and records.size:
+        raise CorruptStream(f"{records.size} record bytes but no tiles")
+    if n:
+        if int(np.max(offsets)) > records.size - mask_bytes:
+            raise CorruptStream(
+                f"tile record offset {int(np.max(offsets))} past the end of "
+                f"{records.size} record bytes"
+            )
+        starts = np.asarray(offsets).astype(np.int64)
+        masks = sliding_window_view(records, mask_bytes)[starts]
+        if span3 % 8:
+            masks[:, -1] &= (1 << span3 % 8) - 1  # bits past span^3 are not voxels
+        sizes = mask_bytes + _POPCOUNT[masks].sum(axis=1, dtype=np.int64) * dtype.itemsize
+        ends = np.cumsum(sizes)
+        if starts[0] != 0 or (starts[1:] != ends[:-1]).any():
+            raise CorruptStream("tile record offsets are not the running sum of record sizes")
+        if ends[-1] != records.size:
+            raise CorruptStream(f"records need {int(ends[-1])} bytes, got {records.size}")
     sx, sy, sz = slot_grid_for(n, config)
-    data = np.full((sz * span, sy * span, sx * span), config.empty_value, dtype=dtype)
+    offsets = np.array(offsets, dtype=np.uint64)
+    offsets.flags.writeable = False
+    return _TileRecords(records, offsets, (sz * span, sy * span, sx * span), config, dtype)
+
+
+def _expand(held: _TileRecords) -> np.ndarray:
+    """The atlas of checked records: each record's block in its slot."""
+    records, config, dtype = held.records, held.config, held.dtype
+    n = len(held.offsets)
+    span = config.padded_size
+    mask_bytes = config.occupancy_mask_bytes
+    starts = held.offsets.astype(np.int64)
+    ends = np.append(starts[1:], records.size)
+    data = np.full(held.shape, config.empty_value, dtype=dtype)
     view, (az, ay, ax) = slot_layout(data, span, n)
     for chunk in _chunks(n, config):
-        occupied = np.unpackbits(masks[chunk], axis=1, count=span3, bitorder="little")
+        masks = sliding_window_view(records, mask_bytes)[starts[chunk]]
+        # Unpacking span^3 bits leaves out the spare bits of the last byte.
+        occupied = np.unpackbits(masks, axis=1, count=span**3, bitorder="little")
         bounds = zip((starts[chunk] + mask_bytes).tolist(), ends[chunk].tolist())
         payload = np.concatenate([records[a:b] for a, b in bounds])
         blocks = np.full(occupied.shape, config.empty_value, dtype=dtype)
         blocks[occupied.view(bool)] = payload.view(dtype.newbyteorder("<"))
         view[az[chunk], ay[chunk], ax[chunk]] = blocks.reshape(-1, span, span, span)
-    return TileAtlas(dims=VolumeDims.from_zyx(data.shape), data=data)
+    return data
+
+
+def decode_records(
+    records: np.ndarray, offsets: np.ndarray, config: SvtConfig, dtype
+) -> TileAtlas:
+    """Expand records into the slots of a near-cubic atlas, in slot order.
+
+    The records get the checks of _checked_records first, so any bad offset
+    or size is CorruptStream.
+    """
+    held = _checked_records(records, offsets, config, dtype)
+    return TileAtlas(held.dims, _expand(held))
 
 
 # --- container file ---
@@ -566,6 +656,14 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
 
 
 def load_svtf(path) -> SparseVolumeTexture:
+    """Read and check a container; its atlas holds the tile records as read.
+
+    Every check runs here: the header config, the page tables (in atlas
+    slot order), the record offsets and sizes, the atlas dims and the stats
+    fields, each failing with a DataError or CapacityError subclass. The
+    atlas expands the records on the first read of .data (see TileAtlas);
+    that cannot fail.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size or raw[:4] != SVTF_MAGIC:
         raise DataError(f"{path}: not an SVTF container")
@@ -636,16 +734,32 @@ def load_svtf(path) -> SparseVolumeTexture:
 
     records = np.frombuffer(raw, dtype=np.uint8, offset=pos)
     try:
-        atlas = decode_records(records, offsets, config, fmt.dtype)
+        held = _checked_records(records, offsets, config, fmt.dtype)
     except CorruptStream as exc:
         raise CorruptStream(f"{path}: {exc}") from None
-    if atlas.data.shape != (az, ay, ax):
+    if held.shape != (az, ay, ax):
         raise CorruptStream(f"{path}: atlas dims disagree with the tile count")
     residents = [table.entries != EMPTY_ENTRY for table in mips]
-    want = _page_entries(residents, atlas.data, config.padded_size)
+    want = _page_entries(residents, held.shape, config.padded_size)
     for level, (table, entries) in enumerate(zip(mips, want)):
         if not np.array_equal(table.entries, entries):
             raise CorruptStream(f"{path}: mip {level} page table is not in atlas slot order")
+
+    payload = (records.size - tile_count * config.occupancy_mask_bytes) // fmt.bytes_per_voxel
+    if padded_nonempty != payload:
+        raise CorruptStream(
+            f"{path}: padded_nonempty_voxel_count {padded_nonempty}, the records hold {payload}"
+        )
+    # Each resident mip-0 tile holds 1 to tile_size^3 non-empty voxels.
+    if not tile_counts[0] <= nonempty <= tile_counts[0] * tile_size**3:
+        raise CorruptStream(
+            f"{path}: nonempty_voxel_count {nonempty} does not fit {tile_counts[0]} mip-0 tiles"
+        )
+    want_occupancy = _mean_tile_occupancy(nonempty, tile_counts[0], tile_size)
+    if struct.pack("<d", occupancy) != struct.pack("<d", want_occupancy):
+        raise CorruptStream(
+            f"{path}: mean_tile_occupancy {occupancy!r}, the counts give {want_occupancy!r}"
+        )
 
     stats = BuildStats(
         nonempty_voxel_count=nonempty,
@@ -658,6 +772,6 @@ def load_svtf(path) -> SparseVolumeTexture:
         format=fmt,
         virtual_dims=virtual_dims,
         mips=mips,
-        atlas=atlas,
+        atlas=TileAtlas._holding(held),
         stats=stats,
     )

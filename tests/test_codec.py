@@ -104,6 +104,42 @@ def test_empty_svt_byte_identical_to_per_tile_codec(tmp_path, fmt):
     assert_codecs_agree(tmp_path, svt)
 
 
+def assert_loaded_streams_and_saves_same_bytes(tmp_path, svt):
+    """A loaded texture streams the built one's records and re-saves its
+    container's bytes, before and after its atlas has been read."""
+    path, again = tmp_path / "built.svtf", tmp_path / "again.svtf"
+    save_svtf(svt, path)
+    for expand in (False, True):
+        loaded = load_svtf(path)
+        if expand:
+            np.testing.assert_array_equal(loaded.atlas.data, svt.atlas.data)
+        for window in (WINDOW_ELEMENTS, 7):
+            got, want = serialize_upload(loaded, window), serialize_upload(svt, window)
+            assert got.windows == want.windows
+            assert got.tile_data_offsets.dtype == want.tile_data_offsets.dtype == np.uint64
+            np.testing.assert_array_equal(got.tile_data_offsets, want.tile_data_offsets)
+            assert got.records.tobytes() == want.records.tobytes()
+        save_svtf(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        # Only a read of .data expands the records.
+        assert (loaded.atlas._records is None) == expand
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_loaded_texture_streams_and_saves_the_same_bytes(tmp_path, rng, case):
+    fmt, config = CASES[case]
+    for fill in (0.02, 0.3):
+        svt = build_svt(random_volume(rng, max_dim=40, fmt=fmt, fill=fill), config)
+        assert_loaded_streams_and_saves_same_bytes(tmp_path, svt)
+
+
+@pytest.mark.parametrize("fmt", [VoxelFormat.U8, VoxelFormat.F32])
+def test_loaded_empty_texture_streams_and_saves_the_same_bytes(tmp_path, fmt):
+    svt = build_svt(make_volume(np.zeros((20, 16, 9), fmt.dtype), fmt))
+    assert svt.slot_count == 0
+    assert_loaded_streams_and_saves_same_bytes(tmp_path, svt)
+
+
 def test_spare_mask_bits_are_ignored(tmp_path, rng):
     # span^3 = 125 leaves three unused bits in each mask's last byte; like
     # the per-tile reader, the codec ignores them.
@@ -245,6 +281,9 @@ _SVTF_FIELDS = {  # byte offset and struct code of .svtf header fields
     "virtual_y": (48, "<Q"),
     "virtual_z": (56, "<Q"),
     "mip_count": (64, "<I"),
+    "nonempty_voxel_count": (92, "<Q"),
+    "padded_nonempty_voxel_count": (100, "<Q"),
+    "mean_tile_occupancy": (108, "<d"),
 }
 _SVTU_FIELDS = {
     "tile_size": (12, "<I"),
@@ -398,3 +437,45 @@ def test_svtu_header_config_errors_are_data_errors(tmp_path, capsys, written, ca
         load_upload(bad)
     assert str(exc.value).startswith(f"{bad}: ")
     one_error_line(capsys, ["apply-upload", str(svt_path), str(bad)], error="DataError")
+
+
+def _stats_patch(stats, ts, kind) -> tuple[dict, str]:
+    """Header stats values for one corruption, and the field it names."""
+    tiles0 = stats.nonempty_tile_count[0]
+    if kind == "padded_nonempty_plus_one":
+        padded = stats.padded_nonempty_voxel_count + 1
+        return {"padded_nonempty_voxel_count": padded}, "padded_nonempty_voxel_count"
+    if kind == "occupancy_halved":
+        return {"mean_tile_occupancy": stats.mean_tile_occupancy * 0.5}, "mean_tile_occupancy"
+    if kind == "occupancy_nan":
+        return {"mean_tile_occupancy": float("nan")}, "mean_tile_occupancy"
+    if kind == "nonempty_minus_one":  # in range, but the occupancy no longer agrees
+        return {"nonempty_voxel_count": stats.nonempty_voxel_count - 1}, "mean_tile_occupancy"
+    # Counts out of range, each with the occupancy they give, so that the
+    # range check is what fails.
+    nonempty = {"nonempty_1e12": 10**12, "nonempty_below_tiles": tiles0 - 1}[kind]
+    values = {"nonempty_voxel_count": nonempty, "mean_tile_occupancy": nonempty / (tiles0 * ts**3)}
+    return values, "nonempty_voxel_count"
+
+
+STATS_KINDS = [
+    "padded_nonempty_plus_one",
+    "occupancy_halved",
+    "occupancy_nan",
+    "nonempty_minus_one",
+    "nonempty_1e12",
+    "nonempty_below_tiles",
+]
+
+
+@pytest.mark.parametrize("kind", STATS_KINDS)
+def test_svtf_header_stats_are_checked(tmp_path, capsys, written, kind):
+    svt, _, svt_path, _ = written
+    values, field_name = _stats_patch(svt.stats, svt.config.tile_size, kind)
+    out = bytearray(svt_path.read_bytes())
+    _put(out, _SVTF_FIELDS, **values)
+    bad = tmp_path / "bad.svtf"
+    bad.write_bytes(out)
+    with pytest.raises(CorruptStream, match=field_name):
+        load_svtf(bad)
+    one_error_line(capsys, ["inspect", str(bad)])

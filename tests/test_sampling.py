@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,7 +14,16 @@ from conftest import (
     reference_trilinear_dense,
 )
 
-from svtf import SvtConfig, VoxelFormat, build_svt, sample_nearest, sample_trilinear
+import svtf.svt
+from svtf import (
+    SvtConfig,
+    VoxelFormat,
+    build_svt,
+    load_svtf,
+    sample_nearest,
+    sample_trilinear,
+    save_svtf,
+)
 from svtf.sample import sample_nearest_many, sample_trilinear_many, trilinear_dense
 from svtf.svt import mip_chain
 
@@ -217,6 +230,50 @@ def test_each_texture_samples_its_own_atlas(rng):
         got = sample_trilinear_many(svt, px, py, pz)
         np.testing.assert_array_equal(got, dense_trilinear_oracle(vol.data, px, py, pz))
         del svt
+
+
+def test_first_read_from_many_threads_expands_once(tmp_path, rng, monkeypatch):
+    # A freshly loaded texture holds its records; four threads that sample
+    # it at once must expand them once and all read that one atlas.
+    vol = random_volume(rng, max_dim=48, fmt=VoxelFormat.F32, fill=0.2)
+    svt = build_svt(vol, SvtConfig(tile_size=4))
+    path = tmp_path / "t.svtf"
+    save_svtf(svt, path)
+    loaded = load_svtf(path)
+
+    expand, expansions = svtf.svt._expand, []
+
+    def slow_expand(held):
+        expansions.append(held)
+        time.sleep(0.05)  # widen the window in which a second read could start
+        return expand(held)
+
+    monkeypatch.setattr(svtf.svt, "_expand", slow_expand)
+    positions = [positions_with_seams(rng, vol.dims, 2000) for _ in range(4)]
+    start = threading.Barrier(4)
+    atlases, samples = [None] * 4, [None] * 4
+
+    def work(i):
+        start.wait(timeout=30)
+        samples[i] = sample_trilinear_many(loaded, *positions[i])
+        atlases[i] = loaded.atlas.data
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(expansions) == 1
+    assert all(atlas is atlases[0] for atlas in atlases)
+    for got, (px, py, pz) in zip(samples, positions):
+        want = reference_sample_trilinear_many(svt, px, py, pz)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dense_lookup_is_bit_identical_to_reference():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_volume, random_volume
@@ -8,6 +10,8 @@ from svtf import (
     VoxelFormat,
     apply_upload,
     build_svt,
+    load_svtf,
+    save_svtf,
     serialize_upload,
     window_table,
 )
@@ -211,3 +215,24 @@ def test_offset_arithmetic_against_extended_precision_oracle(rng):
     assert offsets64.tolist() == oracle
     assert running > 2**32  # well past the uint32 guard
     assert running < 2**64
+
+
+def test_upload_of_a_loaded_container_builds_no_atlas(tmp_path):
+    # One voxel in each of 4^3 tiles: the atlas is mostly empty padding
+    # and unused slots, so it is many times the record bytes.
+    data = np.zeros((64, 64, 64), np.float32)
+    data[3::16, 5::16, 7::16] = np.arange(1, 65, dtype=np.float32).reshape(4, 4, 4)
+    svt = build_svt(make_volume(data, VoxelFormat.F32))
+    path = tmp_path / "sparse.svtf"
+    save_svtf(svt, path)
+    assert svt.atlas.data.nbytes >= 8 * serialize_upload(svt).records.size
+
+    tracemalloc.start()
+    try:
+        buf = serialize_upload(load_svtf(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < svt.atlas.data.nbytes
+    atlas = apply_upload(buf, svt.config, svt.mips)
+    np.testing.assert_array_equal(atlas.data, svt.atlas.data)
