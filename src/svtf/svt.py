@@ -253,6 +253,18 @@ def nonempty_mask(values: np.ndarray, config: SvtConfig) -> np.ndarray:
     return out
 
 
+def _pair_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """uint16 sums of the (2i, 2i + 1) pairs along one axis; a lone last one is kept."""
+    n = a.shape[axis]
+    half = n // 2
+    out = np.empty(a.shape[:axis] + (n - half,) + a.shape[axis + 1 :], dtype=np.uint16)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    np.add(src[0 : 2 * half : 2], src[1::2], out=dst[:half], dtype=np.uint16)
+    if n % 2:
+        dst[half] = src[n - 1]
+    return out
+
+
 def build_mip_level(volume: DenseVolume) -> DenseVolume:
     """Halve each axis (ceil), averaging the up-to-8 children of each voxel.
 
@@ -263,12 +275,16 @@ def build_mip_level(volume: DenseVolume) -> DenseVolume:
     nz, ny, nx = d.shape
     oz, oy, ox = -(-nz // 2), -(-ny // 2), -(-nx // 2)
     u8 = volume.format is VoxelFormat.U8
-    padded = np.zeros((oz * 2, oy * 2, ox * 2), dtype=d.dtype)
-    padded[:nz, :ny, :nx] = d
-    # Eight u8 children sum to at most 2040, so uint16 holds u8 sums exactly.
-    sums = padded.reshape(oz, 2, oy, 2, ox, 2).sum(
-        axis=(1, 3, 5), dtype=np.uint16 if u8 else np.float64
-    )
+    if u8:
+        # Eight u8 children sum to at most 2040, so uint16 holds u8 sums
+        # exactly in any order: pair sums along x, then y, then z.
+        sums = _pair_sums(_pair_sums(_pair_sums(d, 2), 1), 0)
+    else:
+        # numpy's float64 reduce fixes the order of the sums, and with it
+        # the rounding and NaN bits that the container holds.
+        padded = np.zeros((oz * 2, oy * 2, ox * 2), dtype=d.dtype)
+        padded[:nz, :ny, :nx] = d
+        sums = padded.reshape(oz, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5), dtype=np.float64)
     # Children per output voxel along each axis: 2, or 1 at an odd axis's end.
     cz, cy, cx = (
         np.minimum(n - 2 * np.arange(o), 2).astype(np.uint16)
@@ -372,6 +388,17 @@ def _mean_tile_occupancy(nonempty: int, tiles0: int, tile_size: int) -> float:
     return nonempty / (tiles0 * tile_size**3) if tiles0 else 0.0
 
 
+def _tile_any(mask: np.ndarray, axis: int, ts: int) -> np.ndarray:
+    """Whether each tile-long run along an axis holds a True; the last run may be short."""
+    src = np.moveaxis(mask, axis, 0)
+    n = len(src)
+    full = n - n % ts
+    runs = [src[:full].reshape(full // ts, ts, *src.shape[1:]).any(axis=1)]
+    if full < n:
+        runs.append(src[full:].any(axis=0, keepdims=True))
+    return np.moveaxis(np.concatenate(runs), 0, axis)
+
+
 def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVolumeTexture:
     """Build the page tables, mip chain, and packed tile atlas for a volume.
 
@@ -389,18 +416,26 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     levels = mip_chain(volume, config)
     grids = [tile_grid_dims(level.dims, ts) for level in levels]
     residents = []
-    for level, grid in zip(levels, grids):
-        nz, ny, nx = level.data.shape
-        occupied = np.zeros((grid.z * ts, grid.y * ts, grid.x * ts), dtype=bool)
-        occupied[:nz, :ny, :nx] = nonempty_mask(level.data, config)
+    for level in levels:
+        occupied = nonempty_mask(level.data, config)
         if level is volume:
             nonempty0 = int(np.count_nonzero(occupied))
-        residents.append(occupied.reshape(grid.z, ts, grid.y, ts, grid.x, ts).any(axis=(1, 3, 5)))
+        for axis in range(3):
+            occupied = _tile_any(occupied, axis, ts)
+        residents.append(occupied)
     tile_counts = tuple(int(np.count_nonzero(resident)) for resident in residents)
     total = sum(tile_counts)
 
     try:
         sx, sy, sz = slot_grid_for(total, config)
+        shape = (sz * span, sy * span, sx * span)
+        try:
+            atlas_data = np.full(shape, config.empty_value, dtype=volume.format.dtype)
+        except (MemoryError, ValueError):  # ValueError: too big for an array index
+            raise AtlasCapacityExceeded(
+                f"an atlas of {shape[2]}x{shape[1]}x{shape[0]} voxels for {total} "
+                f"tile(s) does not fit in memory"
+            ) from None
     except AtlasCapacityExceeded as exc:
         from . import planner
 
@@ -414,10 +449,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         )
         raise
 
-    atlas_dims = VolumeDims.from_zyx((sz * span, sy * span, sx * span)) if total else None
-    atlas_data = np.full(
-        (sz * span, sy * span, sx * span), config.empty_value, dtype=volume.format.dtype
-    )
+    atlas_dims = VolumeDims.from_zyx(shape) if total else None
     slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
@@ -479,15 +511,25 @@ def _chunks(n: int, config: SvtConfig) -> list[slice]:
 def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
     """Occupancy-compress atlas slots 0..n-1: (uint64 record offsets, uint8 records).
 
-    An atlas that still holds its records gives them back as they are.
+    The records are written a chunk of slots at a time into one array, sized
+    by a count of the whole atlas's non-empty voxels, to which the slots
+    past n-1 (all empty_value) add nothing. An atlas that still holds its
+    records gives them back as they are.
     """
     held = atlas._records
     if held is not None and len(held.offsets) == n and held.config == config:
         return held.offsets, held.records
-    view, (az, ay, ax) = slot_layout(atlas.data, config.padded_size, n)
-    dtype_le = atlas.data.dtype.newbyteorder("<")
+    data = atlas.data
+    planes = max(1, _CHUNK_VOXELS // max(1, data[:1].size))
+    nonempty = sum(
+        int(np.count_nonzero(nonempty_mask(data[z : z + planes], config)))
+        for z in range(0, len(data), planes)
+    )
+    records = np.empty(n * config.occupancy_mask_bytes + nonempty * data.itemsize, dtype=np.uint8)
+    view, (az, ay, ax) = slot_layout(data, config.padded_size, n)
+    dtype_le = data.dtype.newbyteorder("<")
     sizes = np.zeros(n, dtype=np.int64)
-    parts = []
+    end = 0
     for chunk in _chunks(n, config):
         flat = view[az[chunk], ay[chunk], ax[chunk]].reshape(-1, config.padded_size**3)
         occupied = nonempty_mask(flat, config)
@@ -496,10 +538,12 @@ def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndar
         masks = np.packbits(occupied, axis=1, bitorder="little")
         payload_starts = np.concatenate(([0], payload_ends[:-1]))
         bounds = zip(masks, payload_starts.tolist(), payload_ends.tolist())
-        parts += [p for m, a, b in bounds for p in (m, payload[a:b])]
+        parts = [p for m, a, b in bounds for p in (m, payload[a:b])]
         sizes[chunk] = config.occupancy_mask_bytes + payload_ends - payload_starts
+        start, end = end, end + int(sizes[chunk].sum())
+        np.concatenate(parts, out=records[start:end])
     offsets = (np.cumsum(sizes) - sizes).astype(np.uint64)
-    return offsets, np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
+    return offsets, records
 
 
 @dataclass(frozen=True)

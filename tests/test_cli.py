@@ -117,6 +117,26 @@ def test_build_capacity_exit_code(tmp_path, capsys):
     assert err.startswith("error: AtlasCapacityExceeded:")
 
 
+@pytest.mark.parametrize("tile", [600_000, 3_000_000])
+def test_build_huge_tile_exit_code(tmp_path, capsys, tile):
+    # One tile holds the volume, but its padded slot alone needs more bytes
+    # than any address space (600002^3) or any array index (3000002^3).
+    # Residency must not allocate a tile-aligned mask, and the failed atlas
+    # allocation must end as a capacity error.
+    path = tmp_path / "dense.raw"
+    save_volume(make_volume(np.ones((24, 20, 16), np.uint8)), path)
+    out = tmp_path / "x.svtf"
+    code, _, err = run(
+        capsys, "build", str(path), "-o", str(out), "--tile", str(tile),
+        "--extent", str(2 * tile + 2),
+    )
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: AtlasCapacityExceeded: an atlas of ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("empty", ["300", "-1", "inf", "3.5", "nan"])
 def test_build_rejects_an_empty_value_u8_cannot_hold(tmp_path, capsys, volume_file, empty):
     out = tmp_path / "x.svtf"

@@ -6,6 +6,7 @@ end in CorruptStream (exit code 2 from the CLI).
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from svtf import (
     save_svtf,
     serialize_upload,
 )
+from svtf import svt as svt_module
 from svtf.cli import main
 from svtf.svt import EMPTY_ENTRY, pack_entry
 from svtf.upload import WINDOW_ELEMENTS, load_upload, save_upload
@@ -138,6 +140,36 @@ def test_loaded_empty_texture_streams_and_saves_the_same_bytes(tmp_path, fmt):
     svt = build_svt(make_volume(np.zeros((20, 16, 9), fmt.dtype), fmt))
     assert svt.slot_count == 0
     assert_loaded_streams_and_saves_same_bytes(tmp_path, svt)
+
+
+def test_encode_records_peak_memory_is_bounded(tmp_path, rng, monkeypatch):
+    # One f32 voxel in each 4^3 tile of a 64^3 volume: 4681 small records,
+    # as in a sparse survey. With chunks of 2^14 voxels the encoder must
+    # hold at most the records, a second copy's worth of room, the per-slot
+    # arrays and one chunk's temporaries; per-record views kept until a
+    # final concatenate took about 7x the record bytes here.
+    data = np.zeros((64, 64, 64), np.float32)
+    tz, ty, tx = np.meshgrid(*(np.arange(0, 64, 4),) * 3, indexing="ij")
+    at = tuple(t + rng.integers(0, 4, size=t.shape) for t in (tz, ty, tx))
+    data[at] = rng.uniform(1.0, 2.0, size=tz.shape)
+    svt = build_svt(make_volume(data, VoxelFormat.F32), SvtConfig(tile_size=4))
+    ref = tmp_path / "ref.svtf"
+    reference_save_svtf(svt, ref)
+    chunk_voxels = 2**14
+    monkeypatch.setattr(svt_module, "_CHUNK_VOXELS", chunk_voxels)
+    n = svt.slot_count
+    tracemalloc.start()
+    try:
+        offsets, records = svt_module.encode_records(svt.atlas, n, svt.config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 4681
+    assert peak <= 2 * records.nbytes + 32 * n + 16 * chunk_voxels
+    # Chunk boundaries every 75 records leave the container bytes as they are.
+    new = tmp_path / "new.svtf"
+    save_svtf(svt, new)
+    assert new.read_bytes() == ref.read_bytes()
 
 
 def test_spare_mask_bits_are_ignored(tmp_path, rng):

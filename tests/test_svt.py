@@ -328,12 +328,26 @@ def test_mip_level_matches_reference_on_extreme_values():
         [3.4e38, -3.4e38, 1e38, 1e-38, -1e-38, 1e-45, 1.0, 1e7, 0.0, -0.0, np.inf, np.nan],
         np.float32,
     )
+    volumes = []
     for i in range(200):
         shape = tuple(int(n) for n in rng.integers(1, 12, size=3))
         if i % 2:
-            vol = make_volume(rng.choice(f32_values, size=shape), VoxelFormat.F32)
+            volumes.append(make_volume(rng.choice(f32_values, size=shape), VoxelFormat.F32))
         else:
-            vol = make_volume(rng.choice(u8_values, size=shape), VoxelFormat.U8)
+            volumes.append(make_volume(rng.choice(u8_values, size=shape), VoxelFormat.U8))
+    # Larger shapes, odd and even per axis, and all-255 u8 blocks: eight
+    # children sum to 2040, the top of what a u8 level sums to in uint16.
+    for i in range(24):
+        shape = tuple(int(n) for n in rng.integers(12, 41, size=3))
+        shape = (shape[0] | 1, shape[1] & ~1, shape[2]) if i % 3 == 0 else shape
+        if i % 4 == 0:
+            volumes.append(make_volume(rng.choice(f32_values, size=shape), VoxelFormat.F32))
+        else:
+            volumes.append(make_volume(rng.choice(u8_values, size=shape), VoxelFormat.U8))
+        volumes.append(make_volume(np.full(shape, 255, np.uint8)))
+    for shape in [(2, 2, 2), (1, 1, 1), (3, 5, 7), (40, 40, 40), (39, 41, 40), (17, 2, 33)]:
+        volumes.append(make_volume(np.full(shape, 255, np.uint8)))
+    for vol in volumes:
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = build_mip_level(vol), reference_build_mip_level(vol)
         assert got.data.dtype == want.data.dtype
