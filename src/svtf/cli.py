@@ -68,11 +68,14 @@ def _svt_config(args) -> svtmod.SvtConfig:
 
 
 def _add_config_flags(p):
-    p.add_argument("--tile", type=int, default=16, help="logical tile size per axis")
-    p.add_argument("--pad", type=int, default=1, help="border voxels per tile face")
-    p.add_argument("--extent", type=int, default=2048, help="max atlas voxels per axis")
-    p.add_argument("--empty", type=float, default=0.0, help="empty voxel value")
-    p.add_argument("--float-empty-threshold", type=float, default=0.0)
+    d = svtmod.SvtConfig
+    p.add_argument("--tile", type=int, default=d.tile_size, help="logical tile size per axis")
+    p.add_argument("--pad", type=int, default=d.pad, help="border voxels per tile face")
+    p.add_argument(
+        "--extent", type=int, default=d.max_atlas_extent, help="max atlas voxels per axis"
+    )
+    p.add_argument("--empty", type=float, default=d.empty_value, help="empty voxel value")
+    p.add_argument("--float-empty-threshold", type=float, default=d.float_empty_threshold)
 
 
 def _add_render_flags(p):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -623,32 +623,70 @@ def _expand(held: _TileRecords) -> np.ndarray:
     return data
 
 
-def decode_records(
-    records: np.ndarray, offsets: np.ndarray, config: SvtConfig, dtype
-) -> TileAtlas:
-    """Expand records into the slots of a near-cubic atlas, in slot order.
-
-    The records get the checks of _checked_records first, so any bad offset
-    or size is CorruptStream.
-    """
-    held = _checked_records(records, offsets, config, dtype)
-    return TileAtlas(held.dims, _expand(held))
+def value_count(records: np.ndarray, n: int, config: SvtConfig, fmt: VoxelFormat) -> int:
+    """The voxel values n tile records hold: their bytes past the masks."""
+    return (records.size - n * config.occupancy_mask_bytes) // fmt.bytes_per_voxel
 
 
-# --- container file ---
+# --- files that end in tile records: the container here, the stream in upload.py ---
 
-SVTF_MAGIC = b"SVTF"
-SVTF_VERSION = 1
 _FORMAT_CODES = {VoxelFormat.U8: 0, VoxelFormat.F32: 1}
-_HEADER = struct.Struct("<4sII IIIdd QQQ I QQQ QQd")
 
 
-def format_for_code(code: int, path) -> VoxelFormat:
-    """The voxel format a file header's format code names."""
-    for fmt, fmt_code in _FORMAT_CODES.items():
-        if fmt_code == code:
-            return fmt
-    raise DataError(f"{path}: unknown voxel format code {code}")
+@dataclass(frozen=True)
+class RecordFile:
+    """A kind of file that holds one SVT's tile records, little-endian.
+
+    The header starts with the magic, the version and the voxel format code,
+    and the kind's own fields follow. The kind's tables come next, and the
+    file ends in the uint64 tile offset table and the records.
+    """
+
+    magic: bytes
+    version: int
+    header: struct.Struct
+    name: str
+
+    def write(self, path, fmt: VoxelFormat, fields, tables, offsets, records) -> None:
+        """Write the header (fields: those after the format code), the kind's
+        table parts (bytes or little-endian arrays), the offsets and the records."""
+        with open(path, "wb") as fh:
+            fh.write(self.header.pack(self.magic, self.version, _FORMAT_CODES[fmt], *fields))
+            for part in tables:
+                fh.write(part)
+            fh.write(np.ascontiguousarray(offsets, dtype="<u8"))
+            fh.write(records)
+
+    def read(self, path) -> tuple[bytes, int, list]:
+        """The file's bytes, its format code and the header fields after it.
+
+        DataError unless the file holds a whole header of this magic and version.
+        """
+        raw = Path(path).read_bytes()
+        if len(raw) < self.header.size or raw[:4] != self.magic:
+            raise DataError(f"{path}: not an {self.name}")
+        _, version, fmt_code, *fields = self.header.unpack_from(raw, 0)
+        if version != self.version:
+            raise DataError(f"{path}: unsupported {self.magic.decode()} version {version}")
+        return raw, fmt_code, fields
+
+
+def header_config(
+    path, fmt_code: int, tile_size, pad, max_atlas_extent, empty_value, threshold
+) -> tuple[VoxelFormat, SvtConfig]:
+    """The voxel format and config that a file header gives.
+
+    A format code no writer uses, an empty_value the format cannot hold and
+    a config no build can have are each a DataError prefixed with the path.
+    """
+    fmt = next((f for f, code in _FORMAT_CODES.items() if code == fmt_code), None)
+    if fmt is None:
+        raise DataError(f"{path}: unknown voxel format code {fmt_code}")
+    check_empty_value(empty_value, fmt, f"{path}: ")
+    try:
+        return fmt, SvtConfig(tile_size, pad, max_atlas_extent, empty_value, threshold)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def check_available(raw: bytes, pos: int, size: int, path, what: str) -> None:
@@ -657,46 +695,49 @@ def check_available(raw: bytes, pos: int, size: int, path, what: str) -> None:
         raise CorruptStream(f"{path}: {what} truncated")
 
 
+def read_records(raw: bytes, pos: int, tile_count: int, path) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the uint64 tile offset table at pos and of the record bytes
+    from its end to the file's."""
+    check_available(raw, pos, 8 * tile_count, path, "tile offset table")
+    offsets = np.frombuffer(raw, dtype="<u8", count=tile_count, offset=pos)
+    return offsets, np.frombuffer(raw, dtype=np.uint8, offset=pos + 8 * tile_count)
+
+
+SVTF_MAGIC = b"SVTF"
+SVTF_VERSION = 1
+SVTF = RecordFile(
+    SVTF_MAGIC, SVTF_VERSION, struct.Struct("<4sII IIIdd QQQ I QQQ QQd"), "SVTF container"
+)
+
+
 def save_svtf(svt: SparseVolumeTexture, path) -> None:
     """Write the container: header, per-mip page tables, compressed tiles.
 
     All integers little-endian; page-table entries are packed uint32 atlas
     coordinates with all-ones meaning empty; tile offsets are unsigned
-    64-bit, relative to the start of the record section.
+    64-bit, relative to the start of the record section. The header's
+    padded_nonempty_voxel_count is the value count of the records written.
     """
-    cfg = svt.config
+    cfg, stats = svt.config, svt.stats
     offsets, records = encode_records(svt.atlas, svt.slot_count, cfg)
     adims = svt.atlas.dims
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                SVTF_MAGIC,
-                SVTF_VERSION,
-                _FORMAT_CODES[svt.format],
-                cfg.tile_size,
-                cfg.pad,
-                cfg.max_atlas_extent,
-                cfg.empty_value,
-                cfg.float_empty_threshold,
-                svt.virtual_dims.x,
-                svt.virtual_dims.y,
-                svt.virtual_dims.z,
-                len(svt.mips),
-                adims.x if adims else 0,
-                adims.y if adims else 0,
-                adims.z if adims else 0,
-                svt.stats.nonempty_voxel_count,
-                svt.stats.padded_nonempty_voxel_count,
-                svt.stats.mean_tile_occupancy,
-            )
-        )
-        for table, count in zip(svt.mips, svt.stats.nonempty_tile_count):
-            g = table.grid_dims
-            fh.write(struct.pack("<QQQQ", g.x, g.y, g.z, count))
-            fh.write(table.entries.astype("<u4").tobytes())
-        fh.write(struct.pack("<Q", len(offsets)))
-        fh.write(offsets.astype("<u8").tobytes())
-        fh.write(records)
+    tables = []
+    for table, count in zip(svt.mips, stats.nonempty_tile_count):
+        g = table.grid_dims
+        entries = np.ascontiguousarray(table.entries, dtype="<u4")
+        tables += [struct.pack("<QQQQ", g.x, g.y, g.z, count), entries]
+    tables.append(struct.pack("<Q", len(offsets)))
+    # The header holds the SvtConfig fields in their order.
+    fields = (
+        *astuple(cfg),
+        *astuple(svt.virtual_dims),
+        len(svt.mips),
+        *(astuple(adims) if adims else (0, 0, 0)),
+        stats.nonempty_voxel_count,
+        value_count(records, len(offsets), cfg, svt.format),
+        stats.mean_tile_occupancy,
+    )
+    SVTF.write(path, svt.format, fields, tables, offsets, records)
 
 
 def load_svtf(path) -> SparseVolumeTexture:
@@ -708,51 +749,20 @@ def load_svtf(path) -> SparseVolumeTexture:
     atlas expands the records on the first read of .data (see TileAtlas);
     that cannot fail.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size or raw[:4] != SVTF_MAGIC:
-        raise DataError(f"{path}: not an SVTF container")
-    (
-        _,
-        version,
-        fmt_code,
-        tile_size,
-        pad,
-        max_extent,
-        empty_value,
-        threshold,
-        vx,
-        vy,
-        vz,
-        mip_count,
-        ax,
-        ay,
-        az,
-        nonempty,
-        padded_nonempty,
-        occupancy,
-    ) = _HEADER.unpack_from(raw, 0)
-    if version != SVTF_VERSION:
-        raise DataError(f"{path}: unsupported SVTF version {version}")
-    fmt = format_for_code(fmt_code, path)
-    check_empty_value(empty_value, fmt, f"{path}: ")
+    raw, fmt_code, fields = SVTF.read(path)
+    fmt, config = header_config(path, fmt_code, *fields[:5])
+    vx, vy, vz, mip_count, ax, ay, az, nonempty, padded_nonempty, occupancy = fields[5:]
     try:
-        config = SvtConfig(
-            tile_size=tile_size,
-            pad=pad,
-            max_atlas_extent=max_extent,
-            empty_value=empty_value,
-            float_empty_threshold=threshold,
-        )
         virtual_dims = VolumeDims(vx, vy, vz)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    levels = mip_level_count(virtual_dims, tile_size)
+    levels = mip_level_count(virtual_dims, config.tile_size)
     if mip_count != levels:
         raise CorruptStream(f"{path}: {mip_count} mips, the virtual dims give {levels}")
-    pos = _HEADER.size
+    pos = SVTF.header.size
     mips, tile_counts = [], []
     for level in range(levels):
-        grid = tile_grid_dims(mip_level_dims(virtual_dims, level), tile_size)
+        grid = tile_grid_dims(mip_level_dims(virtual_dims, level), config.tile_size)
         check_available(raw, pos, 32, path, "page-table header")
         gx, gy, gz, count = struct.unpack_from("<QQQQ", raw, pos)
         pos += 32
@@ -769,14 +779,9 @@ def load_svtf(path) -> SparseVolumeTexture:
 
     check_available(raw, pos, 8, path, "tile count")
     (tile_count,) = struct.unpack_from("<Q", raw, pos)
-    pos += 8
     if tile_count != sum(tile_counts):
         raise CorruptStream(f"{path}: tile count disagrees with per-mip counts")
-    check_available(raw, pos, 8 * tile_count, path, "tile offset table")
-    offsets = np.frombuffer(raw, dtype="<u8", count=tile_count, offset=pos)
-    pos += 8 * tile_count
-
-    records = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    offsets, records = read_records(raw, pos + 8, tile_count, path)
     try:
         held = _checked_records(records, offsets, config, fmt.dtype)
     except CorruptStream as exc:
@@ -789,17 +794,17 @@ def load_svtf(path) -> SparseVolumeTexture:
         if not np.array_equal(table.entries, entries):
             raise CorruptStream(f"{path}: mip {level} page table is not in atlas slot order")
 
-    payload = (records.size - tile_count * config.occupancy_mask_bytes) // fmt.bytes_per_voxel
+    payload = value_count(records, tile_count, config, fmt)
     if padded_nonempty != payload:
         raise CorruptStream(
             f"{path}: padded_nonempty_voxel_count {padded_nonempty}, the records hold {payload}"
         )
     # Each resident mip-0 tile holds 1 to tile_size^3 non-empty voxels.
-    if not tile_counts[0] <= nonempty <= tile_counts[0] * tile_size**3:
+    if not tile_counts[0] <= nonempty <= tile_counts[0] * config.tile_size**3:
         raise CorruptStream(
             f"{path}: nonempty_voxel_count {nonempty} does not fit {tile_counts[0]} mip-0 tiles"
         )
-    want_occupancy = _mean_tile_occupancy(nonempty, tile_counts[0], tile_size)
+    want_occupancy = _mean_tile_occupancy(nonempty, tile_counts[0], config.tile_size)
     if struct.pack("<d", occupancy) != struct.pack("<d", want_occupancy):
         raise CorruptStream(
             f"{path}: mean_tile_occupancy {occupancy!r}, the counts give {want_occupancy!r}"

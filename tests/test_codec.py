@@ -511,3 +511,26 @@ def test_svtf_header_stats_are_checked(tmp_path, capsys, written, kind):
     with pytest.raises(CorruptStream, match=field_name):
         load_svtf(bad)
     one_error_line(capsys, ["inspect", str(bad)])
+
+
+def test_resaved_container_counts_the_values_it_writes(tmp_path, rng):
+    # A payload value equal to empty_value at an occupied mask bit loads: the
+    # records' value count is unchanged. Expanding the atlas drops that value,
+    # so a re-saved container holds one value fewer, and its header says so.
+    svt = build_svt(make_volume(rng.integers(0, 256, size=(20, 24, 28)).astype(np.uint8)))
+    path, again = tmp_path / "built.svtf", tmp_path / "again.svtf"
+    save_svtf(svt, path)
+    blob = bytearray(path.read_bytes())
+    records_start = len(blob) - serialize_upload(svt).records.size
+    first_value = records_start + svt.config.occupancy_mask_bytes
+    assert blob[first_value] != 0
+    blob[first_value] = 0
+    path.write_bytes(bytes(blob))
+    loaded = load_svtf(path)
+    assert loaded.stats.padded_nonempty_voxel_count == svt.stats.padded_nonempty_voxel_count
+    changed = loaded.atlas.data != svt.atlas.data
+    assert np.count_nonzero(changed) == 1 and loaded.atlas.data[changed] == 0
+    save_svtf(loaded, again)
+    reloaded = load_svtf(again)
+    assert reloaded.stats.padded_nonempty_voxel_count == svt.stats.padded_nonempty_voxel_count - 1
+    np.testing.assert_array_equal(reloaded.atlas.data, loaded.atlas.data)

@@ -4,7 +4,8 @@ Each mutated file must either load or raise a DataError: no other exception
 may escape, and nothing may be allocated from an unchecked header field. A
 container that loads must also answer a sample without error and have the
 original page tables. The unmutated files must give back exactly what was
-written.
+written, and every single-byte flip of the .svtu header must raise or change
+nothing.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svtf import (
+    CapacityError,
     DataError,
     SvtConfig,
     VoxelFormat,
@@ -27,7 +29,7 @@ from svtf import (
     write_segy,
 )
 from svtf.segy import OFF_CROSSLINE, OFF_INLINE, OFF_TRACE_SAMPLES, TRACE_HEADER_BYTES
-from svtf.upload import load_upload, save_upload
+from svtf.upload import SVTU, load_upload, save_upload
 
 SEGY_SAMPLES = 4
 
@@ -132,3 +134,40 @@ def test_mutated_files_load_or_raise_data_error(originals, kind, data):
         assert len(tables) == len(svt.mips)
         for got, want in zip(tables, svt.mips):
             assert np.array_equal(got, want.entries)
+
+
+def _stream_state(buf, atlas) -> tuple:
+    """All a stream gives back; repr tells -0.0 from 0.0 in the config."""
+    return (
+        repr(buf.config),
+        buf.format,
+        buf.windows,
+        buf.tile_data_offsets.dtype,
+        buf.tile_data_offsets.tolist(),
+        buf.records.tobytes(),
+        buf.total_bytes,
+        buf.exceeds_uint32,
+        atlas.dims,
+        atlas.data.dtype,
+        atlas.data.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("xor", [0x01, 0x80, 0xFF])
+def test_every_svtu_header_flip_raises_or_changes_nothing(originals, tmp_path, xor):
+    _, blobs, svt, _ = originals
+    assert SVTU.header.size == 64
+    buf = serialize_upload(svt)
+    want = _stream_state(buf, apply_upload(buf, svt.config, svt.mips))
+    path = tmp_path / "flipped.svtu"
+    silent = []
+    for pos in range(SVTU.header.size):
+        path.write_bytes(_mutated(blobs["svtu"], ("flip", [(pos, xor)])))
+        try:
+            loaded = load_upload(path)
+            got = _stream_state(loaded, apply_upload(loaded, svt.config, svt.mips))
+        except (DataError, CapacityError):
+            continue
+        if got != want:
+            silent.append(pos)
+    assert silent == []

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -133,7 +134,7 @@ def test_tile_count_mismatch_rejected(rng):
 
 def test_overflow_flag_on_synthetic_totals():
     # The flag is pure arithmetic on total_bytes; fabricate a buffer whose
-    # bookkeeping says >= 2^32 without materializing 4 GiB.
+    # records are 2^32 bytes without materializing 4 GiB.
     svt = build_svt(make_volume(np.ones((16, 16, 16), np.uint8)))
     buf = serialize_upload(svt)
     assert not buf.exceeds_uint32
@@ -142,12 +143,11 @@ def test_overflow_flag_on_synthetic_totals():
     big = up.UploadBuffer(
         config=buf.config,
         format=buf.format,
-        records=buf.records,
+        records=np.broadcast_to(np.uint8(0), 2**32),
         tile_data_offsets=buf.tile_data_offsets,
         windows=buf.windows,
-        total_bytes=2**32,
-        exceeds_uint32=2**32 >= up.UINT32_LIMIT,
     )
+    assert big.total_bytes == 2**32
     assert big.exceeds_uint32
 
 
@@ -164,10 +164,41 @@ def test_overflow_warning_logged(caplog):
             up.UINT32_LIMIT = 1
             try:
                 buf = up.serialize_upload(svt)
+                assert buf.exceeds_uint32
             finally:
                 up.UINT32_LIMIT = old
-    assert buf.exceeds_uint32
     assert any("uint32" in rec.message for rec in caplog.records)
+
+
+def test_overflow_flag_must_match_the_record_bytes(tmp_path):
+    # Bytes 52-55 of the header: 0 for a stream under 2^32 bytes, else 1.
+    svt = build_svt(make_volume(np.ones((16, 16, 16), np.uint8)))
+    path = tmp_path / "flag.svtu"
+    save_upload(serialize_upload(svt), path)
+    blob = bytearray(path.read_bytes())
+    assert blob[52:56] == bytes(4)
+    for flag in (1, 2, 2**31):
+        blob[52:56] = flag.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptStream, match=f"{path}: uint32 overflow flag {flag}"):
+            load_upload(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tile_size", 8), ("pad", 2), ("empty_value", 7.0), ("empty_value", -0.0),
+     ("float_empty_threshold", 0.5)],
+)
+def test_stream_applied_under_another_config_rejected(rng, field, value):
+    svt = build_svt(random_volume(rng, max_dim=32, fill=0.5))
+    buf = serialize_upload(svt)
+    other = dataclasses.replace(svt.config, **{field: value})
+    with pytest.raises(CorruptStream, match="the config's are"):
+        apply_upload(buf, other, svt.mips)
+    # The extent is the caller's: the stream does not hold one.
+    wider = dataclasses.replace(svt.config, max_atlas_extent=4096)
+    atlas = apply_upload(buf, wider, svt.mips)
+    assert atlas.data.shape == svt.atlas.data.shape
 
 
 def test_stream_file_roundtrip(tmp_path, rng):
