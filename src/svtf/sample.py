@@ -10,6 +10,10 @@ resident, else a resident neighbour whose padding covers the footprint. A
 footprint that reaches no resident tile reads empty_value. Nearest lookups
 read a voxel as the base corner of a footprint.
 
+The atlas holds each padded tile as one contiguous span^3 block in slot
+order, so a footprint's corners are read with the block strides
+(span^2, span, 1) from the table's base, whatever the atlas's size.
+
 Every lookup, sparse or dense, addresses its corners the same way
 (corner_axis): per axis the clamped base corner and the step to the
 second corner, which is the axis stride or, at a clamped edge, 0. The
@@ -93,7 +97,7 @@ def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> n
     table = svt.footprint_table(mip)
     dims = svt.mip_dims(mip)
     data = svt.atlas.data
-    _, a_y, a_x = data.shape
+    span = svt.config.padded_size
     px, py, pz = level_coords(px, py, pz, mip)
     inside = (px >= 0) & (px < dims.x) & (py >= 0) & (py < dims.y) & (pz >= 0) & (pz < dims.z)
     x, _, _ = corner_axis(px, dims.x, 1)
@@ -102,7 +106,7 @@ def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> n
     base = table.base.ravel()[footprint_cells(table, x, y, z)]
     live = inside & (base != NO_TILE)
     out = np.full(px.shape, svt.config.empty_value, dtype=np.float64)
-    flat = base[live] + (z[live] * a_y + y[live]) * a_x + x[live]
+    flat = base[live] + (z[live] * span + y[live]) * span + x[live]
     out[live] = data.ravel()[flat]
     return out
 
@@ -111,19 +115,19 @@ def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) ->
     table = svt.footprint_table(mip)
     dims = svt.mip_dims(mip)
     data = svt.atlas.data
-    _, a_y, a_x = data.shape
+    span = svt.config.padded_size
     px, py, pz = level_coords(px, py, pz, mip)
     x, dx, fx = corner_axis(px - 0.5, dims.x, 1)
-    y, dy, fy = corner_axis(py - 0.5, dims.y, a_x)
-    z, dz, fz = corner_axis(pz - 0.5, dims.z, a_y * a_x)
+    y, dy, fy = corner_axis(py - 0.5, dims.y, span)
+    z, dz, fz = corner_axis(pz - 0.5, dims.z, span * span)
 
     base = table.base.ravel().take(footprint_cells(table, x, y, z))
     dead = base == NO_TILE
     empty = svt.config.empty_value
     if dead.all():  # also every lookup in an empty atlas
         return _gather_lerp(lambda j: empty, 0, 0, 0, 0, fx, fy, fz)
-    flat = z * (a_y * a_x)
-    flat += y * a_x
+    flat = z * (span * span)
+    flat += y * span
     flat += x
     flat += base
     # Live indices lie in the atlas; a dead row's index is negative, reads

@@ -76,7 +76,13 @@ class PageTable:
 
 
 class TileAtlas:
-    """The physical atlas: padded tiles in slot order, a (z, y, x) array.
+    """The physical atlas: one (slots, span, span, span) array of padded tiles.
+
+    It holds every slot of the slot grid (slot_grid_for), in slot order;
+    slots past the resident tiles hold empty_value. dims is the atlas as a
+    (x, y, z) texture of slot blocks, which page-table entries address as
+    (ax, ay, az): the entry's slot in data is (az * sy + ay) * sx + ax, for
+    the grid's sx = dims.x // span and sy = dims.y // span.
 
     An atlas that load_svtf returns holds the container's checked tile
     records instead. The first read of .data expands them, once and under a
@@ -123,7 +129,9 @@ class FootprintTable:
     b is T's last voxel, so each tile has two cells per axis: its last voxel
     layer and the rest. base[cell] is the flat atlas index of level voxel
     (0, 0, 0) seen through one resident tile's padded block, so a corner
-    (x, y, z) is at base + (z*A_y + y)*A_x + x. The tile is the cell's own
+    (x, y, z) is at base + (z*span + y)*span + x. For tile (tx, ty, tz) in
+    slot s, base = s*span^3 + ((pad - tz*ts)*span + pad - ty*ts)*span +
+    pad - tx*ts. The tile is the cell's own
     tile T if resident, else any resident tile the cell's footprints reach:
     as pad >= 1 its block holds all eight corners, with the values of their
     own tiles, or empty_value where those are not resident. NO_TILE marks a
@@ -184,13 +192,15 @@ def unpack_entry(entry):
 def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
     ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
     entries = svt.mips[mip].entries
-    a_y, a_x = (svt.atlas.dims.y, svt.atlas.dims.x) if svt.atlas.dims else (0, 0)
+    sy, sx = (svt.atlas.dims.y // span, svt.atlas.dims.x // span) if svt.atlas.dims else (0, 0)
     resident = entries != EMPTY_ENTRY
     tz, ty, tx = np.nonzero(resident)
-    ax, ay, az = (a.astype(np.int64) * span + pad for a in unpack_entry(entries[resident]))
+    ax, ay, az = (a.astype(np.int64) for a in unpack_entry(entries[resident]))
+    slot = (az * sy + ay) * sx + ax
     # One extra NO_TILE layer per axis stands for the tiles past the grid.
     base = np.full([g + 1 for g in entries.shape], NO_TILE, dtype=np.int64)
-    base[tz, ty, tx] = ((az - tz * ts) * a_y + ay - ty * ts) * a_x + ax - tx * ts
+    inner = ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
+    base[tz, ty, tx] = slot * span**3 + inner
     # Expand each axis from tiles T to cells 2T (the rest of T: reaches T)
     # and 2T + 1 (the last layer of T: reaches T and T + 1, and takes T + 1's
     # base only when T is not resident).
@@ -272,30 +282,34 @@ def build_mip_level(volume: DenseVolume) -> DenseVolume:
     than padded, so border voxels average only what exists.
     """
     d = volume.data
-    nz, ny, nx = d.shape
-    oz, oy, ox = -(-nz // 2), -(-ny // 2), -(-nx // 2)
-    u8 = volume.format is VoxelFormat.U8
-    if u8:
-        # Eight u8 children sum to at most 2040, so uint16 holds u8 sums
-        # exactly in any order: pair sums along x, then y, then z.
-        sums = _pair_sums(_pair_sums(_pair_sums(d, 2), 1), 0)
-    else:
+    # Children per output voxel along each axis: 2, or 1 at an odd axis's end.
+    cz, cy, cx = (np.minimum(n - 2 * np.arange(-(-n // 2)), 2).astype(np.uint16) for n in d.shape)
+    if volume.format is not VoxelFormat.U8:
         # numpy's float64 reduce fixes the order of the sums, and with it
         # the rounding and NaN bits that the container holds.
+        nz, ny, nx = d.shape
+        oz, oy, ox = len(cz), len(cy), len(cx)
         padded = np.zeros((oz * 2, oy * 2, ox * 2), dtype=d.dtype)
         padded[:nz, :ny, :nx] = d
         sums = padded.reshape(oz, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5), dtype=np.float64)
-    # Children per output voxel along each axis: 2, or 1 at an odd axis's end.
-    cz, cy, cx = (
-        np.minimum(n - 2 * np.arange(o), 2).astype(np.uint16)
-        for n, o in zip(d.shape, sums.shape)
-    )
-    counts = cz[:, None, None] * cy[:, None] * cx
-    if u8:  # floor(sum / count + 0.5), exactly
-        out = ((2 * sums + counts) // (2 * counts)).astype(np.uint8)
-    else:
-        out = (sums / counts).astype(np.float32)
-    return DenseVolume.from_array(out, volume.format)
+        out = (sums / (cz[:, None, None] * cy[:, None] * cx)).astype(np.float32)
+        return DenseVolume.from_array(out, volume.format)
+    # Eight u8 children sum to at most 2040, so uint16 holds u8 sums exactly
+    # in any order: pair sums along x, then y, then z. The mean rounds as
+    # floor(sum / count + 0.5): (sum + 4) >> 3 for eight children, and
+    # (2*sum + count) // (2*count) on an odd axis's last layer, which has fewer.
+    sums = _pair_sums(_pair_sums(_pair_sums(d, 2), 1), 0)
+    edges = []
+    for axis, n in enumerate(d.shape):
+        if n % 2:
+            layer = tuple(slice(-1, None) if a == axis else slice(None) for a in range(3))
+            counts = cz[layer[0], None, None] * cy[layer[1], None] * cx[layer[2]]
+            edges.append((layer, (2 * sums[layer] + counts) // (2 * counts)))
+    np.add(sums, 4, out=sums)
+    np.right_shift(sums, 3, out=sums)
+    for layer, edge in edges:
+        sums[layer] = edge
+    return DenseVolume.from_array(sums.astype(np.uint8), volume.format)
 
 
 def mip_level_count(dims: VolumeDims, tile_size: int) -> int:
@@ -354,17 +368,6 @@ def _slot_coords(shape: tuple[int, int, int], span: int, n: int):
     return slots // (sx * sy), (slots // sx) % sy, slots % sx
 
 
-def slot_layout(data: np.ndarray, span: int, n: int):
-    """Slot view of an atlas plus the (az, ay, ax) coordinates of slots 0..n-1.
-
-    The view has shape (sz, sy, sx, span, span, span) and writes through to
-    data.
-    """
-    sz, sy, sx = (extent // span for extent in data.shape)
-    view = data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
-    return view, _slot_coords(data.shape, span, n)
-
-
 def _page_entries(residents, shape: tuple[int, int, int], span: int) -> list[np.ndarray]:
     """Per-mip page-table entries for per-mip residency masks and an atlas shape.
 
@@ -406,7 +409,8 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     order. Voxels that compare empty are stored as empty_value exactly, so
     the atlas round-trips bit-identically through the upload stream.
     Residency is found first; the atlas is then filled one tile row at a
-    time, so at most one row of padded tiles exists outside it.
+    time, each row one slice of consecutive slots, so at most one row of
+    padded tiles exists outside it.
     """
     config = config or SvtConfig()
     check_empty_value(config.empty_value, volume.format)
@@ -430,7 +434,9 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         sx, sy, sz = slot_grid_for(total, config)
         shape = (sz * span, sy * span, sx * span)
         try:
-            atlas_data = np.full(shape, config.empty_value, dtype=volume.format.dtype)
+            atlas_data = np.full(
+                (sx * sy * sz, span, span, span), config.empty_value, dtype=volume.format.dtype
+            )
         except (MemoryError, ValueError):  # ValueError: too big for an array index
             raise AtlasCapacityExceeded(
                 f"an atlas of {shape[2]}x{shape[1]}x{shape[0]} voxels for {total} "
@@ -450,10 +456,9 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         raise
 
     atlas_dims = VolumeDims.from_zyx(shape) if total else None
-    slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
-    tables = _page_entries(residents, atlas_data.shape, span)
+    tables = _page_entries(residents, shape, span)
 
     mips = []
     padded_nonempty = 0
@@ -470,9 +475,8 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
             occupied = nonempty_mask(tiles, config)
             tiles[~occupied] = empty
             padded_nonempty += int(np.count_nonzero(occupied))
-            row = slice(slot, slot + tiles.shape[0])
-            slot_view[az[row], ay[row], ax[row]] = tiles
-            slot = row.stop
+            atlas_data[slot : slot + len(tiles)] = tiles
+            slot += len(tiles)
         mips.append(PageTable(grid_dims=grid, entries=entries))
 
     stats = BuildStats(
@@ -512,26 +516,21 @@ def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndar
     """Occupancy-compress atlas slots 0..n-1: (uint64 record offsets, uint8 records).
 
     The records are written a chunk of slots at a time into one array, sized
-    by a count of the whole atlas's non-empty voxels, to which the slots
-    past n-1 (all empty_value) add nothing. An atlas that still holds its
-    records gives them back as they are.
+    by a first count of the slots' non-empty voxels. An atlas that still
+    holds its records gives them back as they are.
     """
     held = atlas._records
     if held is not None and len(held.offsets) == n and held.config == config:
         return held.offsets, held.records
     data = atlas.data
-    planes = max(1, _CHUNK_VOXELS // max(1, data[:1].size))
-    nonempty = sum(
-        int(np.count_nonzero(nonempty_mask(data[z : z + planes], config)))
-        for z in range(0, len(data), planes)
-    )
+    chunks = _chunks(n, config)
+    nonempty = sum(int(np.count_nonzero(nonempty_mask(data[chunk], config))) for chunk in chunks)
     records = np.empty(n * config.occupancy_mask_bytes + nonempty * data.itemsize, dtype=np.uint8)
-    view, (az, ay, ax) = slot_layout(data, config.padded_size, n)
     dtype_le = data.dtype.newbyteorder("<")
     sizes = np.zeros(n, dtype=np.int64)
     end = 0
-    for chunk in _chunks(n, config):
-        flat = view[az[chunk], ay[chunk], ax[chunk]].reshape(-1, config.padded_size**3)
+    for chunk in chunks:
+        flat = data[chunk].reshape(-1, config.padded_size**3)
         occupied = nonempty_mask(flat, config)
         payload = flat[occupied].astype(dtype_le, copy=False).view(np.uint8)
         payload_ends = np.cumsum(occupied.sum(axis=1) * flat.dtype.itemsize)
@@ -602,25 +601,26 @@ def _checked_records(
 
 
 def _expand(held: _TileRecords) -> np.ndarray:
-    """The atlas of checked records: each record's block in its slot."""
+    """The atlas of checked records: each record's block in its slot, the
+    slots past the records' empty_value."""
     records, config, dtype = held.records, held.config, held.dtype
     n = len(held.offsets)
-    span = config.padded_size
+    span3 = config.padded_size**3
     mask_bytes = config.occupancy_mask_bytes
     starts = held.offsets.astype(np.int64)
     ends = np.append(starts[1:], records.size)
-    data = np.full(held.shape, config.empty_value, dtype=dtype)
-    view, (az, ay, ax) = slot_layout(data, span, n)
+    data = np.empty((math.prod(held.shape) // span3, span3), dtype=dtype)
+    data[n:] = config.empty_value
     for chunk in _chunks(n, config):
         masks = sliding_window_view(records, mask_bytes)[starts[chunk]]
         # Unpacking span^3 bits leaves out the spare bits of the last byte.
-        occupied = np.unpackbits(masks, axis=1, count=span**3, bitorder="little")
+        occupied = np.unpackbits(masks, axis=1, count=span3, bitorder="little")
         bounds = zip((starts[chunk] + mask_bytes).tolist(), ends[chunk].tolist())
         payload = np.concatenate([records[a:b] for a, b in bounds])
-        blocks = np.full(occupied.shape, config.empty_value, dtype=dtype)
+        blocks = data[chunk]
+        blocks.fill(config.empty_value)
         blocks[occupied.view(bool)] = payload.view(dtype.newbyteorder("<"))
-        view[az[chunk], ay[chunk], ax[chunk]] = blocks.reshape(-1, span, span, span)
-    return data
+    return data.reshape(-1, config.padded_size, config.padded_size, config.padded_size)
 
 
 def value_count(records: np.ndarray, n: int, config: SvtConfig, fmt: VoxelFormat) -> int:

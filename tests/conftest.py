@@ -61,7 +61,6 @@ from svtf.svt import (
     nonempty_mask,
     pack_entry,
     slot_grid_for,
-    slot_layout,
     tile_grid_dims,
     unpack_entry,
 )
@@ -423,17 +422,38 @@ def rng():
 _ref_log = logging.getLogger("svtf.upload")
 
 
+def reference_slot_order(data_zyx: np.ndarray, span: int) -> np.ndarray:
+    """A (z, y, x) atlas texture of span^3 blocks as the (slots, span, span,
+    span) store the library keeps: the block at block coords (ax, ay, az)
+    is slot (az * sy + ay) * sx + ax. A copy, so it never aliases data_zyx.
+    """
+    sz, sy, sx = (extent // span for extent in data_zyx.shape)
+    out = np.empty((sz * sy * sx, span, span, span), dtype=data_zyx.dtype)
+    for slot in range(len(out)):
+        az, ay, ax = slot // (sx * sy), slot // sx % sy, slot % sx
+        out[slot] = data_zyx[
+            az * span : (az + 1) * span, ay * span : (ay + 1) * span, ax * span : (ax + 1) * span
+        ]
+    return out
+
+
 def reference_atlas_slot_blocks(svt: SparseVolumeTexture) -> np.ndarray:
-    """All resident padded tiles as one (n, span, span, span) stack in slot order."""
+    """All resident padded tiles as one (n, span, span, span) stack in slot order.
+
+    A reference builder's (z, y, x) atlas is reordered by
+    reference_slot_order; the library's store must already be in slot order,
+    one block per slot of the grid that atlas.dims gives.
+    """
     span = svt.config.padded_size
     n = svt.slot_count
     if n == 0:
         return np.empty((0, span, span, span), dtype=svt.format.dtype)
     data = svt.atlas.data
-    sz, sy, sx = data.shape[0] // span, data.shape[1] // span, data.shape[2] // span
-    view = data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
-    slots = np.arange(n, dtype=np.int64)
-    return view[slots // (sx * sy), (slots // sx) % sy, slots % sx]
+    if data.ndim == 3:
+        data = reference_slot_order(data, span)
+    dims = svt.atlas.dims
+    assert data.shape == ((dims.x // span) * (dims.y // span) * (dims.z // span), span, span, span)
+    return data[:n]
 
 
 def encode_tile_record(block: np.ndarray, config: SvtConfig) -> tuple[bytes, np.ndarray]:
@@ -572,8 +592,7 @@ def reference_load_svtf(path) -> SparseVolumeTexture:
     if tile_count:
         atlas_dims = VolumeDims(ax, ay, az)
         atlas_data = np.full(atlas_dims.as_zyx(), empty_value, dtype=fmt.dtype)
-        sz, sy, sx = az // span, ay // span, ax // span
-        view = atlas_data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
+        sy, sx = ay // span, ax // span
         mask_bytes = config.occupancy_mask_bytes
         dtype_le = fmt.dtype.newbyteorder("<")
         for i in range(tile_count):
@@ -590,7 +609,8 @@ def reference_load_svtf(path) -> SparseVolumeTexture:
                 raise CorruptStream(f"{path}: tile record {i} truncated")
             values = np.frombuffer(raw, dtype=dtype_le, count=n_values, offset=val_start)
             block = decode_tile_record(mask, values.astype(fmt.dtype), config, fmt.dtype)
-            view[i // (sx * sy), (i // sx) % sy, i % sx] = block
+            z0, y0, x0 = i // (sx * sy) * span, (i // sx) % sy * span, i % sx * span
+            atlas_data[z0 : z0 + span, y0 : y0 + span, x0 : x0 + span] = block
     else:
         atlas_dims = None
         atlas_data = np.full((0, 0, 0), empty_value, dtype=fmt.dtype)
@@ -707,7 +727,6 @@ def reference_apply_upload(
     atlas_data = np.full(
         (sz * span, sy * span, sx * span), config.empty_value, dtype=buffer.format.dtype
     )
-    view = atlas_data.reshape(sz, span, sy, span, sx, span).transpose(0, 2, 4, 1, 3, 5)
 
     # Window-by-window element cursor; tiles complete as their last element
     # arrives, possibly one window later than they started.
@@ -720,9 +739,10 @@ def reference_apply_upload(
         while tile_idx < n_tiles and tile_starts[tile_idx + 1] <= done_elements:
             mask, values = buffer.tiles[tile_idx]
             block = decode_tile_record(mask, values, config, buffer.format.dtype)
-            view[
-                tile_idx // (sx * sy), (tile_idx // sx) % sy, tile_idx % sx
-            ] = block
+            z0 = tile_idx // (sx * sy) * span
+            y0 = (tile_idx // sx) % sy * span
+            x0 = tile_idx % sx * span
+            atlas_data[z0 : z0 + span, y0 : y0 + span, x0 : x0 + span] = block
             tile_idx += 1
     if tile_idx != n_tiles:
         raise CorruptStream(f"stream ended with {n_tiles - tile_idx} tiles incomplete")
@@ -1082,7 +1102,9 @@ def reference_build_svt(
     atlas_data = np.full(
         (sz * span, sy * span, sx * span), config.empty_value, dtype=volume.format.dtype
     )
-    slot_view, (az, ay, ax) = slot_layout(atlas_data, span, total)
+    # Slots fill the atlas's block grid x fastest, then y, then z.
+    slots = np.arange(total, dtype=np.int64)
+    az, ay, ax = slots // (sx * sy), (slots // sx) % sy, slots % sx
     slot_entries = pack_entry(ax, ay, az)
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
 
@@ -1093,7 +1115,9 @@ def reference_build_svt(
         level_slots = slice(slot_base, slot_base + tiles.shape[0])
         entries = np.full(grid.as_zyx(), EMPTY_ENTRY, dtype=np.uint32)
         entries.ravel()[np.flatnonzero(resident.ravel())] = slot_entries[level_slots]
-        slot_view[az[level_slots], ay[level_slots], ax[level_slots]] = tiles
+        for slot, tile in zip(range(level_slots.start, level_slots.stop), tiles):
+            x0, y0, z0 = ax[slot] * span, ay[slot] * span, az[slot] * span
+            atlas_data[z0 : z0 + span, y0 : y0 + span, x0 : x0 + span] = tile
         padded_nonempty += int(nonempty_mask(tiles, config).sum(dtype=np.int64))
         mips.append(PageTable(grid_dims=grid, entries=entries))
         slot_base = level_slots.stop
@@ -1135,20 +1159,25 @@ def _reference_gather_voxels(svt, entries_flat, grid, cx, cy, cz):
     """Values of integer voxels (already clamped in-bounds) via the page table."""
     ts = svt.config.tile_size
     pad = svt.config.pad
-    span = svt.config.padded_size
     tx, ty, tz = cx // ts, cy // ts, cz // ts
     packed = entries_flat[(tz * grid.y + ty) * grid.x + tx]
     resident = packed != EMPTY_ENTRY
     out = np.full(cx.shape, svt.config.empty_value, dtype=np.float64)
     if resident.any():
-        ax, ay, az = unpack_entry(packed[resident])
-        adata = svt.atlas.data
-        vx = ax.astype(np.int64) * span + pad + (cx[resident] - tx[resident] * ts)
-        vy = ay.astype(np.int64) * span + pad + (cy[resident] - ty[resident] * ts)
-        vz = az.astype(np.int64) * span + pad + (cz[resident] - tz[resident] * ts)
-        flat = (vz * adata.shape[1] + vy) * adata.shape[2] + vx
-        out[resident] = adata.ravel()[flat].astype(np.float64)
+        slot = _reference_slot(svt, packed[resident])
+        vx = pad + (cx[resident] - tx[resident] * ts)
+        vy = pad + (cy[resident] - ty[resident] * ts)
+        vz = pad + (cz[resident] - tz[resident] * ts)
+        out[resident] = svt.atlas.data[slot, vz, vy, vx].astype(np.float64)
     return out
+
+
+def _reference_slot(svt, packed) -> np.ndarray:
+    """The store slot of packed page entries: (az * sy + ay) * sx + ax."""
+    span = svt.config.padded_size
+    ax, ay, az = (a.astype(np.int64) for a in unpack_entry(packed))
+    sx, sy = svt.atlas.dims.x // span, svt.atlas.dims.y // span
+    return (az * sy + ay) * sx + ax
 
 
 def reference_sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
@@ -1183,7 +1212,6 @@ def reference_sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: i
     dims, grid, entries = _reference_level(svt, mip)
     ts = svt.config.tile_size
     pad = svt.config.pad
-    span = svt.config.padded_size
     scale = float(1 << mip)
 
     px = np.asarray(px, dtype=np.float64)
@@ -1210,19 +1238,15 @@ def reference_sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: i
     corners = [np.full(qx.shape, svt.config.empty_value, dtype=np.float64) for _ in range(8)]
 
     if resident.any():
-        ax, ay, az = unpack_entry(packed[resident])
+        slot = _reference_slot(svt, packed[resident])
+        ox = pad + (c0x[resident] - tx[resident] * ts)
+        oy = pad + (c0y[resident] - ty[resident] * ts)
+        oz = pad + (c0z[resident] - tz[resident] * ts)
+        dx, dy, dz = sx[resident], sy[resident], sz[resident]
         adata = svt.atlas.data
-        ox = ax.astype(np.int64) * span + pad + (c0x[resident] - tx[resident] * ts)
-        oy = ay.astype(np.int64) * span + pad + (c0y[resident] - ty[resident] * ts)
-        oz = az.astype(np.int64) * span + pad + (c0z[resident] - tz[resident] * ts)
-        base_flat = (oz * adata.shape[1] + oy) * adata.shape[2] + ox
-        dx = sx[resident]
-        dy = sy[resident] * adata.shape[2]
-        dz = sz[resident] * adata.shape[1] * adata.shape[2]
-        flat_data = adata.ravel()
         for ez, ey, ex in np.ndindex(2, 2, 2):
-            idx = base_flat + ez * dz + ey * dy + ex * dx
-            corners[(ez << 2) | (ey << 1) | ex][resident] = flat_data[idx].astype(np.float64)
+            corner = adata[slot, oz + ez * dz, oy + ey * dy, ox + ex * dx]
+            corners[(ez << 2) | (ey << 1) | ex][resident] = corner.astype(np.float64)
 
     # Empty base tile: if all eight corners stay inside it, they are all
     # empty_value, which the corner arrays already hold. Only positions whose

@@ -5,7 +5,8 @@ may escape, and nothing may be allocated from an unchecked header field. A
 container that loads must also answer a sample without error and have the
 original page tables. The unmutated files must give back exactly what was
 written, and every single-byte flip of the .svtu header must raise or change
-nothing.
+nothing. The .svtf header has no checksum yet, so the flips of it that load
+with changed content are pinned as a list: a new silent field fails the test.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from svtf import (
     write_segy,
 )
 from svtf.segy import OFF_CROSSLINE, OFF_INLINE, OFF_TRACE_SAMPLES, TRACE_HEADER_BYTES
+from svtf.svt import SVTF
 from svtf.upload import SVTU, load_upload, save_upload
 
 SEGY_SAMPLES = 4
@@ -171,3 +173,53 @@ def test_every_svtu_header_flip_raises_or_changes_nothing(originals, tmp_path, x
         if got != want:
             silent.append(pos)
     assert silent == []
+
+
+def _container_state(loaded) -> tuple:
+    """All a loaded container gives back, its atlas expanded; repr tells
+    -0.0 from 0.0 in the config."""
+    return (
+        repr(loaded.config),
+        loaded.format,
+        loaded.virtual_dims,
+        [(table.grid_dims, table.entries.tobytes()) for table in loaded.mips],
+        repr(loaded.stats),
+        loaded.atlas.dims,
+        loaded.atlas.data.dtype,
+        loaded.atlas.data.shape,
+        loaded.atlas.data.tobytes(),
+    )
+
+
+# (byte, xor) flips of the .svtf header that load with changed content.
+# Config fields a checksum would catch: max_atlas_extent (bytes 20-23) and
+# float_empty_threshold (32-39) wherever the new value is valid and keeps
+# the slot layout, and empty_value 0.0 -> -0.0 (31, 0x80). Virtual dims
+# that move within their last partial tile (40: x 14 -> 15, 48: y 10 -> 11)
+# keep the tile grid and the mip count.
+SILENT_SVTF_FLIPS = sorted(
+    [(pos, xor) for pos in range(20, 24) for xor in (0x01, 0x80, 0xFF)]
+    + [(pos, xor) for pos in range(32, 40) for xor in (0x01, 0x80, 0xFF)]
+    + [(31, 0x80), (40, 0x01), (48, 0x01)]
+)
+SILENT_SVTF_FLIPS.remove((39, 0xFF))  # a negative threshold: rejected
+
+
+def test_every_svtf_header_flip_raises_or_is_a_pinned_silent_one(originals, tmp_path):
+    _, blobs, svt, _ = originals
+    assert SVTF.header.size == 116
+    path = tmp_path / "same.svtf"
+    path.write_bytes(blobs["svtf"])
+    want = _container_state(load_svtf(path))
+    silent = []
+    for pos in range(SVTF.header.size):
+        for xor in (0x01, 0x80, 0xFF):
+            path.write_bytes(_mutated(blobs["svtf"], ("flip", [(pos, xor)])))
+            try:
+                got = _container_state(load_svtf(path))
+            except (DataError, CapacityError):
+                continue
+            if got != want:
+                silent.append((pos, xor))
+    assert len(SILENT_SVTF_FLIPS) == 38
+    assert silent == SILENT_SVTF_FLIPS

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -13,6 +14,7 @@ from conftest import (
     random_volume,
     reference_build_mip_level,
     reference_build_svt,
+    reference_slot_order,
 )
 
 from svtf import (
@@ -241,7 +243,11 @@ def test_atlas_stores_source_values():
     entry = svt.mips[0].entries[0, 0, 0]
     ax, ay, az = (int(v) for v in unpack_entry(entry))
     span, pad = 18, 1
-    assert svt.atlas.data[az * span + pad + 2, ay * span + pad + 3, ax * span + pad + 4] == 77
+    # The voxel's place in the atlas as a (z, y, x) texture, marked and then
+    # reordered into the store's slot order.
+    marker = np.zeros(svt.atlas.dims.as_zyx(), bool)
+    marker[az * span + pad + 2, ay * span + pad + 3, ax * span + pad + 4] = True
+    assert svt.atlas.data[reference_slot_order(marker, span)].tolist() == [77]
 
 
 def test_container_roundtrip(tmp_path, rng):
@@ -292,8 +298,9 @@ def assert_build_matches_reference(vol, cfg):
     got, want = build_svt(vol, cfg), reference_build_svt(vol, cfg)
     assert got.atlas.dims == want.atlas.dims
     assert got.atlas.data.dtype == want.atlas.data.dtype
-    assert got.atlas.data.shape == want.atlas.data.shape
-    assert got.atlas.data.tobytes() == want.atlas.data.tobytes()
+    want_slots = reference_slot_order(want.atlas.data, got.config.padded_size)
+    assert got.atlas.data.shape == want_slots.shape
+    assert got.atlas.data.tobytes() == want_slots.tobytes()
     assert len(got.mips) == len(want.mips)
     for a, b in zip(got.mips, want.mips):
         assert a.grid_dims == b.grid_dims
@@ -347,6 +354,15 @@ def test_mip_level_matches_reference_on_extreme_values():
         volumes.append(make_volume(np.full(shape, 255, np.uint8)))
     for shape in [(2, 2, 2), (1, 1, 1), (3, 5, 7), (40, 40, 40), (39, 41, 40), (17, 2, 33)]:
         volumes.append(make_volume(np.full(shape, 255, np.uint8)))
+    # u8 rounding on one-voxel, odd and even axes in every combination:
+    # (sum + 4) >> 3 where a voxel has eight children, a division on an odd
+    # axis's last layer. Sums of 4 mod 8 round up; x pairs of 0 and 1 sum
+    # to 1 on every layer.
+    for shape in itertools.product([1, 2, 5, 6], [1, 3, 4], [1, 7, 8]):
+        ties = rng.choice(np.array([0, 1, 2, 3, 4, 5, 252, 253, 254, 255], np.uint8), size=shape)
+        pairs = np.resize(np.array([0, 1], np.uint8), shape[2])
+        volumes.append(make_volume(ties))
+        volumes.append(make_volume(np.broadcast_to(pairs, shape).copy()))
     for vol in volumes:
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = build_mip_level(vol), reference_build_mip_level(vol)

@@ -75,8 +75,8 @@ def test_single_voxel_maps_to_slot():
     atlas = apply_upload(buf, svt.config, svt.mips)
     nz = np.argwhere(atlas.data != 0)
     assert len(nz) == 1
-    # pad=1: logical voxel (z=4, y=5, x=6) sits at local +1.
-    assert nz[0].tolist() == [5, 6, 7]
+    # Slot 0; pad=1: logical voxel (z=4, y=5, x=6) sits at local +1.
+    assert nz[0].tolist() == [0, 5, 6, 7]
 
 
 def test_offsets_strictly_increasing(rng):
