@@ -22,7 +22,6 @@ from .render import (
     luminance,
     raymarch,
 )
-from .sample import trilinear_dense
 from .svt import SvtConfig, build_svt
 from .volume import DenseVolume
 
@@ -74,20 +73,20 @@ class _ChunkedCaches:
     caches: list = field(default_factory=list)
 
     def sample_incident(self, px, py, pz) -> np.ndarray:
+        """Incident RGB at mip-0 positions, as (3, n)."""
         component = (px, py, pz)[_AXIS_INDEX[self.axis]]
         interior = np.asarray(self.edges[1:-1], dtype=np.float64)
         owner = np.searchsorted(interior, component, side="right")
-        out = np.zeros((np.shape(px)[0], 3), dtype=np.float64)
+        out = np.zeros((3, np.shape(px)[0]), dtype=np.float64)
         for i, cache in enumerate(self.caches):
             sel = owner == i
             if not sel.any():
                 continue
             offset = float(self.edges[i])
-            f = float(cache.downsample_factor)
             lx = px[sel] - (offset if self.axis == "x" else 0.0)
             ly = py[sel] - (offset if self.axis == "y" else 0.0)
             lz = pz[sel] - (offset if self.axis == "z" else 0.0)
-            out[sel] = trilinear_dense(cache.values, lx / f, ly / f, lz / f)
+            out[:, sel] = cache.sample_incident(lx, ly, lz)
         return out
 
 

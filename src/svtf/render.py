@@ -13,33 +13,49 @@ attenuated by extinction sigma = lut_opacity * density_scale. Sources are
 sampled at step midpoints, which converges to the analytic transmittance
 integral from below at second order in the step size.
 
-Both marches leave out the steps whose sample is exactly empty. When
-empty_value is 0 and the transfer function maps 0 to nothing, a sample whose
-trilinear footprint lies wholly in non-resident tiles has sigma 0 and emits
-nothing, so its step would multiply transmittance by 1.0 and add 0.0 (see
-_SkipGrid). Images and caches are bit-identical to marching every step.
+Both marches run through one driver, _march, and leave out the steps whose
+sample is exactly empty. When empty_value is 0 and the transfer function
+maps 0 to nothing, a sample whose trilinear footprint lies wholly in
+non-resident tiles has sigma 0 and emits nothing, so its step would multiply
+transmittance by 1.0 and add 0.0 (see _SkipGrid). Images and caches are
+bit-identical to marching every step.
+
+Each sample's footprint is computed once (sample.trilinear_footprint): its
+table base is the live test, and the live rows of it are what the lerp
+blends. A ray that ends is written back at once but its row stays, flagged
+off, until a quarter of the marching rows have ended; then the rows are
+compacted in order.
+
+Per-ray vectors (origins, directions, positions, sources, radiance and the
+cache's light sums) are held channel-planar, as (3, n) arrays, so that each
+arithmetic step runs over n rays at once rather than over rows of three.
+Camera.rays, IlluminationCache.values and the image keep their row-major
+(..., 3) layout at the edges.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .sample import (
-    corner_axis,
-    footprint_cells,
-    level_coords,
-    sample_trilinear_many,
-    trilinear_dense,
-)
-from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
+from .sample import trilinear_dense, trilinear_footprint, trilinear_lerp
+from .svt import NO_TILE, SparseVolumeTexture
 from .volume import VolumeDims, VoxelFormat
 
 MIN_TRANSMITTANCE = 1e-3
+# _march leaves ended rays in place, flagged off, until they make up
+# 1/_COMPACT_SHARE of its marching rows, and then compacts the rows.
+_COMPACT_SHARE = 4
+
+
+def _check_count(name: str, v) -> None:
+    if not isinstance(v, numbers.Integral) or v < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 def _check_finite(name: str, v) -> None:
@@ -165,10 +181,18 @@ class IlluminationCache:
     dims: VolumeDims
     downsample_factor: int
     values: np.ndarray  # (z, y, x, 3)
+    # Channel-first (3, z, y, x) float64; values is a view of them when
+    # they were built first, as build_illumination_cache does.
+    planes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        planes = np.moveaxis(self.values, -1, 0)
+        self.planes = np.ascontiguousarray(planes, dtype=np.float64)
 
     def sample_incident(self, px, py, pz) -> np.ndarray:
+        """Incident RGB at mip-0 positions, as (3, n)."""
         f = float(self.downsample_factor)
-        return trilinear_dense(self.values, px / f, py / f, pz / f)
+        return trilinear_dense(self.planes, px / f, py / f, pz / f)
 
 
 @dataclass(frozen=True)
@@ -250,66 +274,63 @@ class RenderParams:
     mip: int = 0
 
     def __post_init__(self):
-        if self.max_step_count < 1:
-            raise ValueError("max_step_count must be >= 1")
-        if self.shadow_steps < 1:
-            raise ValueError("shadow_steps must be >= 1")
+        _check_count("max_step_count", self.max_step_count)
+        _check_count("shadow_steps", self.shadow_steps)
+
+
+def _slab(o, d, lo, hi):
+    """One axis of the slab test: (near, far) of rays o + t d against the
+    slab [lo, hi]."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        t0 = (lo - o) * inv
+        t1 = (hi - o) * inv
+        near = np.minimum(t0, t1)
+        far = np.maximum(t0, t1)
+    # A parallel axis constrains nothing when the origin lies inside its
+    # slab (faces inclusive) and everything when it does not.
+    parallel = d == 0.0
+    if parallel.any():
+        inside = (o >= lo) & (o <= hi)
+        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
+        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+    return near, far
 
 
 def _ray_aabb(origins, dirs, lo, hi):
-    """Slab intersection; returns (t_near, t_far) with t_near clamped to 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        t0 = (lo[None, :] - origins) * inv
-        t1 = (hi[None, :] - origins) * inv
-        near_ax = np.minimum(t0, t1)
-        far_ax = np.maximum(t0, t1)
-    # A parallel axis constrains nothing when the origin lies inside its
-    # slab (faces inclusive) and everything when it does not.
-    parallel = dirs == 0.0
-    if parallel.any():
-        inside = (origins >= lo[None, :]) & (origins <= hi[None, :])
-        near_ax = np.where(parallel, np.where(inside, -np.inf, np.inf), near_ax)
-        far_ax = np.where(parallel, np.where(inside, np.inf, -np.inf), far_ax)
-    # Column by column: far faster than a reduction along rows of three.
-    near = np.maximum(np.maximum(near_ax[:, 0], near_ax[:, 1]), near_ax[:, 2])
-    far = np.minimum(np.minimum(far_ax[:, 0], far_ax[:, 1]), far_ax[:, 2])
+    """Slab intersection of (3, n) rays; returns (t_near, t_far) with t_near
+    clamped to 0."""
+    near, far = _slab(origins[0], dirs[0], lo[0], hi[0])
+    for a in (1, 2):
+        near_a, far_a = _slab(origins[a], dirs[a], lo[a], hi[a])
+        near = np.maximum(near, near_a)
+        far = np.minimum(far, far_a)
     return np.maximum(near, 0.0, out=near), far
 
 
 @dataclass(frozen=True)
 class _SkipGrid:
-    """Which samples of one mip level are exactly empty.
+    """Where the samples of one mip level can be non-zero.
 
-    These are the samples whose base corner lies in a cell of the level's
-    footprint table that names no tile (svt.FootprintTable): all eight
-    corners of such a footprint read empty_value.
+    A sample is exactly empty when its footprint's base is NO_TILE (its
+    base corner lies in a cell of the footprint table that names no tile,
+    svt.FootprintTable): all eight corners read empty_value. _march tests
+    each sample's base as the footprint step computes it; the grid bounds
+    each ray's steps by the box around the live cells.
     """
 
-    table: FootprintTable
-    live: np.ndarray  # bool per footprint-table cell, flat
-    dims: VolumeDims  # of the level
-    mip: int
     lo: np.ndarray | None  # mip-0 box around the live cells; None when none is live
     hi: np.ndarray | None
-
-    def live_at(self, p: np.ndarray) -> np.ndarray:
-        """Per row of p (mip-0 positions): can the sample be non-zero?"""
-        px, py, pz = level_coords(p[:, 0], p[:, 1], p[:, 2], self.mip)
-        x, _, _ = corner_axis(px - 0.5, self.dims.x, 1)
-        y, _, _ = corner_axis(py - 0.5, self.dims.y, 1)
-        z, _, _ = corner_axis(pz - 0.5, self.dims.z, 1)
-        return self.live[footprint_cells(self.table, x, y, z)]
 
     def windows(self, origins, dirs, t0, dt, steps):
         """Per ray, float bounds [first, last) of the step indices that can
         reach a live cell, with a one-step margin on each side.
 
-        The box is one voxel wider on each side than the positions whose
-        base corner lies in a live cell. Every sample that may be non-zero
-        therefore lies a voxel or more inside each face of the box that is
-        not a face of the volume, far beyond any rounding error of the slab
-        test.
+        origins and dirs are (3, n). The box is one voxel wider on each side
+        than the positions whose base corner lies in a live cell. Every
+        sample that may be non-zero therefore lies a voxel or more inside
+        each face of the box that is not a face of the volume, far beyond
+        any rounding error of the slab test.
         """
         enter, leave = _ray_aabb(origins, dirs, self.lo, self.hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -348,9 +369,7 @@ def _skip_grid(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
         ]
         lo = np.maximum([(v[0] - 0.5) * scale for v in on], 0.0)
         hi = np.minimum([(v[-1] + 2.5) * scale for v in on], _extent(svt))
-    return _SkipGrid(
-        table=table, live=live.ravel(), dims=svt.mip_dims(mip), mip=mip, lo=lo, hi=hi
-    )
+    return _SkipGrid(lo=lo, hi=hi)
 
 
 def _extent(svt: SparseVolumeTexture) -> np.ndarray:
@@ -359,59 +378,85 @@ def _extent(svt: SparseVolumeTexture) -> np.ndarray:
 
 
 def _drop(arrays, s: int, k: int, done: np.ndarray) -> int:
-    """Remove the rays flagged in done from rows s:k of every array, keeping
-    the order of the rest, which move up to end at row k. Returns the new
-    first row."""
+    """Remove the rays flagged in done from rows s:k (the last axis) of
+    every array, keeping the order of the rest, which move up to end at row
+    k. Returns the new first row."""
     kept = s + np.flatnonzero(~done)
     s2 = k - len(kept)
     for a in arrays:
-        a[s2:k] = np.take(a, kept, axis=0)
+        a[..., s2:k] = a.take(kept, axis=-1)
     return s2
 
 
-def _march(skip, origins, dirs, t0, dt, steps, march, outs, step, stop=None):
-    """March the rays flagged in march, at most `steps` steps of length dt
-    from t0 each, sampling at step midpoints.
+def _march(
+    svt, mip, skip, origins, dirs, t0, dt, steps, march, outs, step, stop=None, positions=True
+):
+    """March the (3, n) rays flagged in march, at most `steps` steps of
+    length dt from t0 each, sampling the mip level at step midpoints.
 
-    outs are per-ray result arrays: each marching ray's rows seed its march
-    state and take it back when the ray ends. step(p, sel, dts, state)
-    updates the state rows sel of the marching rays from their samples at
-    positions p, with step lengths dts; stop(*state rows s:k), when given,
-    flags the marching rays that end early.
+    outs are per-ray result arrays, ray index last: each marching ray's
+    columns seed its march state and take it back when the ray ends.
+    step(p, scalars, sel, dts, state) updates the state rows sel of the
+    marching rays from their (3, m) positions p (None unless positions),
+    their trilinear samples and step lengths dts; stop(*state rows s:k),
+    when given, flags the marching rays that end early.
 
-    A step outside a ray's window, or at a position whose base corner lies
-    in a cell that is not live, has sigma == 0 and a zero source, so it
-    would change no state and is left out. Rows s: of the state hold the
-    rays still marching, sorted by first step, so the rays marching at step
-    i are rows s:k.
+    Each sample's footprint (sample.Footprint) is computed once, for all
+    rows s:k. A step outside a ray's window, or whose footprint base is
+    NO_TILE when a skip grid is given, has sigma == 0 and a zero source, so
+    it would change no state and is left out: only the rows that sample are
+    selected from the footprint, and only they are blended. Rows s: of the
+    state hold the rays still marching, sorted by first step, so the rays
+    marching at step i are rows s:k. A ray that ends is written back and
+    flagged off at once; the rows are compacted, in order, only when the
+    ended rows reach 1/_COMPACT_SHARE of rows s:k.
     """
     rays, first, last = _schedule(skip, origins, dirs, t0, dt, steps, march)
-    o, d, t0, dt = origins[rays], dirs[rays], t0[rays], dt[rays]
-    state = [out[rays] for out in outs]
-    i = s = 0
+    o, d = origins.take(rays, axis=1), dirs.take(rays, axis=1)
+    t0, dt = t0[rays], dt[rays]
+    state = [out.take(rays, axis=-1) for out in outs]
+    on = np.ones(len(rays), dtype=bool)
+    i = s = ended = 0
     while s < len(rays):
         i = max(i, int(first[s]))
         k = s + int(np.searchsorted(first[s:], i, side="right"))
         rows = slice(s, k)
-        t = t0[rows] + (i + 0.5) * dt[rows]
-        p = o[rows] + t[:, None] * d[rows]
-        sel = rows
+        p = d[:, rows] * (t0[rows] + (i + 0.5) * dt[rows])
+        p += o[:, rows]
+        fp = trilinear_footprint(svt, p[0], p[1], p[2], mip)
+        if not positions:
+            p = None
+        sampled = on[rows] if ended else None
         if skip is not None:
-            live = skip.live_at(p)
-            if not live.all():
-                sel = s + np.flatnonzero(live)
-                p = p[live]
-        if len(p):
-            step(p, sel, dt[sel], state)
+            live = fp.base != NO_TILE
+            sampled = live if sampled is None else sampled & live
+        sel = rows
+        if sampled is not None and not sampled.all():
+            keep = np.flatnonzero(sampled)
+            sel = s + keep
+            fp.select(keep)
+            if p is not None:
+                p = p.take(keep, axis=1)
+        if len(fp.base):
+            samples = trilinear_lerp(svt, fp)
+            del fp  # before step allocates: this bounds the peak memory
+            step(p, samples, sel, dt[sel], state)
         i += 1
         done = last[rows] <= i
         if stop is not None:
-            done |= stop(*(a[rows] for a in state))
+            done |= stop(*(a[..., rows] for a in state))
+        if ended:
+            done &= on[rows]
         if done.any():
             gone = s + np.flatnonzero(done)
             for out, a in zip(outs, state):
-                out[rays[gone]] = a[gone]
-            s = _drop((rays, o, d, t0, dt, first, last, *state), s, k, done)
+                out[..., rays[gone]] = a[..., gone]
+            on[gone] = False
+            ended += len(gone)
+            if ended * _COMPACT_SHARE >= k - s:
+                s = _drop((rays, o, d, t0, dt, first, last, *state), s, k, ~on[rows])
+                on[s:k] = True
+                ended = 0
 
 
 def _in_blocks(fn, rows: np.ndarray, threads: int):
@@ -421,7 +466,8 @@ def _in_blocks(fn, rows: np.ndarray, threads: int):
     and dense rays. Each block pays per-step Python work under the
     interpreter lock, so fewer blocks run faster, while smaller blocks keep
     the per-step temporaries, and so peak memory, low."""
-    if threads <= 1 or len(rows) <= 1:
+    _check_count("threads", threads)
+    if threads == 1 or len(rows) <= 1:
         every = rows.ravel()
         return [(every, fn(every))]
     count = min(2 * threads, len(rows))
@@ -445,8 +491,8 @@ def build_illumination_cache(
     is the sum of the individual caches. Deterministic: the cache is
     bit-identical for any thread count (voxels are independent).
     """
-    if downsample_factor < 1:
-        raise ValueError("downsample_factor must be >= 1")
+    _check_count("downsample_factor", downsample_factor)
+    _check_count("shadow_steps", shadow_steps)
     lights = list(lights)
     vd = svt.virtual_dims
     dims = VolumeDims(
@@ -460,29 +506,29 @@ def build_illumination_cache(
         (np.arange(dims.y) + 0.5) * f,
         (np.arange(dims.x) + 0.5) * f,
         indexing="ij",
+        sparse=True,
     )
-    centers = np.stack([xc.ravel(), yc.ravel(), zc.ravel()], axis=1)
+    centers = np.stack(np.broadcast_arrays(xc, yc, zc)).reshape(3, -1)
     skip = _skip_grid(svt, tf, 0)
     sigma_of, _ = tf.tables()
 
-    def absorb(p, sel, dts, state):
-        scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2])
+    def absorb(p, scalars, sel, dts, state):
         state[0][sel] += sigma_of[tf.rows(scalars, svt.format)] * dts
 
     def light_block(block):
-        c = centers[block]
-        flat = np.zeros((len(c), 3), dtype=np.float64)
+        c = centers.take(block, axis=1)
+        light_sum = np.zeros(c.shape, dtype=np.float64)
         for light in lights:
             if isinstance(light, DirectionalLight):
                 d = -np.asarray(light.direction, dtype=np.float64)
-                dirs = np.broadcast_to(d, c.shape)
-                t_stop = np.full(len(c), np.inf)
+                dirs = np.broadcast_to(d[:, None], c.shape)
+                t_stop = np.full(len(block), np.inf)
                 atten = 1.0
             elif isinstance(light, PointLight):
-                to_light = np.asarray(light.position, dtype=np.float64)[None, :] - c
-                dist = np.linalg.norm(to_light, axis=1)
+                to_light = np.asarray(light.position, dtype=np.float64)[:, None] - c
+                dist = np.linalg.norm(to_light, axis=0)
                 dist = np.maximum(dist, 1e-12)
-                dirs = to_light / dist[:, None]
+                dirs = to_light / dist
                 t_stop = dist
                 atten = 1.0 / (1.0 + (dist / light.radius) ** 2)
             else:
@@ -492,19 +538,20 @@ def build_illumination_cache(
             t1 = np.minimum(t1, t_stop)
             length = np.maximum(t1 - t0, 0.0)
             dt = length / shadow_steps
-            tau = np.zeros(len(c), dtype=np.float64)
-            every = np.ones(len(c), dtype=bool)
-            _march(skip, c, dirs, t0, dt, shadow_steps, every, [tau], absorb)
-            trans = np.exp(-tau)
-            weight = (atten * trans)[:, None]
-            flat += np.asarray(light.intensity, dtype=np.float64)[None, :] * weight
-        return flat
+            tau = np.zeros(len(block), dtype=np.float64)
+            every = np.ones(len(block), dtype=bool)
+            _march(
+                svt, 0, skip, c, dirs, t0, dt, shadow_steps, every, [tau], absorb, positions=False
+            )
+            weight = atten * np.exp(-tau)
+            light_sum += np.asarray(light.intensity, dtype=np.float64)[:, None] * weight
+        return light_sum
 
-    flat = np.zeros((centers.shape[0], 3), dtype=np.float64)
-    voxel_rows = np.arange(len(centers)).reshape(dims.z * dims.y, dims.x)
+    planes = np.zeros(centers.shape, dtype=np.float64)
+    voxel_rows = np.arange(centers.shape[1]).reshape(dims.z * dims.y, dims.x)
     for block, values in _in_blocks(light_block, voxel_rows, threads):
-        flat[block] = values
-    values = flat.reshape(dims.z, dims.y, dims.x, 3)
+        planes[:, block] = values
+    values = np.moveaxis(planes.reshape(3, dims.z, dims.y, dims.x), 0, -1)
     return IlluminationCache(dims=dims, downsample_factor=downsample_factor, values=values)
 
 
@@ -524,13 +571,14 @@ def _schedule(skip, origins, dirs, t0, dt, steps, march):
 
 
 def _march_block(svt, cache, tf, params, origins, dirs, skip):
-    n = origins.shape[0]
+    """Radiance (3, n) and transmittance (n,) of the (3, n) rays."""
+    n = origins.shape[1]
     t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), _extent(svt))
     hit = t1 > t0
     steps = params.max_step_count
     dt = np.where(hit, (t1 - t0) / steps, 0.0)
     sigma_of, rgb_of = tf.tables()
-    source_of = tf.emission_scale * rgb_of
+    source_of = np.ascontiguousarray((tf.emission_scale * rgb_of).T)
     # Incident light only matters where the transfer function emits;
     # rgb == 0 kills the contribution regardless of the cache value.
     lit_of = rgb_of.any(axis=1)
@@ -539,25 +587,32 @@ def _march_block(svt, cache, tf, params, origins, dirs, skip):
         cut_n = np.asarray(cut[0], dtype=np.float64)
         cut_off = float(cut[1])
 
-    def shade(p, sel, dts, state):
+    def shade(p, scalars, sel, dts, state):
         rad, tr = state
-        visible = None if cut is None else p @ cut_n + cut_off >= 0.0
-        scalars = sample_trilinear_many(svt, p[:, 0], p[:, 1], p[:, 2], params.mip)
+        # The dot product runs on row-major (m, 3) positions: its BLAS
+        # summation order fixes the bits of the cut test.
+        visible = None if cut is None else p.T.copy() @ cut_n + cut_off >= 0.0
         row = tf.rows(scalars, svt.format, visible)
         sigma = sigma_of[row]
-        source = source_of[row]
+        source = source_of.take(row, axis=1)
         lit = np.flatnonzero(lit_of[row])
-        if len(lit):
-            incident = cache.sample_incident(p[lit, 0], p[lit, 1], p[lit, 2])
-            source[lit] *= 1.0 + incident
+        if len(lit) == len(row):
+            source *= 1.0 + cache.sample_incident(p[0], p[1], p[2])
+        elif len(lit):
+            q = p.take(lit, axis=1)
+            # Channel by channel: fancy indexing along the ray axis of a
+            # (3, m) array costs twice as much.
+            for ch, f in zip(source, 1.0 + cache.sample_incident(q[0], q[1], q[2])):
+                ch[lit] *= f
         e_half = np.exp(-0.5 * dts * sigma)
-        rad[sel] += (tr[sel] * e_half * dts)[:, None] * source
+        for ch, v in zip(rad, (tr[sel] * e_half * dts) * source):
+            ch[sel] += v
         tr[sel] *= e_half * e_half
 
-    radiance = np.zeros((n, 3), dtype=np.float64)
+    radiance = np.zeros((3, n), dtype=np.float64)
     trans = np.ones(n, dtype=np.float64)
     _march(
-        skip, origins, dirs, t0, dt, steps, hit, [radiance, trans], shade,
+        svt, params.mip, skip, origins, dirs, t0, dt, steps, hit, [radiance, trans], shade,
         stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE),
     )
     return radiance, trans
@@ -576,20 +631,21 @@ def raymarch(
     thread count (pixels are independent).
     """
     cam = params.camera
-    origins, dirs = cam.rays()
-    n = origins.shape[0]
-    radiance = np.zeros((n, 3), dtype=np.float64)
+    origins, dirs = (np.ascontiguousarray(a.T) for a in cam.rays())
+    n = origins.shape[1]
+    radiance = np.zeros((3, n), dtype=np.float64)
     trans = np.ones(n, dtype=np.float64)
     skip = _skip_grid(svt, tf, params.mip)
 
     def block(b):
-        return _march_block(svt, cache, tf, params, origins[b], dirs[b], skip)
+        o, d = origins.take(b, axis=1), dirs.take(b, axis=1)
+        return _march_block(svt, cache, tf, params, o, d, skip)
 
     pixel_rows = np.arange(n).reshape(cam.height, cam.width)
     for b, (rad, tr) in _in_blocks(block, pixel_rows, threads):
-        radiance[b], trans[b] = rad, tr
-    background = np.asarray(params.background, dtype=np.float64)
-    img = radiance + trans[:, None] * background[None, :]
+        radiance[:, b], trans[b] = rad, tr
+    img = trans[:, None] * np.asarray(params.background, dtype=np.float64)[None, :]
+    img += radiance.T
     return img.reshape(cam.height, cam.width, 3)
 
 

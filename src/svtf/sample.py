@@ -19,9 +19,17 @@ Every lookup, sparse or dense, addresses its corners the same way
 second corner, which is the axis stride or, at a clamped edge, 0. The
 eight corner indices are the flat base index plus sums of the three steps,
 and _gather_lerp blends them in one fixed float64 order.
+
+A sparse trilinear lookup is two steps: trilinear_footprint computes each
+position's Footprint (table base, flat corner index, steps, fractions),
+and trilinear_lerp blends its corners. The marcher keeps the footprint
+between them, so that it can drop the samples whose base is NO_TILE
+without addressing their corners twice.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -111,25 +119,55 @@ def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> n
     return out
 
 
-def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
+@dataclasses.dataclass
+class Footprint:
+    """The trilinear footprints of positions at one mip level."""
+
+    base: np.ndarray  # footprint-table base; NO_TILE where no tile answers
+    flat: np.ndarray  # atlas index of the base corner (negative at NO_TILE)
+    dx: np.ndarray  # steps to the second corner per axis
+    dy: np.ndarray
+    dz: np.ndarray
+    fx: np.ndarray  # fractions per axis
+    fy: np.ndarray
+    fz: np.ndarray
+
+    def select(self, rows) -> None:
+        """Keep only the given rows, one array at a time, so that each
+        full array is freed before the next is selected."""
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, getattr(self, f.name).take(rows))
+
+
+def trilinear_footprint(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> Footprint:
+    """The footprint step of a trilinear lookup: where its eight corners lie
+    in the atlas, and how they are weighted."""
     table = svt.footprint_table(mip)
     dims = svt.mip_dims(mip)
-    data = svt.atlas.data
     span = svt.config.padded_size
     px, py, pz = level_coords(px, py, pz, mip)
     x, dx, fx = corner_axis(px - 0.5, dims.x, 1)
     y, dy, fy = corner_axis(py - 0.5, dims.y, span)
     z, dz, fz = corner_axis(pz - 0.5, dims.z, span * span)
-
     base = table.base.ravel().take(footprint_cells(table, x, y, z))
-    dead = base == NO_TILE
+    flat = z  # in place, to hold one full-size array fewer
+    flat *= span * span
+    y *= span
+    flat += y
+    flat += x
+    flat += base
+    return Footprint(base, flat, dx, dy, dz, fx, fy, fz)
+
+
+def trilinear_lerp(svt: SparseVolumeTexture, fp: Footprint) -> np.ndarray:
+    """The lerp step of a trilinear lookup: the blend of each footprint's
+    eight corners; a footprint whose base is NO_TILE reads empty_value."""
+    data = svt.atlas.data
+    flat, dx, dy, dz, fx, fy, fz = fp.flat, fp.dx, fp.dy, fp.dz, fp.fx, fp.fy, fp.fz
+    dead = fp.base == NO_TILE
     empty = svt.config.empty_value
     if dead.all():  # also every lookup in an empty atlas
         return _gather_lerp(lambda j: empty, 0, 0, 0, 0, fx, fy, fz)
-    flat = z * (span * span)
-    flat += y * span
-    flat += x
-    flat += base
     # Live indices lie in the atlas; a dead row's index is negative, reads
     # voxel 0 under mode="clip", and is then replaced.
     voxels = data.ravel()
@@ -137,6 +175,10 @@ def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) ->
     if dead.any():
         out[dead] = _gather_lerp(lambda j: empty, 0, 0, 0, 0, fx[dead], fy[dead], fz[dead])
     return out
+
+
+def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
+    return trilinear_lerp(svt, trilinear_footprint(svt, px, py, pz, mip))
 
 
 def sample_nearest(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:
@@ -150,19 +192,20 @@ def sample_trilinear(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:
 
 
 def trilinear_dense(arr: np.ndarray, px, py, pz) -> np.ndarray:
-    """Clamped-edge trilinear lookup in a dense [z, y, x(, c)] array.
+    """Clamped-edge trilinear lookup in a dense [z, y, x] array, or in
+    channel-first [c, z, y, x] data, which gives (c, n).
 
     Uses the same corner addressing and arithmetic order as the sparse
     path; the renderer uses it for illumination-cache lookups.
     """
-    nz, ny, nx = arr.shape[:3]
-    rows = arr.astype(np.float64, copy=False).reshape(nz * ny * nx, *arr.shape[3:])
+    nz, ny, nx = arr.shape[-3:]
+    planes = arr.astype(np.float64, copy=False).reshape(*arr.shape[:-3], nz * ny * nx)
     x, dx, fx = corner_axis(np.asarray(px, dtype=np.float64) - 0.5, nx, 1)
     y, dy, fy = corner_axis(np.asarray(py, dtype=np.float64) - 0.5, ny, nx)
     z, dz, fz = corner_axis(np.asarray(pz, dtype=np.float64) - 0.5, nz, ny * nx)
-    if arr.ndim > 3:
-        fx, fy, fz = fx[..., None], fy[..., None], fz[..., None]
     flat = z * (ny * nx)
     flat += y * nx
     flat += x
-    return _gather_lerp(lambda j: rows.take(j, axis=0, mode="clip"), flat, dx, dy, dz, fx, fy, fz)
+    return _gather_lerp(
+        lambda j: planes.take(j, axis=-1, mode="clip"), flat, dx, dy, dz, fx, fy, fz
+    )

@@ -369,16 +369,32 @@ def reference_march_block(svt, cache, tf, params, origins, dirs):
         source = tf.emission_scale * rgb
         lit = np.flatnonzero(rgb.any(axis=1))
         if len(lit):
-            f = float(cache.downsample_factor)
-            incident = reference_trilinear_dense(
-                cache.values, p[lit, 0] / f, p[lit, 1] / f, p[lit, 2] / f
-            )
+            incident = reference_incident(cache, p[lit, 0], p[lit, 1], p[lit, 2])
             source[lit] *= 1.0 + incident
         e_half = np.exp(-0.5 * dt[alive] * sigma)
         radiance[alive] += (trans[alive] * e_half * dt[alive])[:, None] * source
         trans[alive] *= e_half * e_half
         alive = alive[trans[alive] > MIN_TRANSMITTANCE]
     return radiance, trans
+
+
+def reference_incident(cache, px, py, pz) -> np.ndarray:
+    """(n, 3) incident light of an IlluminationCache, or of chunks.py's
+    per-chunk caches (which have .caches), read by reference_trilinear_dense
+    from each cache's (z, y, x, 3) values."""
+    if not hasattr(cache, "caches"):
+        f = float(cache.downsample_factor)
+        return reference_trilinear_dense(cache.values, px / f, py / f, pz / f)
+    axis = "xyz".index(cache.axis)
+    interior = np.asarray(cache.edges[1:-1], dtype=np.float64)
+    owner = np.searchsorted(interior, (px, py, pz)[axis], side="right")
+    out = np.zeros((len(px), 3))
+    for i, chunk in enumerate(cache.caches):
+        sel = owner == i
+        local = [px[sel], py[sel], pz[sel]]
+        local[axis] = local[axis] - float(cache.edges[i])
+        out[sel] = reference_incident(chunk, *local)
+    return out
 
 
 def reference_raymarch(svt, cache, tf, params) -> np.ndarray:

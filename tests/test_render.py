@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import math
 
@@ -27,7 +28,10 @@ from svtf import (
     save_svtf,
     write_image,
 )
+from svtf import render
 from svtf.render import _ray_aabb, _skip_grid
+from svtf.sample import trilinear_footprint
+from svtf.svt import NO_TILE
 
 
 def uniform_slab(n=32, value=255):
@@ -303,7 +307,7 @@ def test_skipping_is_bit_identical_to_reference(name):
     )
     assert (_skip_grid(svt, tf, params.mip) is not None) == skipping
     origins, dirs = params.camera.rays()
-    t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), np.full(3, 40.0))
+    t0, t1 = _ray_aabb(origins.T, dirs.T, np.zeros(3), np.full(3, 40.0))
     assert (t1 > t0).any() and (t1 <= t0).any()  # some rays miss the box
 
     want_cache = reference_illumination_cache(svt, tf, lights, 4, 16)
@@ -390,19 +394,21 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
         ])
         touches = footprint_touches_resident(svt, mip, p[:, 0], p[:, 1], p[:, 2])
         assert touches.any()
-        assert skip.live_at(p)[touches].all()
+        # _march's live test: the base of the footprint step it samples with.
+        live = trilinear_footprint(svt, p[:, 0], p[:, 1], p[:, 2], mip).base != NO_TILE
+        assert live[touches].all()
 
         # Step windows: every step whose footprint touches a resident tile
         # lies inside its ray's window.
         origins = rng.uniform(-30.0, n + 30.0, (300, 3))
         dirs = np.asarray(voxel) + 0.5 + rng.uniform(-3.0, 3.0, (300, 3)) - origins
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), np.full(3, float(n)))
+        t0, t1 = _ray_aabb(origins.T, dirs.T, np.zeros(3), np.full(3, float(n)))
         hit = t1 > t0
         origins, dirs, t0, t1 = origins[hit], dirs[hit], t0[hit], t1[hit]
         steps = 64
         dt = (t1 - t0) / steps
-        first, last = skip.windows(origins, dirs, t0, dt, steps)
+        first, last = skip.windows(origins.T, dirs.T, t0, dt, steps)
         for i in range(steps):
             t = t0 + (i + 0.5) * dt
             q = origins + t[:, None] * dirs
@@ -469,6 +475,205 @@ def test_ray_box_clip_matches_reference():
     dirs[(dirs == 0.0).all(axis=1), 0] = -1.0
     for d in (dirs, dirs[~(dirs == 0.0).any(axis=1)]):
         o = origins[: len(d)]
-        got, want = _ray_aabb(o, d, lo, hi), reference_ray_aabb(o, d, lo, hi)
+        got, want = _ray_aabb(o.T, d.T, lo, hi), reference_ray_aabb(o, d, lo, hi)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def test_per_axis_ray_box_clip_on_axis_parallel_rays():
+    """_ray_aabb, one axis at a time, against reference_ray_aabb on rays
+    parallel to each axis: from origins inside, outside and on each face of
+    the slab, pointing either way, with signed zeros in the other axes."""
+    lo, hi = np.asarray([0.0, 2.0, -3.0]), np.asarray([40.0, 24.0, 33.0])
+    origins, dirs = [], []
+    for axis in range(3):
+        across = [lo[axis] - 5.0, lo[axis], (lo[axis] + hi[axis]) / 2, hi[axis], hi[axis] + 5.0]
+        for a, b in itertools.product(range(3), repeat=2):
+            for other in across:  # the parallel axes' coordinate: inside, out, faces
+                for sign in (1.0, -1.0, 0.0, -0.0):
+                    o = (lo + hi) / 2 + (hi - lo) * (np.asarray([a, b, a]) - 1) * 0.5
+                    o[(axis + 1) % 3] = other
+                    d = np.zeros(3)
+                    d[axis] = sign if sign != 0.0 else 1.0
+                    d[(axis + 2) % 3] = sign if sign == 0.0 else 0.0
+                    origins.append(o)
+                    dirs.append(d)
+    origins, dirs = np.asarray(origins), np.asarray(dirs)
+    assert (dirs == 0.0).sum(axis=1).min() == 2  # every ray is parallel to two axes
+    got, want = _ray_aabb(origins.T, dirs.T, lo, hi), reference_ray_aabb(origins, dirs, lo, hi)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert (got[1] > got[0]).any() and (got[1] <= got[0]).any()
+
+
+# --- lazily compacted march ---
+
+
+def depth_scene(depths, height=6, nz=12, tile_size=4):
+    """One ortho ray per voxel of a len(depths) x height face, marching +z
+    through voxel centres with one step per voxel. Voxel column x holds an
+    opaque wall at z = depths[x] and the voxel behind it (None: no wall), so
+    its rays end on that step."""
+    width = len(depths)
+    data = np.zeros((nz, height, width), np.uint8)
+    for x, depth in enumerate(depths):
+        if depth is not None:
+            data[depth : depth + 2, :, x] = 255
+    svt = build_svt(make_volume(data), SvtConfig(tile_size=tile_size))
+    camera = Camera(eye=(width / 2, height / 2, -10.0), look_at=(width / 2, height / 2, nz / 2),
+                    width=width, height=height, ortho_height=float(height))
+    tf = TransferFunction.grayscale(density_scale=50.0, emission_scale=0.7)
+    return svt, tf, RenderParams(camera=camera, max_step_count=nz, background=(0.1, 0.2, 0.3))
+
+
+def compactions(monkeypatch):
+    """A list that records the share of rows s:k each compaction removes."""
+    shares = []
+    drop = render._drop
+
+    def recording(arrays, s, k, done):
+        shares.append(fractions.Fraction(int(done.sum()), k - s))
+        return drop(arrays, s, k, done)
+
+    monkeypatch.setattr(render, "_drop", recording)
+    return shares
+
+
+LIGHTS = (DirectionalLight(direction=(0.3, -0.5, 0.8)),)
+
+
+def assert_matches_reference(svt, tf, params, lights=LIGHTS, seen=None):
+    """Cache and image at threads 1, 3 and 4 against the reference marchers.
+    Returns the image and, if seen is a compactions() list, the sorted
+    shares each raymarch compacted, by thread count."""
+    want_cache = reference_illumination_cache(svt, tf, lights, 4, 8)
+    want = reference_raymarch(svt, want_cache, tf, params)
+    shares = {}
+    for threads in (1, 3, 4):
+        cache = build_illumination_cache(svt, tf, lights, 4, 8, threads=threads)
+        assert np.array_equal(cache.values, want_cache.values)
+        if seen is not None:
+            seen.clear()
+        got = raymarch(svt, cache, tf, params, threads=threads)
+        assert np.array_equal(got, want)
+        if seen is not None:
+            shares[threads] = sorted(seen)
+    return want, shares
+
+
+def blocks(threads, height=6):
+    return 1 if threads == 1 else min(2 * threads, height)
+
+
+@pytest.mark.parametrize("tile_size", [4, 16])  # with and without a skip grid
+@pytest.mark.parametrize("depths, shares", [
+    # A quarter of the rows end on step 2: exactly the share, so they are
+    # compacted there; then two thirds of the rest, then the window ends.
+    ([2, 5, None, 5, 2, None, 5, 5], [(1, 4), (2, 3), (1, 1)]),
+    # Two of nine end on step 2, just under a quarter: they stay flagged off
+    # until a third ends on step 5 and a third of the rows is compacted.
+    ([2, None, None, 5, None, None, None, None, 2], [(1, 3), (1, 1)]),
+    # After a compaction, one row in nine ends, under the share, so the
+    # march runs with rows flagged off until four in nine have ended. (The
+    # camera mirrors x: columns 0-2 are each block's last rays.)
+    ([2, 2, 2, 5, 5, 5, None, None, None, None, None, 3], [(1, 4), (4, 9), (1, 1)]),
+    ([3] * 5, [(1, 1)]),  # every ray ends on the same step
+    ([0, 0, 0], [(1, 1)]),  # and on its first one
+])
+def test_compaction_is_bit_identical_to_reference(monkeypatch, tile_size, depths, shares):
+    svt, tf, params = depth_scene(depths, tile_size=tile_size)
+    assert (_skip_grid(svt, tf, 0) is not None) == (tile_size == 4)
+    want, seen = assert_matches_reference(svt, tf, params, seen=compactions(monkeypatch))
+    assert want.any()
+    # Every block holds whole rows of the image, so each compacts alike.
+    for threads in (1, 3, 4):
+        expected = [fractions.Fraction(*share) for share in shares] * blocks(threads)
+        assert seen[threads] == sorted(expected)
+
+
+def test_one_step_march_ends_every_ray_on_its_first_step(monkeypatch):
+    svt, tf, params = depth_scene([None, 4, 1, None, 0])
+    params = RenderParams(camera=params.camera, max_step_count=1, background=(0.1, 0.2, 0.3))
+    _, seen = assert_matches_reference(svt, tf, params, seen=compactions(monkeypatch))
+    assert all(shares == [1] * blocks(threads) for threads, shares in seen.items())
+
+
+@pytest.mark.parametrize("tile_size", [4, 16])
+def test_block_of_one_ray_matches_reference(tile_size):
+    svt, tf, params = depth_scene([3], height=1, tile_size=tile_size)
+    assert_matches_reference(svt, tf, params)
+    svt, tf, params = depth_scene([None], height=1, tile_size=tile_size)
+    assert_matches_reference(svt, tf, params)
+
+
+def test_nan_and_infinite_rays_match_reference(monkeypatch):
+    fmt, config, tf, lights, _, _ = RENDER_CASES["u8"]
+    svt = build_svt(sparse_volume(fmt), config)
+    camera = Camera(eye=(-30.0, 55.0, -45.0), look_at=(20.0, 18.0, 22.0),
+                    vfov_deg=60.0, width=9, height=7)
+    origins, dirs = camera.rays()
+    origins[::4, 0] = np.nan
+    dirs[1::5, 1] = np.nan
+    dirs[2::6] = [np.inf, 0.0, 1.0]
+    origins[3::7, 2] = -np.inf
+    monkeypatch.setattr(Camera, "rays", lambda self: (origins, dirs))
+    params = RenderParams(camera=camera, max_step_count=40, background=(0.1, 0.2, 0.3))
+    img, _ = assert_matches_reference(svt, tf, params, lights)
+    assert img.any()
+
+
+def test_chunked_cache_path_matches_reference():
+    from svtf.chunks import ChunkSplit, _ChunkedCaches, _chunk_volume
+
+    fmt, config, tf, lights, _, _ = RENDER_CASES["u8"]
+    volume = sparse_volume(fmt)
+    whole = build_svt(volume, config)
+    split = ChunkSplit(axis="y", count=3)
+    chunks = [build_svt(_chunk_volume(volume, split, i), config) for i in range(split.count)]
+    want_caches = [reference_illumination_cache(c, tf, lights, 4, 8) for c in chunks]
+    params = RenderParams(
+        camera=Camera(eye=(-30.0, 55.0, -45.0), look_at=(20.0, 18.0, 22.0),
+                      vfov_deg=60.0, width=23, height=17),
+        max_step_count=40,
+    )
+    edges = split.edges(volume.dims)
+    want = reference_raymarch(whole, _ChunkedCaches("y", edges, want_caches), tf, params)
+    for threads in (1, 3, 4):
+        caches = [build_illumination_cache(c, tf, lights, 4, 8, threads=threads) for c in chunks]
+        for got_cache, want_cache in zip(caches, want_caches):
+            assert np.array_equal(got_cache.values, want_cache.values)
+        got = raymarch(whole, _ChunkedCaches("y", edges, caches), tf, params, threads=threads)
+        assert np.array_equal(got, want)
+    assert want.any()
+
+
+# --- render arguments ---
+
+
+@pytest.mark.parametrize("name", ["shadow_steps", "downsample_factor"])
+@pytest.mark.parametrize("value", [0, -1, 1.5])
+def test_cache_rejects_a_count_that_is_not_a_positive_integer(name, value):
+    light = DirectionalLight(direction=(1, 0, 0))
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        build_illumination_cache(uniform_slab(8), TransferFunction.grayscale(), [light],
+                                 **{name: value})
+
+
+@pytest.mark.parametrize("threads", [0, -2, 1.5])
+def test_render_rejects_a_thread_count_that_is_not_a_positive_integer(threads):
+    svt, tf = uniform_slab(8), TransferFunction.grayscale()
+    light = DirectionalLight(direction=(1, 0, 0))
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        build_illumination_cache(svt, tf, [light], threads=threads)
+    cache = build_illumination_cache(svt, tf, [light])
+    params = RenderParams(camera=ortho_camera(8, 4, 4), max_step_count=8)
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        raymarch(svt, cache, tf, params, threads=threads)
+
+
+@pytest.mark.parametrize("name", ["max_step_count", "shadow_steps"])
+@pytest.mark.parametrize("value", [0, -1, 1.5])
+def test_render_params_reject_a_count_that_is_not_a_positive_integer(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        RenderParams(camera=ortho_camera(), **{name: value})
+    assert RenderParams(camera=ortho_camera(), **{name: np.int64(2)})

@@ -279,7 +279,9 @@ def test_first_read_from_many_threads_expands_once(tmp_path, rng, monkeypatch):
 def test_dense_lookup_is_bit_identical_to_reference():
     """trilinear_dense against the 3-D fancy-index lookup it replaced: scalar
     and RGB grids, one-voxel axes, u8/f32/f64 values, positions on voxel
-    centres and faces, outside the grid, and NaN."""
+    centres and faces, outside the grid, and NaN. RGB grids go in
+    channel-first and come out as (3, n): the reference's (z, y, x, 3) grid
+    and (n, 3) result, transposed."""
     rng = np.random.default_rng(909)
     for trial in range(120):
         nz, ny, nx = rng.integers(1, 9, 3)
@@ -294,7 +296,11 @@ def test_dense_lookup_is_bit_identical_to_reference():
             axes.append(p)
         axes[trial % 3][-1] = np.nan
         with np.errstate(invalid="ignore"):
-            got = trilinear_dense(arr, *axes)
-            want = reference_trilinear_dense(arr, *axes)
+            if arr.ndim == 3:
+                got = trilinear_dense(arr, *axes)
+                want = reference_trilinear_dense(arr, *axes)
+            else:
+                got = trilinear_dense(np.moveaxis(arr, -1, 0), *axes)
+                want = reference_trilinear_dense(arr, *axes).T
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -1,8 +1,10 @@
 """Source-tree rules that no behavioural test can see.
 
 Every module-level function and class in src/svtf must be used by the
-library itself or exported from svtf/__init__.py: code that only tests call
-belongs in tests/conftest.py, where it cannot drift into an oracle of itself.
+library itself or exported from svtf/__init__.py, and every method of those
+classes but the dunder ones must be read somewhere in src/svtf: code that
+only tests call belongs in tests/conftest.py, where it cannot drift into an
+oracle of itself.
 """
 
 import ast
@@ -31,15 +33,32 @@ def _uses(node: ast.AST) -> Counter:
     )
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree: ast.Module):
+    """(label, node) of each module-level function and class, and of each
+    method of those classes that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                name = getattr(method, "name", "")
+                if isinstance(method, _FUNCTIONS) and not (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    yield f"{node.name}.{name}", method
+
+
 def _unused(modules: dict) -> list[str]:
-    """Module-level functions and classes read nowhere but in their own body."""
+    """Definitions read nowhere but in their own body."""
     uses = sum((_uses(tree) for tree in modules.values()), Counter())
     return [
-        f"{name}:{node.lineno} {node.name}"
+        f"{name}:{node.lineno} {label}"
         for name, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and uses[node.name] == _uses(node)[node.name]
+        for label, node in _definitions(tree)
+        if uses[node.name] == _uses(node)[node.name]
     ]
 
 
@@ -53,6 +72,13 @@ def test_the_rule_sees_an_unused_definition():
     tree = ast.parse(
         "def used():\n    return 1\n\n"
         "def unused():\n    return used() + unused()\n\n"
-        "class Unused:\n    def method(self):\n        return Unused\n"
+        "class Unused:\n    def method(self):\n        return Unused\n\n"
+        "class Used:\n"
+        "    def __init__(self):\n        self.called()\n\n"
+        "    def called(self):\n        return 1\n\n"
+        "    def recursive(self):\n        return self.recursive()\n\n"
+        "Used()\n"
     )
-    assert _unused({"m.py": tree}) == ["m.py:4 unused", "m.py:7 Unused"]
+    assert _unused({"m.py": tree}) == [
+        "m.py:4 unused", "m.py:7 Unused", "m.py:8 Unused.method", "m.py:18 Used.recursive",
+    ]
