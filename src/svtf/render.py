@@ -13,7 +13,7 @@ attenuated by extinction sigma = lut_opacity * density_scale. Sources are
 sampled at step midpoints, which converges to the analytic transmittance
 integral from below at second order in the step size.
 
-Both marches run through one driver, _march, and leave out the steps whose
+Both marches run through one loop, _march, and leave out the steps whose
 sample is exactly empty. When empty_value is 0 and the transfer function
 maps 0 to nothing, a sample whose trilinear footprint lies wholly in
 non-resident tiles has sigma 0 and emits nothing, so its step would multiply
