@@ -174,20 +174,29 @@ class TransferFunction:
         return sigma[row], rgb[row]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IlluminationCache:
-    """Per-voxel incident RGB radiance on a grid downsampled from the volume."""
+    """Per-voxel incident RGB radiance on a grid downsampled from the volume.
+
+    The cache holds its light as channel-first (3, z, y, x) float64 planes,
+    copied from the values given unless those are already a view of such
+    planes, as build_illumination_cache makes them. values becomes a
+    read-only (z, y, x, 3) view of the planes, so what it shows is always
+    what sample_incident reads.
+    """
 
     dims: VolumeDims
     downsample_factor: int
     values: np.ndarray  # (z, y, x, 3)
-    # Channel-first (3, z, y, x) float64; values is a view of them when
-    # they were built first, as build_illumination_cache does.
     planes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         planes = np.moveaxis(self.values, -1, 0)
-        self.planes = np.ascontiguousarray(planes, dtype=np.float64)
+        planes = np.ascontiguousarray(planes, dtype=np.float64)
+        values = np.moveaxis(planes, 0, -1)
+        values.flags.writeable = False
+        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "values", values)
 
     def sample_incident(self, px, py, pz) -> np.ndarray:
         """Incident RGB at mip-0 positions, as (3, n)."""
@@ -596,9 +605,7 @@ def _march_block(svt, cache, tf, params, origins, dirs, skip):
         sigma = sigma_of[row]
         source = source_of.take(row, axis=1)
         lit = np.flatnonzero(lit_of[row])
-        if len(lit) == len(row):
-            source *= 1.0 + cache.sample_incident(p[0], p[1], p[2])
-        elif len(lit):
+        if len(lit):
             q = p.take(lit, axis=1)
             # Channel by channel: fancy indexing along the ray axis of a
             # (3, m) array costs twice as much.

@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import itertools
 import math
@@ -16,6 +17,7 @@ from conftest import (
 from svtf import (
     Camera,
     DirectionalLight,
+    IlluminationCache,
     PointLight,
     RenderParams,
     SvtConfig,
@@ -90,6 +92,26 @@ def test_cache_light_additivity():
     only_a = build_illumination_cache(svt, tf, [a])
     only_b = build_illumination_cache(svt, tf, [b])
     np.testing.assert_array_equal(both.values, only_a.values + only_b.values)
+
+
+def test_cache_values_always_show_the_light_it_samples():
+    light = DirectionalLight(direction=(1, 0, 0))
+    built = build_illumination_cache(uniform_slab(16), TransferFunction.grayscale(), [light])
+    assert np.shares_memory(built.values, built.planes)  # no second copy
+    given = np.arange(4 * 4 * 4 * 3, dtype=np.float64).reshape(4, 4, 4, 3)
+    cache = IlluminationCache(dims=built.dims, downsample_factor=4, values=given)
+    at = np.asarray([6.0]), np.asarray([2.0]), np.asarray([10.0])
+    before = cache.sample_incident(*at).copy()
+    given += 1.0  # the cache copied the caller's array
+    for c in (built, cache):
+        with pytest.raises(ValueError, match="read-only"):
+            c.values[0, 0, 0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.values = np.zeros_like(c.values)
+        np.testing.assert_array_equal(c.values, np.moveaxis(c.planes, 0, -1))
+    np.testing.assert_array_equal(cache.values, given - 1.0)
+    np.testing.assert_array_equal(cache.sample_incident(*at), before)
+    np.testing.assert_array_equal(before[:, 0], given[2, 0, 1] - 1.0)
 
 
 def test_raymarch_empty_volume_is_background():
