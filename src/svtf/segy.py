@@ -8,6 +8,7 @@ trace-header words. Anything else is rejected loudly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,9 +48,16 @@ DEFAULT_AXIS_MAP = ("crossline", "inline", "sample")
 # traces over a far larger grid are corrupt, not a sparse survey.
 MAX_CELLS_PER_TRACE = 16
 
-# Samples decoded or encoded at a time, so the float64 temporaries of the
-# IBM conversion stay small next to the cube.
-_CHUNK_SAMPLES = 2**20
+# Samples decoded or encoded at a time: the float64 temporaries of one
+# block (1 MiB each) stay in a core's cache and small next to the cube.
+_CHUNK_SAMPLES = 2**17
+
+# IBM word -> signed scale (-1)^s * 16^(e-64) / 2^24, indexed by the top
+# byte (sign and exponent). Every scale is a power of two between 2^-280
+# and 2^228, so fraction * scale is exact in float64.
+_IBM_SCALE = np.array(
+    [(-1.0 if byte >> 7 else 1.0) * 2.0 ** (4 * ((byte & 0x7F) - 64) - 24) for byte in range(256)]
+)
 
 
 @dataclass
@@ -69,10 +77,10 @@ def ibm_to_ieee(words) -> np.ndarray | float:
     Every 32-bit pattern decodes; results are exact in double precision.
     """
     arr = np.asarray(words, dtype=np.uint32)
-    sign = np.where(arr >> np.uint32(31) != 0, -1.0, 1.0)
-    exponent = ((arr >> np.uint32(24)) & np.uint32(0x7F)).astype(np.int64)
-    fraction = (arr & np.uint32(0xFFFFFF)).astype(np.float64)
-    value = sign * np.ldexp(fraction, 4 * (exponent - 64) - 24)
+    value = (arr & np.uint32(0xFFFFFF)).astype(np.float64)
+    # An intp index and mode="clip" (a no-op for indices < 256) make take
+    # several times faster than indexing with the uint32 top bytes.
+    value *= _IBM_SCALE.take(np.right_shift(arr, 24, dtype=np.intp), mode="clip")
     return value if value.ndim else float(value)
 
 
@@ -114,12 +122,14 @@ def _axis_transpose(axis_map) -> tuple[int, int, int]:
 def parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInfo, DenseVolume]:
     """Parse a SEG-Y file into a dense cube on the inline/crossline grid.
 
-    Grid cells with no trace are filled with 0 and counted in
+    The file is mapped read-only, not read whole, and traces may come in
+    any order. Grid cells with no trace are filled with 0 and counted in
     missing_cells. Duplicate grid positions are rejected.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < TEXTUAL_HEADER_BYTES + BINARY_HEADER_BYTES:
-        raise DataError(f"{path}: shorter than the 3600-byte SEG-Y header block")
+    with Path(path).open("rb") as fh:
+        if os.fstat(fh.fileno()).st_size < TEXTUAL_HEADER_BYTES + BINARY_HEADER_BYTES:
+            raise DataError(f"{path}: shorter than the 3600-byte SEG-Y header block")
+        raw = np.memmap(fh, dtype=np.uint8, mode="r")
 
     samples = _u16(raw, OFF_SAMPLES_PER_TRACE)
     interval = _u16(raw, OFF_SAMPLE_INTERVAL)
@@ -136,9 +146,8 @@ def parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInfo, DenseVo
     start = TEXTUAL_HEADER_BYTES + BINARY_HEADER_BYTES
     row_words = TRACE_HEADER_WORDS + samples
     count, tail = divmod(len(raw) - start, 4 * row_words)
-    words = np.frombuffer(raw, dtype=">u4", count=count * row_words, offset=start)
-    words = words.reshape(count, row_words)
     end = start + count * 4 * row_words
+    words = raw[start:end].view(">u4").reshape(count, row_words)
 
     trace_samples = words[:, OFF_TRACE_SAMPLES // 4] & 0xFFFF
     if tail >= TRACE_HEADER_BYTES:
@@ -169,23 +178,37 @@ def parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInfo, DenseVo
             f"{n_il * n_xl} grid cells for {count} traces (at most "
             f"{MAX_CELLS_PER_TRACE} per trace)"
         )
-    ii = il - il_range[0]
-    xi = xl - xl_range[0]
-    if len(np.unique(ii * n_xl + xi)) != count:
+    # The trace at each grid cell, -1 where none is; a duplicate position
+    # leaves fewer cells filled than there are traces.
+    trace_at = np.full((n_il, n_xl), -1, dtype=np.intp)
+    trace_at[il - il_range[0], xl - xl_range[0]] = np.arange(count)
+    if np.count_nonzero(trace_at >= 0) != count:
         raise DataError(f"{path}: duplicate (inline, crossline) trace positions")
 
     perm = _axis_transpose(axis_map)
     shape = (n_il, n_xl, samples)
-    data_zyx = np.zeros(tuple(shape[axis] for axis in perm), dtype=np.float32)
+    data_zyx = np.empty(tuple(shape[axis] for axis in perm), dtype=np.float32)
     cube = data_zyx.transpose(np.argsort(perm))  # [inline, crossline, sample]
-    step = max(1, _CHUNK_SAMPLES // samples)
-    for lo in range(0, count, step):
-        chunk = slice(lo, lo + step)
-        payload = words[chunk, TRACE_HEADER_WORDS:]
-        if format_code == FORMAT_IEEE_FLOAT:
-            cube[ii[chunk], xi[chunk]] = payload.view(">f4")
-        else:
-            cube[ii[chunk], xi[chunk]] = ibm_to_ieee(payload)
+    payload = words[:, TRACE_HEADER_WORDS:]
+    # Fill the grid in raster order, one block of whole inlines (or of part
+    # of one inline, when an inline exceeds the chunk) at a time: gather the
+    # block's traces, decode them into one contiguous buffer, zero its
+    # missing cells and copy it into the cube through the 3-D view, which
+    # never copies the cube whatever the axis map.
+    inlines = max(1, _CHUNK_SAMPLES // (n_xl * samples))
+    crosslines = max(1, min(n_xl, _CHUNK_SAMPLES // samples))
+    for i in range(0, n_il, inlines):
+        for x in range(0, n_xl, crosslines):
+            block = trace_at[i : i + inlines, x : x + crosslines]
+            present = block >= 0
+            traces = payload[np.where(present, block, 0)]
+            if format_code == FORMAT_IEEE_FLOAT:
+                values = traces.view(">f4")
+            else:
+                values = ibm_to_ieee(traces)
+            values[~present] = 0
+            cube[i : i + inlines, x : x + crosslines] = values
+    del raw, words, signed, payload  # the volume keeps nothing of the mapped file
 
     info = SegYHeaderInfo(
         samples_per_trace=samples,

@@ -36,7 +36,6 @@ from svtf import (
     UnsupportedFormatCode,
     VolumeDims,
     VoxelFormat,
-    ibm_to_ieee,
     ieee_to_ibm,
     window_table,
 )
@@ -893,6 +892,19 @@ def _reference_axis_transpose(axis_map) -> tuple[int, int, int]:
     return (canonical[z_src], canonical[y_src], canonical[x_src])
 
 
+def reference_ibm_to_ieee(words) -> np.ndarray | float:
+    """IBM base-16 floats by the direct formula: sign * ldexp(fraction, 4(e-64)-24).
+
+    The decoder as it was before its scale table, kept as the oracle for it.
+    """
+    arr = np.asarray(words, dtype=np.uint32)
+    sign = np.where(arr >> np.uint32(31) != 0, -1.0, 1.0)
+    exponent = ((arr >> np.uint32(24)) & np.uint32(0x7F)).astype(np.int64)
+    fraction = (arr & np.uint32(0xFFFFFF)).astype(np.float64)
+    value = sign * np.ldexp(fraction, 4 * (exponent - 64) - 24)
+    return value if value.ndim else float(value)
+
+
 def reference_parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInfo, DenseVolume]:
     """Parse a SEG-Y file into a dense cube on the inline/crossline grid.
 
@@ -947,7 +959,7 @@ def reference_parse_segy(path, axis_map=DEFAULT_AXIS_MAP) -> tuple[SegYHeaderInf
     if format_code == FORMAT_IEEE_FLOAT:
         values = words.view(">f4").astype(np.float32)
     else:
-        values = ibm_to_ieee(words).astype(np.float32)
+        values = reference_ibm_to_ieee(words).astype(np.float32)
 
     cube = np.zeros((n_il, n_xl, samples), dtype=np.float32)
     filled = np.zeros((n_il, n_xl), dtype=bool)

@@ -227,7 +227,7 @@ def test_c10_segy_roundtrip_and_ibm_oracle(tmp_path):
         words = rng.integers(0, 2**32, size=1_000_000, dtype=np.uint64).astype(np.uint32)
         got = svtf.ibm_to_ieee(words)
         # Independent formula: 16^(e-64) built by exact power-of-two scaling,
-        # separate multiplies (not the fused ldexp the implementation uses).
+        # separate multiplies (not the scale table the implementation uses).
         sign = np.where(words >> np.uint32(31) != 0, -1.0, 1.0)
         e = ((words >> np.uint32(24)) & np.uint32(0x7F)).astype(np.int64)
         frac = (words & np.uint32(0xFFFFFF)).astype(np.float64)

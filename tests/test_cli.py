@@ -253,6 +253,24 @@ def test_segy_grid_far_larger_than_the_traces_exit_code(tmp_path, capsys):
     assert err.startswith("error: OutOfGrid:")
 
 
+@pytest.mark.parametrize(
+    "kind,error",
+    [("empty", "DataError"), ("one byte", "DataError"), ("directory", "IsADirectoryError")],
+)
+def test_segy_short_or_unreadable_input_exit_code(tmp_path, capsys, kind, error):
+    segy_path = tmp_path / "in.sgy"
+    if kind == "directory":
+        segy_path.mkdir()
+    else:
+        segy_path.write_bytes(b"\x01" * (kind == "one byte"))
+    code, out, err = run(capsys, "import-segy", str(segy_path), "-o", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error}:")
+    assert "Traceback" not in err
+
+
 def test_render_writes_ppm(tmp_path, capsys, volume_file):
     svt_path = tmp_path / "vol.svtf"
     assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0

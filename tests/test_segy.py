@@ -1,8 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_volume, reference_parse_segy, reference_write_segy
+from conftest import (
+    make_volume,
+    reference_ibm_to_ieee,
+    reference_parse_segy,
+    reference_write_segy,
+)
 
 from svtf import (
     DataError,
@@ -16,6 +22,7 @@ from svtf import (
     parse_segy,
     write_segy,
 )
+from svtf import segy
 from svtf.segy import (
     DEFAULT_AXIS_MAP,
     MAX_CELLS_PER_TRACE,
@@ -54,6 +61,25 @@ def test_ibm_matches_formula_oracle(rng):
     idx = np.concatenate([np.arange(0, len(words), 97), [0, len(words) - 1]])
     for i in idx:
         assert decoded[i] == ibm_oracle(int(words[i]))
+
+
+def test_ibm_decode_matches_the_formula_for_every_sign_and_exponent():
+    fractions = np.array([0, 1, 0x0FFFFF, 0x100000, 0xFFFFFF], dtype=np.uint32)
+    words = (np.arange(256, dtype=np.uint32)[:, None] << np.uint32(24)) | fractions
+    got, want = ibm_to_ieee(words), reference_ibm_to_ieee(words)
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for word in words.ravel().tolist():  # the scalar form too
+        got_word, want_word = ibm_to_ieee(word), reference_ibm_to_ieee(word)
+        assert struct.pack("<d", got_word) == struct.pack("<d", want_word)
+    with np.errstate(over="ignore"):
+        got32, want32 = got.astype(np.float32), want.astype(np.float32)
+    np.testing.assert_array_equal(got32.view(np.uint32), want32.view(np.uint32))
+    # The cast reaches every float32 edge: overflow, subnormals and -0.0.
+    assert np.isposinf(want32).any() and np.isneginf(want32).any()
+    tiny = np.abs(want32)
+    assert ((tiny > 0) & (tiny < np.finfo(np.float32).tiny)).any()
+    assert ((want32 == 0) & np.signbit(want32)).any()
 
 
 def test_ibm_roundtrip_for_normalized_words(rng):
@@ -244,12 +270,97 @@ def test_writer_and_reader_match_reference(tmp_path, rng, fmt, axis_map, dtype):
 
 @pytest.mark.parametrize("fmt", [1, 5])
 def test_multi_chunk_cube_matches_reference(tmp_path, rng, fmt):
-    # 60,000 samples per trace: a 2^20-sample chunk holds 17 of the 20 traces.
+    # 60,000 samples per trace, 4 traces per inline: an inline spans more
+    # than one chunk of segy._CHUNK_SAMPLES, so blocks end mid-inline.
     samples = 60_000
+    assert samples <= segy._CHUNK_SAMPLES < 4 * samples
     blob = _written(tmp_path, rng.standard_normal((samples, 5, 4)).astype(np.float32), fmt)
     grid = [(il, xl) for il in range(1, 6) for xl in range(1, 5)]
     _set_grid(blob, samples, grid[::-1])
     assert_parse_matches_reference(tmp_path / "big.sgy", blob)
+
+
+def _reorder(blob, samples, order):
+    """The file with its traces in the given order (a subset drops the rest)."""
+    traces = [blob[_trace_pos(t, samples) : _trace_pos(t + 1, samples)] for t in order]
+    return blob[:3600] + b"".join(traces)
+
+
+@pytest.mark.parametrize(
+    "chunk,samples,inlines,crosslines",
+    [
+        (13, 3, 5, 2),  # blocks of two whole inlines, the last of one
+        (12, 4, 3, 5),  # an inline of 5 traces in blocks of 3 and 2: a block ends mid-inline
+        (4, 7, 3, 3),  # one trace longer than the chunk: one trace per block
+        (8, 3, 2, 7),  # an inline wider than the chunk: blocks of 2, 2, 2 and 1 traces
+    ],
+)
+@pytest.mark.parametrize("fmt", [1, 5])
+def test_block_boundaries_match_reference(
+    tmp_path, rng, monkeypatch, fmt, chunk, samples, inlines, crosslines
+):
+    monkeypatch.setattr(segy, "_CHUNK_SAMPLES", chunk)
+    data = (rng.standard_normal((samples, inlines, crosslines)) * 1e3).astype(np.float32)
+    blob = _written(tmp_path, data, fmt)
+    traces = inlines * crosslines
+    missing = {1, traces - 2}
+    kept = [t for t in range(traces) if t not in missing]
+    orders = [
+        list(range(traces)),
+        list(range(traces))[::-1],
+        rng.permutation(traces).tolist(),
+        kept,
+        kept[::-1],
+        rng.permutation(kept).tolist(),
+    ]
+    for order in orders:
+        assert_parse_matches_reference(tmp_path / "blocks.sgy", _reorder(blob, samples, order))
+    # Only the corners, which keep the grid's extent, and every third trace.
+    corners = {0, crosslines - 1, traces - crosslines, traces - 1}
+    sparse = [t for t in range(traces) if t in corners or t % 3 == 0]
+    assert_parse_matches_reference(tmp_path / "blocks.sgy", _reorder(blob, samples, sparse[::-1]))
+
+
+def test_parse_holds_the_cube_and_a_few_blocks_but_not_the_file(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(segy, "_CHUNK_SAMPLES", 2**14)
+    samples, inlines, crosslines = 512, 64, 64
+    data = rng.standard_normal((samples, inlines, crosslines)).astype(np.float32)
+    path = tmp_path / "big.sgy"
+    write_segy(path, make_volume(data, VoxelFormat.F32), format_code=1)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, vol = parse_segy(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block's float64 values take 8 bytes a sample; a handful of such
+    # temporaries and a few words per trace may be live next to the cube.
+    block = 8 * segy._CHUNK_SAMPLES
+    assert peak <= data.nbytes + 8 * block + 64 * inlines * crosslines < data.nbytes + size
+    # The volume owns its voxels: the file can change or go without them changing.
+    assert vol.data.base is None and vol.data.flags.owndata
+    assert not np.shares_memory(vol.data, np.memmap(path, np.uint8, "r"))
+    kept = vol.data.copy()
+    with open(path, "r+b") as fh:
+        fh.write(b"\xff" * size)
+    np.testing.assert_array_equal(vol.data, kept)
+    path.unlink()
+    np.testing.assert_array_equal(vol.data, kept)
+
+
+@pytest.mark.parametrize("kind", ["empty", "one byte", "directory", "header only"])
+def test_short_and_unreadable_files_match_reference(tmp_path, kind):
+    path = tmp_path / "in.sgy"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        size = {"empty": 0, "one byte": 1, "header only": 3600}[kind]
+        path.write_bytes(b"\x01" * size)
+    for axis_map in AXIS_MAPS + [("inline", "inline", "sample")]:
+        got = _outcome(parse_segy, path, axis_map)
+        assert got == _outcome(reference_parse_segy, path, axis_map)
+        assert isinstance(got[0], type) and issubclass(got[0], (DataError, OSError))
 
 
 def test_writer_non_finite_values_match_reference(tmp_path):
