@@ -245,21 +245,20 @@ def write_segy(
     struct.pack_into(">H", binary, 3502 - TEXTUAL_HEADER_BYTES, 1)  # fixed-length traces
 
     count = n_il * n_xl
-    words = np.zeros((count, TRACE_HEADER_WORDS + samples), dtype=">u4")
-    ii, xi = np.divmod(np.arange(count), n_xl)
-    words[:, OFF_TRACE_SAMPLES // 4] = samples
-    words[:, OFF_INLINE // 4] = ii + 1
-    words[:, OFF_CROSSLINE // 4] = xi + 1
     step = max(1, _CHUNK_SAMPLES // samples)
-    for lo in range(0, count, step):
-        chunk = slice(lo, lo + step)
-        values = cube[ii[chunk], xi[chunk]].astype(np.float32, copy=False)
-        if format_code == FORMAT_IEEE_FLOAT:
-            words[chunk, TRACE_HEADER_WORDS:] = values.view(np.uint32)
-        else:
-            words[chunk, TRACE_HEADER_WORDS:] = ieee_to_ibm(values)
-
     with open(path, "wb") as fh:
         fh.write(b"\x00" * TEXTUAL_HEADER_BYTES)
         fh.write(binary)
-        fh.write(words)
+        # One block of traces at a time: headers and sample words.
+        for lo in range(0, count, step):
+            ii, xi = np.divmod(np.arange(lo, min(lo + step, count)), n_xl)
+            words = np.zeros((len(ii), TRACE_HEADER_WORDS + samples), dtype=">u4")
+            words[:, OFF_TRACE_SAMPLES // 4] = samples
+            words[:, OFF_INLINE // 4] = ii + 1
+            words[:, OFF_CROSSLINE // 4] = xi + 1
+            values = cube[ii, xi].astype(np.float32, copy=False)
+            if format_code == FORMAT_IEEE_FLOAT:
+                words[:, TRACE_HEADER_WORDS:] = values.view(np.uint32)
+            else:
+                words[:, TRACE_HEADER_WORDS:] = ieee_to_ibm(values)
+            fh.write(words)

@@ -8,19 +8,21 @@ slots, with 0xFFFFFFFF marking empty tiles. A per-mip footprint table,
 derived from the page table, names the padded tile that answers each
 trilinear footprint.
 
-A loaded container keeps its tile records as they are in the file until the
-first voxel read: load_svtf checks them, and everything else it reads, in
-full, so the expansion into the atlas cannot fail, and a stream or a re-saved
-container reuses the record bytes without building an atlas.
+A loaded container keeps its tile records as they are in the mapped file
+until the first voxel read: load_svtf checks them, and everything else it
+reads, in full, so the expansion into the atlas cannot fail, and a stream or
+a re-saved container reuses the record bytes without building an atlas.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
 import struct
 import threading
 from dataclasses import astuple, dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +36,9 @@ NO_TILE = np.iinfo(np.int64).min  # footprint-table cell that no resident tile a
 # Voxels that a thresholded mask and the tile-record codec handle at a time,
 # so that their temporaries stay small next to the atlas.
 _CHUNK_VOXELS = 2**20
+# Output voxels of an f32 mip level summed at a time, so that their float64
+# pair sums stay in cache.
+_MIP_SLAB_VOXELS = 2**16
 
 
 @dataclass(frozen=True)
@@ -275,6 +280,62 @@ def _pair_sums(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _reduced_slab(d: np.ndarray, z: int, oy: int, ox: int) -> np.ndarray:
+    """numpy's float64 reduce of the children of output layer z, over a
+    zero-padded copy of its two input layers: the order the f32 mips keep."""
+    src = d[2 * z : 2 * z + 2]
+    padded = np.zeros((2, 2 * oy, 2 * ox), dtype=d.dtype)
+    padded[: len(src), : d.shape[1], : d.shape[2]] = src
+    return padded.reshape(1, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5), dtype=np.float64)[0]
+
+
+def _f32_means(d: np.ndarray, cz, cy, cx) -> np.ndarray:
+    """float32 means of each voxel's children, summed in float64.
+
+    The sums are those of numpy's reduce over a zero-padded copy,
+    reshape(oz, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5)); its order fixes the
+    rounding and NaN bits that the container holds. That reduce starts at
+    +0.0 and adds, for each (z, y) child pair in raster order, the x pair
+    x0 + x1 as pair + sums. Here the sum is formed the same way, a few
+    output layers at a time. A lone last x child is its own pair, and
+    missing y and z pairs are left out: a sum started at +0.0 is never
+    -0.0, so adding a padding +0.0 changes nothing. Two cases go through
+    numpy's own reduce, one output layer at a time (_reduced_slab): a level
+    one voxel wide in x, where numpy sums the x and y pairs as one run of
+    four, and a layer holding a NaN sum, whose NaN bits follow numpy's loop.
+    """
+    nx = d.shape[2]
+    oz, oy, ox = len(cz), len(cy), len(cx)
+    hx = nx // 2
+    rows = max(1, _MIP_SLAB_VOXELS // (oy * ox))
+    sums = np.empty((min(rows, oz), oy, ox))
+    pair = np.empty_like(sums)
+    counts = cy[:, None] * cx
+    out = np.empty((oz, oy, ox), dtype=np.float32)
+    for z0 in range(0, oz, rows):
+        k = min(rows, oz - z0)
+        layers = sums[:k]
+        if ox == 1:
+            redo = range(k)
+        else:
+            layers.fill(0.0)
+            for dz, dy in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                src = d[2 * z0 + dz : 2 * (z0 + k) : 2, dy::2]
+                pz, py = src.shape[:2]
+                part, acc = pair[:pz, :py], layers[:pz, :py]
+                x0, x1 = src[..., 0 : 2 * hx : 2], src[..., 1::2]
+                np.add(x0, x1, out=part[..., :hx], dtype=np.float64)
+                if nx % 2:
+                    part[..., hx] = src[..., nx - 1]
+                np.add(part, acc, out=acc)
+            redo = np.flatnonzero(np.isnan(layers).any(axis=(1, 2))).tolist()
+        for z in redo:
+            layers[z] = _reduced_slab(d, z0 + z, oy, ox)
+        np.divide(layers, cz[z0 : z0 + k, None, None] * counts, out=layers)
+        out[z0 : z0 + k] = layers
+    return out
+
+
 def build_mip_level(volume: DenseVolume) -> DenseVolume:
     """Halve each axis (ceil), averaging the up-to-8 children of each voxel.
 
@@ -285,15 +346,7 @@ def build_mip_level(volume: DenseVolume) -> DenseVolume:
     # Children per output voxel along each axis: 2, or 1 at an odd axis's end.
     cz, cy, cx = (np.minimum(n - 2 * np.arange(-(-n // 2)), 2).astype(np.uint16) for n in d.shape)
     if volume.format is not VoxelFormat.U8:
-        # numpy's float64 reduce fixes the order of the sums, and with it
-        # the rounding and NaN bits that the container holds.
-        nz, ny, nx = d.shape
-        oz, oy, ox = len(cz), len(cy), len(cx)
-        padded = np.zeros((oz * 2, oy * 2, ox * 2), dtype=d.dtype)
-        padded[:nz, :ny, :nx] = d
-        sums = padded.reshape(oz, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5), dtype=np.float64)
-        out = (sums / (cz[:, None, None] * cy[:, None] * cx)).astype(np.float32)
-        return DenseVolume.from_array(out, volume.format)
+        return DenseVolume.from_array(_f32_means(d, cz, cy, cx), volume.format)
     # Eight u8 children sum to at most 2040, so uint16 holds u8 sums exactly
     # in any order: pair sums along x, then y, then z. The mean rounds as
     # floor(sum / count + 0.5): (sum + 4) >> 3 for eight children, and
@@ -409,8 +462,8 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     order. Voxels that compare empty are stored as empty_value exactly, so
     the atlas round-trips bit-identically through the upload stream.
     Residency is found first; the atlas is then filled one tile row at a
-    time, each row one slice of consecutive slots, so at most one row of
-    padded tiles exists outside it.
+    time, each row cut from an edge-clamped slab straight into its slice of
+    consecutive slots, so at most one row of padded tiles exists outside it.
     """
     config = config or SvtConfig()
     check_empty_value(config.empty_value, volume.format)
@@ -434,9 +487,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         sx, sy, sz = slot_grid_for(total, config)
         shape = (sz * span, sy * span, sx * span)
         try:
-            atlas_data = np.full(
-                (sx * sy * sz, span, span, span), config.empty_value, dtype=volume.format.dtype
-            )
+            atlas_data = np.empty((sx * sy * sz, span, span, span), dtype=volume.format.dtype)
         except (MemoryError, ValueError):  # ValueError: too big for an array index
             raise AtlasCapacityExceeded(
                 f"an atlas of {shape[2]}x{shape[1]}x{shape[0]} voxels for {total} "
@@ -458,6 +509,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     atlas_dims = VolumeDims.from_zyx(shape) if total else None
     atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
+    atlas_data[total:] = empty  # the tile rows below write every slot before total
     tables = _page_entries(residents, shape, span)
 
     mips = []
@@ -471,12 +523,14 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
             z0 = tz * ts - p
             lo, hi = max(z0, 0), min(z0 + span, nz)
             slab = np.pad(level.data[lo:hi], ((lo - z0, z0 + span - hi), *yx_pad), mode="edge")
-            tiles = sliding_window_view(slab, (span, span, span))[0, ::ts, ::ts][resident[tz]]
+            window = sliding_window_view(slab, (span, span, span))[0, ::ts, ::ts]
+            iy, ix = np.nonzero(resident[tz])
+            tiles = atlas_data[slot : slot + len(iy)]
+            tiles[...] = window[iy, ix]
             occupied = nonempty_mask(tiles, config)
-            tiles[~occupied] = empty
             padded_nonempty += int(np.count_nonzero(occupied))
-            atlas_data[slot : slot + len(tiles)] = tiles
-            slot += len(tiles)
+            np.copyto(tiles, empty, where=np.logical_not(occupied, out=occupied))
+            slot += len(iy)
         mips.append(PageTable(grid_dims=grid, entries=entries))
 
     stats = BuildStats(
@@ -649,20 +703,43 @@ class RecordFile:
 
     def write(self, path, fmt: VoxelFormat, fields, tables, offsets, records) -> None:
         """Write the header (fields: those after the format code), the kind's
-        table parts (bytes or little-endian arrays), the offsets and the records."""
-        with open(path, "wb") as fh:
-            fh.write(self.header.pack(self.magic, self.version, _FORMAT_CODES[fmt], *fields))
-            for part in tables:
-                fh.write(part)
-            fh.write(np.ascontiguousarray(offsets, dtype="<u8"))
-            fh.write(records)
+        table parts (bytes or little-endian arrays), the offsets and the records.
 
-    def read(self, path) -> tuple[bytes, int, list]:
+        The bytes go to a new file in path's directory, which then takes
+        path's name, so a texture or stream that still maps the old file
+        keeps its bytes, and a failed write leaves path as it was.
+        """
+        tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(self.header.pack(self.magic, self.version, _FORMAT_CODES[fmt], *fields))
+                for part in tables:
+                    fh.write(part)
+                fh.write(np.ascontiguousarray(offsets, dtype="<u8"))
+                fh.write(records)
+            # The old file is unlinked first: on ext4 (auto_da_alloc) a rename
+            # over an existing file starts writeback of the new file's data
+            # inside the rename, and the save would wait for it.
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    def read(self, path) -> tuple[mmap.mmap | bytes, int, list]:
         """The file's bytes, its format code and the header fields after it.
 
-        DataError unless the file holds a whole header of this magic and version.
+        The bytes are a read-only mapping of the file; a file that cannot be
+        mapped (empty, or a pipe) is read instead. DataError unless the file
+        holds a whole header of this magic and version.
         """
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            try:
+                raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                raw = fh.read()
         if len(raw) < self.header.size or raw[:4] != self.magic:
             raise DataError(f"{path}: not an {self.name}")
         _, version, fmt_code, *fields = self.header.unpack_from(raw, 0)

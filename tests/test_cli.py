@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from conftest import make_volume
@@ -194,6 +197,36 @@ def test_data_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "inspect", str(bogus))
     assert code == 2
     assert err.startswith("error: DataError:")
+
+
+@pytest.mark.parametrize("kind", ["empty", "pipe"])
+@pytest.mark.parametrize(
+    "command,name", [("dump-upload", "SVTF container"), ("apply-upload", "SVTU upload stream")]
+)
+def test_empty_or_unmappable_file_exit_code(tmp_path, capsys, volume_file, kind, command, name):
+    svt_path = tmp_path / "vol.svtf"
+    assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0
+    bad = tmp_path / "bad"
+    writer = None
+    if kind == "empty":
+        bad.write_bytes(b"")
+    else:  # a pipe cannot be mapped and is read instead
+        os.mkfifo(bad)
+        writer = threading.Thread(target=bad.write_bytes, args=(b"SVT",), daemon=True)
+        writer.start()
+    if command == "dump-upload":
+        argv = [str(bad), "-o", str(tmp_path / "out.svtu")]
+    else:
+        argv = [str(svt_path), str(bad)]
+    try:
+        code, out, err = run(capsys, command, *argv)
+    finally:
+        if writer:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: DataError: {bad}: not an {name}\n"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -321,6 +321,25 @@ def test_block_boundaries_match_reference(
     assert_parse_matches_reference(tmp_path / "blocks.sgy", _reorder(blob, samples, sparse[::-1]))
 
 
+@pytest.mark.parametrize("fmt", [1, 5])
+def test_write_holds_a_few_blocks_but_not_the_file(tmp_path, rng, monkeypatch, fmt):
+    monkeypatch.setattr(segy, "_CHUNK_SAMPLES", 2**14)
+    data = rng.standard_normal((512, 64, 64)).astype(np.float32)
+    vol = make_volume(data, VoxelFormat.F32)
+    path, ref = tmp_path / "big.sgy", tmp_path / "ref.sgy"
+    tracemalloc.start()
+    try:
+        write_segy(path, vol, format_code=fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The IBM encoder's float64 and integer temporaries take a few times 8
+    # bytes a sample of one block; the file is 9 MiB.
+    assert peak < 16 * 8 * segy._CHUNK_SAMPLES < path.stat().st_size // 4
+    reference_write_segy(ref, vol, format_code=fmt)
+    assert path.read_bytes() == ref.read_bytes()
+
+
 def test_parse_holds_the_cube_and_a_few_blocks_but_not_the_file(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(segy, "_CHUNK_SAMPLES", 2**14)
     samples, inlines, crosslines = 512, 64, 64

@@ -1,5 +1,7 @@
 import itertools
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,7 @@ from svtf import (
     save_svtf,
     tile_grid_dims,
 )
+from svtf import svt as svt_module
 from svtf.svt import EMPTY_ENTRY, mip_chain, pack_entry, unpack_entry
 
 
@@ -368,6 +371,132 @@ def test_mip_level_matches_reference_on_extreme_values():
             got, want = build_mip_level(vol), reference_build_mip_level(vol)
         assert got.data.dtype == want.data.dtype
         assert got.data.tobytes() == want.data.tobytes()
+
+
+F32_NANS = np.array([0x7FC00000, 0x7FC00001, 0xFFC00007, 0x7F800003], np.uint32).view(np.float32)
+
+
+def test_f32_mip_level_matches_the_numpy_reduce_on_nan_payloads_and_signed_zeros():
+    # NaN payloads: numpy's default NaN, a quiet one with a payload, a
+    # negative one and a signalling one (0x7f800003); inf - inf gives the
+    # negative default NaN. The sums keep the order of numpy's float64
+    # reduce over a zero-padded copy (reference_build_mip_level), so which
+    # NaN survives, the sign of a zero sum and every rounding are its own.
+    rng = np.random.default_rng(2026)
+    finite = np.array(
+        [3.4e38, -3.4e38, 1e-38, -1e-38, 1e-45, 1e7, 0.0, -0.0, np.inf, -np.inf], np.float32
+    )
+    for i in range(2400):
+        shape = [int(n) for n in rng.integers(1, 20, size=3)]
+        if i % 4 == 0:
+            shape[2] = 1 + i % 8 // 4  # levels one or two voxels wide in x
+        values = np.concatenate([finite, F32_NANS[: i % 5]])
+        data = rng.choice(values, size=shape)
+        if i % 6 == 0:  # an all-NaN output layer, or its lone last input layer
+            z = 2 * int(rng.integers(0, -(-shape[0] // 2)))
+            data[z : z + 2] = rng.choice(F32_NANS, size=data[z : z + 2].shape)
+        if i % 9 == 0:  # only signed zeros: a zero sum is +0.0
+            data = rng.choice(np.array([0.0, -0.0, -0.0], np.float32), size=shape)
+        with np.errstate(invalid="ignore", over="ignore"):
+            vol = make_volume(data, VoxelFormat.F32)
+            got, want = build_mip_level(vol).data, reference_build_mip_level(vol).data
+        assert got.tobytes() == want.tobytes(), (i, shape)
+
+
+def test_f32_mip_level_matches_the_numpy_reduce_across_many_slabs(monkeypatch):
+    # Levels cut into several slabs of output layers, and into one layer a
+    # slab; NaN layers fall in some slabs and not others.
+    rng = np.random.default_rng(7)
+    for slab_voxels in (1, 50, svt_module._MIP_SLAB_VOXELS):
+        monkeypatch.setattr(svt_module, "_MIP_SLAB_VOXELS", slab_voxels)
+        for shape in [(33, 18, 21), (40, 7, 2), (9, 31, 1), (64, 64, 64)]:
+            data = rng.standard_normal(shape).astype(np.float32)
+            data[rng.random(shape) < 0.6] = 0.0
+            data[5, 3, :] = F32_NANS[2]
+            data[-1, 0, 0] = -np.inf
+            data[-1, 0, -1] = np.inf
+            vol = make_volume(data, VoxelFormat.F32)
+            with np.errstate(invalid="ignore"):
+                got, want = build_mip_level(vol).data, reference_build_mip_level(vol).data
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fmt,empty,threshold", [(VoxelFormat.U8, 7, 0.0), (VoxelFormat.F32, -2.5, 0.25)]
+)
+def test_atlas_slots_past_the_tiles_hold_empty_value(fmt, empty, threshold):
+    # Two non-empty voxels in two mip-0 tiles: 2 + 2 + 1 tiles over three
+    # mips take 5 of a 2x2x2 slot grid, so 3 slots are spare. The atlas is
+    # allocated without a fill; every slot must still be written.
+    cfg = SvtConfig(tile_size=4, empty_value=empty, float_empty_threshold=threshold)
+    data = np.full((12, 8, 9), empty, fmt.dtype)
+    if threshold:
+        data += np.float32(0.125)  # empty within the threshold: stored as empty_value
+    data[1, 1, 1] = 200
+    data[9, 6, 8] = 200
+    vol = make_volume(data, fmt)
+    svt = build_svt(vol, cfg)
+    total = svt.slot_count
+    assert total == 5 and len(svt.atlas.data) == 8
+    tail = svt.atlas.data[total:]
+    assert tail.tobytes() == np.full(tail.shape, empty, fmt.dtype).tobytes()
+    assert_build_matches_reference(vol, cfg)
+
+
+def test_load_maps_the_records_and_keeps_them_when_the_file_is_replaced(tmp_path, rng):
+    path = tmp_path / "a.svtf"
+    data = rng.standard_normal((40, 33, 35)).astype(np.float32)
+    first = build_svt(make_volume(data, VoxelFormat.F32))
+    save_svtf(first, path)
+    tracemalloc.start()
+    try:
+        loaded = load_svtf(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The record bytes are not copied; the checks' temporaries stay small.
+    assert peak < path.stat().st_size // 4
+    # Saving another texture to the same name replaces the file; the loaded
+    # texture still reads its own records, expanded after the replace.
+    second = build_svt(random_volume(rng, max_dim=30, fill=0.1))
+    save_svtf(second, path)
+    assert loaded.atlas.data.tobytes() == first.atlas.data.tobytes()
+    assert load_svtf(path).atlas.data.tobytes() == second.atlas.data.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["a.svtf"]
+
+
+def test_a_failed_save_leaves_no_file_behind(tmp_path, rng):
+    svt = build_svt(random_volume(rng, max_dim=20, fill=0.2))
+    target = tmp_path / "taken.svtf"
+    target.mkdir()  # a directory is neither unlinked nor replaced by a file
+    with pytest.raises(IsADirectoryError):
+        save_svtf(svt, target)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken.svtf"] and target.is_dir()
+
+
+def test_an_empty_or_unmappable_container_is_a_data_error(tmp_path, rng):
+    empty = tmp_path / "empty.svtf"
+    empty.write_bytes(b"")
+    with pytest.raises(DataError, match="not an SVTF container"):
+        load_svtf(empty)
+    # A pipe cannot be mapped; it is read instead, as a file would be.
+    svt = build_svt(random_volume(rng, max_dim=20, fill=0.2))
+    save_svtf(svt, tmp_path / "v.svtf")
+    for blob in [(tmp_path / "v.svtf").read_bytes(), b"SVT"]:
+        fifo = tmp_path / "pipe.svtf"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            if blob == b"SVT":
+                with pytest.raises(DataError, match="not an SVTF container"):
+                    load_svtf(fifo)
+            else:
+                assert load_svtf(fifo).atlas.data.tobytes() == svt.atlas.data.tobytes()
+        finally:
+            writer.join(timeout=10)
+            fifo.unlink()
+        assert not writer.is_alive()
 
 
 def test_build_peak_memory_is_bounded():

@@ -4,7 +4,8 @@ Every module-level function and class in src/svtf must be used by the
 library itself or exported from svtf/__init__.py, and every method of those
 classes but the dunder ones must be read somewhere in src/svtf: code that
 only tests call belongs in tests/conftest.py, where it cannot drift into an
-oracle of itself.
+oracle of itself. Every module-level import of a module but __init__.py
+(whose imports are the exports) must be read in that module.
 """
 
 import ast
@@ -82,3 +83,38 @@ def test_the_rule_sees_an_unused_definition():
     assert _unused({"m.py": tree}) == [
         "m.py:4 unused", "m.py:7 Unused", "m.py:8 Unused.method", "m.py:18 Used.recursive",
     ]
+
+
+def _unused_imports(modules: dict) -> list[str]:
+    """Names that a module-level import binds and nothing in the module reads."""
+    unused = []
+    for name, tree in modules.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}:{node.lineno} {bound}")
+    return unused
+
+
+def test_every_module_level_import_is_read():
+    modules = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert _unused_imports(modules) == []
+
+
+def test_the_rule_sees_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\nimport os.path\nimport numpy as np\nimport json as js\n"
+        "from pathlib import Path, PurePath\n\n"
+        "def f(p: Path):\n    import struct\n    return np.zeros(1), os.sep\n"
+    )
+    assert _unused_imports({"m.py": tree}) == ["m.py:5 js", "m.py:6 PurePath"]

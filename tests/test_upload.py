@@ -7,6 +7,7 @@ from conftest import make_volume, random_volume
 
 from svtf import (
     CorruptStream,
+    DataError,
     SvtConfig,
     VoxelFormat,
     apply_upload,
@@ -215,6 +216,33 @@ def test_stream_file_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(loaded.tile_data_offsets, buf.tile_data_offsets)
         atlas = apply_upload(loaded, svt.config, svt.mips)
         np.testing.assert_array_equal(atlas.data, svt.atlas.data)
+
+
+def test_loaded_stream_keeps_its_records_when_the_file_is_replaced(tmp_path, rng):
+    path = tmp_path / "a.svtu"
+    first = build_svt(random_volume(rng, max_dim=40, fmt=VoxelFormat.F32, fill=0.3))
+    save_upload(serialize_upload(first), path)
+    tracemalloc.start()
+    try:
+        loaded = load_upload(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size // 4  # the record bytes are mapped, not copied
+    second = build_svt(random_volume(rng, max_dim=30, fill=0.1))
+    save_upload(serialize_upload(second), path)
+    atlas = apply_upload(loaded, first.config, first.mips)
+    assert atlas.data.tobytes() == first.atlas.data.tobytes()
+    atlas = apply_upload(load_upload(path), second.config, second.mips)
+    assert atlas.data.tobytes() == second.atlas.data.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["a.svtu"]
+
+
+def test_empty_stream_file_rejected(tmp_path):
+    path = tmp_path / "empty.svtu"
+    path.write_bytes(b"")
+    with pytest.raises(DataError, match="not an SVTU upload stream"):
+        load_upload(path)
 
 
 def test_truncated_stream_file_rejected(tmp_path, rng):
