@@ -156,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_thread_count(os.environ.get("SVTF_THREADS", "1"), "SVTF_THREADS"),
     )
     parser.add_argument("-v", "--verbose", action="store_true")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded execution")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("import-segy", help="parse a SEG-Y cube into a raw volume")
@@ -266,8 +264,8 @@ def _print_svt_stats(tex) -> None:
     print(f"nonempty_tile_count: {' '.join(str(c) for c in s.nonempty_tile_count)}")
     print(f"padded_nonempty_voxel_count: {s.padded_nonempty_voxel_count}")
     print(f"mean_tile_occupancy: {s.mean_tile_occupancy:.4f}")
-    d = tex.atlas.dims
-    print(f"atlas_dims: {d.x} {d.y} {d.z}" if d else "atlas_dims: 0 0 0")
+    x, y, z = svtmod.atlas_dims(tex.slot_count, tex.config)
+    print(f"atlas_dims: {x} {y} {z}")
 
 
 def _cmd_build(args) -> int:
@@ -329,9 +327,7 @@ def _cmd_apply_upload(args) -> int:
     tex = svtmod.load_svtf(args.svt)
     buf = upload.load_upload(args.stream, max_atlas_extent=tex.config.max_atlas_extent)
     atlas = upload.apply_upload(buf, tex.config, tex.mips)
-    match = atlas.data.shape == tex.atlas.data.shape and np.array_equal(
-        atlas.data, tex.atlas.data
-    )
+    match = np.array_equal(atlas.data, tex.atlas.data)
     print(f"tiles: {buf.tile_count}")
     print(f"atlas_match: {str(match).lower()}")
     if not match:
@@ -414,8 +410,6 @@ def main(argv=None) -> int:
         threads = _thread_count(args.threads, "--threads")
     except DataError as exc:
         return _fail(exc, 2)
-    if args.deterministic:
-        threads = 1
 
     handlers = {
         "import-segy": lambda: _cmd_import_segy(args),

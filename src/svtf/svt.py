@@ -81,29 +81,27 @@ class PageTable:
 
 
 class TileAtlas:
-    """The physical atlas: one (slots, span, span, span) array of padded tiles.
+    """The physical atlas: one (n, span, span, span) array of the n resident
+    padded tiles, in slot order.
 
-    It holds every slot of the slot grid (slot_grid_for), in slot order;
-    slots past the resident tiles hold empty_value. dims is the atlas as a
-    (x, y, z) texture of slot blocks, which page-table entries address as
-    (ax, ay, az): the entry's slot in data is (az * sy + ay) * sx + ax, for
-    the grid's sx = dims.x // span and sy = dims.y // span.
+    Tiles take slots in row-major (mip, tz, ty, tx) order, so a tile's slot
+    is its rank among the resident tiles. The slot grid that the container
+    and the page-table entries describe (atlas_dims) is not held here.
 
     An atlas that load_svtf returns holds the container's checked tile
     records instead. The first read of .data expands them, once and under a
     lock however many threads read, and drops them, so the atlas holds its
-    records or its voxels, never both. dims needs neither.
+    records or its voxels, never both.
     """
 
-    def __init__(self, dims: VolumeDims | None, data: np.ndarray | None):
-        self.dims = dims  # None when no tile is resident
+    def __init__(self, data: np.ndarray | None):
         self._data = data
         self._records: _TileRecords | None = None
         self._lock = threading.Lock()
 
     @classmethod
     def _holding(cls, records: _TileRecords) -> TileAtlas:
-        atlas = cls(records.dims, None)
+        atlas = cls(None)
         atlas._records = records
         return atlas
 
@@ -135,8 +133,9 @@ class FootprintTable:
     layer and the rest. base[cell] is the flat atlas index of level voxel
     (0, 0, 0) seen through one resident tile's padded block, so a corner
     (x, y, z) is at base + (z*span + y)*span + x. For tile (tx, ty, tz) in
-    slot s, base = s*span^3 + ((pad - tz*ts)*span + pad - ty*ts)*span +
-    pad - tx*ts. The tile is the cell's own
+    slot s (its rank among the resident tiles, see TileAtlas), base =
+    s*span^3 + ((pad - tz*ts)*span + pad - ty*ts)*span + pad - tx*ts. The
+    tile is the cell's own
     tile T if resident, else any resident tile the cell's footprints reach:
     as pad >= 1 its block holds all eight corners, with the values of their
     own tiles, or empty_value where those are not resident. NO_TILE marks a
@@ -188,20 +187,13 @@ def pack_entry(ax: int, ay: int, az: int) -> np.uint32:
     return np.uint32(ax | (ay << _COORD_BITS) | (az << 2 * _COORD_BITS))
 
 
-def unpack_entry(entry):
-    mask = (1 << _COORD_BITS) - 1
-    e = np.asarray(entry, dtype=np.uint64)
-    return (e & mask, (e >> _COORD_BITS) & mask, (e >> 2 * _COORD_BITS) & mask)
-
-
 def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
     ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
     entries = svt.mips[mip].entries
-    sy, sx = (svt.atlas.dims.y // span, svt.atlas.dims.x // span) if svt.atlas.dims else (0, 0)
-    resident = entries != EMPTY_ENTRY
-    tz, ty, tx = np.nonzero(resident)
-    ax, ay, az = (a.astype(np.int64) for a in unpack_entry(entries[resident]))
-    slot = (az * sy + ay) * sx + ax
+    # The level's tiles follow those of the earlier mips, in raster order.
+    first = sum(int(np.count_nonzero(t.entries != EMPTY_ENTRY)) for t in svt.mips[:mip])
+    tz, ty, tx = np.nonzero(entries != EMPTY_ENTRY)
+    slot = first + np.arange(len(tz), dtype=np.int64)
     # One extra NO_TILE layer per axis stands for the tiles past the grid.
     base = np.full([g + 1 for g in entries.shape], NO_TILE, dtype=np.int64)
     inner = ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
@@ -411,25 +403,24 @@ def slot_grid_for(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
     return (side, side, sz)
 
 
-def _slot_coords(shape: tuple[int, int, int], span: int, n: int):
-    """(az, ay, ax) of slots 0..n-1 of an atlas of this (z, y, x) shape.
-
-    Slots fill the atlas x fastest, then y, then z.
-    """
-    _, sy, sx = (extent // span for extent in shape)
-    slots = np.arange(n, dtype=np.int64)
-    return slots // (sx * sy), (slots // sx) % sy, slots % sx
+def atlas_dims(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
+    """The (x, y, z) voxel dims of the atlas texture that a container records
+    for tile_count tiles: the slot grid times the padded tile; zeros for none."""
+    return tuple(n * config.padded_size for n in slot_grid_for(tile_count, config))
 
 
-def _page_entries(residents, shape: tuple[int, int, int], span: int) -> list[np.ndarray]:
-    """Per-mip page-table entries for per-mip residency masks and an atlas shape.
+def _page_entries(residents, config: SvtConfig) -> list[np.ndarray]:
+    """Per-mip page-table entries for per-mip residency masks.
 
-    Resident tiles take the atlas slots in row-major (mip, tz, ty, tx) order,
-    so residency alone fixes every entry.
+    Resident tiles take the slots in row-major (mip, tz, ty, tx) order, so
+    residency alone fixes every entry. An entry packs its slot's block
+    coordinates (ax, ay, az) in the slot grid, which slots fill x fastest,
+    then y, then z.
     """
     counts = [int(np.count_nonzero(resident)) for resident in residents]
-    az, ay, ax = _slot_coords(shape, span, sum(counts))
-    slot_entries = pack_entry(ax, ay, az)
+    slots = np.arange(sum(counts), dtype=np.int64)
+    sx, sy, _ = slot_grid_for(len(slots), config)
+    slot_entries = pack_entry(slots % sx, slots // sx % sy, slots // (sx * sy))
     tables, slot = [], 0
     for resident, count in zip(residents, counts):
         entries = np.full(resident.shape, EMPTY_ENTRY, dtype=np.uint32)
@@ -484,13 +475,12 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     total = sum(tile_counts)
 
     try:
-        sx, sy, sz = slot_grid_for(total, config)
-        shape = (sz * span, sy * span, sx * span)
+        dims = atlas_dims(total, config)
         try:
-            atlas_data = np.empty((sx * sy * sz, span, span, span), dtype=volume.format.dtype)
+            atlas_data = np.empty((total, span, span, span), dtype=volume.format.dtype)
         except (MemoryError, ValueError):  # ValueError: too big for an array index
             raise AtlasCapacityExceeded(
-                f"an atlas of {shape[2]}x{shape[1]}x{shape[0]} voxels for {total} "
+                f"an atlas of {'x'.join(map(str, dims))} voxels for {total} "
                 f"tile(s) does not fit in memory"
             ) from None
     except AtlasCapacityExceeded as exc:
@@ -506,11 +496,8 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         )
         raise
 
-    atlas_dims = VolumeDims.from_zyx(shape) if total else None
-    atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
-    atlas_data[total:] = empty  # the tile rows below write every slot before total
-    tables = _page_entries(residents, shape, span)
+    tables = _page_entries(residents, config)
 
     mips = []
     padded_nonempty = 0
@@ -544,7 +531,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         format=volume.format,
         virtual_dims=volume.dims,
         mips=mips,
-        atlas=atlas,
+        atlas=TileAtlas(atlas_data),
         stats=stats,
     )
 
@@ -566,17 +553,18 @@ def _chunks(n: int, config: SvtConfig) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy-compress atlas slots 0..n-1: (uint64 record offsets, uint8 records).
+def encode_records(atlas: TileAtlas, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy-compress every atlas slot: (uint64 record offsets, uint8 records).
 
     The records are written a chunk of slots at a time into one array, sized
     by a first count of the slots' non-empty voxels. An atlas that still
     holds its records gives them back as they are.
     """
     held = atlas._records
-    if held is not None and len(held.offsets) == n and held.config == config:
+    if held is not None and held.config == config:
         return held.offsets, held.records
     data = atlas.data
+    n = len(data)
     chunks = _chunks(n, config)
     nonempty = sum(int(np.count_nonzero(nonempty_mask(data[chunk], config))) for chunk in chunks)
     records = np.empty(n * config.occupancy_mask_bytes + nonempty * data.itemsize, dtype=np.uint8)
@@ -601,31 +589,26 @@ def encode_records(atlas: TileAtlas, n: int, config: SvtConfig) -> tuple[np.ndar
 
 @dataclass(frozen=True)
 class _TileRecords:
-    """Tile records that passed every check, and the atlas they expand into."""
+    """Tile records that passed every check, and how they expand."""
 
     records: np.ndarray  # uint8
     offsets: np.ndarray  # uint64, read-only, owning its memory
-    shape: tuple[int, int, int]  # the atlas's (z, y, x) voxels
     config: SvtConfig
     dtype: np.dtype
-
-    @property
-    def dims(self) -> VolumeDims | None:
-        return VolumeDims.from_zyx(self.shape) if len(self.offsets) else None
 
 
 def _checked_records(
     records: np.ndarray, offsets: np.ndarray, config: SvtConfig, dtype
 ) -> _TileRecords:
-    """Check records for expansion into a near-cubic atlas, in slot order.
+    """Check records for expansion into an atlas, in slot order.
 
     The offsets must be exactly the running sum of the record sizes and the
     records must end where the last one does; anything else is CorruptStream.
-    More tiles than the atlas extent holds is AtlasCapacityExceeded.
+    More tiles than the slot grid at the atlas extent holds is
+    AtlasCapacityExceeded.
     """
     n = len(offsets)
-    span = config.padded_size
-    span3 = span**3
+    span3 = config.padded_size**3
     mask_bytes = config.occupancy_mask_bytes
     dtype = np.dtype(dtype)
     if n * mask_bytes > records.size:
@@ -648,23 +631,21 @@ def _checked_records(
             raise CorruptStream("tile record offsets are not the running sum of record sizes")
         if ends[-1] != records.size:
             raise CorruptStream(f"records need {int(ends[-1])} bytes, got {records.size}")
-    sx, sy, sz = slot_grid_for(n, config)
+    slot_grid_for(n, config)  # AtlasCapacityExceeded if the grid cannot hold n tiles
     offsets = np.array(offsets, dtype=np.uint64)
     offsets.flags.writeable = False
-    return _TileRecords(records, offsets, (sz * span, sy * span, sx * span), config, dtype)
+    return _TileRecords(records, offsets, config, dtype)
 
 
 def _expand(held: _TileRecords) -> np.ndarray:
-    """The atlas of checked records: each record's block in its slot, the
-    slots past the records' empty_value."""
+    """The atlas of checked records: each record's block in its slot."""
     records, config, dtype = held.records, held.config, held.dtype
     n = len(held.offsets)
     span3 = config.padded_size**3
     mask_bytes = config.occupancy_mask_bytes
     starts = held.offsets.astype(np.int64)
     ends = np.append(starts[1:], records.size)
-    data = np.empty((math.prod(held.shape) // span3, span3), dtype=dtype)
-    data[n:] = config.empty_value
+    data = np.empty((n, span3), dtype=dtype)
     for chunk in _chunks(n, config):
         masks = sliding_window_view(records, mask_bytes)[starts[chunk]]
         # Unpacking span^3 bits leaves out the spare bits of the last byte.
@@ -796,8 +777,7 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
     padded_nonempty_voxel_count is the value count of the records written.
     """
     cfg, stats = svt.config, svt.stats
-    offsets, records = encode_records(svt.atlas, svt.slot_count, cfg)
-    adims = svt.atlas.dims
+    offsets, records = encode_records(svt.atlas, cfg)
     tables = []
     for table, count in zip(svt.mips, stats.nonempty_tile_count):
         g = table.grid_dims
@@ -809,7 +789,7 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
         *astuple(cfg),
         *astuple(svt.virtual_dims),
         len(svt.mips),
-        *(astuple(adims) if adims else (0, 0, 0)),
+        *atlas_dims(len(offsets), cfg),
         stats.nonempty_voxel_count,
         value_count(records, len(offsets), cfg, svt.format),
         stats.mean_tile_occupancy,
@@ -863,10 +843,10 @@ def load_svtf(path) -> SparseVolumeTexture:
         held = _checked_records(records, offsets, config, fmt.dtype)
     except CorruptStream as exc:
         raise CorruptStream(f"{path}: {exc}") from None
-    if held.shape != (az, ay, ax):
+    if atlas_dims(tile_count, config) != (ax, ay, az):
         raise CorruptStream(f"{path}: atlas dims disagree with the tile count")
     residents = [table.entries != EMPTY_ENTRY for table in mips]
-    want = _page_entries(residents, held.shape, config.padded_size)
+    want = _page_entries(residents, config)
     for level, (table, entries) in enumerate(zip(mips, want)):
         if not np.array_equal(table.entries, entries):
             raise CorruptStream(f"{path}: mip {level} page table is not in atlas slot order")

@@ -91,7 +91,7 @@ def serialize_upload(
     svt: SparseVolumeTexture, window_elements: int = WINDOW_ELEMENTS
 ) -> UploadBuffer:
     """Emit tiles in atlas-slot order as occupancy-compressed records."""
-    offsets, records = encode_records(svt.atlas, svt.slot_count, svt.config)
+    offsets, records = encode_records(svt.atlas, svt.config)
     buffer = UploadBuffer(svt.config, svt.format, records, offsets, windows=[])
     if buffer.exceeds_uint32:
         log.warning("upload stream is %d bytes, beyond the uint32 offset range", records.size)
@@ -140,7 +140,7 @@ def apply_upload(buffer: UploadBuffer, config: SvtConfig, page_tables) -> TileAt
         )
 
     held = _checked_records(buffer.records, buffer.tile_data_offsets, config, buffer.format.dtype)
-    return TileAtlas(held.dims, _expand(held))
+    return TileAtlas(_expand(held))
 
 
 # --- stream dump file ---

@@ -30,7 +30,6 @@ from svtf import (
     SegYHeaderInfo,
     SparseVolumeTexture,
     SvtConfig,
-    TileAtlas,
     TransferFunction,
     TruncatedTrace,
     UnsupportedFormatCode,
@@ -61,7 +60,6 @@ from svtf.svt import (
     pack_entry,
     slot_grid_for,
     tile_grid_dims,
-    unpack_entry,
 )
 from svtf.upload import UINT32_LIMIT, WINDOW_ELEMENTS
 
@@ -437,14 +435,48 @@ def rng():
 _ref_log = logging.getLogger("svtf.upload")
 
 
-def reference_slot_order(data_zyx: np.ndarray, span: int) -> np.ndarray:
-    """A (z, y, x) atlas texture of span^3 blocks as the (slots, span, span,
-    span) store the library keeps: the block at block coords (ax, ay, az)
-    is slot (az * sy + ay) * sx + ax. A copy, so it never aliases data_zyx.
+_REF_COORD_BITS = 10  # per-axis field of a packed page-table entry
+
+
+def unpack_entry(entry):
+    """The block coordinates (ax, ay, az) that packed page-table entries hold."""
+    mask = (1 << _REF_COORD_BITS) - 1
+    e = np.asarray(entry, dtype=np.uint64)
+    return (e & mask, (e >> _REF_COORD_BITS) & mask, (e >> 2 * _REF_COORD_BITS) & mask)
+
+
+def reference_entry_slot(packed, n: int, config: SvtConfig) -> np.ndarray:
+    """The slot of packed page entries in the near-cubic grid of n slots:
+    (az * sy + ay) * sx + ax."""
+    sx, sy, _ = slot_grid_for(n, config)
+    ax, ay, az = (a.astype(np.int64) for a in unpack_entry(packed))
+    return (az * sy + ay) * sx + ax
+
+
+def reference_atlas_zyx(n: int, config: SvtConfig) -> tuple[int, int, int]:
+    """The (z, y, x) voxel shape of the atlas texture of n tiles' slot grid."""
+    sx, sy, sz = slot_grid_for(n, config)
+    span = config.padded_size
+    return (sz * span, sy * span, sx * span)
+
+
+@dataclass
+class ReferenceAtlas:
+    """A reference builder's atlas: the (z, y, x) texture of the slot grid,
+    its spare slots empty_value; dims is its (x, y, z) extent, zeros for none."""
+
+    dims: tuple[int, int, int]
+    data: np.ndarray
+
+
+def reference_slot_order(data_zyx: np.ndarray, span: int, n: int) -> np.ndarray:
+    """The first n span^3 blocks of a (z, y, x) atlas texture as the (n, span,
+    span, span) store the library keeps: the block at block coords (ax, ay,
+    az) is slot (az * sy + ay) * sx + ax. A copy, so it never aliases data_zyx.
     """
-    sz, sy, sx = (extent // span for extent in data_zyx.shape)
-    out = np.empty((sz * sy * sx, span, span, span), dtype=data_zyx.dtype)
-    for slot in range(len(out)):
+    _, sy, sx = (extent // span for extent in data_zyx.shape)
+    out = np.empty((n, span, span, span), dtype=data_zyx.dtype)
+    for slot in range(n):
         az, ay, ax = slot // (sx * sy), slot // sx % sy, slot % sx
         out[slot] = data_zyx[
             az * span : (az + 1) * span, ay * span : (ay + 1) * span, ax * span : (ax + 1) * span
@@ -457,18 +489,15 @@ def reference_atlas_slot_blocks(svt: SparseVolumeTexture) -> np.ndarray:
 
     A reference builder's (z, y, x) atlas is reordered by
     reference_slot_order; the library's store must already be in slot order,
-    one block per slot of the grid that atlas.dims gives.
+    one block per resident tile.
     """
     span = svt.config.padded_size
     n = svt.slot_count
-    if n == 0:
-        return np.empty((0, span, span, span), dtype=svt.format.dtype)
     data = svt.atlas.data
-    if data.ndim == 3:
-        data = reference_slot_order(data, span)
-    dims = svt.atlas.dims
-    assert data.shape == ((dims.x // span) * (dims.y // span) * (dims.z // span), span, span, span)
-    return data[:n]
+    if isinstance(svt.atlas, ReferenceAtlas):
+        return reference_slot_order(data, span, n)
+    assert data.shape == (n, span, span, span)
+    return data
 
 
 def encode_tile_record(block: np.ndarray, config: SvtConfig) -> tuple[bytes, np.ndarray]:
@@ -513,7 +542,7 @@ def reference_save_svtf(svt: SparseVolumeTexture, path) -> None:
         offsets[i] = pos
         pos += len(mask) + len(payload)
 
-    adims = svt.atlas.dims
+    az, ay, ax = reference_atlas_zyx(len(blocks), cfg)
     with open(path, "wb") as fh:
         fh.write(
             _REF_SVTF_HEADER.pack(
@@ -529,9 +558,9 @@ def reference_save_svtf(svt: SparseVolumeTexture, path) -> None:
                 svt.virtual_dims.y,
                 svt.virtual_dims.z,
                 len(svt.mips),
-                adims.x if adims else 0,
-                adims.y if adims else 0,
-                adims.z if adims else 0,
+                ax,
+                ay,
+                az,
                 svt.stats.nonempty_voxel_count,
                 svt.stats.padded_nonempty_voxel_count,
                 svt.stats.mean_tile_occupancy,
@@ -605,8 +634,7 @@ def reference_load_svtf(path) -> SparseVolumeTexture:
         raise CorruptStream(f"{path}: tile count disagrees with per-mip counts")
 
     if tile_count:
-        atlas_dims = VolumeDims(ax, ay, az)
-        atlas_data = np.full(atlas_dims.as_zyx(), empty_value, dtype=fmt.dtype)
+        atlas_data = np.full((az, ay, ax), empty_value, dtype=fmt.dtype)
         sy, sx = ay // span, ax // span
         mask_bytes = config.occupancy_mask_bytes
         dtype_le = fmt.dtype.newbyteorder("<")
@@ -627,7 +655,6 @@ def reference_load_svtf(path) -> SparseVolumeTexture:
             z0, y0, x0 = i // (sx * sy) * span, (i // sx) % sy * span, i % sx * span
             atlas_data[z0 : z0 + span, y0 : y0 + span, x0 : x0 + span] = block
     else:
-        atlas_dims = None
         atlas_data = np.full((0, 0, 0), empty_value, dtype=fmt.dtype)
 
     stats = BuildStats(
@@ -641,7 +668,7 @@ def reference_load_svtf(path) -> SparseVolumeTexture:
         format=fmt,
         virtual_dims=VolumeDims(vx, vy, vz),
         mips=mips,
-        atlas=TileAtlas(dims=atlas_dims, data=atlas_data),
+        atlas=ReferenceAtlas(dims=(ax, ay, az), data=atlas_data),
         stats=stats,
     )
 
@@ -700,7 +727,7 @@ def _reference_expected_tile_count(page_tables) -> int:
 
 def reference_apply_upload(
     buffer: ReferenceUploadBuffer, config: SvtConfig, page_tables
-) -> TileAtlas:
+) -> ReferenceAtlas:
     span = config.padded_size
     mask_bytes = config.occupancy_mask_bytes
     bpv = buffer.format.bytes_per_voxel
@@ -736,9 +763,8 @@ def reference_apply_upload(
 
     sx, sy, sz = slot_grid_for(n_tiles, config)
     if n_tiles == 0:
-        return TileAtlas(
-            dims=None, data=np.full((0, 0, 0), config.empty_value, dtype=buffer.format.dtype)
-        )
+        empty = np.full((0, 0, 0), config.empty_value, dtype=buffer.format.dtype)
+        return ReferenceAtlas(dims=(0, 0, 0), data=empty)
     atlas_data = np.full(
         (sz * span, sy * span, sx * span), config.empty_value, dtype=buffer.format.dtype
     )
@@ -762,9 +788,7 @@ def reference_apply_upload(
     if tile_idx != n_tiles:
         raise CorruptStream(f"stream ended with {n_tiles - tile_idx} tiles incomplete")
 
-    return TileAtlas(
-        dims=VolumeDims.from_zyx(atlas_data.shape), data=atlas_data
-    )
+    return ReferenceAtlas(dims=atlas_data.shape[::-1], data=atlas_data)
 
 
 _REF_SVTU_MAGIC = b"SVTU"
@@ -1126,7 +1150,6 @@ def reference_build_svt(
         )
         raise
 
-    atlas_dims = VolumeDims.from_zyx((sz * span, sy * span, sx * span)) if total else None
     atlas_data = np.full(
         (sz * span, sy * span, sx * span), config.empty_value, dtype=volume.format.dtype
     )
@@ -1134,7 +1157,7 @@ def reference_build_svt(
     slots = np.arange(total, dtype=np.int64)
     az, ay, ax = slots // (sx * sy), (slots // sx) % sy, slots % sx
     slot_entries = pack_entry(ax, ay, az)
-    atlas = TileAtlas(dims=atlas_dims, data=atlas_data)
+    atlas = ReferenceAtlas(dims=atlas_data.shape[::-1], data=atlas_data)
 
     mips = []
     padded_nonempty = 0
@@ -1192,20 +1215,12 @@ def _reference_gather_voxels(svt, entries_flat, grid, cx, cy, cz):
     resident = packed != EMPTY_ENTRY
     out = np.full(cx.shape, svt.config.empty_value, dtype=np.float64)
     if resident.any():
-        slot = _reference_slot(svt, packed[resident])
+        slot = reference_entry_slot(packed[resident], svt.slot_count, svt.config)
         vx = pad + (cx[resident] - tx[resident] * ts)
         vy = pad + (cy[resident] - ty[resident] * ts)
         vz = pad + (cz[resident] - tz[resident] * ts)
         out[resident] = svt.atlas.data[slot, vz, vy, vx].astype(np.float64)
     return out
-
-
-def _reference_slot(svt, packed) -> np.ndarray:
-    """The store slot of packed page entries: (az * sy + ay) * sx + ax."""
-    span = svt.config.padded_size
-    ax, ay, az = (a.astype(np.int64) for a in unpack_entry(packed))
-    sx, sy = svt.atlas.dims.x // span, svt.atlas.dims.y // span
-    return (az * sy + ay) * sx + ax
 
 
 def reference_sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
@@ -1266,7 +1281,7 @@ def reference_sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: i
     corners = [np.full(qx.shape, svt.config.empty_value, dtype=np.float64) for _ in range(8)]
 
     if resident.any():
-        slot = _reference_slot(svt, packed[resident])
+        slot = reference_entry_slot(packed[resident], svt.slot_count, svt.config)
         ox = pad + (c0x[resident] - tx[resident] * ts)
         oy = pad + (c0y[resident] - ty[resident] * ts)
         oz = pad + (c0z[resident] - tz[resident] * ts)

@@ -36,7 +36,7 @@ from svtf import (
 )
 from svtf import svt as svt_module
 from svtf.cli import main
-from svtf.svt import EMPTY_ENTRY, pack_entry
+from svtf.svt import EMPTY_ENTRY, atlas_dims, pack_entry, slot_grid_for
 from svtf.upload import WINDOW_ELEMENTS, load_upload, save_upload
 
 CASES = {
@@ -57,10 +57,11 @@ def assert_codecs_agree(tmp_path, svt, windows=(WINDOW_ELEMENTS, 7, 1000)):
     container = new.read_bytes()
     assert container == ref.read_bytes()
     loaded = load_svtf(new)
-    assert loaded.atlas.dims == svt.atlas.dims
     assert loaded.atlas.data.dtype == svt.atlas.data.dtype
-    span = svt.config.padded_size
-    ref_loaded = reference_slot_order(reference_load_svtf(ref).atlas.data, span)
+    span, n = svt.config.padded_size, svt.slot_count
+    ref_atlas = reference_load_svtf(ref).atlas
+    assert ref_atlas.dims == atlas_dims(n, svt.config)
+    ref_loaded = reference_slot_order(ref_atlas.data, span, n)
     np.testing.assert_array_equal(loaded.atlas.data, ref_loaded)
     np.testing.assert_array_equal(loaded.atlas.data, svt.atlas.data)
 
@@ -89,9 +90,9 @@ def assert_codecs_agree(tmp_path, svt, windows=(WINDOW_ELEMENTS, 7, 1000)):
         ref_atlas = reference_apply_upload(
             reference_load_upload(ref_stream, max_atlas_extent=extent), svt.config, svt.mips
         )
-        assert atlas.dims == ref_atlas.dims
+        assert ref_atlas.dims == atlas_dims(len(atlas.data), svt.config)
         assert atlas.data.dtype == ref_atlas.data.dtype
-        np.testing.assert_array_equal(atlas.data, reference_slot_order(ref_atlas.data, span))
+        np.testing.assert_array_equal(atlas.data, reference_slot_order(ref_atlas.data, span, n))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -163,7 +164,7 @@ def test_encode_records_peak_memory_is_bounded(tmp_path, rng, monkeypatch):
     n = svt.slot_count
     tracemalloc.start()
     try:
-        offsets, records = svt_module.encode_records(svt.atlas, n, svt.config)
+        offsets, records = svt_module.encode_records(svt.atlas, svt.config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -188,7 +189,8 @@ def test_spare_mask_bits_are_ignored(tmp_path, rng):
     np.testing.assert_array_equal(load_svtf(path).atlas.data, svt.atlas.data)
     ref_atlas = reference_load_svtf(path).atlas.data
     span = svt.config.padded_size
-    np.testing.assert_array_equal(reference_slot_order(ref_atlas, span), svt.atlas.data)
+    ref_slots = reference_slot_order(ref_atlas, span, svt.slot_count)
+    np.testing.assert_array_equal(ref_slots, svt.atlas.data)
 
 
 # --- corrupt record sections ---
@@ -318,6 +320,9 @@ _SVTF_FIELDS = {  # byte offset and struct code of .svtf header fields
     "virtual_y": (48, "<Q"),
     "virtual_z": (56, "<Q"),
     "mip_count": (64, "<I"),
+    "atlas_x": (68, "<Q"),
+    "atlas_y": (76, "<Q"),
+    "atlas_z": (84, "<Q"),
     "nonempty_voxel_count": (92, "<Q"),
     "padded_nonempty_voxel_count": (100, "<Q"),
     "mean_tile_occupancy": (108, "<d"),
@@ -348,8 +353,8 @@ def _first_resident_entry_pos(svt) -> int:
 
 def corrupt_tables(blob: bytes, svt, kind: str) -> bytes:
     entry = _first_resident_entry_pos(svt)
-    sx, sy = (extent // svt.config.padded_size for extent in (svt.atlas.dims.x, svt.atlas.dims.y))
     n = svt.slot_count
+    sx, sy, sz = slot_grid_for(n, svt.config)
     dims = svt.virtual_dims
     out = bytearray(blob)
     if kind == "entry_past_slots":
@@ -361,7 +366,7 @@ def corrupt_tables(blob: bytes, svt, kind: str) -> bytes:
         struct.pack_into("<I", out, entry, int(packed))
     elif kind == "entry_slot_past_count":
         # Inside the atlas's slot layers, but the first slot past the tiles.
-        assert n < len(svt.atlas.data)
+        assert n < sx * sy * sz
         struct.pack_into("<I", out, entry, int(pack_entry(n % sx, n // sx % sy, n // (sx * sy))))
     elif kind == "entries_swapped":
         # Two valid slots, each named by the other's tile.
@@ -382,6 +387,10 @@ def corrupt_tables(blob: bytes, svt, kind: str) -> bytes:
         _put(out, _SVTF_FIELDS, mip_count=len(svt.mips) + 1)
     elif kind == "grid_x_plus_one":
         struct.pack_into("<Q", out, _REF_SVTF_HEADER.size, svt.mips[0].grid_dims.x + 1)
+    elif kind == "atlas_x_plus_padded_tile":
+        _put(out, _SVTF_FIELDS, atlas_x=sx * svt.config.padded_size + svt.config.padded_size)
+    elif kind == "atlas_dims_zeroed":
+        _put(out, _SVTF_FIELDS, atlas_x=0, atlas_y=0, atlas_z=0)
     else:
         raise AssertionError(kind)
     return bytes(out)
@@ -399,6 +408,8 @@ TABLE_KINDS = [
     "virtual_x_plus_tile",
     "mip_count_plus_one",
     "grid_x_plus_one",
+    "atlas_x_plus_padded_tile",
+    "atlas_dims_zeroed",
 ]
 
 

@@ -30,7 +30,7 @@ from svtf import (
     write_segy,
 )
 from svtf.segy import OFF_CROSSLINE, OFF_INLINE, OFF_TRACE_SAMPLES, TRACE_HEADER_BYTES
-from svtf.svt import SVTF
+from svtf.svt import SVTF, atlas_dims
 from svtf.upload import SVTU, load_upload, save_upload
 
 SEGY_SAMPLES = 4
@@ -149,7 +149,7 @@ def _stream_state(buf, atlas) -> tuple:
         buf.records.tobytes(),
         buf.total_bytes,
         buf.exceeds_uint32,
-        atlas.dims,
+        atlas_dims(len(atlas.data), buf.config),
         atlas.data.dtype,
         atlas.data.tobytes(),
     )
@@ -184,7 +184,7 @@ def _container_state(loaded) -> tuple:
         loaded.virtual_dims,
         [(table.grid_dims, table.entries.tobytes()) for table in loaded.mips],
         repr(loaded.stats),
-        loaded.atlas.dims,
+        atlas_dims(loaded.slot_count, loaded.config),
         loaded.atlas.data.dtype,
         loaded.atlas.data.shape,
         loaded.atlas.data.tobytes(),

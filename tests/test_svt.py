@@ -14,9 +14,12 @@ from conftest import (
     make_volume,
     random_build_case,
     random_volume,
+    reference_atlas_zyx,
     reference_build_mip_level,
     reference_build_svt,
+    reference_entry_slot,
     reference_slot_order,
+    unpack_entry,
 )
 
 from svtf import (
@@ -26,16 +29,18 @@ from svtf import (
     SvtConfig,
     VolumeDims,
     VoxelFormat,
+    apply_upload,
     build_mip_level,
     build_svt,
     load_svtf,
     sample_nearest,
     sample_trilinear,
     save_svtf,
+    serialize_upload,
     tile_grid_dims,
 )
 from svtf import svt as svt_module
-from svtf.svt import EMPTY_ENTRY, mip_chain, pack_entry, unpack_entry
+from svtf.svt import EMPTY_ENTRY, atlas_dims, mip_chain, pack_entry, slot_grid_for
 
 
 @pytest.mark.parametrize(
@@ -159,7 +164,7 @@ def test_build_all_zero():
     svt = build_svt(make_volume(np.zeros((16, 16, 16), np.uint8)))
     assert svt.stats.nonempty_tile_count == (0,)
     assert (svt.mips[0].entries == EMPTY_ENTRY).all()
-    assert svt.atlas.dims is None
+    assert atlas_dims(svt.slot_count, svt.config) == (0, 0, 0)
     assert svt.atlas.data.size == 0
 
 
@@ -248,9 +253,10 @@ def test_atlas_stores_source_values():
     span, pad = 18, 1
     # The voxel's place in the atlas as a (z, y, x) texture, marked and then
     # reordered into the store's slot order.
-    marker = np.zeros(svt.atlas.dims.as_zyx(), bool)
+    marker = np.zeros(reference_atlas_zyx(svt.slot_count, svt.config), bool)
     marker[az * span + pad + 2, ay * span + pad + 3, ax * span + pad + 4] = True
-    assert svt.atlas.data[reference_slot_order(marker, span)].tolist() == [77]
+    slots = reference_slot_order(marker, span, svt.slot_count)
+    assert svt.atlas.data[slots].tolist() == [77]
 
 
 def test_container_roundtrip(tmp_path, rng):
@@ -284,7 +290,7 @@ def test_container_roundtrip_empty_svt(tmp_path):
     path = tmp_path / "empty.svtf"
     save_svtf(svt, path)
     loaded = load_svtf(path)
-    assert loaded.atlas.dims is None
+    assert atlas_dims(loaded.slot_count, loaded.config) == (0, 0, 0)
     assert loaded.atlas.data.size == 0
     assert loaded.stats.nonempty_tile_count == (0,)
     assert (loaded.mips[0].entries == EMPTY_ENTRY).all()
@@ -299,9 +305,9 @@ def test_float_threshold_drops_tiles():
 
 def assert_build_matches_reference(vol, cfg):
     got, want = build_svt(vol, cfg), reference_build_svt(vol, cfg)
-    assert got.atlas.dims == want.atlas.dims
+    assert atlas_dims(got.slot_count, got.config) == want.atlas.dims
     assert got.atlas.data.dtype == want.atlas.data.dtype
-    want_slots = reference_slot_order(want.atlas.data, got.config.padded_size)
+    want_slots = reference_slot_order(want.atlas.data, got.config.padded_size, want.slot_count)
     assert got.atlas.data.shape == want_slots.shape
     assert got.atlas.data.tobytes() == want_slots.tobytes()
     assert len(got.mips) == len(want.mips)
@@ -424,10 +430,10 @@ def test_f32_mip_level_matches_the_numpy_reduce_across_many_slabs(monkeypatch):
 @pytest.mark.parametrize(
     "fmt,empty,threshold", [(VoxelFormat.U8, 7, 0.0), (VoxelFormat.F32, -2.5, 0.25)]
 )
-def test_atlas_slots_past_the_tiles_hold_empty_value(fmt, empty, threshold):
+def test_every_atlas_holds_exactly_its_resident_tiles(tmp_path, fmt, empty, threshold):
     # Two non-empty voxels in two mip-0 tiles: 2 + 2 + 1 tiles over three
-    # mips take 5 of a 2x2x2 slot grid, so 3 slots are spare. The atlas is
-    # allocated without a fill; every slot must still be written.
+    # mips, in a 2x2x2 slot grid. The atlas is allocated without a fill and
+    # has one slot per tile, none for the grid's 3 spare cells.
     cfg = SvtConfig(tile_size=4, empty_value=empty, float_empty_threshold=threshold)
     data = np.full((12, 8, 9), empty, fmt.dtype)
     if threshold:
@@ -436,11 +442,35 @@ def test_atlas_slots_past_the_tiles_hold_empty_value(fmt, empty, threshold):
     data[9, 6, 8] = 200
     vol = make_volume(data, fmt)
     svt = build_svt(vol, cfg)
-    total = svt.slot_count
-    assert total == 5 and len(svt.atlas.data) == 8
-    tail = svt.atlas.data[total:]
-    assert tail.tobytes() == np.full(tail.shape, empty, fmt.dtype).tobytes()
+    assert svt.slot_count == 5 and slot_grid_for(5, cfg) == (2, 2, 2)
     assert_build_matches_reference(vol, cfg)
+    # A sparse volume of many tiles, whose slot grid has several layers.
+    many = np.where(np.random.default_rng(5).random((40, 37, 33)) < 0.01, 200, empty)
+    sparse = build_svt(make_volume(many.astype(fmt.dtype), fmt), cfg)
+    sx, sy, _ = slot_grid_for(sparse.slot_count, cfg)
+    assert sparse.slot_count > 2 * sx * sy
+    none = build_svt(make_volume(np.full((9, 5, 6), empty, fmt.dtype), fmt), cfg)
+    assert none.slot_count == 0
+
+    span, ts, pad = cfg.padded_size, cfg.tile_size, cfg.pad
+    for name, tex in (("five", svt), ("sparse", sparse), ("none", none)):
+        path = tmp_path / f"{name}.svtf"
+        save_svtf(tex, path)
+        loaded = load_svtf(path)
+        np.testing.assert_array_equal(loaded.atlas.data, tex.atlas.data)
+        applied = apply_upload(serialize_upload(tex), cfg, tex.mips)
+        for atlas in (tex.atlas, loaded.atlas, applied):
+            assert atlas.data.shape == (tex.slot_count, span, span, span), name
+        # Each resident tile's footprint base is the slot that its packed
+        # entry names in the file's slot grid, times span^3, plus the
+        # in-block offset of level voxel (0, 0, 0); cell 2T is tile T's own.
+        for got in (tex, loaded):
+            for mip, table in enumerate(got.mips):
+                base = got.footprint_table(mip).base
+                for tz, ty, tx in np.argwhere(table.entries != EMPTY_ENTRY).tolist():
+                    slot = reference_entry_slot(table.entries[tz, ty, tx], got.slot_count, cfg)
+                    inner = ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
+                    assert base[2 * tz, 2 * ty, 2 * tx] == int(slot) * span**3 + inner
 
 
 def test_load_maps_the_records_and_keeps_them_when_the_file_is_replaced(tmp_path, rng):

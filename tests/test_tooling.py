@@ -5,14 +5,20 @@ library itself or exported from svtf/__init__.py, and every method of those
 classes but the dunder ones must be read somewhere in src/svtf: code that
 only tests call belongs in tests/conftest.py, where it cannot drift into an
 oracle of itself. Every module-level import of a module but __init__.py
-(whose imports are the exports) must be read in that module.
+(whose imports are the exports) must be read in that module. The CLI's
+global options and README's CLI section must name the same flags.
 """
 
+import argparse
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "svtf"
+from svtf.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "svtf"
 
 
 def _exported() -> set[str]:
@@ -118,3 +124,36 @@ def test_the_rule_sees_an_unused_import():
         "def f(p: Path):\n    import struct\n    return np.zeros(1), os.sep\n"
     )
     assert _unused_imports({"m.py": tree}) == ["m.py:5 js", "m.py:6 PurePath"]
+
+
+def _flag_doc_gaps(parser: argparse.ArgumentParser, readme: str) -> list[str]:
+    """Top-level options that README's CLI section does not name, and flags
+    its global-flags sentence names that the parser does not have."""
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(r"global flags(.*?\.)(?:\s|$)", section, re.S).group(1)
+    named = set(re.findall(r"`(-[-\w]+)", section))
+    options = [
+        action.option_strings
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    ]
+    have = {flag for strings in options for flag in strings}
+    return [
+        f"undocumented {'/'.join(strings)}" for strings in options if not named & set(strings)
+    ] + [f"stale {flag}" for flag in re.findall(r"`(-[-\w]+)", sentence) if flag not in have]
+
+
+def test_readme_names_exactly_the_global_flags():
+    assert _flag_doc_gaps(build_parser(), (ROOT / "README.md").read_text()) == []
+
+
+def test_the_rule_sees_an_undocumented_and_a_stale_flag():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--threads")
+    parser.add_argument("-q", "--quiet", action="store_true")
+    parser.add_subparsers(dest="command").add_parser("run").add_argument("--fast")
+    readme = (
+        "# x\n\n## CLI\n\nOne entry point with global flags `--threads N`,\n"
+        "`--gone` (no longer parsed). Then `run --fast`.\n\n## Next\n\n`-q`\n"
+    )
+    assert _flag_doc_gaps(parser, readme) == ["undocumented -q/--quiet", "stale --gone"]
