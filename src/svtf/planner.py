@@ -27,7 +27,7 @@ class PlanInputs:
     nonempty_voxels: int = 0
     bytes_per_voxel: int = 1
     nonempty_tile_counts: tuple[int, ...] | None = None
-    mean_tile_occupancy: float | None = None
+    mean_tile_occupancy: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,10 @@ def derive_tile_counts(
     nonempty_voxels: int, config: SvtConfig, mean_tile_occupancy: float = 1.0
 ) -> tuple[int, ...]:
     """Synthesize a per-mip tile-count chain from a voxel count and occupancy."""
-    if nonempty_voxels <= 0:
-        return ()
     if not 0 < mean_tile_occupancy <= 1:
         raise ValueError("mean_tile_occupancy must be in (0, 1]")
+    if nonempty_voxels <= 0:
+        return ()
     tiles = max(1, round(nonempty_voxels / (mean_tile_occupancy * config.tile_size**3)))
     counts = []
     while tiles >= 1:
@@ -110,9 +110,7 @@ def check_overflow(inputs: PlanInputs) -> CapacityReport:
     upload = upload_buffer_bytes(inputs.nonempty_voxels, inputs.bytes_per_voxel, config)
     counts = inputs.nonempty_tile_counts
     if counts is None:
-        counts = derive_tile_counts(
-            inputs.nonempty_voxels, config, inputs.mean_tile_occupancy or 1.0
-        )
+        counts = derive_tile_counts(inputs.nonempty_voxels, config, inputs.mean_tile_occupancy)
     breakeven = (
         Fraction(UINT32_LIMIT) / (pad_f * MIP_FACTOR * max(inputs.bytes_per_voxel, 1))
     ) / net

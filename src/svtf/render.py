@@ -63,6 +63,14 @@ def _check_finite(name: str, v) -> None:
         raise ValueError(f"{name} must be finite, got {v}")
 
 
+def _check_positive(name: str, v, allow_zero=False) -> None:
+    """ValueError unless every value of v is finite and > 0, or >= 0 with allow_zero."""
+    _check_finite(name, v)
+    low = np.min(v)
+    if low < 0 or (low == 0 and not allow_zero):
+        raise ValueError(f"{name} must be {'>=' if allow_zero else '>'} 0, got {v}")
+
+
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
@@ -81,8 +89,7 @@ class DirectionalLight:
     def __post_init__(self):
         _check_finite("direction", self.direction)
         object.__setattr__(self, "direction", tuple(_unit(self.direction)))
-        if min(self.intensity) < 0:
-            raise ValueError("intensity components must be >= 0")
+        _check_positive("intensity", self.intensity, allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -95,10 +102,8 @@ class PointLight:
 
     def __post_init__(self):
         _check_finite("position", self.position)
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
-        if min(self.intensity) < 0:
-            raise ValueError("intensity components must be >= 0")
+        _check_positive("radius", self.radius)
+        _check_positive("intensity", self.intensity, allow_zero=True)
 
 
 Light = DirectionalLight | PointLight
@@ -121,8 +126,8 @@ class TransferFunction:
             raise ValueError("lut opacity must lie in [0, 1]")
         if not self.window[0] < self.window[1]:
             raise ValueError("window must satisfy lo < hi")
-        if self.density_scale < 0 or self.emission_scale < 0:
-            raise ValueError("scales must be >= 0")
+        _check_positive("density_scale", self.density_scale, allow_zero=True)
+        _check_positive("emission_scale", self.emission_scale, allow_zero=True)
 
     @staticmethod
     def grayscale(density_scale=1.0, emission_scale=1.0, window=(0.0, 1.0)):
@@ -219,6 +224,10 @@ class Camera:
             raise ValueError("image dims must be positive")
         for name in ("eye", "look_at", "up"):
             _check_finite(name, getattr(self, name))
+        if not 0 < self.vfov_deg < 180:
+            raise ValueError(f"vfov_deg must lie in (0, 180), got {self.vfov_deg}")
+        if self.ortho_height is not None:
+            _check_positive("ortho_height", self.ortho_height)
 
     def _basis(self):
         fwd = _unit(np.asarray(self.look_at, float) - np.asarray(self.eye, float))
@@ -285,6 +294,9 @@ class RenderParams:
     def __post_init__(self):
         _check_count("max_step_count", self.max_step_count)
         _check_count("shadow_steps", self.shadow_steps)
+        _check_finite("background", self.background)
+        if self.cut_plane is not None:
+            _check_finite("cut_plane", (*self.cut_plane[0], self.cut_plane[1]))
 
 
 def _slab(o, d, lo, hi):

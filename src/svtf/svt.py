@@ -76,8 +76,17 @@ class SvtConfig:
 
 @dataclass
 class PageTable:
-    grid_dims: VolumeDims
-    entries: np.ndarray  # uint32, shape grid_dims.as_zyx(), EMPTY_ENTRY = empty
+    entries: np.ndarray  # uint32, [tz, ty, tx], EMPTY_ENTRY = empty
+
+    @property
+    def grid_dims(self) -> VolumeDims:
+        gz, gy, gx = self.entries.shape
+        return VolumeDims(gx, gy, gz)
+
+
+def tile_counts(page_tables) -> tuple[int, ...]:
+    """The resident tiles of each page table: its entries that are not empty."""
+    return tuple(int(np.count_nonzero(t.entries != EMPTY_ENTRY)) for t in page_tables)
 
 
 class TileAtlas:
@@ -94,16 +103,10 @@ class TileAtlas:
     records or its voxels, never both.
     """
 
-    def __init__(self, data: np.ndarray | None):
+    def __init__(self, data: np.ndarray | None, records: _TileRecords | None = None):
         self._data = data
-        self._records: _TileRecords | None = None
+        self._records = records
         self._lock = threading.Lock()
-
-    @classmethod
-    def _holding(cls, records: _TileRecords) -> TileAtlas:
-        atlas = cls(None)
-        atlas._records = records
-        return atlas
 
     @property
     def data(self) -> np.ndarray:
@@ -115,7 +118,7 @@ class TileAtlas:
         return self._data
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuildStats:
     nonempty_voxel_count: int
     nonempty_tile_count: tuple[int, ...]
@@ -153,7 +156,10 @@ class SparseVolumeTexture:
     virtual_dims: VolumeDims
     mips: list[PageTable]
     atlas: TileAtlas
-    stats: BuildStats = field(repr=False, default=None)
+    # The counts that no page table gives: non-empty mip-0 voxels, and those
+    # of the padded tiles (the tile data, which the records of a file hold).
+    nonempty_voxel_count: int
+    padded_nonempty_voxel_count: int
     # Footprint tables by mip, built on first use. Nothing reassigns mips or
     # atlas after construction, so a table never goes stale.
     _footprints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -180,7 +186,13 @@ class SparseVolumeTexture:
 
     @property
     def slot_count(self) -> int:
-        return int(sum(self.stats.nonempty_tile_count))
+        return sum(tile_counts(self.mips))
+
+    @property
+    def stats(self) -> BuildStats:
+        counts, nonempty = tile_counts(self.mips), self.nonempty_voxel_count
+        occupancy = _mean_tile_occupancy(nonempty, counts[0], self.config.tile_size)
+        return BuildStats(nonempty, counts, self.padded_nonempty_voxel_count, occupancy)
 
 
 def pack_entry(ax: int, ay: int, az: int) -> np.uint32:
@@ -191,7 +203,7 @@ def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
     ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
     entries = svt.mips[mip].entries
     # The level's tiles follow those of the earlier mips, in raster order.
-    first = sum(int(np.count_nonzero(t.entries != EMPTY_ENTRY)) for t in svt.mips[:mip])
+    first = sum(tile_counts(svt.mips[:mip]))
     tz, ty, tx = np.nonzero(entries != EMPTY_ENTRY)
     slot = first + np.arange(len(tz), dtype=np.int64)
     # One extra NO_TILE layer per axis stands for the tiles past the grid.
@@ -385,22 +397,22 @@ def _ceil_cbrt(n: int) -> int:
 
 
 def slot_grid_for(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
-    """Near-cubic slot layout: smallest slot cube side, overflowing into z.
+    """Near-cubic slot layout: (s, s, ceil(tile_count / s^2)) slots, where s
+    is the smallest cube side that holds the tiles, so z is at most s.
 
-    x and y are capped at the atlas extent first; if z would then exceed the
-    cap too, the tiles simply do not fit.
+    AtlasCapacityExceeded when s is over the slots per axis of the atlas
+    extent, that is when the tiles outnumber its slot cube.
     """
     if tile_count == 0:
         return (0, 0, 0)
     cap = config.max_slots_per_axis
-    side = min(_ceil_cbrt(tile_count), cap)
-    sz = -(-tile_count // (side * side))
-    if sz > cap:
+    side = _ceil_cbrt(tile_count)
+    if side > cap:
         raise AtlasCapacityExceeded(
             f"{tile_count} tiles need more than the {cap}^3 slots available "
             f"at max_atlas_extent {config.max_atlas_extent}"
         )
-    return (side, side, sz)
+    return (side, side, -(-tile_count // (side * side)))
 
 
 def atlas_dims(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
@@ -462,7 +474,6 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     span = config.padded_size
 
     levels = mip_chain(volume, config)
-    grids = [tile_grid_dims(level.dims, ts) for level in levels]
     residents = []
     for level in levels:
         occupied = nonempty_mask(level.data, config)
@@ -471,8 +482,8 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         for axis in range(3):
             occupied = _tile_any(occupied, axis, ts)
         residents.append(occupied)
-    tile_counts = tuple(int(np.count_nonzero(resident)) for resident in residents)
-    total = sum(tile_counts)
+    counts = tuple(int(np.count_nonzero(resident)) for resident in residents)
+    total = sum(counts)
 
     try:
         dims = atlas_dims(total, config)
@@ -491,7 +502,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
                 config=config,
                 nonempty_voxels=nonempty0,
                 bytes_per_voxel=volume.format.bytes_per_voxel,
-                nonempty_tile_counts=tile_counts,
+                nonempty_tile_counts=counts,
             )
         )
         raise
@@ -502,9 +513,9 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
     mips = []
     padded_nonempty = 0
     slot = 0
-    for level, grid, resident, entries in zip(levels, grids, residents, tables):
-        nz, ny, nx = level.data.shape
-        yx_pad = (p, grid.y * ts - ny + p), (p, grid.x * ts - nx + p)
+    for level, resident, entries in zip(levels, residents, tables):
+        (nz, ny, nx), (_, gy, gx) = level.data.shape, resident.shape
+        yx_pad = (p, gy * ts - ny + p), (p, gx * ts - nx + p)
         for tz in np.flatnonzero(resident.any(axis=(1, 2))).tolist():
             # The row's span z planes, every read clamped to the volume edge.
             z0 = tz * ts - p
@@ -518,21 +529,10 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
             padded_nonempty += int(np.count_nonzero(occupied))
             np.copyto(tiles, empty, where=np.logical_not(occupied, out=occupied))
             slot += len(iy)
-        mips.append(PageTable(grid_dims=grid, entries=entries))
+        mips.append(PageTable(entries))
 
-    stats = BuildStats(
-        nonempty_voxel_count=nonempty0,
-        nonempty_tile_count=tile_counts,
-        padded_nonempty_voxel_count=padded_nonempty,
-        mean_tile_occupancy=_mean_tile_occupancy(nonempty0, tile_counts[0], ts),
-    )
     return SparseVolumeTexture(
-        config=config,
-        format=volume.format,
-        virtual_dims=volume.dims,
-        mips=mips,
-        atlas=TileAtlas(atlas_data),
-        stats=stats,
+        config, volume.format, volume.dims, mips, TileAtlas(atlas_data), nonempty0, padded_nonempty
     )
 
 
@@ -817,7 +817,7 @@ def load_svtf(path) -> SparseVolumeTexture:
     if mip_count != levels:
         raise CorruptStream(f"{path}: {mip_count} mips, the virtual dims give {levels}")
     pos = SVTF.header.size
-    mips, tile_counts = [], []
+    mips, counts = [], []
     for level in range(levels):
         grid = tile_grid_dims(mip_level_dims(virtual_dims, level), config.tile_size)
         check_available(raw, pos, 32, path, "page-table header")
@@ -829,14 +829,14 @@ def load_svtf(path) -> SparseVolumeTexture:
         entries = np.frombuffer(raw, dtype="<u4", count=grid.count, offset=pos)
         entries = entries.reshape(grid.as_zyx()).astype(np.uint32)
         pos += 4 * grid.count
-        if int((entries != EMPTY_ENTRY).sum()) != count:
+        mips.append(PageTable(entries))
+        counts += tile_counts(mips[-1:])
+        if counts[-1] != count:
             raise CorruptStream(f"{path}: mip {level} resident tiles disagree with its count")
-        mips.append(PageTable(grid_dims=grid, entries=entries))
-        tile_counts.append(int(count))
 
     check_available(raw, pos, 8, path, "tile count")
     (tile_count,) = struct.unpack_from("<Q", raw, pos)
-    if tile_count != sum(tile_counts):
+    if tile_count != sum(counts):
         raise CorruptStream(f"{path}: tile count disagrees with per-mip counts")
     offsets, records = read_records(raw, pos + 8, tile_count, path)
     try:
@@ -857,27 +857,15 @@ def load_svtf(path) -> SparseVolumeTexture:
             f"{path}: padded_nonempty_voxel_count {padded_nonempty}, the records hold {payload}"
         )
     # Each resident mip-0 tile holds 1 to tile_size^3 non-empty voxels.
-    if not tile_counts[0] <= nonempty <= tile_counts[0] * config.tile_size**3:
+    if not counts[0] <= nonempty <= counts[0] * config.tile_size**3:
         raise CorruptStream(
-            f"{path}: nonempty_voxel_count {nonempty} does not fit {tile_counts[0]} mip-0 tiles"
+            f"{path}: nonempty_voxel_count {nonempty} does not fit {counts[0]} mip-0 tiles"
         )
-    want_occupancy = _mean_tile_occupancy(nonempty, tile_counts[0], config.tile_size)
+    want_occupancy = _mean_tile_occupancy(nonempty, counts[0], config.tile_size)
     if struct.pack("<d", occupancy) != struct.pack("<d", want_occupancy):
         raise CorruptStream(
             f"{path}: mean_tile_occupancy {occupancy!r}, the counts give {want_occupancy!r}"
         )
 
-    stats = BuildStats(
-        nonempty_voxel_count=nonempty,
-        nonempty_tile_count=tuple(tile_counts),
-        padded_nonempty_voxel_count=padded_nonempty,
-        mean_tile_occupancy=occupancy,
-    )
-    return SparseVolumeTexture(
-        config=config,
-        format=fmt,
-        virtual_dims=virtual_dims,
-        mips=mips,
-        atlas=TileAtlas._holding(held),
-        stats=stats,
-    )
+    atlas = TileAtlas(None, held)
+    return SparseVolumeTexture(config, fmt, virtual_dims, mips, atlas, nonempty, padded_nonempty)

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import CorruptStream
 from .planner import UINT32_LIMIT
 from .svt import (
-    EMPTY_ENTRY,
     RecordFile,
     SparseVolumeTexture,
     SvtConfig,
@@ -38,6 +37,7 @@ from .svt import (
     encode_records,
     header_config,
     read_records,
+    tile_counts,
     value_count,
 )
 from .volume import VoxelFormat
@@ -114,7 +114,7 @@ def apply_upload(buffer: UploadBuffer, config: SvtConfig, page_tables) -> TileAt
     record-size inconsistencies raise CorruptStream; the config's
     max_atlas_extent is the caller's, and the stream does not hold one.
     """
-    expected = sum(int(np.count_nonzero(t.entries != EMPTY_ENTRY)) for t in page_tables)
+    expected = sum(tile_counts(page_tables))
     if buffer.tile_count != expected:
         raise CorruptStream(
             f"stream has {buffer.tile_count} tiles, page tables reference {expected}"

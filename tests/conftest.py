@@ -460,6 +460,28 @@ def reference_atlas_zyx(n: int, config: SvtConfig) -> tuple[int, int, int]:
     return (sz * span, sy * span, sx * span)
 
 
+def reference_tile_counts(mips) -> list[int]:
+    """The resident tiles of each page table, counted from its entries."""
+    return [int((table.entries != EMPTY_ENTRY).sum()) for table in mips]
+
+
+def assert_stats_match(got: BuildStats, want: BuildStats) -> None:
+    """The four counts agree field by field, the occupancy by its bits."""
+    assert got.nonempty_voxel_count == want.nonempty_voxel_count
+    assert tuple(got.nonempty_tile_count) == tuple(want.nonempty_tile_count)
+    assert got.padded_nonempty_voxel_count == want.padded_nonempty_voxel_count
+    bits = struct.Struct("<d").pack
+    assert bits(got.mean_tile_occupancy) == bits(want.mean_tile_occupancy)
+
+
+@dataclass
+class ReferenceTexture(SparseVolumeTexture):
+    """A texture that a reference builder or loader made, with the four
+    counts that it computed itself, to compare with the stats under test."""
+
+    reference_stats: BuildStats
+
+
 @dataclass
 class ReferenceAtlas:
     """A reference builder's atlas: the (z, y, x) texture of the slot grid,
@@ -492,7 +514,7 @@ def reference_atlas_slot_blocks(svt: SparseVolumeTexture) -> np.ndarray:
     one block per resident tile.
     """
     span = svt.config.padded_size
-    n = svt.slot_count
+    n = sum(reference_tile_counts(svt.mips))
     data = svt.atlas.data
     if isinstance(svt.atlas, ReferenceAtlas):
         return reference_slot_order(data, span, n)
@@ -530,17 +552,25 @@ _REF_SVTF_HEADER = struct.Struct("<4sII IIIdd QQQ I QQQ QQd")
 
 
 def reference_save_svtf(svt: SparseVolumeTexture, path) -> None:
+    """Write svt as a container, counting the header's stats itself: the
+    tiles from the page tables and the padded non-empty voxels from the
+    records written; only nonempty_voxel_count is read off the texture."""
     cfg = svt.config
     blocks = reference_atlas_slot_blocks(svt)
+    counts = reference_tile_counts(svt.mips)
+    nonempty = svt.nonempty_voxel_count
+    occupancy = nonempty / (counts[0] * cfg.tile_size**3) if counts[0] else 0.0
     records = []
     offsets = np.zeros(len(blocks), dtype=np.uint64)
     pos = 0
+    padded_nonempty = 0
     for i, block in enumerate(blocks):
         mask, values = encode_tile_record(block, cfg)
         payload = values.astype(svt.format.dtype.newbyteorder("<")).tobytes()
         records.append(mask + payload)
         offsets[i] = pos
         pos += len(mask) + len(payload)
+        padded_nonempty += len(values)
 
     az, ay, ax = reference_atlas_zyx(len(blocks), cfg)
     with open(path, "wb") as fh:
@@ -561,14 +591,14 @@ def reference_save_svtf(svt: SparseVolumeTexture, path) -> None:
                 ax,
                 ay,
                 az,
-                svt.stats.nonempty_voxel_count,
-                svt.stats.padded_nonempty_voxel_count,
-                svt.stats.mean_tile_occupancy,
+                nonempty,
+                padded_nonempty,
+                occupancy,
             )
         )
-        for table, count in zip(svt.mips, svt.stats.nonempty_tile_count):
-            g = table.grid_dims
-            fh.write(struct.pack("<QQQQ", g.x, g.y, g.z, count))
+        for table, count in zip(svt.mips, counts):
+            gz, gy, gx = table.entries.shape
+            fh.write(struct.pack("<QQQQ", gx, gy, gz, count))
             fh.write(table.entries.astype("<u4").tobytes())
         fh.write(struct.pack("<Q", len(blocks)))
         fh.write(offsets.astype("<u8").tobytes())
@@ -576,7 +606,7 @@ def reference_save_svtf(svt: SparseVolumeTexture, path) -> None:
             fh.write(rec)
 
 
-def reference_load_svtf(path) -> SparseVolumeTexture:
+def reference_load_svtf(path) -> ReferenceTexture:
     raw = Path(path).read_bytes()
     if len(raw) < _REF_SVTF_HEADER.size or raw[:4] != _REF_SVTF_MAGIC:
         raise DataError(f"{path}: not an SVTF container")
@@ -623,7 +653,7 @@ def reference_load_svtf(path) -> SparseVolumeTexture:
         entries = np.frombuffer(raw, dtype="<u4", count=n, offset=pos).reshape(gz, gy, gx)
         entries = entries.astype(np.uint32)
         pos += 4 * n
-        mips.append(PageTable(grid_dims=VolumeDims(gx, gy, gz), entries=entries))
+        mips.append(PageTable(entries))
         tile_counts.append(int(count))
 
     (tile_count,) = struct.unpack_from("<Q", raw, pos)
@@ -663,13 +693,15 @@ def reference_load_svtf(path) -> SparseVolumeTexture:
         padded_nonempty_voxel_count=padded_nonempty,
         mean_tile_occupancy=occupancy,
     )
-    return SparseVolumeTexture(
+    return ReferenceTexture(
         config=config,
         format=fmt,
         virtual_dims=VolumeDims(vx, vy, vz),
         mips=mips,
         atlas=ReferenceAtlas(dims=(ax, ay, az), data=atlas_data),
-        stats=stats,
+        nonempty_voxel_count=nonempty,
+        padded_nonempty_voxel_count=padded_nonempty,
+        reference_stats=stats,
     )
 
 
@@ -697,7 +729,7 @@ def reference_serialize_upload(
     bpv = svt.format.bytes_per_voxel
     mask_bytes = cfg.occupancy_mask_bytes
     tiles = []
-    offsets = np.zeros(svt.slot_count, dtype=np.uint64)
+    offsets = np.zeros(sum(reference_tile_counts(svt.mips)), dtype=np.uint64)
     pos = 0
     total_elements = 0
     for i, block in enumerate(reference_atlas_slot_blocks(svt)):
@@ -1100,8 +1132,9 @@ def _reference_tile_aligned(data: np.ndarray, grid: VolumeDims, config: SvtConfi
 
 def reference_build_svt(
     volume: DenseVolume, config: SvtConfig | None = None
-) -> SparseVolumeTexture:
-    """Build the page tables, mip chain, and packed tile atlas for a volume.
+) -> ReferenceTexture:
+    """Build the page tables, mip chain, and packed tile atlas for a volume,
+    and count its four stats.
 
     Deterministic: tiles take atlas slots in row-major (mip, tz, ty, tx)
     order. Voxels that compare empty are stored as empty_value exactly, so
@@ -1170,7 +1203,7 @@ def reference_build_svt(
             x0, y0, z0 = ax[slot] * span, ay[slot] * span, az[slot] * span
             atlas_data[z0 : z0 + span, y0 : y0 + span, x0 : x0 + span] = tile
         padded_nonempty += int(nonempty_mask(tiles, config).sum(dtype=np.int64))
-        mips.append(PageTable(grid_dims=grid, entries=entries))
+        mips.append(PageTable(entries))
         slot_base = level_slots.stop
 
     if total and tile_counts[0]:
@@ -1183,13 +1216,15 @@ def reference_build_svt(
         padded_nonempty_voxel_count=padded_nonempty,
         mean_tile_occupancy=occupancy,
     )
-    return SparseVolumeTexture(
+    return ReferenceTexture(
         config=config,
         format=volume.format,
         virtual_dims=volume.dims,
         mips=mips,
         atlas=atlas,
-        stats=stats,
+        nonempty_voxel_count=nonempty0,
+        padded_nonempty_voxel_count=padded_nonempty,
+        reference_stats=stats,
     )
 
 

@@ -65,6 +65,15 @@ def test_plan_survey_flags(capsys):
     assert abs(int(values["atlas_extent_estimate"]) - 1872) / 1872 < 0.05
 
 
+@pytest.mark.parametrize("nonempty", ["0", "100000"])
+@pytest.mark.parametrize("occupancy", ["0", "-0.5", "nan", "1.5"])
+def test_plan_rejects_an_occupancy_outside_0_1(capsys, nonempty, occupancy):
+    code, out, err = run(capsys, "plan", "--nonempty", nonempty, "--occupancy", occupancy)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: ValueError: mean_tile_occupancy must be in (0, 1]"]
+
+
 def test_import_raw_build_probe_inspect(tmp_path, capsys, volume_file):
     out_vol = tmp_path / "canonical.raw"
     code, out, _ = run(capsys, "import-raw", str(volume_file), "-o", str(out_vol))
@@ -406,6 +415,20 @@ def test_probe_trilinear_matches_library(tmp_path, capsys, volume_file):
         (["--eye", "nan,10,-40"], 2),
         (["--look-at", "16,inf,16"], 2),
         (["--up", "0,nan,0"], 2),
+        (["--light", "point:0,0,0:nan"], 1),
+        (["--light", "point:0,0,0:1:1,nan,1"], 1),
+        (["--light", "dir:0,0,1:nan,1,1"], 1),
+        (["--density-scale", "nan"], 2),
+        (["--density-scale", "inf"], 2),
+        (["--emission-scale", "nan"], 2),
+        (["--background", "nan,0,0"], 2),
+        (["--cut-plane", "nan,0,1"], 2),
+        (["--fov", "nan"], 2),
+        (["--fov", "0"], 2),
+        (["--fov", "180"], 2),
+        (["--ortho-height", "nan"], 2),
+        (["--ortho-height", "0"], 2),
+        (["--ortho-height", "-5"], 2),
     ],
 )
 def test_render_rejects_non_finite_vectors(tmp_path, capsys, volume_file, flags, code):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import (
     _REF_SVTF_HEADER,
+    assert_stats_match,
     make_volume,
     random_volume,
     reference_apply_upload,
@@ -59,7 +60,10 @@ def assert_codecs_agree(tmp_path, svt, windows=(WINDOW_ELEMENTS, 7, 1000)):
     loaded = load_svtf(new)
     assert loaded.atlas.data.dtype == svt.atlas.data.dtype
     span, n = svt.config.padded_size, svt.slot_count
-    ref_atlas = reference_load_svtf(ref).atlas
+    ref_loaded = reference_load_svtf(ref)
+    assert_stats_match(svt.stats, ref_loaded.reference_stats)
+    assert_stats_match(loaded.stats, ref_loaded.reference_stats)
+    ref_atlas = ref_loaded.atlas
     assert ref_atlas.dims == atlas_dims(n, svt.config)
     ref_loaded = reference_slot_order(ref_atlas.data, span, n)
     np.testing.assert_array_equal(loaded.atlas.data, ref_loaded)
@@ -387,6 +391,12 @@ def corrupt_tables(blob: bytes, svt, kind: str) -> bytes:
         _put(out, _SVTF_FIELDS, mip_count=len(svt.mips) + 1)
     elif kind == "grid_x_plus_one":
         struct.pack_into("<Q", out, _REF_SVTF_HEADER.size, svt.mips[0].grid_dims.x + 1)
+    elif kind == "mip_tile_counts_moved":
+        # One tile moves from mip 1's count to mip 0's, so the total holds.
+        first = _REF_SVTF_HEADER.size + 24
+        second = first + 32 + 4 * svt.mips[0].entries.size
+        for pos, step in ((first, 1), (second, -1)):
+            struct.pack_into("<Q", out, pos, struct.unpack_from("<Q", out, pos)[0] + step)
     elif kind == "atlas_x_plus_padded_tile":
         _put(out, _SVTF_FIELDS, atlas_x=sx * svt.config.padded_size + svt.config.padded_size)
     elif kind == "atlas_dims_zeroed":
@@ -408,6 +418,7 @@ TABLE_KINDS = [
     "virtual_x_plus_tile",
     "mip_count_plus_one",
     "grid_x_plus_one",
+    "mip_tile_counts_moved",
     "atlas_x_plus_padded_tile",
     "atlas_dims_zeroed",
 ]

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
+    assert_stats_match,
     brute_force_mip,
     brute_force_residency,
     extract_padded_tile,
@@ -24,9 +25,13 @@ from conftest import (
 
 from svtf import (
     AtlasCapacityExceeded,
+    CapacityExceeded,
     DataError,
     OutOfGrid,
+    PageTable,
+    SparseVolumeTexture,
     SvtConfig,
+    TileAtlas,
     VolumeDims,
     VoxelFormat,
     apply_upload,
@@ -40,6 +45,7 @@ from svtf import (
     tile_grid_dims,
 )
 from svtf import svt as svt_module
+from svtf.planner import atlas_extent_estimate
 from svtf.svt import EMPTY_ENTRY, atlas_dims, mip_chain, pack_entry, slot_grid_for
 
 
@@ -315,7 +321,7 @@ def assert_build_matches_reference(vol, cfg):
         assert a.grid_dims == b.grid_dims
         assert a.entries.dtype == b.entries.dtype
         np.testing.assert_array_equal(a.entries, b.entries)
-    assert got.stats == want.stats
+    assert_stats_match(got.stats, want.reference_stats)
 
 
 def test_build_matches_reference_on_random_configs():
@@ -471,6 +477,57 @@ def test_every_atlas_holds_exactly_its_resident_tiles(tmp_path, fmt, empty, thre
                     slot = reference_entry_slot(table.entries[tz, ty, tx], got.slot_count, cfg)
                     inner = ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
                     assert base[2 * tz, 2 * ty, 2 * tx] == int(slot) * span**3 + inner
+
+
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_slot_grid_is_the_smallest_slot_cube_side_by_its_z_layers(cap):
+    # Tile 2, pad 1: a padded tile is 4 voxels, so an extent of 4*cap to
+    # 4*cap + 3 allows cap slots per axis.
+    for extent in (4 * cap, 4 * cap + 3):
+        cfg = SvtConfig(tile_size=2, pad=1, max_atlas_extent=extent)
+        for n in range(cap**3 + 2 * cap**2 + 1):
+            side = next(s for s in itertools.count() if s**3 >= n)
+            if n > cap**3:
+                with pytest.raises(AtlasCapacityExceeded):
+                    slot_grid_for(n, cfg)
+                with pytest.raises(CapacityExceeded):
+                    atlas_extent_estimate([n], cfg)
+                continue
+            sx, sy, sz = slot_grid_for(n, cfg)
+            assert (sx, sy, sz) == ((side, side, -(-n // side**2)) if n else (0, 0, 0))
+            assert sz <= side
+            assert atlas_extent_estimate([n], cfg) == atlas_dims(n, cfg)[0] == 4 * side
+
+
+@pytest.mark.parametrize(
+    "fmt,fill", [(VoxelFormat.U8, 0.1), (VoxelFormat.F32, 0.02), (VoxelFormat.U8, 0.0)]
+)
+def test_a_texture_of_its_required_fields_saves_as_built(tmp_path, fmt, fill):
+    # The two counts a texture stores come from the reference builder; the
+    # tile counts and the occupancy must follow from the page tables.
+    rng = np.random.default_rng(11)
+    data = np.where(rng.random((33, 20, 40)) < fill, rng.uniform(1, 200, (33, 20, 40)), 0)
+    vol = make_volume(data.astype(fmt.dtype), fmt)
+    built = build_svt(vol, SvtConfig(tile_size=8))
+    want = reference_build_svt(vol, SvtConfig(tile_size=8)).reference_stats
+    bare = SparseVolumeTexture(
+        config=SvtConfig(tile_size=8),
+        format=fmt,
+        virtual_dims=vol.dims,
+        mips=[PageTable(table.entries) for table in built.mips],
+        atlas=TileAtlas(built.atlas.data),
+        nonempty_voxel_count=want.nonempty_voxel_count,
+        padded_nonempty_voxel_count=want.padded_nonempty_voxel_count,
+    )
+    assert_stats_match(bare.stats, want)
+    assert_stats_match(built.stats, want)
+    assert bare.slot_count == sum(want.nonempty_tile_count)
+    assert [t.grid_dims for t in bare.mips] == [
+        tile_grid_dims(bare.mip_dims(level), 8) for level in range(bare.mip_count)
+    ]
+    save_svtf(built, tmp_path / "built.svtf")
+    save_svtf(bare, tmp_path / "bare.svtf")
+    assert (tmp_path / "bare.svtf").read_bytes() == (tmp_path / "built.svtf").read_bytes()
 
 
 def test_load_maps_the_records_and_keeps_them_when_the_file_is_replaced(tmp_path, rng):

@@ -5,8 +5,10 @@ library itself or exported from svtf/__init__.py, and every method of those
 classes but the dunder ones must be read somewhere in src/svtf: code that
 only tests call belongs in tests/conftest.py, where it cannot drift into an
 oracle of itself. Every module-level import of a module but __init__.py
-(whose imports are the exports) must be read in that module. The CLI's
-global options and README's CLI section must name the same flags.
+(whose imports are the exports) must be read in that module. An annotated
+field or parameter whose default is None must admit None in its
+annotation. The CLI's global options and README's CLI section must name the
+same flags.
 """
 
 import argparse
@@ -124,6 +126,82 @@ def test_the_rule_sees_an_unused_import():
         "def f(p: Path):\n    import struct\n    return np.zeros(1), os.sep\n"
     )
     assert _unused_imports({"m.py": tree}) == ["m.py:5 js", "m.py:6 PurePath"]
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _none_default(value) -> bool:
+    """Whether a field's or parameter's default is None, given as is or as
+    field(default=None)."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(kw.arg == "default" and _is_none(kw.value) for kw in value.keywords)
+    return _is_none(value)
+
+
+def _admits_none(annotation) -> bool:
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    return any(
+        _is_none(node) or getattr(node, "id", None) == "Optional"
+        for node in ast.walk(annotation)
+    )
+
+
+def _annotated_defaults(tree: ast.Module):
+    """(line, name, annotation, default) of each annotated assignment and
+    each annotated parameter that has a default."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield node.lineno, getattr(node.target, "id", None), node.annotation, node.value
+        if isinstance(node, _FUNCTIONS):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = [
+                *zip(positional[len(positional) - len(a.defaults) :], a.defaults),
+                *zip(a.kwonlyargs, a.kw_defaults),
+            ]
+            for arg, default in defaults:
+                if arg.annotation is not None and default is not None:
+                    yield arg.lineno, arg.arg, arg.annotation, default
+
+
+def _none_defaults_not_admitted(modules: dict) -> list[str]:
+    """Annotated fields and parameters whose default is None and whose
+    annotation does not admit None, in line order."""
+    return [
+        f"{name}:{line} {label}"
+        for name, tree in modules.items()
+        for line, label, annotation, default in sorted(
+            _annotated_defaults(tree), key=lambda definition: definition[0]
+        )
+        if _none_default(default) and not _admits_none(annotation)
+    ]
+
+
+def test_every_none_default_is_admitted_by_its_annotation():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _none_defaults_not_admitted(modules) == []
+
+
+def test_the_rule_sees_a_none_default_that_its_annotation_does_not_admit():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "from typing import Optional\n\n"
+        "@dataclass\nclass C:\n"
+        "    a: int = None\n"
+        "    b: int | None = None\n"
+        "    c: 'Stats' = field(repr=False, default=None)\n"
+        "    d: Optional[int] = field(default=None)\n"
+        "    e: int = field(default=0)\n"
+        "    f = None\n\n"
+        "def g(x: int = None, y: 'int | None' = None, z=None, *, w: str = None, v: str = 'v'):\n"
+        "    u: float = None\n"
+    )
+    assert _none_defaults_not_admitted({"m.py": tree}) == [
+        "m.py:6 a", "m.py:8 c", "m.py:13 x", "m.py:13 w", "m.py:14 u",
+    ]
 
 
 def _flag_doc_gaps(parser: argparse.ArgumentParser, readme: str) -> list[str]:
