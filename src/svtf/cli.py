@@ -363,6 +363,8 @@ def _cmd_render(args, threads: int) -> int:
 
 
 def _cmd_chunk_compare(args, threads: int) -> int:
+    if args.band_width < 0:
+        raise ValueError(f"--band-width must be >= 0, got {args.band_width}")
     vol = volume.load_volume(args.input)
     split = chunks.ChunkSplit(axis=args.axis, count=args.count)
     tf = _transfer_function(args)

@@ -13,10 +13,13 @@ attenuated by extinction sigma = lut_opacity * density_scale. Sources are
 sampled at step midpoints, which converges to the analytic transmittance
 integral from below at second order in the step size.
 
-Both marches run through one loop, _march, and leave out the steps whose
-sample is exactly empty. When empty_value is 0 and the transfer function
-maps 0 to nothing, a sample whose trilinear footprint lies wholly in
-non-resident tiles has sigma 0 and emits nothing, so its step would multiply
+Both marches run through one loop, _march, over the same blocks of
+interleaved rays (_in_blocks). Each block clips its own rays to the volume
+box, or to a point light, and writes each ray that ends straight into the
+image's or the cache's arrays. Both leave out the steps whose sample is
+exactly empty. When empty_value is 0 and the transfer function maps 0 to
+nothing, a sample whose trilinear footprint lies wholly in non-resident
+tiles has sigma 0 and emits nothing, so its step would multiply
 transmittance by 1.0 and add 0.0 (see _SkipGrid). Images and caches are
 bit-identical to marching every step.
 
@@ -91,6 +94,12 @@ class DirectionalLight:
         object.__setattr__(self, "direction", tuple(_unit(self.direction)))
         _check_positive("intensity", self.intensity, allow_zero=True)
 
+    def shadow_rays(self, centers):
+        """(dirs, reach, attenuation) of the shadow rays from the (3, n)
+        centers: toward the light, unbounded and unattenuated."""
+        d = -np.asarray(self.direction, dtype=np.float64)
+        return np.broadcast_to(d[:, None], centers.shape), None, 1.0
+
 
 @dataclass(frozen=True)
 class PointLight:
@@ -104,6 +113,13 @@ class PointLight:
         _check_finite("position", self.position)
         _check_positive("radius", self.radius)
         _check_positive("intensity", self.intensity, allow_zero=True)
+
+    def shadow_rays(self, centers):
+        """(dirs, reach, attenuation) of the shadow rays from the (3, n)
+        centers: toward the light, ending at it, with the radial falloff."""
+        to_light = np.asarray(self.position, dtype=np.float64)[:, None] - centers
+        dist = np.maximum(np.linalg.norm(to_light, axis=0), 1e-12)
+        return to_light / dist, dist, 1.0 / (1.0 + (dist / self.radius) ** 2)
 
 
 Light = DirectionalLight | PointLight
@@ -297,6 +313,8 @@ class RenderParams:
         _check_finite("background", self.background)
         if self.cut_plane is not None:
             _check_finite("cut_plane", (*self.cut_plane[0], self.cut_plane[1]))
+            if not np.any(self.cut_plane[0]):
+                raise ValueError(f"cut_plane normal must not be zero, got {self.cut_plane[0]}")
 
 
 def _slab(o, d, lo, hi):
@@ -410,13 +428,16 @@ def _drop(arrays, s: int, k: int, done: np.ndarray) -> int:
 
 
 def _march(
-    svt, mip, skip, origins, dirs, t0, dt, steps, march, outs, step, stop=None, positions=True
+    svt, mip, skip, origins, dirs, block, steps, outs, step, stop=None, reach=None, positions=True
 ):
-    """March the (3, n) rays flagged in march, at most `steps` steps of
-    length dt from t0 each, sampling the mip level at step midpoints.
+    """March the rays `block` of the (3, n) origins and dirs across the
+    volume box, clipped to reach[block] when reach is given, in `steps`
+    steps of equal length dt each, sampling the mip level at step
+    midpoints. Rays that miss the box are left out.
 
-    outs are per-ray result arrays, ray index last: each marching ray's
-    columns seed its march state and take it back when the ray ends.
+    outs are the caller's per-ray result arrays, ray index last: each
+    marching ray's columns seed its march state and take it back when the
+    ray ends, so blocks of disjoint rays may march at once.
     step(p, scalars, sel, dts, state) updates the state rows sel of the
     marching rays from their (3, m) positions p (None unless positions),
     their trilinear samples and step lengths dts; stop(*state rows s:k),
@@ -432,9 +453,14 @@ def _march(
     flagged off at once; the rows are compacted, in order, only when the
     ended rows reach 1/_COMPACT_SHARE of rows s:k.
     """
-    rays, first, last = _schedule(skip, origins, dirs, t0, dt, steps, march)
-    o, d = origins.take(rays, axis=1), dirs.take(rays, axis=1)
-    t0, dt = t0[rays], dt[rays]
+    o, d = origins.take(block, axis=1), dirs.take(block, axis=1)
+    t0, t1 = _ray_aabb(o, d, np.zeros(3), _extent(svt))
+    if reach is not None:
+        t1 = np.minimum(t1, reach[block])
+    dt = (t1 - t0) / steps
+    rays, first, last = _schedule(skip, o, d, t0, dt, steps, t1 > t0)
+    o, d, t0, dt = o.take(rays, axis=1), d.take(rays, axis=1), t0[rays], dt[rays]
+    rays = block[rays]
     state = [out.take(rays, axis=-1) for out in outs]
     on = np.ones(len(rays), dtype=bool)
     i = s = ended = 0
@@ -480,22 +506,19 @@ def _march(
                 ended = 0
 
 
-def _in_blocks(fn, rows: np.ndarray, threads: int):
-    """fn(block) -> [(block, result)] for the rays of a (rows, width) grid
-    of ray indices: one block of every ray on one thread, else two blocks
-    per thread of interleaved rows, so that they hold alike shares of empty
-    and dense rays. Each block pays per-step Python work under the
-    interpreter lock, so fewer blocks run faster, while smaller blocks keep
-    the per-step temporaries, and so peak memory, low."""
-    _check_count("threads", threads)
+def _in_blocks(fn, rows: np.ndarray, threads: int) -> None:
+    """fn(block) for the rays of a (rows, width) grid of ray indices: one
+    block of every ray on one thread, else two blocks per thread of
+    interleaved rows, so that they hold alike shares of empty and dense
+    rays. Each block pays per-step Python work under the interpreter lock,
+    so fewer blocks run faster, while smaller blocks keep the per-step
+    temporaries, and so peak memory, low."""
     if threads == 1 or len(rows) <= 1:
-        every = rows.ravel()
-        return [(every, fn(every))]
+        fn(rows.ravel())
+        return
     count = min(2 * threads, len(rows))
-    blocks = [rows[r::count].ravel() for r in range(count)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(b, pool.submit(fn, b)) for b in blocks]
-        return [(b, fut.result()) for b, fut in futures]
+        list(pool.map(fn, [rows[r::count].ravel() for r in range(count)]))
 
 
 def build_illumination_cache(
@@ -514,7 +537,11 @@ def build_illumination_cache(
     """
     _check_count("downsample_factor", downsample_factor)
     _check_count("shadow_steps", shadow_steps)
+    _check_count("threads", threads)
     lights = list(lights)
+    for light in lights:
+        if not isinstance(light, Light):
+            raise TypeError(f"unknown light type {type(light).__name__}")
     vd = svt.virtual_dims
     dims = VolumeDims(
         -(-vd.x // downsample_factor),
@@ -536,42 +563,19 @@ def build_illumination_cache(
     def absorb(p, scalars, sel, dts, state):
         state[0][sel] += sigma_of[tf.rows(scalars, svt.format)] * dts
 
-    def light_block(block):
-        c = centers.take(block, axis=1)
-        light_sum = np.zeros(c.shape, dtype=np.float64)
-        for light in lights:
-            if isinstance(light, DirectionalLight):
-                d = -np.asarray(light.direction, dtype=np.float64)
-                dirs = np.broadcast_to(d[:, None], c.shape)
-                t_stop = np.full(len(block), np.inf)
-                atten = 1.0
-            elif isinstance(light, PointLight):
-                to_light = np.asarray(light.position, dtype=np.float64)[:, None] - c
-                dist = np.linalg.norm(to_light, axis=0)
-                dist = np.maximum(dist, 1e-12)
-                dirs = to_light / dist
-                t_stop = dist
-                atten = 1.0 / (1.0 + (dist / light.radius) ** 2)
-            else:
-                raise TypeError(f"unknown light type {type(light).__name__}")
-
-            t0, t1 = _ray_aabb(c, dirs, np.zeros(3), _extent(svt))
-            t1 = np.minimum(t1, t_stop)
-            length = np.maximum(t1 - t0, 0.0)
-            dt = length / shadow_steps
-            tau = np.zeros(len(block), dtype=np.float64)
-            every = np.ones(len(block), dtype=bool)
-            _march(
-                svt, 0, skip, c, dirs, t0, dt, shadow_steps, every, [tau], absorb, positions=False
-            )
-            weight = atten * np.exp(-tau)
-            light_sum += np.asarray(light.intensity, dtype=np.float64)[:, None] * weight
-        return light_sum
-
     planes = np.zeros(centers.shape, dtype=np.float64)
     voxel_rows = np.arange(centers.shape[1]).reshape(dims.z * dims.y, dims.x)
-    for block, values in _in_blocks(light_block, voxel_rows, threads):
-        planes[:, block] = values
+    for light in lights:
+        dirs, reach, atten = light.shadow_rays(centers)
+        tau = np.zeros(centers.shape[1], dtype=np.float64)
+        _in_blocks(
+            lambda b: _march(
+                svt, 0, skip, centers, dirs, b, shadow_steps, [tau], absorb,
+                reach=reach, positions=False,
+            ),
+            voxel_rows, threads,
+        )
+        planes += np.asarray(light.intensity, dtype=np.float64)[:, None] * (atten * np.exp(-tau))
     values = np.moveaxis(planes.reshape(3, dims.z, dims.y, dims.x), 0, -1)
     return IlluminationCache(dims=dims, downsample_factor=downsample_factor, values=values)
 
@@ -591,13 +595,25 @@ def _schedule(skip, origins, dirs, t0, dt, steps, march):
     return rays, first[rays].astype(np.int64), last[rays].astype(np.int64)
 
 
-def _march_block(svt, cache, tf, params, origins, dirs, skip):
-    """Radiance (3, n) and transmittance (n,) of the (3, n) rays."""
+def raymarch(
+    svt: SparseVolumeTexture,
+    cache: IlluminationCache,
+    tf: TransferFunction,
+    params: RenderParams,
+    threads: int = 1,
+) -> np.ndarray:
+    """Render the volume to a float RGB image of shape (height, width, 3).
+
+    Deterministic: identical inputs produce bit-identical images for any
+    thread count (pixels are independent).
+    """
+    _check_count("threads", threads)
+    cam = params.camera
+    origins, dirs = (np.ascontiguousarray(a.T) for a in cam.rays())
     n = origins.shape[1]
-    t0, t1 = _ray_aabb(origins, dirs, np.zeros(3), _extent(svt))
-    hit = t1 > t0
-    steps = params.max_step_count
-    dt = np.where(hit, (t1 - t0) / steps, 0.0)
+    radiance = np.zeros((3, n), dtype=np.float64)
+    trans = np.ones(n, dtype=np.float64)
+    skip = _skip_grid(svt, tf, params.mip)
     sigma_of, rgb_of = tf.tables()
     source_of = np.ascontiguousarray((tf.emission_scale * rgb_of).T)
     # Incident light only matters where the transfer function emits;
@@ -628,41 +644,13 @@ def _march_block(svt, cache, tf, params, origins, dirs, skip):
             ch[sel] += v
         tr[sel] *= e_half * e_half
 
-    radiance = np.zeros((3, n), dtype=np.float64)
-    trans = np.ones(n, dtype=np.float64)
-    _march(
-        svt, params.mip, skip, origins, dirs, t0, dt, steps, hit, [radiance, trans], shade,
-        stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE),
+    _in_blocks(
+        lambda b: _march(
+            svt, params.mip, skip, origins, dirs, b, params.max_step_count, [radiance, trans],
+            shade, stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE),
+        ),
+        np.arange(n).reshape(cam.height, cam.width), threads,
     )
-    return radiance, trans
-
-
-def raymarch(
-    svt: SparseVolumeTexture,
-    cache: IlluminationCache,
-    tf: TransferFunction,
-    params: RenderParams,
-    threads: int = 1,
-) -> np.ndarray:
-    """Render the volume to a float RGB image of shape (height, width, 3).
-
-    Deterministic: identical inputs produce bit-identical images for any
-    thread count (pixels are independent).
-    """
-    cam = params.camera
-    origins, dirs = (np.ascontiguousarray(a.T) for a in cam.rays())
-    n = origins.shape[1]
-    radiance = np.zeros((3, n), dtype=np.float64)
-    trans = np.ones(n, dtype=np.float64)
-    skip = _skip_grid(svt, tf, params.mip)
-
-    def block(b):
-        o, d = origins.take(b, axis=1), dirs.take(b, axis=1)
-        return _march_block(svt, cache, tf, params, o, d, skip)
-
-    pixel_rows = np.arange(n).reshape(cam.height, cam.width)
-    for b, (rad, tr) in _in_blocks(block, pixel_rows, threads):
-        radiance[:, b], trans[b] = rad, tr
     img = trans[:, None] * np.asarray(params.background, dtype=np.float64)[None, :]
     img += radiance.T
     return img.reshape(cam.height, cam.width, 3)

@@ -364,6 +364,24 @@ def test_chunk_compare(tmp_path, capsys):
     assert (tmp_path / "cmp_unified.ppm").exists()
 
 
+@pytest.mark.parametrize("band_width", ["-1", "0"])
+def test_chunk_compare_rejects_a_negative_band_width(tmp_path, capsys, band_width):
+    path = tmp_path / "cube.raw"
+    save_volume(make_volume(np.full((24, 24, 24), 255, np.uint8)), path)
+    code, out, err = run(
+        capsys, "chunk-compare", str(path), "--out-prefix", str(tmp_path / "cmp"),
+        "--band-width", band_width, "--size", "8x8", "--eye", "12,12,-20",
+        "--look-at", "12,12,12", "--steps", "8", "--shadow-steps", "4",
+    )
+    written = sorted(p.name for p in tmp_path.glob("cmp_*"))
+    if band_width == "-1":
+        assert (code, out, written) == (2, "", [])
+        assert err.splitlines() == ["error: ValueError: --band-width must be >= 0, got -1"]
+    else:
+        assert code == 0 and kv(out)["band_width_px"] == "0"
+        assert written == ["cmp_independent.ppm", "cmp_unified.ppm"]
+
+
 def test_threads_env_default(monkeypatch):
     from svtf.cli import build_parser
 
@@ -429,6 +447,7 @@ def test_probe_trilinear_matches_library(tmp_path, capsys, volume_file):
         (["--ortho-height", "nan"], 2),
         (["--ortho-height", "0"], 2),
         (["--ortho-height", "-5"], 2),
+        (["--cut-plane", "0,0,0"], 2),
     ],
 )
 def test_render_rejects_non_finite_vectors(tmp_path, capsys, volume_file, flags, code):

@@ -2,6 +2,8 @@ import dataclasses
 import fractions
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -667,6 +669,78 @@ def test_chunked_cache_path_matches_reference():
         got = raymarch(whole, _ChunkedCaches("y", edges, caches), tf, params, threads=threads)
         assert np.array_equal(got, want)
     assert want.any()
+
+
+# --- cache lights ---
+
+THREE_LIGHTS = [
+    DirectionalLight(direction=(0.3, -0.5, 0.8), intensity=(0.7, 0.3, 0.11)),
+    PointLight(position=(17.0, 33.0, 26.0), radius=9.0, intensity=(0.13, 0.9, 0.37)),
+    DirectionalLight(direction=(-1.0, 0.2, 0.1), intensity=(0.29, 0.61, 1.0)),
+]
+
+
+def assert_cache_matches_reference(svt, tf, lights):
+    """The cache at threads 1 and 4 against the reference cache, which it returns."""
+    want = reference_illumination_cache(svt, tf, lights, 4, 8)
+    for threads in (1, 4):
+        got = build_illumination_cache(svt, tf, lights, 4, 8, threads=threads)
+        assert np.array_equal(got.values, want.values)
+    return want
+
+
+def test_cache_of_three_lights_adds_them_in_list_order():
+    svt = build_svt(sparse_volume(VoxelFormat.U8))
+    tf = TransferFunction.grayscale(density_scale=2.0)
+    want = assert_cache_matches_reference(svt, tf, THREE_LIGHTS)
+    # With three lights the order of each voxel's sum shows in its bits.
+    a, b, c = THREE_LIGHTS
+    for order in ([c, b, a], [a, c, b]):
+        other = reference_illumination_cache(svt, tf, order, 4, 8)
+        assert not np.array_equal(other.values, want.values)
+
+
+@pytest.mark.parametrize("position, centre_of", [
+    ((14.0, 18.0, 18.0), (4, 4, 3)),  # a cache voxel's centre, inside the blob
+    ((-9.0, 52.0, 20.0), None),  # outside the volume box, so the box clips every ray
+])
+def test_cache_point_light_at_a_voxel_centre_or_outside_the_box(position, centre_of):
+    svt = build_svt(sparse_volume(VoxelFormat.U8))
+    tf = TransferFunction.grayscale(density_scale=2.0)
+    want = assert_cache_matches_reference(svt, tf, [PointLight(position=position, radius=15.0)])
+    if centre_of is not None:
+        # The voxel's own shadow ray is 1e-12 long and still absorbs.
+        assert 1.0 - 1e-9 < want.values[centre_of][0] < 1.0
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_cache_rejects_a_non_light_before_any_march(monkeypatch, threads):
+    marched = []
+    monkeypatch.setattr(render, "_march", lambda *args, **kwargs: marched.append(args))
+    lights = [DirectionalLight(direction=(1, 0, 0)), "sun"]
+    with pytest.raises(TypeError, match="unknown light type str"):
+        build_illumination_cache(uniform_slab(8), TransferFunction.grayscale(), lights,
+                                 threads=threads)
+    assert marched == []
+
+
+def test_concurrent_blocks_write_every_ray_and_leave_no_thread_running():
+    svt, tf = build_svt(sparse_volume(VoxelFormat.U8)), TransferFunction.grayscale()
+    params = RenderParams(camera=ortho_camera(40, 16, 16), max_step_count=16)
+    want_cache = build_illumination_cache(svt, tf, THREE_LIGHTS, 4, 8)
+    want = raymarch(svt, want_cache, tf, params)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # blocks switch threads as often as they can
+    try:
+        cache = build_illumination_cache(svt, tf, THREE_LIGHTS, 4, 8, threads=4)
+        assert threading.active_count() == before
+        got = raymarch(svt, cache, tf, params, threads=4)
+        assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(cache.values, want_cache.values)
+    assert np.array_equal(got, want) and want.any()
 
 
 # --- render arguments ---

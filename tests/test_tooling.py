@@ -8,7 +8,8 @@ oracle of itself. Every module-level import of a module but __init__.py
 (whose imports are the exports) must be read in that module. An annotated
 field or parameter whose default is None must admit None in its
 annotation. The CLI's global options and README's CLI section must name the
-same flags.
+same flags. Thread pools start only in render._in_blocks, the one place
+where march blocks run.
 """
 
 import argparse
@@ -126,6 +127,52 @@ def test_the_rule_sees_an_unused_import():
         "def f(p: Path):\n    import struct\n    return np.zeros(1), os.sep\n"
     )
     assert _unused_imports({"m.py": tree}) == ["m.py:5 js", "m.py:6 PurePath"]
+
+
+def _thread_pools_outside_in_blocks(modules: dict) -> list[str]:
+    """Where a module names ThreadPoolExecutor (read or imported) outside
+    the body of render.py's module-level _in_blocks."""
+    found = []
+    for name, tree in modules.items():
+        home = {
+            id(inner)
+            for node in tree.body
+            if name == "render.py" and isinstance(node, _FUNCTIONS) and node.name == "_in_blocks"
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in home
+            and "ThreadPoolExecutor" in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                node.name if isinstance(node, ast.alias) else None,
+            )
+        ]
+    return found
+
+
+def test_thread_pools_start_only_in_in_blocks():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _thread_pools_outside_in_blocks(modules) == []
+
+
+def test_the_rule_sees_a_thread_pool_outside_in_blocks():
+    render = ast.parse(
+        "import concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n\n"
+        "def _in_blocks(fn):\n"
+        "    with concurrent.futures.ThreadPoolExecutor(2) as pool:\n"
+        "        pool.map(fn, [])\n\n"
+        "def other():\n    return ThreadPoolExecutor(2)\n"
+    )
+    other = ast.parse(
+        "def _in_blocks():\n"
+        "    import concurrent.futures as cf\n    return cf.ThreadPoolExecutor\n"
+    )
+    assert _thread_pools_outside_in_blocks({"render.py": render, "svt.py": other}) == [
+        "render.py:2", "render.py:9", "svt.py:3",
+    ]
 
 
 def _is_none(node) -> bool:
