@@ -183,7 +183,9 @@ def _distance_to_quad(points: np.ndarray, quad: np.ndarray) -> np.ndarray:
 def border_band_mask(
     split: ChunkSplit, dims, camera: Camera, band_width_px: int
 ) -> np.ndarray:
-    """Pixels within band_width_px of any projected interior split plane."""
+    """Pixels within band_width_px (>= 0) of any projected interior split plane."""
+    if band_width_px < 0:
+        raise ValueError(f"band_width_px must be >= 0, got {band_width_px}")
     h, w = camera.height, camera.width
     cols, rows = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     pixels = np.stack([cols.ravel(), rows.ravel()], axis=1)

@@ -53,13 +53,8 @@ class CapacityExceeded(CapacityError):
     pass
 
 
-class AtlasCapacityExceeded(CapacityError):
-    """Raised when a build needs more atlas slots than the extent cap allows.
-
-    Carries the capacity report computed from the build's actual stats so
-    callers can see how far over budget the volume is.
+class AtlasCapacityExceeded(CapacityExceeded):
+    """The resident tiles outnumber the atlas's slot cube at
+    max_atlas_extent, or the atlas does not fit in memory. Raised by the
+    build, the loaders and the planner's atlas extent estimate alike.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

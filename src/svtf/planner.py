@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityExceeded
-from .svt import SvtConfig, _ceil_cbrt
+from .svt import SvtConfig, _ceil_cbrt, atlas_dims
 
 UINT32_LIMIT = 2**32
 INT32_LIMIT = 2**31
@@ -26,7 +25,6 @@ class PlanInputs:
     config: SvtConfig
     nonempty_voxels: int = 0
     bytes_per_voxel: int = 1
-    nonempty_tile_counts: tuple[int, ...] | None = None
     mean_tile_occupancy: float = 1.0
 
 
@@ -87,19 +85,13 @@ def derive_tile_counts(
     return tuple(counts)
 
 
-def _extent_for_tiles(total_tiles: int, config: SvtConfig) -> int:
-    return _ceil_cbrt(total_tiles) * config.padded_size
-
-
 def atlas_extent_estimate(nonempty_tile_counts, config: SvtConfig) -> int:
-    """Smallest padded-tile multiple whose cube holds every resident tile."""
-    extent = _extent_for_tiles(int(sum(nonempty_tile_counts)), config)
-    if extent > config.max_atlas_extent:
-        raise CapacityExceeded(
-            f"atlas needs {extent} voxels per axis, over the "
-            f"{config.max_atlas_extent} cap"
-        )
-    return extent
+    """A build's atlas width for these per-mip resident tile counts;
+    AtlasCapacityExceeded when they outnumber the slot cube at the cap."""
+    counts = [int(n) for n in nonempty_tile_counts]
+    if min(counts, default=0) < 0:
+        raise ValueError("tile counts must be non-negative")
+    return atlas_dims(sum(counts), config)[0]
 
 
 def check_overflow(inputs: PlanInputs) -> CapacityReport:
@@ -108,9 +100,7 @@ def check_overflow(inputs: PlanInputs) -> CapacityReport:
     pad_f = padding_factor(config)
     net = net_payload_voxels(config)
     upload = upload_buffer_bytes(inputs.nonempty_voxels, inputs.bytes_per_voxel, config)
-    counts = inputs.nonempty_tile_counts
-    if counts is None:
-        counts = derive_tile_counts(inputs.nonempty_voxels, config, inputs.mean_tile_occupancy)
+    counts = derive_tile_counts(inputs.nonempty_voxels, config, inputs.mean_tile_occupancy)
     breakeven = (
         Fraction(UINT32_LIMIT) / (pad_f * MIP_FACTOR * max(inputs.bytes_per_voxel, 1))
     ) / net
@@ -119,7 +109,7 @@ def check_overflow(inputs: PlanInputs) -> CapacityReport:
         mip_factor=float(MIP_FACTOR),
         net_payload_voxels=net,
         upload_buffer_bytes=upload,
-        atlas_extent_estimate=_extent_for_tiles(int(sum(counts)), config),
+        atlas_extent_estimate=_ceil_cbrt(sum(counts)) * config.padded_size,
         fits_uint32_upload=upload < UINT32_LIMIT,
         fits_int32_index=inputs.nonempty_voxels < INT32_LIMIT,
         occupancy_breakeven=float(breakeven),

@@ -482,30 +482,16 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         for axis in range(3):
             occupied = _tile_any(occupied, axis, ts)
         residents.append(occupied)
-    counts = tuple(int(np.count_nonzero(resident)) for resident in residents)
-    total = sum(counts)
+    total = sum(int(np.count_nonzero(resident)) for resident in residents)
 
+    dims = atlas_dims(total, config)
     try:
-        dims = atlas_dims(total, config)
-        try:
-            atlas_data = np.empty((total, span, span, span), dtype=volume.format.dtype)
-        except (MemoryError, ValueError):  # ValueError: too big for an array index
-            raise AtlasCapacityExceeded(
-                f"an atlas of {'x'.join(map(str, dims))} voxels for {total} "
-                f"tile(s) does not fit in memory"
-            ) from None
-    except AtlasCapacityExceeded as exc:
-        from . import planner
-
-        exc.report = planner.check_overflow(
-            planner.PlanInputs(
-                config=config,
-                nonempty_voxels=nonempty0,
-                bytes_per_voxel=volume.format.bytes_per_voxel,
-                nonempty_tile_counts=counts,
-            )
-        )
-        raise
+        atlas_data = np.empty((total, span, span, span), dtype=volume.format.dtype)
+    except (MemoryError, ValueError):  # ValueError: too big for an array index
+        raise AtlasCapacityExceeded(
+            f"an atlas of {'x'.join(map(str, dims))} voxels for {total} "
+            f"tile(s) does not fit in memory"
+        ) from None
 
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
     tables = _page_entries(residents, config)

@@ -106,6 +106,7 @@ def read_raw(
 
 def normalize_to_u8(volume: DenseVolume, value_range=None) -> DenseVolume:
     """Rescale values onto 0..255 with round-half-up, clamping outside the range.
+    DegenerateRange unless lo < hi and hi - lo is finite.
 
     The output volume keeps the normalization range as value_range so the
     original scale stays recoverable.
@@ -113,8 +114,8 @@ def normalize_to_u8(volume: DenseVolume, value_range=None) -> DenseVolume:
     if value_range is None:
         value_range = volume.value_range
     lo, hi = float(value_range[0]), float(value_range[1])
-    if not lo < hi:
-        raise DegenerateRange(f"range ({lo}, {hi}) has no width")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise DegenerateRange(f"range ({lo}, {hi}) has no finite width")
     scaled = (volume.data.astype(np.float64) - lo) / (hi - lo)
     np.clip(scaled, 0.0, 1.0, out=scaled)
     quantized = np.floor(scaled * 255.0 + 0.5).astype(np.uint8)

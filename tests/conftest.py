@@ -16,7 +16,6 @@ from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
 from svtf import (
-    AtlasCapacityExceeded,
     BuildStats,
     CorruptStream,
     DataError,
@@ -1167,21 +1166,7 @@ def reference_build_svt(
     tile_counts = tuple(int(t.shape[0]) for t in per_level_tiles)
     total = sum(tile_counts)
     nonempty0 = int(nonempty_mask(volume.data, config).sum(dtype=np.int64))
-
-    try:
-        sx, sy, sz = slot_grid_for(total, config)
-    except AtlasCapacityExceeded as exc:
-        from svtf import planner
-
-        exc.report = planner.check_overflow(
-            planner.PlanInputs(
-                config=config,
-                nonempty_voxels=nonempty0,
-                bytes_per_voxel=volume.format.bytes_per_voxel,
-                nonempty_tile_counts=tile_counts,
-            )
-        )
-        raise
+    sx, sy, sz = slot_grid_for(total, config)
 
     atlas_data = np.full(
         (sz * span, sy * span, sx * span), config.empty_value, dtype=volume.format.dtype

@@ -158,6 +158,18 @@ def test_metric_dim_mismatch():
         )
 
 
+def test_metric_rejects_a_negative_band_width():
+    volume, tf, params = artifact_scene()
+    split = ChunkSplit(axis="x", count=2)
+    a, b = np.zeros((N, N, 3)), np.ones((N, N, 3))
+    with pytest.raises(ValueError):
+        border_band_mask(split, volume.dims, params.camera, -1)
+    with pytest.raises(ValueError):
+        border_artifact_metric(a, b, split, -1, params.camera, volume.dims)
+    metric = border_artifact_metric(a, b, split, 0, params.camera, volume.dims)
+    assert metric.band_width_px == 0 and metric.mean_abs_diff_global == 1.0
+
+
 def test_split_validation():
     with pytest.raises(ValueError):
         ChunkSplit(axis="w", count=2)

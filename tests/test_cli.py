@@ -263,6 +263,26 @@ def test_import_segy_and_normalize(tmp_path, capsys, rng):
     assert loaded.min() == 0 and loaded.max() == 255
 
 
+@pytest.mark.parametrize(
+    "flags, peak",
+    [
+        (["--range=-inf,inf"], 1.0),
+        (["--range=0,inf"], 1.0),
+        (["--range=-1e308,1e308"], 1.0),
+        ([], np.inf),
+    ],
+    ids=["-inf,inf", "0,inf", "-1e308,1e308", "inf_voxel"],
+)
+def test_normalize_rejects_a_range_without_a_finite_width(tmp_path, capsys, flags, peak):
+    path = tmp_path / "vol.raw"
+    save_volume(make_volume(np.array([[[0.0, 0.5, peak]]], np.float32), VoxelFormat.F32), path)
+    out = tmp_path / "norm.raw"
+    code, stdout, err = run(capsys, "normalize", str(path), "-o", str(out), *flags)
+    assert (code, stdout) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: DegenerateRange:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vol.raw", "vol.raw.meta"]
+
+
 def test_segy_bad_format_exit_code(tmp_path, capsys):
     import struct
 

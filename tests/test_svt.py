@@ -191,10 +191,29 @@ def test_build_capacity_exceeded():
     # padded to 4^3 -> cap 2 slots per axis.
     cfg = SvtConfig(tile_size=2, pad=1, max_atlas_extent=8)
     data = np.ones((2, 2, 18), np.uint8)  # 9 tiles > 8 slots
-    with pytest.raises(AtlasCapacityExceeded) as err:
+    with pytest.raises(AtlasCapacityExceeded):
         build_svt(make_volume(data), cfg)
-    assert err.value.report is not None
-    assert err.value.report.atlas_extent_estimate > cfg.max_atlas_extent
+
+
+@pytest.mark.parametrize(
+    "shape, cfg",
+    [
+        # 9 tiles against a 2^3 slot cube.
+        ((2, 2, 18), SvtConfig(tile_size=2, pad=1, max_atlas_extent=8)),
+        # One tile whose padded slot alone is too big to allocate.
+        ((24, 20, 16), SvtConfig(tile_size=600_000, pad=1, max_atlas_extent=1_200_002)),
+    ],
+    ids=["slot_cube", "allocation"],
+)
+def test_an_over_cap_build_is_a_capacity_exceeded(shape, cfg):
+    with pytest.raises(CapacityExceeded):
+        build_svt(make_volume(np.ones(shape, np.uint8)), cfg)
+
+
+@pytest.mark.parametrize("counts", [[-1], [5, -1]])
+def test_atlas_extent_estimate_rejects_a_negative_count(counts):
+    with pytest.raises(ValueError):
+        atlas_extent_estimate(counts, SvtConfig())
 
 
 def test_residency_matches_brute_force(rng):

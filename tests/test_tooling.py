@@ -9,7 +9,8 @@ oracle of itself. Every module-level import of a module but __init__.py
 field or parameter whose default is None must admit None in its
 annotation. The CLI's global options and README's CLI section must name the
 same flags. Thread pools start only in render._in_blocks, the one place
-where march blocks run.
+where march blocks run. The package's relative imports, at module level or
+inside a function, form no cycle.
 """
 
 import argparse
@@ -282,3 +283,55 @@ def test_the_rule_sees_an_undocumented_and_a_stale_flag():
         "`--gone` (no longer parsed). Then `run --fast`.\n\n## Next\n\n`-q`\n"
     )
     assert _flag_doc_gaps(parser, readme) == ["undocumented -q/--quiet", "stale --gone"]
+
+
+def _import_cycles(modules: dict) -> list[str]:
+    """Each cycle, as 'a -> b -> a', of the graph whose edges are the
+    modules' relative imports, at module level or inside a function."""
+    names = {name.removesuffix(".py") for name in modules}
+    graph = {
+        name.removesuffix(".py"): sorted(
+            {
+                target
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for target in (
+                    [node.module.split(".")[0]] if node.module
+                    else [alias.name for alias in node.names]
+                )
+                if target in names
+            }
+        )
+        for name, tree in modules.items()
+    }
+    cycles, done = [], set()
+
+    def visit(module, path):
+        if module in path:
+            cycles.append(" -> ".join(path[path.index(module):] + [module]))
+        elif module not in done:
+            for target in graph[module]:
+                visit(target, path + [module])
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+    return cycles
+
+
+def test_the_package_imports_form_no_cycle():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _import_cycles(modules) == []
+
+
+def test_the_rule_sees_an_import_cycle_through_a_function():
+    modules = {
+        "a.py": "from .b import f\nimport c\n",
+        "b.py": "def f():\n    from . import c, helper\n    return c\n",
+        "c.py": "from .d import g\n\ndef h():\n    from .a import f\n",
+        "d.py": "from .errors import E\nfrom . import b\n",
+        "errors.py": "class E(Exception):\n    pass\n",
+    }
+    assert _import_cycles({name: ast.parse(text) for name, text in modules.items()}) == [
+        "a -> b -> c -> a", "b -> c -> d -> b",
+    ]

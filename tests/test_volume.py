@@ -73,8 +73,11 @@ def test_normalize_examples(value, expected):
 
 def test_normalize_degenerate_range():
     vol = make_volume(np.zeros((1, 1, 1), dtype=np.float32), VoxelFormat.F32)
+    for value_range in [(3.0, 3.0), (-np.inf, np.inf), (0.0, np.inf), (-1e308, 1e308)]:
+        with pytest.raises(DegenerateRange):
+            normalize_to_u8(vol, value_range)
     with pytest.raises(DegenerateRange):
-        normalize_to_u8(vol, (3.0, 3.0))
+        normalize_to_u8(make_volume(np.array([[[0.0, np.inf]]], np.float32), VoxelFormat.F32))
 
 
 def test_normalize_monotone(rng):
