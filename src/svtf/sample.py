@@ -178,17 +178,25 @@ def trilinear_lerp(svt: SparseVolumeTexture, fp: Footprint) -> np.ndarray:
 
 
 def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
+    # Clamped to +-2^62 so that corners fit int64; past 2^52 no float64 has a fraction.
+    px, py, pz = (np.clip(p, -(2.0**62), 2.0**62) for p in level_coords(px, py, pz, 0))
     return trilinear_lerp(svt, trilinear_footprint(svt, px, py, pz, mip))
 
 
+def _point(pos) -> np.ndarray:
+    """One position as a (3, 1) float64 array, a row per axis; ValueError unless finite."""
+    xyz = np.asarray(pos, dtype=np.float64).reshape(3, 1)
+    if not np.isfinite(xyz).all():
+        raise ValueError(f"position {tuple(pos)} is not finite")
+    return xyz
+
+
 def sample_nearest(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:
-    px, py, pz = (np.asarray([p], dtype=np.float64) for p in pos)
-    return float(sample_nearest_many(svt, px, py, pz, mip)[0])
+    return float(sample_nearest_many(svt, *_point(pos), mip)[0])
 
 
 def sample_trilinear(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:
-    px, py, pz = (np.asarray([p], dtype=np.float64) for p in pos)
-    return float(sample_trilinear_many(svt, px, py, pz, mip)[0])
+    return float(sample_trilinear_many(svt, *_point(pos), mip)[0])
 
 
 def trilinear_dense(arr: np.ndarray, px, py, pz) -> np.ndarray:

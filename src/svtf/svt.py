@@ -6,7 +6,8 @@ tile. Only tiles whose logical region holds at least one non-empty voxel
 get a slot in the physical atlas; a per-mip page table maps tile coords to
 slots, with 0xFFFFFFFF marking empty tiles. A per-mip footprint table,
 derived from the page table, names the padded tile that answers each
-trilinear footprint.
+trilinear footprint. The slot grid and the packed entries of a .svtf file
+exist only in save_svtf and load_svtf (_file_entries).
 
 A loaded container keeps its tile records as they are in the mapped file
 until the first voxel read: load_svtf checks them, and everything else it
@@ -71,12 +72,15 @@ class SvtConfig:
 
     @property
     def max_slots_per_axis(self) -> int:
-        return self.max_atlas_extent // self.padded_size
+        """Padded tiles per axis of the extent, at most a packed entry field's 2^10."""
+        return min(self.max_atlas_extent // self.padded_size, 1 << _COORD_BITS)
 
 
 @dataclass
 class PageTable:
-    entries: np.ndarray  # uint32, [tz, ty, tx], EMPTY_ENTRY = empty
+    """Each tile's atlas slot (its index in TileAtlas.data) by tile coords."""
+
+    entries: np.ndarray  # uint32, [tz, ty, tx], EMPTY_ENTRY = not resident
 
     @property
     def grid_dims(self) -> VolumeDims:
@@ -93,9 +97,8 @@ class TileAtlas:
     """The physical atlas: one (n, span, span, span) array of the n resident
     padded tiles, in slot order.
 
-    Tiles take slots in row-major (mip, tz, ty, tx) order, so a tile's slot
-    is its rank among the resident tiles. The slot grid that the container
-    and the page-table entries describe (atlas_dims) is not held here.
+    Tiles take slots in row-major (mip, tz, ty, tx) order; a tile's page-table
+    entry is its slot. The slot grid of a .svtf file (atlas_dims) is not held here.
 
     An atlas that load_svtf returns holds the container's checked tile
     records instead. The first read of .data expands them, once and under a
@@ -136,13 +139,12 @@ class FootprintTable:
     layer and the rest. base[cell] is the flat atlas index of level voxel
     (0, 0, 0) seen through one resident tile's padded block, so a corner
     (x, y, z) is at base + (z*span + y)*span + x. For tile (tx, ty, tz) in
-    slot s (its rank among the resident tiles, see TileAtlas), base =
+    slot s (its page-table entry), base =
     s*span^3 + ((pad - tz*ts)*span + pad - ty*ts)*span + pad - tx*ts. The
-    tile is the cell's own
-    tile T if resident, else any resident tile the cell's footprints reach:
-    as pad >= 1 its block holds all eight corners, with the values of their
-    own tiles, or empty_value where those are not resident. NO_TILE marks a
-    cell whose footprints reach no resident tile.
+    tile is the cell's own tile T if resident, else any resident tile the
+    cell's footprints reach: as pad >= 1 its block holds all eight corners,
+    with the values of their own tiles, or empty_value where those are not
+    resident. NO_TILE marks a cell whose footprints reach no resident tile.
     """
 
     base: np.ndarray  # int64 per cell, [z, y, x]
@@ -195,17 +197,11 @@ class SparseVolumeTexture:
         return BuildStats(nonempty, counts, self.padded_nonempty_voxel_count, occupancy)
 
 
-def pack_entry(ax: int, ay: int, az: int) -> np.uint32:
-    return np.uint32(ax | (ay << _COORD_BITS) | (az << 2 * _COORD_BITS))
-
-
 def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
     ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
     entries = svt.mips[mip].entries
-    # The level's tiles follow those of the earlier mips, in raster order.
-    first = sum(tile_counts(svt.mips[:mip]))
     tz, ty, tx = np.nonzero(entries != EMPTY_ENTRY)
-    slot = first + np.arange(len(tz), dtype=np.int64)
+    slot = entries[tz, ty, tx].astype(np.int64)
     # One extra NO_TILE layer per axis stands for the tiles past the grid.
     base = np.full([g + 1 for g in entries.shape], NO_TILE, dtype=np.int64)
     inner = ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
@@ -409,8 +405,8 @@ def slot_grid_for(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
     side = _ceil_cbrt(tile_count)
     if side > cap:
         raise AtlasCapacityExceeded(
-            f"{tile_count} tiles need more than the {cap}^3 slots available "
-            f"at max_atlas_extent {config.max_atlas_extent}"
+            f"{tile_count} tiles need more than the {cap}^3 slots that max_atlas_extent "
+            f"{config.max_atlas_extent} and {_COORD_BITS}-bit page-table entry fields allow"
         )
     return (side, side, -(-tile_count // (side * side)))
 
@@ -421,25 +417,16 @@ def atlas_dims(tile_count: int, config: SvtConfig) -> tuple[int, int, int]:
     return tuple(n * config.padded_size for n in slot_grid_for(tile_count, config))
 
 
-def _page_entries(residents, config: SvtConfig) -> list[np.ndarray]:
-    """Per-mip page-table entries for per-mip residency masks.
+def pack_entry(ax: int, ay: int, az: int) -> np.uint32:
+    return np.uint32(ax | (ay << _COORD_BITS) | (az << 2 * _COORD_BITS))
 
-    Resident tiles take the slots in row-major (mip, tz, ty, tx) order, so
-    residency alone fixes every entry. An entry packs its slot's block
-    coordinates (ax, ay, az) in the slot grid, which slots fill x fastest,
-    then y, then z.
-    """
-    counts = [int(np.count_nonzero(resident)) for resident in residents]
-    slots = np.arange(sum(counts), dtype=np.int64)
-    sx, sy, _ = slot_grid_for(len(slots), config)
-    slot_entries = pack_entry(slots % sx, slots // sx % sy, slots // (sx * sy))
-    tables, slot = [], 0
-    for resident, count in zip(residents, counts):
-        entries = np.full(resident.shape, EMPTY_ENTRY, dtype=np.uint32)
-        entries[resident] = slot_entries[slot : slot + count]
-        tables.append(entries)
-        slot += count
-    return tables
+
+def _file_entries(slots: np.ndarray, tile_count: int, config: SvtConfig) -> np.ndarray:
+    """The .svtf page-table entries of atlas slots: each slot's block
+    coordinates (ax, ay, az) in the slot grid of tile_count tiles, which
+    slots fill x fastest, then y, then z, packed."""
+    sx, sy, _ = slot_grid_for(tile_count, config)
+    return pack_entry(slots % sx, slots // sx % sy, slots // (sx * sy))
 
 
 def _mean_tile_occupancy(nonempty: int, tiles0: int, tile_size: int) -> float:
@@ -494,12 +481,11 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
         ) from None
 
     empty = np.asarray(config.empty_value, dtype=atlas_data.dtype)
-    tables = _page_entries(residents, config)
-
     mips = []
     padded_nonempty = 0
     slot = 0
-    for level, resident, entries in zip(levels, residents, tables):
+    for level, resident in zip(levels, residents):
+        entries = np.full(resident.shape, EMPTY_ENTRY, dtype=np.uint32)
         (nz, ny, nx), (_, gy, gx) = level.data.shape, resident.shape
         yx_pad = (p, gy * ts - ny + p), (p, gx * ts - nx + p)
         for tz in np.flatnonzero(resident.any(axis=(1, 2))).tolist():
@@ -509,6 +495,7 @@ def build_svt(volume: DenseVolume, config: SvtConfig | None = None) -> SparseVol
             slab = np.pad(level.data[lo:hi], ((lo - z0, z0 + span - hi), *yx_pad), mode="edge")
             window = sliding_window_view(slab, (span, span, span))[0, ::ts, ::ts]
             iy, ix = np.nonzero(resident[tz])
+            entries[tz, iy, ix] = np.arange(slot, slot + len(iy))
             tiles = atlas_data[slot : slot + len(iy)]
             tiles[...] = window[iy, ix]
             occupied = nonempty_mask(tiles, config)
@@ -767,7 +754,9 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
     tables = []
     for table, count in zip(svt.mips, stats.nonempty_tile_count):
         g = table.grid_dims
-        entries = np.ascontiguousarray(table.entries, dtype="<u4")
+        entries = table.entries.astype("<u4")  # a copy: the texture keeps its slots
+        resident = entries != EMPTY_ENTRY
+        entries[resident] = _file_entries(entries[resident], len(offsets), cfg)
         tables += [struct.pack("<QQQQ", g.x, g.y, g.z, count), entries]
     tables.append(struct.pack("<Q", len(offsets)))
     # The header holds the SvtConfig fields in their order.
@@ -786,11 +775,11 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
 def load_svtf(path) -> SparseVolumeTexture:
     """Read and check a container; its atlas holds the tile records as read.
 
-    Every check runs here: the header config, the page tables (in atlas
-    slot order), the record offsets and sizes, the atlas dims and the stats
-    fields, each failing with a DataError or CapacityError subclass. The
-    atlas expands the records on the first read of .data (see TileAtlas);
-    that cannot fail.
+    Every check runs here: the header config, the page tables (packed slots
+    in atlas slot order; the tables keep the slots), the record offsets and
+    sizes, the atlas dims and the stats fields, each failing with a
+    DataError or CapacityError subclass. The atlas expands the records on
+    the first read of .data (see TileAtlas); that cannot fail.
     """
     raw, fmt_code, fields = SVTF.read(path)
     fmt, config = header_config(path, fmt_code, *fields[:5])
@@ -831,11 +820,14 @@ def load_svtf(path) -> SparseVolumeTexture:
         raise CorruptStream(f"{path}: {exc}") from None
     if atlas_dims(tile_count, config) != (ax, ay, az):
         raise CorruptStream(f"{path}: atlas dims disagree with the tile count")
-    residents = [table.entries != EMPTY_ENTRY for table in mips]
-    want = _page_entries(residents, config)
-    for level, (table, entries) in enumerate(zip(mips, want)):
-        if not np.array_equal(table.entries, entries):
+    slot = 0
+    for level, (table, count) in enumerate(zip(mips, counts)):
+        resident = table.entries != EMPTY_ENTRY
+        slots = np.arange(slot, slot + count, dtype=np.uint32)
+        if not np.array_equal(table.entries[resident], _file_entries(slots, tile_count, config)):
             raise CorruptStream(f"{path}: mip {level} page table is not in atlas slot order")
+        table.entries[resident] = slots
+        slot += count
 
     payload = value_count(records, tile_count, config, fmt)
     if padded_nonempty != payload:

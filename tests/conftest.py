@@ -56,7 +56,6 @@ from svtf.svt import (
     EMPTY_ENTRY,
     mip_level_count,
     nonempty_mask,
-    pack_entry,
     slot_grid_for,
     tile_grid_dims,
 )
@@ -434,6 +433,9 @@ def rng():
 _ref_log = logging.getLogger("svtf.upload")
 
 
+# Page tables in memory hold atlas slots, in these oracles as in the library;
+# only a .svtf file holds them packed, and the reference container code packs
+# and unpacks them with the helpers below, never with the library's.
 _REF_COORD_BITS = 10  # per-axis field of a packed page-table entry
 
 
@@ -450,6 +452,26 @@ def reference_entry_slot(packed, n: int, config: SvtConfig) -> np.ndarray:
     sx, sy, _ = slot_grid_for(n, config)
     ax, ay, az = (a.astype(np.int64) for a in unpack_entry(packed))
     return (az * sy + ay) * sx + ax
+
+
+def reference_packed_table(entries: np.ndarray, n: int, config: SvtConfig) -> np.ndarray:
+    """A slot-valued page table as a .svtf file holds it: each resident
+    slot's block coordinates in the near-cubic grid of n slots, packed."""
+    sx, sy, _ = slot_grid_for(n, config)
+    resident = entries != EMPTY_ENTRY
+    slots = entries[resident].astype(np.uint64)
+    ax, ay, az = slots % sx, slots // sx % sy, slots // (sx * sy)
+    out = entries.copy()
+    out[resident] = ax | ay << _REF_COORD_BITS | az << 2 * _REF_COORD_BITS
+    return out
+
+
+def reference_slot_table(packed: np.ndarray, n: int, config: SvtConfig) -> np.ndarray:
+    """The slot-valued page table of a .svtf file's packed one (n slots)."""
+    resident = packed != EMPTY_ENTRY
+    out = np.full(packed.shape, EMPTY_ENTRY, dtype=np.uint32)
+    out[resident] = reference_entry_slot(packed[resident], n, config)
+    return out
 
 
 def reference_atlas_zyx(n: int, config: SvtConfig) -> tuple[int, int, int]:
@@ -598,7 +620,8 @@ def reference_save_svtf(svt: SparseVolumeTexture, path) -> None:
         for table, count in zip(svt.mips, counts):
             gz, gy, gx = table.entries.shape
             fh.write(struct.pack("<QQQQ", gx, gy, gz, count))
-            fh.write(table.entries.astype("<u4").tobytes())
+            packed = reference_packed_table(table.entries, len(blocks), cfg)
+            fh.write(packed.astype("<u4").tobytes())
         fh.write(struct.pack("<Q", len(blocks)))
         fh.write(offsets.astype("<u8").tobytes())
         for rec in records:
@@ -661,6 +684,8 @@ def reference_load_svtf(path) -> ReferenceTexture:
     pos += 8 * tile_count
     if tile_count != sum(tile_counts):
         raise CorruptStream(f"{path}: tile count disagrees with per-mip counts")
+    for table in mips:
+        table.entries = reference_slot_table(table.entries, tile_count, config)
 
     if tile_count:
         atlas_data = np.full((az, ay, ax), empty_value, dtype=fmt.dtype)
@@ -1174,7 +1199,6 @@ def reference_build_svt(
     # Slots fill the atlas's block grid x fastest, then y, then z.
     slots = np.arange(total, dtype=np.int64)
     az, ay, ax = slots // (sx * sy), (slots // sx) % sy, slots % sx
-    slot_entries = pack_entry(ax, ay, az)
     atlas = ReferenceAtlas(dims=atlas_data.shape[::-1], data=atlas_data)
 
     mips = []
@@ -1183,7 +1207,7 @@ def reference_build_svt(
     for grid, resident, tiles in zip(grids, per_level_resident, per_level_tiles):
         level_slots = slice(slot_base, slot_base + tiles.shape[0])
         entries = np.full(grid.as_zyx(), EMPTY_ENTRY, dtype=np.uint32)
-        entries.ravel()[np.flatnonzero(resident.ravel())] = slot_entries[level_slots]
+        entries.ravel()[np.flatnonzero(resident.ravel())] = slots[level_slots]
         for slot, tile in zip(range(level_slots.start, level_slots.stop), tiles):
             x0, y0, z0 = ax[slot] * span, ay[slot] * span, az[slot] * span
             atlas_data[z0 : z0 + span, y0 : y0 + span, x0 : x0 + span] = tile
@@ -1231,11 +1255,11 @@ def _reference_gather_voxels(svt, entries_flat, grid, cx, cy, cz):
     ts = svt.config.tile_size
     pad = svt.config.pad
     tx, ty, tz = cx // ts, cy // ts, cz // ts
-    packed = entries_flat[(tz * grid.y + ty) * grid.x + tx]
-    resident = packed != EMPTY_ENTRY
+    entry = entries_flat[(tz * grid.y + ty) * grid.x + tx]
+    resident = entry != EMPTY_ENTRY
     out = np.full(cx.shape, svt.config.empty_value, dtype=np.float64)
     if resident.any():
-        slot = reference_entry_slot(packed[resident], svt.slot_count, svt.config)
+        slot = entry[resident].astype(np.int64)
         vx = pad + (cx[resident] - tx[resident] * ts)
         vy = pad + (cy[resident] - ty[resident] * ts)
         vz = pad + (cz[resident] - tz[resident] * ts)
@@ -1295,13 +1319,13 @@ def reference_sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: i
     sz = np.clip(bz + 1, 0, dims.z - 1) - c0z
 
     tx, ty, tz = c0x // ts, c0y // ts, c0z // ts
-    packed = entries[(tz * grid.y + ty) * grid.x + tx]
-    resident = packed != EMPTY_ENTRY
+    entry = entries[(tz * grid.y + ty) * grid.x + tx]
+    resident = entry != EMPTY_ENTRY
 
     corners = [np.full(qx.shape, svt.config.empty_value, dtype=np.float64) for _ in range(8)]
 
     if resident.any():
-        slot = reference_entry_slot(packed[resident], svt.slot_count, svt.config)
+        slot = entry[resident].astype(np.int64)
         ox = pad + (c0x[resident] - tx[resident] * ts)
         oy = pad + (c0y[resident] - ty[resident] * ts)
         oz = pad + (c0z[resident] - tz[resident] * ts)

@@ -445,6 +445,20 @@ def test_probe_trilinear_matches_library(tmp_path, capsys, volume_file):
     assert float(kv(out)["value"]) == want
 
 
+@pytest.mark.parametrize("nearest", [[], ["--nearest"]])
+@pytest.mark.parametrize("pos", ["inf,1.5,1.5", "nan,1,1"])
+def test_probe_rejects_a_non_finite_position(tmp_path, capsys, volume_file, pos, nearest):
+    svt_path = tmp_path / "vol.svtf"
+    assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0
+    code, out, err = run(capsys, "probe", str(svt_path), f"--pos={pos}", *nearest)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"error: ValueError: position {tuple(map(float, pos.split(',')))} is not finite"
+    ]
+
+
 @pytest.mark.parametrize(
     "flags,code",
     [

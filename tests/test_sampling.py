@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -304,3 +305,25 @@ def test_dense_lookup_is_bit_identical_to_reference():
                 want = reference_trilinear_dense(arr, *axes).T
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _gradient():
+    """A 1..20 f32 gradient along x, at tile 4: the x = 0 edge reads 1.0,
+    the far edge 20.0."""
+    data = np.broadcast_to(np.arange(1, 21, dtype=np.float32), (6, 6, 20)).copy()
+    return build_svt(make_volume(data, VoxelFormat.F32), SvtConfig(tile_size=4))
+
+
+def test_far_positions_read_the_clamped_edge_without_a_warning():
+    x = np.array([2.0**63, 1e19, np.inf, 2.0**62, 1e6, -(2.0**63), -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_trilinear_many(_gradient(), x, np.full(7, 1.5), np.full(7, 1.5))
+    assert got.tolist() == [20.0] * 5 + [1.0] * 2
+
+
+@pytest.mark.parametrize("pos", [(np.inf, 1.5, 1.5), (np.nan, 1, 1), (1, 1, -np.inf)])
+@pytest.mark.parametrize("sample", [sample_trilinear, sample_nearest])
+def test_a_non_finite_position_is_a_value_error(sample, pos):
+    with pytest.raises(ValueError, match="not finite"):
+        sample(_gradient(), pos)

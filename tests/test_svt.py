@@ -1,12 +1,14 @@
 import itertools
 import os
 import re
+import struct
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import (
+    _REF_SVTF_HEADER,
     assert_stats_match,
     brute_force_mip,
     brute_force_residency,
@@ -18,26 +20,31 @@ from conftest import (
     reference_atlas_zyx,
     reference_build_mip_level,
     reference_build_svt,
-    reference_entry_slot,
     reference_slot_order,
     unpack_entry,
 )
 
 from svtf import (
     AtlasCapacityExceeded,
+    Camera,
     CapacityExceeded,
     DataError,
+    DirectionalLight,
     OutOfGrid,
     PageTable,
+    RenderParams,
     SparseVolumeTexture,
     SvtConfig,
     TileAtlas,
+    TransferFunction,
     VolumeDims,
     VoxelFormat,
     apply_upload,
+    build_illumination_cache,
     build_mip_level,
     build_svt,
     load_svtf,
+    raymarch,
     sample_nearest,
     sample_trilinear,
     save_svtf,
@@ -46,6 +53,7 @@ from svtf import (
 )
 from svtf import svt as svt_module
 from svtf.planner import atlas_extent_estimate
+from svtf.sample import sample_nearest_many, sample_trilinear_many
 from svtf.svt import EMPTY_ENTRY, atlas_dims, mip_chain, pack_entry, slot_grid_for
 
 
@@ -269,17 +277,25 @@ def test_build_deterministic(rng):
         np.testing.assert_array_equal(ta.entries, tb.entries)
 
 
-def test_atlas_stores_source_values():
-    data = np.zeros((20, 20, 20), np.uint8)
-    data[2, 3, 4] = 77
+def test_atlas_stores_source_values(tmp_path):
+    # Five mip-0 tiles and one each in mips 1 and 2: a 2x2x2 slot grid, in
+    # which the 77's tile (tx 1, ty 0, tz 1) takes slot 4, block (0, 0, 1).
+    data = np.zeros((40, 20, 36), np.uint8)
+    data[1, [1, 1, 17, 17], [1, 20, 1, 20]] = 9
+    data[30, 13, 25] = 77
     svt = build_svt(make_volume(data))
-    entry = svt.mips[0].entries[0, 0, 0]
+    path = tmp_path / "a.svtf"
+    save_svtf(svt, path)
+    grid = svt.mips[0].grid_dims
+    pos = _REF_SVTF_HEADER.size + 32 + 4 * ((1 * grid.y + 0) * grid.x + 1)
+    (entry,) = struct.unpack_from("<I", path.read_bytes(), pos)
     ax, ay, az = (int(v) for v in unpack_entry(entry))
+    assert (ax, ay, az) == (0, 0, 1)
     span, pad = 18, 1
     # The voxel's place in the atlas as a (z, y, x) texture, marked and then
     # reordered into the store's slot order.
     marker = np.zeros(reference_atlas_zyx(svt.slot_count, svt.config), bool)
-    marker[az * span + pad + 2, ay * span + pad + 3, ax * span + pad + 4] = True
+    marker[az * span + pad + 14, ay * span + pad + 13, ax * span + pad + 9] = True
     slots = reference_slot_order(marker, span, svt.slot_count)
     assert svt.atlas.data[slots].tolist() == [77]
 
@@ -486,14 +502,14 @@ def test_every_atlas_holds_exactly_its_resident_tiles(tmp_path, fmt, empty, thre
         applied = apply_upload(serialize_upload(tex), cfg, tex.mips)
         for atlas in (tex.atlas, loaded.atlas, applied):
             assert atlas.data.shape == (tex.slot_count, span, span, span), name
-        # Each resident tile's footprint base is the slot that its packed
-        # entry names in the file's slot grid, times span^3, plus the
-        # in-block offset of level voxel (0, 0, 0); cell 2T is tile T's own.
+        # Each resident tile's footprint base is its entry, its slot, times
+        # span^3, plus the in-block offset of level voxel (0, 0, 0); cell 2T
+        # is tile T's own.
         for got in (tex, loaded):
             for mip, table in enumerate(got.mips):
                 base = got.footprint_table(mip).base
                 for tz, ty, tx in np.argwhere(table.entries != EMPTY_ENTRY).tolist():
-                    slot = reference_entry_slot(table.entries[tz, ty, tx], got.slot_count, cfg)
+                    slot = table.entries[tz, ty, tx]
                     inner = ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
                     assert base[2 * tz, 2 * ty, 2 * tx] == int(slot) * span**3 + inner
 
@@ -516,6 +532,108 @@ def test_slot_grid_is_the_smallest_slot_cube_side_by_its_z_layers(cap):
             assert (sx, sy, sz) == ((side, side, -(-n // side**2)) if n else (0, 0, 0))
             assert sz <= side
             assert atlas_extent_estimate([n], cfg) == atlas_dims(n, cfg)[0] == 4 * side
+
+
+def test_the_slot_grid_stops_where_a_packed_entry_field_does():
+    # The extent holds 1111 padded tiles per axis, a packed .svtf entry
+    # addresses 1024. Nothing is allocated.
+    cfg = SvtConfig(max_atlas_extent=20000)
+    assert cfg.max_atlas_extent // cfg.padded_size == 1111
+    assert slot_grid_for(1024**3, cfg) == (1024, 1024, 1024)
+    assert atlas_extent_estimate([1024**3], cfg) == 1024 * cfg.padded_size
+    with pytest.raises(AtlasCapacityExceeded, match="10-bit page-table entry"):
+        slot_grid_for(1024**3 + 1, cfg)
+    with pytest.raises(AtlasCapacityExceeded, match="10-bit page-table entry"):
+        atlas_extent_estimate([1024**3 + 1], cfg)
+    # So every slot is below 2^30, and no slot entry is EMPTY_ENTRY.
+    assert SvtConfig(max_atlas_extent=2**31).max_slots_per_axis ** 3 == 2**30
+
+
+def _resident_entries(svt) -> np.ndarray:
+    """The resident page-table entries in (mip, tz, ty, tx) order."""
+    return np.concatenate([t.entries[t.entries != EMPTY_ENTRY] for t in svt.mips])
+
+
+@pytest.mark.parametrize("fmt", [VoxelFormat.U8, VoxelFormat.F32])
+def test_page_tables_hold_the_slots_in_rank_order(tmp_path, fmt):
+    cfg = SvtConfig(tile_size=4)
+    data = np.where(np.random.default_rng(5).random((40, 37, 33)) < 0.01, 200, 0)
+    svt = build_svt(make_volume(data.astype(fmt.dtype), fmt), cfg)
+    n = svt.slot_count
+    assert n > slot_grid_for(n, cfg)[0] ** 2  # the file's grid has several layers
+    assert [t.entries.dtype for t in svt.mips] == [np.uint32] * svt.mip_count
+    assert np.array_equal(_resident_entries(svt), np.arange(n))
+    before = [t.entries.copy() for t in svt.mips]
+    save_svtf(svt, tmp_path / "a.svtf")
+    for table, entries in zip(svt.mips, before):
+        assert table.entries.dtype == np.uint32 and np.array_equal(table.entries, entries)
+    loaded = load_svtf(tmp_path / "a.svtf")
+    assert [t.entries.dtype for t in loaded.mips] == [np.uint32] * svt.mip_count
+    assert np.array_equal(_resident_entries(loaded), np.arange(n))
+    save_svtf(loaded, tmp_path / "b.svtf")
+    assert np.array_equal(_resident_entries(loaded), np.arange(n))
+    assert (tmp_path / "b.svtf").read_bytes() == (tmp_path / "a.svtf").read_bytes()
+
+
+def test_the_footprint_base_of_the_last_slot_is_exact():
+    # The largest slot a config allows, in a page table that no atlas backs:
+    # the footprint table reads only the entries, and its int64 bases must
+    # not wrap as a uint32 product would past slot 2^32 / span^3.
+    cfg = SvtConfig(max_atlas_extent=2**20)
+    span, ts, pad = cfg.padded_size, cfg.tile_size, cfg.pad
+    last = cfg.max_slots_per_axis**3 - 1
+    entries = np.full((2, 3, 4), EMPTY_ENTRY, np.uint32)
+    entries[1, 2, 3] = last
+    svt = SparseVolumeTexture(
+        cfg, VoxelFormat.U8, VolumeDims(64, 48, 32), [PageTable(entries)],
+        TileAtlas(np.empty((0, span, span, span), np.uint8)), 1, 1,
+    )
+    inner = ((pad - 1 * ts) * span + pad - 2 * ts) * span + pad - 3 * ts
+    assert int(svt.footprint_table(0).base[2, 4, 6]) == last * span**3 + inner
+
+
+@pytest.mark.parametrize("fmt", [VoxelFormat.U8, VoxelFormat.F32])
+def test_a_texture_with_its_slots_permuted_samples_and_renders_alike(fmt):
+    # Every tile moves to another slot, and its page-table entry follows it.
+    rng = np.random.default_rng(7)
+    shape = (30, 27, 35)
+    data = np.where(rng.random(shape) < 0.03, rng.uniform(1, 255, shape), 0)
+    cfg = SvtConfig(tile_size=4)
+    svt = build_svt(make_volume(data.astype(fmt.dtype), fmt), cfg)
+    n = svt.slot_count
+    perm = np.roll(np.arange(n), 1 + n // 3)  # slot s moves to perm[s]
+    moved_data = np.empty_like(svt.atlas.data)
+    moved_data[perm] = svt.atlas.data
+    tables = []
+    for table in svt.mips:
+        entries = table.entries.copy()
+        resident = entries != EMPTY_ENTRY
+        entries[resident] = perm[entries[resident]]
+        tables.append(PageTable(entries))
+    moved = SparseVolumeTexture(
+        cfg, fmt, svt.virtual_dims, tables, TileAtlas(moved_data),
+        svt.nonempty_voxel_count, svt.padded_nonempty_voxel_count,
+    )
+    dims = svt.virtual_dims
+    px, py, pz = (rng.uniform(-2.0, d + 2.0, 5000) for d in (dims.x, dims.y, dims.z))
+    for mip in range(svt.mip_count):
+        for sample in (sample_trilinear_many, sample_nearest_many):
+            want = sample(svt, px, py, pz, mip)
+            assert want.any()
+            assert sample(moved, px, py, pz, mip).tobytes() == want.tobytes()
+    tf = TransferFunction.grayscale(density_scale=0.5, emission_scale=0.8)
+    lights = [DirectionalLight(direction=(0.3, -0.5, 0.8))]
+    params = RenderParams(
+        camera=Camera(eye=(-20.0, 40.0, -35.0), look_at=(17.0, 13.0, 15.0),
+                      vfov_deg=50.0, width=15, height=11),
+        max_step_count=48,
+    )
+    want, got = (
+        raymarch(t, build_illumination_cache(t, tf, lights, 4, 8), tf, params)
+        for t in (svt, moved)
+    )
+    assert len(np.unique(want)) > 10
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,11 @@ oracle of itself. Every module-level import of a module but __init__.py
 field or parameter whose default is None must admit None in its
 annotation. The CLI's global options and README's CLI section must name the
 same flags. Thread pools start only in render._in_blocks, the one place
-where march blocks run. The package's relative imports, at module level or
-inside a function, form no cycle.
+where march blocks run. Page tables hold atlas slots; the packed slot-grid
+entries of a .svtf file (svt.pack_entry, svt._file_entries) are read only
+in the file's codec: save_svtf, load_svtf and _file_entries itself. The
+package's relative imports, at module level or inside a function, form no
+cycle.
 """
 
 import argparse
@@ -130,27 +133,31 @@ def test_the_rule_sees_an_unused_import():
     assert _unused_imports({"m.py": tree}) == ["m.py:5 js", "m.py:6 PurePath"]
 
 
-def _thread_pools_outside_in_blocks(modules: dict) -> list[str]:
-    """Where a module names ThreadPoolExecutor (read or imported) outside
-    the body of render.py's module-level _in_blocks."""
+def _named_outside(modules: dict, names: set, module: str, homes: set) -> list[str]:
+    """Where a module names one of names (read or imported) outside the
+    bodies of the given module's module-level functions homes."""
     found = []
     for name, tree in modules.items():
         home = {
             id(inner)
             for node in tree.body
-            if name == "render.py" and isinstance(node, _FUNCTIONS) and node.name == "_in_blocks"
+            if name == module and isinstance(node, _FUNCTIONS) and node.name in homes
             for inner in ast.walk(node)
         }
         found += [
             f"{name}:{node.lineno}"
             for node in ast.walk(tree)
             if id(node) not in home
-            and "ThreadPoolExecutor" in (
+            and names & {
                 getattr(node, "id", None), getattr(node, "attr", None),
                 node.name if isinstance(node, ast.alias) else None,
-            )
+            }
         ]
     return found
+
+
+def _thread_pools_outside_in_blocks(modules: dict) -> list[str]:
+    return _named_outside(modules, {"ThreadPoolExecutor"}, "render.py", {"_in_blocks"})
 
 
 def test_thread_pools_start_only_in_in_blocks():
@@ -173,6 +180,36 @@ def test_the_rule_sees_a_thread_pool_outside_in_blocks():
     )
     assert _thread_pools_outside_in_blocks({"render.py": render, "svt.py": other}) == [
         "render.py:2", "render.py:9", "svt.py:3",
+    ]
+
+
+def _entry_packing_outside_the_codec(modules: dict) -> list[str]:
+    return _named_outside(
+        modules, {"pack_entry", "_file_entries"}, "svt.py",
+        {"save_svtf", "load_svtf", "_file_entries"},
+    )
+
+
+def test_entry_packing_is_read_only_in_the_container_codec():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _entry_packing_outside_the_codec(modules) == []
+
+
+def test_the_rule_sees_entry_packing_outside_the_codec():
+    svt = ast.parse(
+        "def pack_entry(ax, ay, az):\n    return ax\n\n"
+        "def _file_entries(slots):\n    return pack_entry(slots, 0, 0)\n\n"
+        "def save_svtf(t):\n    return _file_entries(t)\n\n"
+        "def load_svtf(p):\n    return pack_entry(0, 0, 0)\n\n"
+        "def build_svt(v):\n    return _file_entries(v)\n\n"
+        "class PageTable:\n    def packed(self):\n        return pack_entry(1, 2, 3)\n"
+    )
+    sample = ast.parse(
+        "from .svt import pack_entry\nfrom . import svt\n\n"
+        "def save_svtf():\n    return svt._file_entries\n"
+    )
+    assert _entry_packing_outside_the_codec({"svt.py": svt, "sample.py": sample}) == [
+        "svt.py:14", "svt.py:18", "sample.py:1", "sample.py:5",
     ]
 
 
