@@ -8,6 +8,7 @@ line to stderr: `error: <ExceptionName>: <detail>`.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -45,12 +46,12 @@ def _parse_light(text: str):
     kind = parts[0]
     if kind == "dir" and len(parts) in (2, 3):
         direction = _triple(parts[1])
-        intensity = _triple(parts[2]) if len(parts) == 3 else (1.0, 1.0, 1.0)
+        intensity = _triple(parts[2]) if len(parts) == 3 else render.DirectionalLight.intensity
         return render.DirectionalLight(direction=direction, intensity=intensity)
     if kind == "point" and len(parts) in (3, 4):
         position = _triple(parts[1])
         radius = float(parts[2])
-        intensity = _triple(parts[3]) if len(parts) == 4 else (1.0, 1.0, 1.0)
+        intensity = _triple(parts[3]) if len(parts) == 4 else render.PointLight.intensity
         return render.PointLight(position=position, radius=radius, intensity=intensity)
     raise argparse.ArgumentTypeError(
         f"light must be dir:dx,dy,dz[:r,g,b] or point:px,py,pz:radius[:r,g,b], got {text!r}"
@@ -79,26 +80,30 @@ def _add_config_flags(p):
 
 
 def _add_render_flags(p):
-    p.add_argument("--size", type=_size, default=(512, 512), metavar="WxH")
+    cam, params, tf = render.Camera, render.RenderParams, render.TransferFunction
+    p.add_argument("--size", type=_size, default=(cam.width, cam.height), metavar="WxH")
     p.add_argument("--eye", type=_triple, required=True)
     p.add_argument("--look-at", type=_triple, required=True)
-    p.add_argument("--up", type=_triple, default=(0.0, 1.0, 0.0))
-    p.add_argument("--fov", type=float, default=45.0, help="vertical field of view, degrees")
-    p.add_argument("--ortho-height", type=float, default=None,
+    p.add_argument("--up", type=_triple, default=cam.up)
+    p.add_argument("--fov", type=float, default=cam.vfov_deg,
+                   help="vertical field of view, degrees")
+    p.add_argument("--ortho-height", type=float, default=cam.ortho_height,
                    help="orthographic view height in voxels (disables perspective)")
-    p.add_argument("--steps", type=int, default=1024, help="max samples per ray")
-    p.add_argument("--background", type=_triple, default=(0.0, 0.0, 0.0))
+    p.add_argument("--steps", type=int, default=params.max_step_count, help="max samples per ray")
+    p.add_argument("--background", type=_triple, default=params.background)
     p.add_argument("--cut-plane", type=_triple, default=None,
                    metavar="NX,NY,NZ", help="cut plane normal; use with --cut-offset")
     p.add_argument("--cut-offset", type=float, default=0.0)
     p.add_argument("--light", type=_parse_light, action="append", default=[],
                    help="repeatable; dir:dx,dy,dz[:r,g,b] or point:px,py,pz:radius[:r,g,b]")
-    p.add_argument("--downsample", type=int, default=4, help="illumination cache factor")
-    p.add_argument("--shadow-steps", type=int, default=64)
+    factor = inspect.signature(render.build_illumination_cache).parameters["downsample_factor"]
+    p.add_argument("--downsample", type=int, default=factor.default,
+                   help="illumination cache factor")
+    p.add_argument("--shadow-steps", type=int, default=params.shadow_steps)
     p.add_argument("--lut", default=None, help="transfer function file: 256 lines 'R G B A'")
-    p.add_argument("--window", type=_pair, default=(0.0, 1.0))
-    p.add_argument("--density-scale", type=float, default=1.0)
-    p.add_argument("--emission-scale", type=float, default=1.0)
+    p.add_argument("--window", type=_pair, default=tf.window)
+    p.add_argument("--density-scale", type=float, default=tf.density_scale)
+    p.add_argument("--emission-scale", type=float, default=tf.emission_scale)
 
 
 def _camera(args) -> render.Camera:
@@ -161,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("import-segy", help="parse a SEG-Y cube into a raw volume")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--axis-map", default="crossline,inline,sample",
-                   help="sources for x,y,z axes")
+    p.add_argument("--axis-map", type=lambda s: tuple(a.strip() for a in s.split(",")),
+                   default=segy.DEFAULT_AXIS_MAP, help="sources for x,y,z axes")
 
     p = sub.add_parser("import-raw", help="validate a raw volume and write it canonically")
     p.add_argument("input")
@@ -224,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_import_segy(args) -> int:
-    axis_map = tuple(s.strip() for s in args.axis_map.split(","))
-    info, vol = segy.parse_segy(args.input, axis_map=axis_map)
+    info, vol = segy.parse_segy(args.input, axis_map=args.axis_map)
     volume.save_volume(vol, args.output)
     print(f"samples_per_trace: {info.samples_per_trace}")
     print(f"sample_interval_us: {info.sample_interval_us}")

@@ -17,10 +17,7 @@ Both marches run through one loop, _march, over the same blocks of
 interleaved rays (_in_blocks). Each block clips its own rays to the volume
 box, or to a point light, and writes each ray that ends straight into the
 image's or the cache's arrays. Both leave out the steps whose sample is
-exactly empty. When empty_value is 0 and the transfer function maps 0 to
-nothing, a sample whose trilinear footprint lies wholly in non-resident
-tiles has sigma 0 and emits nothing, so its step would multiply
-transmittance by 1.0 and add 0.0 (see _SkipGrid). Images and caches are
+exactly empty, where _live_box allows it, so images and caches are
 bit-identical to marching every step.
 
 Each sample's footprint is computed once (sample.trilinear_footprint): its
@@ -146,10 +143,9 @@ class TransferFunction:
         _check_positive("emission_scale", self.emission_scale, allow_zero=True)
 
     @staticmethod
-    def grayscale(density_scale=1.0, emission_scale=1.0, window=(0.0, 1.0)):
+    def grayscale(**kwargs) -> "TransferFunction":
         ramp = np.linspace(0.0, 1.0, 256)
-        lut = np.stack([ramp, ramp, ramp, ramp], axis=1)
-        return TransferFunction(lut, density_scale, emission_scale, window)
+        return TransferFunction(np.stack([ramp, ramp, ramp, ramp], axis=1), **kwargs)
 
     @staticmethod
     def from_lut_file(path, **kwargs) -> "TransferFunction":
@@ -188,12 +184,6 @@ class TransferFunction:
             shown &= visible
         return np.where(shown, k, 256.0).astype(np.intp)
 
-    def classify(self, scalars: np.ndarray, fmt: VoxelFormat):
-        """Map raw samples to (sigma, rgb); outside the window both are zero."""
-        sigma, rgb = self.tables()
-        row = self.rows(scalars, fmt)
-        return sigma[row], rgb[row]
-
 
 @dataclass(frozen=True)
 class IlluminationCache:
@@ -203,10 +193,9 @@ class IlluminationCache:
     copied from the values given unless those are already a view of such
     planes, as build_illumination_cache makes them. values becomes a
     read-only (z, y, x, 3) view of the planes, so what it shows is always
-    what sample_incident reads.
+    what sample_incident reads, and dims is read off them.
     """
 
-    dims: VolumeDims
     downsample_factor: int
     values: np.ndarray  # (z, y, x, 3)
     planes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -218,6 +207,11 @@ class IlluminationCache:
         values.flags.writeable = False
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "values", values)
+
+    @property
+    def dims(self) -> VolumeDims:
+        z, y, x = self.planes.shape[1:]
+        return VolumeDims(x, y, z)
 
     def sample_incident(self, px, py, pz) -> np.ndarray:
         """Incident RGB at mip-0 positions, as (3, n)."""
@@ -347,68 +341,47 @@ def _ray_aabb(origins, dirs, lo, hi):
     return np.maximum(near, 0.0, out=near), far
 
 
-@dataclass(frozen=True)
-class _SkipGrid:
-    """Where the samples of one mip level can be non-zero.
+def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
+    """The mip-0 box (lo, hi) around the live cells of a mip level, or None
+    when skipping could change a result or would skip nothing. The one
+    place that decides empty-space skipping.
 
-    A sample is exactly empty when its footprint's base is NO_TILE (its
-    base corner lies in a cell of the footprint table that names no tile,
-    svt.FootprintTable): all eight corners read empty_value. _march tests
-    each sample's base as the footprint step computes it; the grid bounds
-    each ray's steps by the box around the live cells.
-    """
+    A cell of the level's footprint table is live when it names a tile
+    (svt.FootprintTable). A sample whose base corner lies in a cell that is
+    not live has footprint base NO_TILE, and all eight of its corners read
+    empty_value. When empty_value is 0 (a lerp of eight 0.0 corners is 0.0)
+    and the transfer function maps 0 to sigma 0 and a zero source, the
+    sample's step would multiply transmittance by 1.0 and add 0.0. So
+    _march leaves out each step whose footprint base is NO_TILE, and
+    _schedule bounds each ray's steps by the box.
 
-    lo: np.ndarray | None  # mip-0 box around the live cells; None when none is live
-    hi: np.ndarray | None
-
-    def windows(self, origins, dirs, t0, dt, steps):
-        """Per ray, float bounds [first, last) of the step indices that can
-        reach a live cell, with a one-step margin on each side.
-
-        origins and dirs are (3, n). The box is one voxel wider on each side
-        than the positions whose base corner lies in a live cell. Every
-        sample that may be non-zero therefore lies a voxel or more inside
-        each face of the box that is not a face of the volume, far beyond
-        any rounding error of the slab test.
-        """
-        enter, leave = _ray_aabb(origins, dirs, self.lo, self.hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            first = np.floor((enter - t0) / dt - 0.5) - 1.0
-            last = np.floor((leave - t0) / dt - 0.5) + 2.0
-        # NaN, from dt == 0 or a non-finite ray, gives the full window.
-        return np.fmin(np.fmax(first, 0), steps), np.fmax(np.fmin(last, steps), 0)
-
-
-def _skip_grid(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
-    """The skip grid of a mip level, or None when skipping could change a
-    result or would skip nothing.
-
-    A skipped step must be one whose sample the marchers would give sigma 0
-    and a zero source. That holds for every sample whose base corner lies
-    in a cell that is not live exactly when empty_value is 0 (a lerp of
-    eight 0.0 corners is 0.0) and the transfer function maps 0 to sigma 0
-    and a zero source.
+    The box is one voxel wider on each side than the positions whose base
+    corner lies in a live cell. Every sample that may be non-zero therefore
+    lies a voxel or more inside each face of the box that is not a face of
+    the volume, far beyond any rounding error of the slab test. With no
+    live cell the box lies at infinity, which no ray's window reaches.
     """
     table = svt.footprint_table(mip)  # fetched here, before any march thread starts
     if svt.config.empty_value != 0.0:
         return None
-    sigma, rgb = tf.classify(np.zeros(1), svt.format)
-    if sigma[0] != 0.0 or (tf.emission_scale * rgb).any():
+    sigma, rgb = tf.tables()
+    zero = tf.rows(np.zeros(1), svt.format)[0]  # the row shade gives a 0 sample
+    if sigma[zero] != 0.0 or (tf.emission_scale * rgb[zero]).any():
         return None
     live = table.base != NO_TILE
     if live.all():
         return None
+    if not live.any():
+        return np.full(3, np.inf), np.full(3, np.inf)
     scale = float(1 << mip)
-    lo = hi = None
-    if live.any():
-        # Per axis, the voxels that are base corners in a live cell.
-        on = [
-            np.flatnonzero(live.any(axis=other)[cell])
-            for other, cell in zip(((0, 1), (0, 2), (1, 2)), table.cells)
-        ]
-        lo = np.maximum([(v[0] - 0.5) * scale for v in on], 0.0)
-        hi = np.minimum([(v[-1] + 2.5) * scale for v in on], _extent(svt))
-    return _SkipGrid(lo=lo, hi=hi)
+    # Per axis, the voxels that are base corners in a live cell.
+    on = [
+        np.flatnonzero(live.any(axis=other)[cell])
+        for other, cell in zip(((0, 1), (0, 2), (1, 2)), table.cells)
+    ]
+    lo = np.maximum([(v[0] - 0.5) * scale for v in on], 0.0)
+    hi = np.minimum([(v[-1] + 2.5) * scale for v in on], _extent(svt))
+    return lo, hi
 
 
 def _extent(svt: SparseVolumeTexture) -> np.ndarray:
@@ -428,7 +401,7 @@ def _drop(arrays, s: int, k: int, done: np.ndarray) -> int:
 
 
 def _march(
-    svt, mip, skip, origins, dirs, block, steps, outs, step, stop=None, reach=None, positions=True
+    svt, mip, box, origins, dirs, block, steps, outs, step, stop=None, reach=None, positions=True
 ):
     """March the rays `block` of the (3, n) origins and dirs across the
     volume box, clipped to reach[block] when reach is given, in `steps`
@@ -445,7 +418,7 @@ def _march(
 
     Each sample's footprint (sample.Footprint) is computed once, for all
     rows s:k. A step outside a ray's window, or whose footprint base is
-    NO_TILE when a skip grid is given, has sigma == 0 and a zero source, so
+    NO_TILE when a live box is given, has sigma == 0 and a zero source, so
     it would change no state and is left out: only the rows that sample are
     selected from the footprint, and only they are blended. Rows s: of the
     state hold the rays still marching, sorted by first step, so the rays
@@ -458,7 +431,7 @@ def _march(
     if reach is not None:
         t1 = np.minimum(t1, reach[block])
     dt = (t1 - t0) / steps
-    rays, first, last = _schedule(skip, o, d, t0, dt, steps, t1 > t0)
+    rays, first, last = _schedule(box, o, d, t0, dt, steps, t1 > t0)
     o, d, t0, dt = o.take(rays, axis=1), d.take(rays, axis=1), t0[rays], dt[rays]
     rays = block[rays]
     state = [out.take(rays, axis=-1) for out in outs]
@@ -474,7 +447,7 @@ def _march(
         if not positions:
             p = None
         sampled = on[rows] if ended else None
-        if skip is not None:
+        if box is not None:
             live = fp.base != NO_TILE
             sampled = live if sampled is None else sampled & live
         sel = rows
@@ -557,7 +530,7 @@ def build_illumination_cache(
         sparse=True,
     )
     centers = np.stack(np.broadcast_arrays(xc, yc, zc)).reshape(3, -1)
-    skip = _skip_grid(svt, tf, 0)
+    box = _live_box(svt, tf, 0)
     sigma_of, _ = tf.tables()
 
     def absorb(p, scalars, sel, dts, state):
@@ -570,26 +543,30 @@ def build_illumination_cache(
         tau = np.zeros(centers.shape[1], dtype=np.float64)
         _in_blocks(
             lambda b: _march(
-                svt, 0, skip, centers, dirs, b, shadow_steps, [tau], absorb,
+                svt, 0, box, centers, dirs, b, shadow_steps, [tau], absorb,
                 reach=reach, positions=False,
             ),
             voxel_rows, threads,
         )
         planes += np.asarray(light.intensity, dtype=np.float64)[:, None] * (atten * np.exp(-tau))
     values = np.moveaxis(planes.reshape(3, dims.z, dims.y, dims.x), 0, -1)
-    return IlluminationCache(dims=dims, downsample_factor=downsample_factor, values=values)
+    return IlluminationCache(downsample_factor=downsample_factor, values=values)
 
 
-def _schedule(skip, origins, dirs, t0, dt, steps, march):
+def _schedule(box, origins, dirs, t0, dt, steps, march):
     """The rays flagged in march whose step window is not empty, sorted by
-    first step, and their [first, last) windows."""
-    if skip is None:
+    first step, and their [first, last) windows: every step without a box,
+    else the steps that can reach the live box, with a one-step margin on
+    each side. origins and dirs are (3, n)."""
+    if box is None:
         rays = np.flatnonzero(march)
         return rays, np.zeros(len(rays), np.int64), np.full(len(rays), steps, np.int64)
-    if skip.lo is None:  # no live cell: every window is empty
-        first = last = np.zeros(len(march))
-    else:
-        first, last = skip.windows(origins, dirs, t0, dt, steps)
+    enter, leave = _ray_aabb(origins, dirs, *box)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.floor((enter - t0) / dt - 0.5) - 1.0
+        last = np.floor((leave - t0) / dt - 0.5) + 2.0
+    # NaN, from dt == 0 or a non-finite ray, gives the full window.
+    first, last = np.fmin(np.fmax(first, 0), steps), np.fmax(np.fmin(last, steps), 0)
     rays = np.flatnonzero(march & (first < last))
     rays = rays[np.argsort(first[rays], kind="stable")]
     return rays, first[rays].astype(np.int64), last[rays].astype(np.int64)
@@ -613,7 +590,7 @@ def raymarch(
     n = origins.shape[1]
     radiance = np.zeros((3, n), dtype=np.float64)
     trans = np.ones(n, dtype=np.float64)
-    skip = _skip_grid(svt, tf, params.mip)
+    box = _live_box(svt, tf, params.mip)
     sigma_of, rgb_of = tf.tables()
     source_of = np.ascontiguousarray((tf.emission_scale * rgb_of).T)
     # Incident light only matters where the transfer function emits;
@@ -646,7 +623,7 @@ def raymarch(
 
     _in_blocks(
         lambda b: _march(
-            svt, params.mip, skip, origins, dirs, b, params.max_step_count, [radiance, trans],
+            svt, params.mip, box, origins, dirs, b, params.max_step_count, [radiance, trans],
             shade, stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE),
         ),
         np.arange(n).reshape(cam.height, cam.width), threads,

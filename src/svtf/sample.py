@@ -101,21 +101,18 @@ def level_coords(px, py, pz, mip: int):
 
 
 def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
-    """Nearest-voxel values; out of bounds and empty tiles give empty_value."""
-    table = svt.footprint_table(mip)
+    """Nearest-voxel values; out of bounds and empty tiles give empty_value.
+    Voxel floor(q) is the base corner of the footprint at floor(q) + 0.5, exactly
+    for |q| < 2^52; beyond that, and at NaN, q lies outside the volume."""
     dims = svt.mip_dims(mip)
-    data = svt.atlas.data
-    span = svt.config.padded_size
-    px, py, pz = level_coords(px, py, pz, mip)
+    px, py, pz = (np.clip(p, -(2.0**62), 2.0**62) for p in level_coords(px, py, pz, mip))
     inside = (px >= 0) & (px < dims.x) & (py >= 0) & (py < dims.y) & (pz >= 0) & (pz < dims.z)
-    x, _, _ = corner_axis(px, dims.x, 1)
-    y, _, _ = corner_axis(py, dims.y, 1)
-    z, _, _ = corner_axis(pz, dims.z, 1)
-    base = table.base.ravel()[footprint_cells(table, x, y, z)]
-    live = inside & (base != NO_TILE)
+    scale = float(1 << mip)
+    with np.errstate(invalid="ignore"):  # the int64 cast of NaN rows
+        fp = trilinear_footprint(svt, *((np.floor(q) + 0.5) * scale for q in (px, py, pz)), mip)
+    live = inside & (fp.base != NO_TILE)
     out = np.full(px.shape, svt.config.empty_value, dtype=np.float64)
-    flat = base[live] + (z[live] * span + y[live]) * span + x[live]
-    out[live] = data.ravel()[flat]
+    out[live] = svt.atlas.data.ravel()[fp.flat[live]]
     return out
 
 
@@ -180,7 +177,8 @@ def trilinear_lerp(svt: SparseVolumeTexture, fp: Footprint) -> np.ndarray:
 def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
     # Clamped to +-2^62 so that corners fit int64; past 2^52 no float64 has a fraction.
     px, py, pz = (np.clip(p, -(2.0**62), 2.0**62) for p in level_coords(px, py, pz, 0))
-    return trilinear_lerp(svt, trilinear_footprint(svt, px, py, pz, mip))
+    with np.errstate(invalid="ignore"):  # the int64 cast of NaN rows, which read NaN
+        return trilinear_lerp(svt, trilinear_footprint(svt, px, py, pz, mip))
 
 
 def _point(pos) -> np.ndarray:

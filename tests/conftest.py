@@ -129,30 +129,6 @@ def random_build_case(rng, max_fill=0.2):
     return make_volume(data, VoxelFormat.F32 if f32 else VoxelFormat.U8), cfg
 
 
-def dense_trilinear_oracle(data_zyx: np.ndarray, px, py, pz) -> np.ndarray:
-    """Clamped-edge trilinear interpolation straight off the dense array."""
-    nz, ny, nx = data_zyx.shape
-    qx = np.asarray(px, dtype=np.float64) - 0.5
-    qy = np.asarray(py, dtype=np.float64) - 0.5
-    qz = np.asarray(pz, dtype=np.float64) - 0.5
-    bx, by, bz = np.floor(qx), np.floor(qy), np.floor(qz)
-    fx, fy, fz = qx - bx, qy - by, qz - bz
-    x0 = np.clip(bx.astype(np.int64), 0, nx - 1)
-    y0 = np.clip(by.astype(np.int64), 0, ny - 1)
-    z0 = np.clip(bz.astype(np.int64), 0, nz - 1)
-    x1 = np.clip(bx.astype(np.int64) + 1, 0, nx - 1)
-    y1 = np.clip(by.astype(np.int64) + 1, 0, ny - 1)
-    z1 = np.clip(bz.astype(np.int64) + 1, 0, nz - 1)
-    a = data_zyx.astype(np.float64)
-    v00 = a[z0, y0, x0] * (1.0 - fx) + a[z0, y0, x1] * fx
-    v10 = a[z0, y1, x0] * (1.0 - fx) + a[z0, y1, x1] * fx
-    v01 = a[z1, y0, x0] * (1.0 - fx) + a[z1, y0, x1] * fx
-    v11 = a[z1, y1, x0] * (1.0 - fx) + a[z1, y1, x1] * fx
-    v0 = v00 * (1.0 - fy) + v10 * fy
-    v1 = v01 * (1.0 - fy) + v11 * fy
-    return v0 * (1.0 - fz) + v1 * fz
-
-
 def brute_force_residency(volume: DenseVolume, tile_size: int, empty=0.0) -> np.ndarray:
     """Tile-grid boolean array: True where the tile's in-volume region has
     any value != empty."""
@@ -324,7 +300,7 @@ def reference_illumination_cache(
         flat += np.asarray(light.intensity, dtype=np.float64)[None, :] * weight
 
     values = flat.reshape(dims.z, dims.y, dims.x, 3)
-    return IlluminationCache(dims=dims, downsample_factor=downsample_factor, values=values)
+    return IlluminationCache(downsample_factor=downsample_factor, values=values)
 
 
 def reference_march_block(svt, cache, tf, params, origins, dirs):
@@ -1387,7 +1363,8 @@ def reference_trilinear_dense(arr: np.ndarray, px, py, pz) -> np.ndarray:
     """Clamped-edge trilinear lookup in a dense [z, y, x(, c)] array.
 
     Uses the same arithmetic order as the sparse path; the renderer uses it
-    for illumination-cache lookups.
+    for illumination-cache lookups, and the sampling tests use it as the
+    dense oracle of the sparse lookups.
     """
     nz, ny, nx = arr.shape[:3]
     qx = np.asarray(px, dtype=np.float64) - 0.5

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from conftest import (
     brute_force_residency,
-    dense_trilinear_oracle,
     make_volume,
     random_volume,
+    reference_trilinear_dense,
 )
 
 import svtf
@@ -140,7 +140,7 @@ def test_c06_desk_scale_oracle_suite():
                 [0.0, -0.5, 0.5], n // 3
             )
             got = sample_trilinear_many(tex, px, py, pz)
-            want = dense_trilinear_oracle(vol.data, px, py, pz)
+            want = reference_trilinear_dense(vol.data, px, py, pz)
             np.testing.assert_array_equal(got, want)
             positions_checked += n
     assert positions_checked >= 100_000

@@ -1,5 +1,6 @@
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,20 @@ def test_probe_rejects_a_non_finite_position(tmp_path, capsys, volume_file, pos,
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"error: ValueError: position {tuple(map(float, pos.split(',')))} is not finite"
     ]
+
+
+@pytest.mark.parametrize("nearest", [[], ["--nearest"]])
+def test_probe_far_outside_reads_without_a_warning(tmp_path, capsys, volume_file, nearest):
+    svt_path = tmp_path / "vol.svtf"
+    assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "probe", str(svt_path), "--pos", "1e19,1.5,1.5", *nearest)
+    assert (code, err) == (0, "")
+    from svtf import load_svtf, sample_nearest, sample_trilinear
+
+    sample = sample_nearest if nearest else sample_trilinear
+    assert float(kv(out)["value"]) == sample(load_svtf(svt_path), (1e19, 1.5, 1.5))
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from svtf import (
     RenderParams,
     SvtConfig,
     TransferFunction,
+    VolumeDims,
     VoxelFormat,
     build_illumination_cache,
     build_svt,
@@ -33,7 +34,7 @@ from svtf import (
     write_image,
 )
 from svtf import render
-from svtf.render import _ray_aabb, _skip_grid
+from svtf.render import _live_box, _ray_aabb, _schedule
 from svtf.sample import trilinear_footprint
 from svtf.svt import NO_TILE
 
@@ -101,7 +102,7 @@ def test_cache_values_always_show_the_light_it_samples():
     built = build_illumination_cache(uniform_slab(16), TransferFunction.grayscale(), [light])
     assert np.shares_memory(built.values, built.planes)  # no second copy
     given = np.arange(4 * 4 * 4 * 3, dtype=np.float64).reshape(4, 4, 4, 3)
-    cache = IlluminationCache(dims=built.dims, downsample_factor=4, values=given)
+    cache = IlluminationCache(downsample_factor=4, values=given)
     at = np.asarray([6.0]), np.asarray([2.0]), np.asarray([10.0])
     before = cache.sample_incident(*at).copy()
     given += 1.0  # the cache copied the caller's array
@@ -114,6 +115,13 @@ def test_cache_values_always_show_the_light_it_samples():
     np.testing.assert_array_equal(cache.values, given - 1.0)
     np.testing.assert_array_equal(cache.sample_incident(*at), before)
     np.testing.assert_array_equal(before[:, 0], given[2, 0, 1] - 1.0)
+
+
+def test_cache_dims_are_read_off_its_values():
+    cache = IlluminationCache(downsample_factor=4, values=np.zeros((8, 6, 5, 3)))
+    assert cache.dims == VolumeDims(5, 6, 8)
+    with pytest.raises(TypeError, match="dims"):
+        IlluminationCache(dims=VolumeDims(1, 1, 1), downsample_factor=4, values=cache.values)
 
 
 def test_raymarch_empty_volume_is_background():
@@ -282,6 +290,12 @@ def opaque_zero_lut():
     return lut
 
 
+def glowing_zero_lut():
+    lut = TransferFunction.grayscale().lut.copy()
+    lut[0, :3] = 0.5  # 0 emits without absorbing
+    return lut
+
+
 RENDER_CASES = {
     # name: (format, config, transfer function, lights, params, skipping on)
     "u8": (  # dense enough that rays terminate early
@@ -310,6 +324,11 @@ RENDER_CASES = {
         TransferFunction(opaque_zero_lut(), density_scale=0.05, emission_scale=0.8),
         [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, False,
     ),
+    "u8-zero-emits": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction(glowing_zero_lut(), density_scale=0.05, emission_scale=0.8),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, False,
+    ),
     "u8-window-hides-zero": (
         VoxelFormat.U8, SvtConfig(),
         TransferFunction(opaque_zero_lut(), density_scale=0.05, emission_scale=0.8,
@@ -329,7 +348,7 @@ def test_skipping_is_bit_identical_to_reference(name):
                       vfov_deg=60.0, width=23, height=17),
         max_step_count=40, background=(0.1, 0.2, 0.3), **extra,
     )
-    assert (_skip_grid(svt, tf, params.mip) is not None) == skipping
+    assert (_live_box(svt, tf, params.mip) is not None) == skipping
     origins, dirs = params.camera.rays()
     t0, t1 = _ray_aabb(origins.T, dirs.T, np.zeros(3), np.full(3, 40.0))
     assert (t1 > t0).any() and (t1 <= t0).any()  # some rays miss the box
@@ -375,22 +394,83 @@ def test_freshly_loaded_texture_renders_alike_on_any_thread_count(tmp_path, name
 
 
 def test_all_resident_volume_has_no_skip_grid():
-    assert _skip_grid(uniform_slab(), TransferFunction.grayscale(), 0) is None
+    assert _live_box(uniform_slab(), TransferFunction.grayscale(), 0) is None
 
 
-def test_all_empty_volume_skips_every_step():
+def footprint_calls(monkeypatch):
+    """The (3, m) positions of each call _march makes to trilinear_footprint,
+    from any thread."""
+    calls = []
+
+    def recording(svt, px, py, pz, mip=0):
+        calls.append(np.stack([px, py, pz]))
+        return trilinear_footprint(svt, px, py, pz, mip)
+
+    monkeypatch.setattr(render, "trilinear_footprint", recording)
+    return calls
+
+
+def test_all_empty_volume_skips_every_step(monkeypatch):
     svt = build_svt(make_volume(np.zeros((40, 40, 40), np.uint8)))
     tf = TransferFunction.grayscale()
-    assert _skip_grid(svt, tf, 0).lo is None  # no cell is live
+    calls = footprint_calls(monkeypatch)
     cache = build_illumination_cache(svt, tf, [DirectionalLight(direction=(0, -1, 0))])
     np.testing.assert_array_equal(cache.values, 1.0)
     light = PointLight(position=(20.0, 60.0, 20.0), radius=15.0)
     lit = build_illumination_cache(svt, tf, [light], downsample_factor=4, shadow_steps=8)
-    assert np.array_equal(lit.values, reference_illumination_cache(svt, tf, [light], 4, 8).values)
     params = RenderParams(camera=ortho_camera(40, 9, 7), max_step_count=16,
                           background=(0.25, 0.5, 0.75))
     img = raymarch(svt, cache, tf, params, threads=4)
+    assert calls == []
+    assert np.array_equal(lit.values, reference_illumination_cache(svt, tf, [light], 4, 8).values)
     np.testing.assert_array_equal(img, np.broadcast_to((0.25, 0.5, 0.75), img.shape))
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("skipping", [True, False])
+def test_march_positions_stay_inside_the_volume(monkeypatch, threads, skipping):
+    """Every position _march samples, for primary rays with a cut plane at
+    mips 0 and 1 and for directional- and point-light shadow rays, lies in
+    [0, extent] on each axis: from 20 random cameras, 4 of them looking
+    along an axis so that their centre rays have two zero components."""
+    rng = np.random.default_rng(41)
+    extent = np.asarray([29.0, 41.0, 37.0])  # x, y, z
+    data = np.where(rng.random((37, 41, 29)) < 0.002, rng.integers(1, 256, (37, 41, 29)), 0)
+    svt = build_svt(make_volume(data.astype(np.uint8)), SvtConfig(tile_size=8))
+    lut = TransferFunction.grayscale().lut if skipping else opaque_zero_lut()
+    tf = TransferFunction(lut, density_scale=0.3, emission_scale=0.8)
+    assert (_live_box(svt, tf, 0) is not None) == skipping
+    centre = extent / 2
+    calls = footprint_calls(monkeypatch)
+
+    def assert_inside(label):
+        assert calls, label
+        p = np.concatenate(calls, axis=1)
+        assert (p.min(axis=1) >= 0.0).all() and (p.max(axis=1) <= extent).all(), label
+        calls.clear()
+
+    lights = [DirectionalLight(direction=tuple(rng.standard_normal(3))),
+              PointLight(position=tuple(rng.uniform(-10.0, 50.0, 3)), radius=20.0)]
+    for light in lights:
+        cache = build_illumination_cache(svt, tf, [light], 4, 12, threads=threads)
+        assert_inside(type(light).__name__)
+    for k in range(20):
+        if k < 4:
+            eye = centre.copy()
+            eye[k % 3] = -20.0 if k < 3 else extent[2] + 20.0
+            look_at = centre
+        else:
+            direction = rng.standard_normal(3)
+            eye = centre + direction / np.linalg.norm(direction) * rng.uniform(30.0, 80.0)
+            look_at = rng.uniform(0.0, extent)
+        up = (1.0, 0.0, 0.0) if k == 1 else (0.0, 1.0, 0.0)
+        camera = Camera(eye=tuple(eye), look_at=tuple(look_at), up=up, vfov_deg=60.0,
+                        width=7, height=5)
+        cut = (tuple(rng.standard_normal(3)), float(rng.uniform(-10.0, 10.0)))
+        for mip in (0, 1):
+            params = RenderParams(camera=camera, max_step_count=24, cut_plane=cut, mip=mip)
+            raymarch(svt, cache, tf, params, threads=threads)
+            assert_inside(f"camera {k} mip {mip}")
 
 
 # One non-empty voxel per volume: the centre, the 6 faces, 12 edges and 8
@@ -409,8 +489,8 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
         data = np.zeros((n, n, n), np.uint8)
         data[voxel[::-1]] = 255
         svt = build_svt(make_volume(data))
-        skip = _skip_grid(svt, TransferFunction.grayscale(), mip)
-        assert skip is not None
+        box = _live_box(svt, TransferFunction.grayscale(), mip)
+        assert box is not None
         p = np.concatenate([
             np.asarray(voxel) + 0.5 + near,
             rng.uniform(-1.0, n + 1.0, (2000, 3)),
@@ -432,7 +512,10 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
         origins, dirs, t0, t1 = origins[hit], dirs[hit], t0[hit], t1[hit]
         steps = 64
         dt = (t1 - t0) / steps
-        first, last = skip.windows(origins.T, dirs.T, t0, dt, steps)
+        every = np.ones(len(t0), dtype=bool)
+        rays, kept_first, kept_last = _schedule(box, origins.T, dirs.T, t0, dt, steps, every)
+        first, last = np.zeros(len(t0), np.int64), np.zeros(len(t0), np.int64)
+        first[rays], last[rays] = kept_first, kept_last  # the rest have empty windows
         for i in range(steps):
             t = t0 + (i + 0.5) * dt
             q = origins + t[:, None] * dirs
@@ -470,7 +553,9 @@ def test_table_classify_is_bit_identical_to_reference():
         tf = TransferFunction(lut, density_scale=scale, window=window)
         for fmt in (VoxelFormat.U8, VoxelFormat.F32):
             scalars = _classify_scalars(rng, fmt, window)
-            sigma, rgb = tf.classify(scalars, fmt)
+            sigma_of, rgb_of = tf.tables()
+            row = tf.rows(scalars, fmt)
+            sigma, rgb = sigma_of[row], rgb_of[row]
             want_sigma, want_rgb = reference_classify(tf, scalars, fmt)
             assert sigma.shape == want_sigma.shape and rgb.shape == want_rgb.shape
             assert np.array_equal(sigma.view(np.int64), want_sigma.view(np.int64))
@@ -480,8 +565,10 @@ def test_table_classify_is_bit_identical_to_reference():
 def test_classify_sends_nan_samples_to_zero():
     lut = np.ones((256, 4))
     tf = TransferFunction(lut, window=(-np.inf, np.inf))
+    sigma_of, rgb_of = tf.tables()
     for fmt in (VoxelFormat.U8, VoxelFormat.F32):
-        sigma, rgb = tf.classify(np.asarray([np.nan, 0.0]), fmt)
+        row = tf.rows(np.asarray([np.nan, 0.0]), fmt)
+        sigma, rgb = sigma_of[row], rgb_of[row]
         assert sigma.tolist() == [0.0, 1.0]
         assert rgb.tolist() == [[0.0] * 3, [1.0] * 3]
 
@@ -589,7 +676,7 @@ def blocks(threads, height=6):
     return 1 if threads == 1 else min(2 * threads, height)
 
 
-@pytest.mark.parametrize("tile_size", [4, 16])  # with and without a skip grid
+@pytest.mark.parametrize("tile_size", [4, 16])  # with and without a live box
 @pytest.mark.parametrize("depths, shares", [
     # A quarter of the rows end on step 2: exactly the share, so they are
     # compacted there; then two thirds of the rest, then the window ends.
@@ -606,7 +693,7 @@ def blocks(threads, height=6):
 ])
 def test_compaction_is_bit_identical_to_reference(monkeypatch, tile_size, depths, shares):
     svt, tf, params = depth_scene(depths, tile_size=tile_size)
-    assert (_skip_grid(svt, tf, 0) is not None) == (tile_size == 4)
+    assert (_live_box(svt, tf, 0) is not None) == (tile_size == 4)
     want, seen = assert_matches_reference(svt, tf, params, seen=compactions(monkeypatch))
     assert want.any()
     # Every block holds whole rows of the image, so each compacts alike.

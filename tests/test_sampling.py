@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
-    dense_trilinear_oracle,
     make_volume,
     random_build_case,
     random_volume,
@@ -60,9 +59,11 @@ def test_nearest_identity_at_centers(rng):
         rng.integers(0, d.y, 50),
         rng.integers(0, d.z, 50),
     )
-    got = sample_nearest_many(svt, xs + 0.5, ys + 0.5, zs + 0.5)
     want = vol.data[zs, ys, xs].astype(np.float64)
-    np.testing.assert_array_equal(got, want)
+    # The centre, the lower faces, and the last floats below the upper faces.
+    for pick in range(3):
+        p = [(c + 0.5, c + 0.0, np.nextafter(c + 1.0, -np.inf))[pick] for c in (xs, ys, zs)]
+        np.testing.assert_array_equal(sample_nearest_many(svt, *p), want)
 
 
 def test_nearest_out_of_bounds_zero():
@@ -100,7 +101,7 @@ def test_trilinear_matches_dense_oracle(rng):
         svt = build_svt(vol)
         px, py, pz = positions_with_seams(rng, vol.dims, 2000)
         got = sample_trilinear_many(svt, px, py, pz)
-        want = dense_trilinear_oracle(vol.data, px, py, pz)
+        want = reference_trilinear_dense(vol.data, px, py, pz)
         np.testing.assert_array_equal(got, want)
         total += len(px)
     assert total >= 20_000
@@ -116,7 +117,7 @@ def test_trilinear_border_of_empty_tile_exact():
     assert svt.stats.nonempty_tile_count[0] == 1
     for x in (15.5, 15.9, 16.0, 16.2, 16.499999, 16.5):
         got = sample_trilinear(svt, (x, 8.0, 8.0))
-        want = float(dense_trilinear_oracle(vol.data, np.float64(x), 8.0, 8.0))
+        want = float(reference_trilinear_dense(vol.data, np.float64(x), 8.0, 8.0))
         assert got == want, x
     assert sample_trilinear(svt, (16.5, 8.0, 8.0)) == 0.0
     assert sample_trilinear(svt, (16.0, 8.0, 8.0)) == 100.0
@@ -153,7 +154,7 @@ def test_mip_sampling_matches_downsampled_dense(rng):
         py = rng.uniform(0, d.y, n) * (1 << mip)
         pz = rng.uniform(0, d.z, n) * (1 << mip)
         got = sample_trilinear_many(svt, px, py, pz, mip)
-        want = dense_trilinear_oracle(
+        want = reference_trilinear_dense(
             level.data, px / (1 << mip), py / (1 << mip), pz / (1 << mip)
         )
         np.testing.assert_array_equal(got, want)
@@ -229,7 +230,7 @@ def test_each_texture_samples_its_own_atlas(rng):
         svt = build_svt(vol, SvtConfig(tile_size=4))
         px, py, pz = positions_with_seams(rng, vol.dims, 64)
         got = sample_trilinear_many(svt, px, py, pz)
-        np.testing.assert_array_equal(got, dense_trilinear_oracle(vol.data, px, py, pz))
+        np.testing.assert_array_equal(got, reference_trilinear_dense(vol.data, px, py, pz))
         del svt
 
 
@@ -315,11 +316,19 @@ def _gradient():
 
 
 def test_far_positions_read_the_clamped_edge_without_a_warning():
-    x = np.array([2.0**63, 1e19, np.inf, 2.0**62, 1e6, -(2.0**63), -np.inf])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = sample_trilinear_many(_gradient(), x, np.full(7, 1.5), np.full(7, 1.5))
-    assert got.tolist() == [20.0] * 5 + [1.0] * 2
+    """Trilinear reads the clamped edge, nearest the empty value (the
+    positions lie outside), NaN reads NaN and the empty value, and neither
+    sampler warns, at mips 0 and 1."""
+    x = np.array([2.0**63, 1e19, np.inf, 2.0**62, 1e6, -(2.0**63), -np.inf, np.nan])
+    yz = np.full(len(x), 1.5)
+    svt = _gradient()
+    for mip, (far, near) in ((0, (20.0, 1.0)), (1, (19.5, 1.5))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sample_trilinear_many(svt, x, yz, yz, mip)
+            nearest = sample_nearest_many(svt, x, yz, yz, mip)
+        assert got[:7].tolist() == [far] * 5 + [near] * 2 and np.isnan(got[7])
+        assert nearest.tolist() == [0.0] * len(x)
 
 
 @pytest.mark.parametrize("pos", [(np.inf, 1.5, 1.5), (np.nan, 1, 1), (1, 1, -np.inf)])

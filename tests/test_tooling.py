@@ -8,7 +8,8 @@ oracle of itself. Every module-level import of a module but __init__.py
 (whose imports are the exports) must be read in that module. An annotated
 field or parameter whose default is None must admit None in its
 annotation. The CLI's global options and README's CLI section must name the
-same flags. Thread pools start only in render._in_blocks, the one place
+same flags, and every render and import flag that has a library default
+takes that default. Thread pools start only in render._in_blocks, the one place
 where march blocks run. Page tables hold atlas slots; the packed slot-grid
 entries of a .svtf file (svt.pack_entry, svt._file_entries) are read only
 in the file's codec: save_svtf, load_svtf and _file_entries itself. The
@@ -18,10 +19,20 @@ cycle.
 
 import argparse
 import ast
+import dataclasses
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
 
+from svtf import (
+    Camera,
+    RenderParams,
+    TransferFunction,
+    build_illumination_cache,
+    load_volume,
+    parse_segy,
+)
 from svtf.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -320,6 +331,69 @@ def test_the_rule_sees_an_undocumented_and_a_stale_flag():
         "`--gone` (no longer parsed). Then `run --fast`.\n\n## Next\n\n`-q`\n"
     )
     assert _flag_doc_gaps(parser, readme) == ["undocumented -q/--quiet", "stale --gone"]
+
+
+def _flags_off_their_defaults(parser: argparse.ArgumentParser, defaults: dict) -> list[str]:
+    """'command flag' for each (command, flag) of defaults that the parser's
+    command does not have, or whose parser default is not the one given."""
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    off = []
+    for (command, flag), want in defaults.items():
+        actions = {s: a for a in commands[command]._actions for s in a.option_strings}
+        if flag not in actions or actions[flag].default != want:
+            off.append(f"{command} {flag}")
+    return off
+
+
+def _library_defaults() -> dict:
+    """The library default of each render and import flag that has one,
+    keyed (command, flag), as the dataclass fields and signatures give it."""
+
+    def field(cls, name):
+        return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+    def param(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    render = {
+        "--size": (field(Camera, "width"), field(Camera, "height")),
+        "--up": field(Camera, "up"),
+        "--fov": field(Camera, "vfov_deg"),
+        "--ortho-height": field(Camera, "ortho_height"),
+        "--steps": field(RenderParams, "max_step_count"),
+        "--background": field(RenderParams, "background"),
+        "--shadow-steps": field(RenderParams, "shadow_steps"),
+        "--downsample": param(build_illumination_cache, "downsample_factor"),
+        "--window": field(TransferFunction, "window"),
+        "--density-scale": field(TransferFunction, "density_scale"),
+        "--emission-scale": field(TransferFunction, "emission_scale"),
+    }
+    return {
+        **{(c, flag): want for c in ("render", "chunk-compare") for flag, want in render.items()},
+        ("import-segy", "--axis-map"): param(parse_segy, "axis_map"),
+        ("import-raw", "--dims"): param(load_volume, "dims"),
+        ("import-raw", "--format"): param(load_volume, "format"),
+        ("import-raw", "--endian"): param(load_volume, "endianness"),
+    }
+
+
+def test_render_and_import_flags_default_to_the_library():
+    assert _flags_off_their_defaults(build_parser(), _library_defaults()) == []
+
+
+def test_the_rule_sees_a_flag_off_its_library_default():
+    parser = argparse.ArgumentParser()
+    run = parser.add_subparsers(dest="command").add_parser("run")
+    run.add_argument("--steps", type=int, default=64)
+    run.add_argument("--fov", default=45.0)
+    run.add_argument("--size", default=[512, 512])
+    defaults = {("run", "--steps"): 1024, ("run", "--fov"): 45.0, ("run", "--size"): (512, 512),
+                ("run", "--gone"): None}
+    assert _flags_off_their_defaults(parser, defaults) == [
+        "run --steps", "run --size", "run --gone",
+    ]
 
 
 def _import_cycles(modules: dict) -> list[str]:
