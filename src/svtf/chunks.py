@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DimMismatch
 from .render import (
+    DEFAULT_DOWNSAMPLE,
     Camera,
     RenderParams,
     TransferFunction,
@@ -105,7 +106,7 @@ def render_chunked(
     tf: TransferFunction,
     params: RenderParams,
     config: SvtConfig | None = None,
-    downsample_factor: int = 4,
+    downsample_factor: int = DEFAULT_DOWNSAMPLE,
     threads: int = 1,
 ) -> np.ndarray:
     """Render the volume under per-chunk ("independent") or whole-volume

@@ -8,7 +8,6 @@ line to stderr: `error: <ExceptionName>: <detail>`.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 
@@ -96,8 +95,7 @@ def _add_render_flags(p):
     p.add_argument("--cut-offset", type=float, default=0.0)
     p.add_argument("--light", type=_parse_light, action="append", default=[],
                    help="repeatable; dir:dx,dy,dz[:r,g,b] or point:px,py,pz:radius[:r,g,b]")
-    factor = inspect.signature(render.build_illumination_cache).parameters["downsample_factor"]
-    p.add_argument("--downsample", type=int, default=factor.default,
+    p.add_argument("--downsample", type=int, default=render.DEFAULT_DOWNSAMPLE,
                    help="illumination cache factor")
     p.add_argument("--shadow-steps", type=int, default=params.shadow_steps)
     p.add_argument("--lut", default=None, help="transfer function file: 256 lines 'R G B A'")

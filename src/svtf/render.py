@@ -16,15 +16,19 @@ integral from below at second order in the step size.
 Both marches run through one loop, _march, over the same blocks of
 interleaved rays (_in_blocks). Each block clips its own rays to the volume
 box, or to a point light, and writes each ray that ends straight into the
-image's or the cache's arrays. Both leave out the steps whose sample is
-exactly empty, where _live_box allows it, so images and caches are
-bit-identical to marching every step.
+image's or the cache's arrays. _march is the one place that decides which
+samples are left out, each of which would change no state, so images and
+caches are bit-identical to marching every step. Before addressing, it
+leaves out the samples of rays that have ended and, in the primary march,
+those on the cut-away side of the cut plane. After the footprint, it
+leaves out the samples whose base is NO_TILE, where _live_box allows
+skipping exactly empty steps.
 
-Each sample's footprint is computed once (sample.trilinear_footprint): its
-table base is the live test, and the live rows of it are what the lerp
-blends. A ray that ends is written back at once but its row stays, flagged
-off, until a quarter of the marching rows have ended; then the rows are
-compacted in order.
+Each remaining sample's footprint is computed once
+(sample.trilinear_footprint): its table base is the live test, and the
+live rows of it are what the lerp blends. A ray that ends is written back
+at once but its row stays, flagged off, until a quarter of the marching
+rows have ended; then the rows are compacted in order.
 
 Per-ray vectors (origins, directions, positions, sources, radiance and the
 cache's light sums) are held channel-planar, as (3, n) arrays, so that each
@@ -48,6 +52,7 @@ from .svt import NO_TILE, SparseVolumeTexture
 from .volume import VolumeDims, VoxelFormat
 
 MIN_TRANSMITTANCE = 1e-3
+DEFAULT_DOWNSAMPLE = 4  # volume voxels per illumination-cache voxel, along each axis
 # _march leaves ended rays in place, flagged off, until they make up
 # 1/_COMPACT_SHARE of its marching rows, and then compacts the rows.
 _COMPACT_SHARE = 4
@@ -135,8 +140,8 @@ class TransferFunction:
         self.lut = np.asarray(self.lut, dtype=np.float64)
         if self.lut.shape != (256, 4):
             raise ValueError("lut must have 256 RGBA entries")
-        if self.lut[:, 3].min() < 0 or self.lut[:, 3].max() > 1:
-            raise ValueError("lut opacity must lie in [0, 1]")
+        if not ((self.lut >= 0) & (self.lut <= 1)).all():  # NaN fails both
+            raise ValueError("lut entries must lie in [0, 1]")
         if not self.window[0] < self.window[1]:
             raise ValueError("window must satisfy lo < hi")
         _check_positive("density_scale", self.density_scale, allow_zero=True)
@@ -172,16 +177,14 @@ class TransferFunction:
         sigma = np.append(self.lut[:, 3] * self.density_scale, 0.0)
         return sigma, np.vstack([self.lut[:, :3], np.zeros(3)])
 
-    def rows(self, scalars: np.ndarray, fmt: VoxelFormat, visible=None) -> np.ndarray:
+    def rows(self, scalars: np.ndarray, fmt: VoxelFormat) -> np.ndarray:
         """The table row of each raw sample: its nearest LUT entry, or 256
         where the sample lies outside the window (NaN lies outside every
-        window) or, if given, visible is False."""
+        window)."""
         u = scalars / 255.0 if fmt is VoxelFormat.U8 else scalars
         k = np.rint(u * 255.0)
         np.clip(k, 0, 255, out=k)
         shown = (u >= self.window[0]) & (u <= self.window[1])
-        if visible is not None:
-            shown &= visible
         return np.where(shown, k, 256.0).astype(np.intp)
 
 
@@ -400,8 +403,16 @@ def _drop(arrays, s: int, k: int, done: np.ndarray) -> int:
     return s2
 
 
+def _cut_keeps(p, cut_n, cut_off) -> np.ndarray:
+    """Whether each of the (3, m) positions p lies on the kept side of the
+    cut plane. The dot product runs on row-major (m, 3) positions: its BLAS
+    summation order fixes the bits of the test."""
+    return p.T.copy() @ cut_n + cut_off >= 0.0
+
+
 def _march(
-    svt, mip, box, origins, dirs, block, steps, outs, step, stop=None, reach=None, positions=True
+    svt, mip, box, origins, dirs, block, steps, outs, step,
+    stop=None, reach=None, positions=True, cut=None,
 ):
     """March the rays `block` of the (3, n) origins and dirs across the
     volume box, clipped to reach[block] when reach is given, in `steps`
@@ -414,17 +425,21 @@ def _march(
     step(p, scalars, sel, dts, state) updates the state rows sel of the
     marching rays from their (3, m) positions p (None unless positions),
     their trilinear samples and step lengths dts; stop(*state rows s:k),
-    when given, flags the marching rays that end early.
+    when given, flags the marching rays that end early. cut, when given,
+    is the plane (normal, offset) whose negative side is cut away.
 
-    Each sample's footprint (sample.Footprint) is computed once, for all
-    rows s:k. A step outside a ray's window, or whose footprint base is
-    NO_TILE when a live box is given, has sigma == 0 and a zero source, so
-    it would change no state and is left out: only the rows that sample are
-    selected from the footprint, and only they are blended. Rows s: of the
-    state hold the rays still marching, sorted by first step, so the rays
-    marching at step i are rows s:k. A ray that ends is written back and
-    flagged off at once; the rows are compacted, in order, only when the
-    ended rows reach 1/_COMPACT_SHARE of rows s:k.
+    The one place that decides which samples are left out: those of rays
+    that have ended, and those that would change no state because they
+    have sigma == 0 and a zero source: a step outside its ray's window, on
+    the cut-away side of the plane, or whose footprint base is NO_TILE when
+    a live box is given. Rows s: of the state hold the rays still marching,
+    sorted by first step, so the rays marching at step i are rows s:k. Of
+    those, the ended and the cut-away rows are dropped before addressing,
+    and no footprint (sample.Footprint) is computed when none is left; then
+    the rows whose base is NO_TILE are dropped, and only the rest are
+    blended. A ray that ends is written back and flagged off at once; the
+    rows are compacted, in order, only when the ended rows reach
+    1/_COMPACT_SHARE of rows s:k.
     """
     o, d = origins.take(block, axis=1), dirs.take(block, axis=1)
     t0, t1 = _ray_aabb(o, d, np.zeros(3), _extent(svt))
@@ -443,24 +458,31 @@ def _march(
         rows = slice(s, k)
         p = d[:, rows] * (t0[rows] + (i + 0.5) * dt[rows])
         p += o[:, rows]
-        fp = trilinear_footprint(svt, p[0], p[1], p[2], mip)
-        if not positions:
-            p = None
         sampled = on[rows] if ended else None
-        if box is not None:
-            live = fp.base != NO_TILE
-            sampled = live if sampled is None else sampled & live
-        sel = rows
+        if cut is not None:
+            kept = _cut_keeps(p, *cut)
+            sampled = kept if sampled is None else sampled & kept
+        keep = None  # the rows of s:k that sample, when not all of them do
         if sampled is not None and not sampled.all():
             keep = np.flatnonzero(sampled)
-            sel = s + keep
-            fp.select(keep)
-            if p is not None:
-                p = p.take(keep, axis=1)
-        if len(fp.base):
-            samples = trilinear_lerp(svt, fp)
-            del fp  # before step allocates: this bounds the peak memory
-            step(p, samples, sel, dt[sel], state)
+            p = p.take(keep, axis=1)
+        if p.shape[1]:
+            fp = trilinear_footprint(svt, p[0], p[1], p[2], mip)
+            if not positions:
+                p = None
+            live = None if box is None else fp.base != NO_TILE
+            if live is not None and not live.all():
+                live = np.flatnonzero(live)
+                fp.select(live)
+                if p is not None:
+                    p = p.take(live, axis=1)
+                keep = live if keep is None else keep[live]
+                del live  # before the lerp allocates, as fp below
+            if len(fp.base):
+                sel = rows if keep is None else s + keep
+                samples = trilinear_lerp(svt, fp)
+                del fp  # before step allocates: this bounds the peak memory
+                step(p, samples, sel, dt[sel], state)
         i += 1
         done = last[rows] <= i
         if stop is not None:
@@ -498,8 +520,8 @@ def build_illumination_cache(
     svt: SparseVolumeTexture,
     tf: TransferFunction,
     lights,
-    downsample_factor: int = 4,
-    shadow_steps: int = 64,
+    downsample_factor: int = DEFAULT_DOWNSAMPLE,
+    shadow_steps: int = RenderParams.shadow_steps,
     threads: int = 1,
 ) -> IlluminationCache:
     """Beer-Lambert transmittance from every cache voxel toward every light.
@@ -598,15 +620,11 @@ def raymarch(
     lit_of = rgb_of.any(axis=1)
     cut = params.cut_plane
     if cut is not None:
-        cut_n = np.asarray(cut[0], dtype=np.float64)
-        cut_off = float(cut[1])
+        cut = np.asarray(cut[0], dtype=np.float64), float(cut[1])
 
     def shade(p, scalars, sel, dts, state):
         rad, tr = state
-        # The dot product runs on row-major (m, 3) positions: its BLAS
-        # summation order fixes the bits of the cut test.
-        visible = None if cut is None else p.T.copy() @ cut_n + cut_off >= 0.0
-        row = tf.rows(scalars, svt.format, visible)
+        row = tf.rows(scalars, svt.format)
         sigma = sigma_of[row]
         source = source_of.take(row, axis=1)
         lit = np.flatnonzero(lit_of[row])
@@ -624,7 +642,7 @@ def raymarch(
     _in_blocks(
         lambda b: _march(
             svt, params.mip, box, origins, dirs, b, params.max_step_count, [radiance, trans],
-            shade, stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE),
+            shade, stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE), cut=cut,
         ),
         np.arange(n).reshape(cam.height, cam.width), threads,
     )

@@ -307,7 +307,7 @@ RENDER_CASES = {
         VoxelFormat.F32, SvtConfig(),
         TransferFunction.grayscale(density_scale=0.4, emission_scale=0.6),
         [PointLight(position=(35.0, 45.0, 8.0), radius=20.0, intensity=(1.0, 0.8, 0.6))],
-        {"cut_plane": ((0.6, 0.0, 0.8), -14.0)}, True,
+        {"cut_plane": ((0.6, 0.0, 0.8), -21.0)}, True,
     ),
     "u8-mip1": (
         VoxelFormat.U8, SvtConfig(),
@@ -335,7 +335,45 @@ RENDER_CASES = {
                          window=(0.1, 1.0)),
         [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, True,
     ),
+    "u8-zero-absorbs-cut": (  # the cut-away zeros would absorb, so they must be left out
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction(opaque_zero_lut(), density_scale=0.05, emission_scale=0.8),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))],
+        {"cut_plane": ((-0.5, 0.3, 0.7), -6.0)}, False,
+    ),
+    "u8-mip1-cut": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction.grayscale(density_scale=0.3, emission_scale=0.8),
+        [DirectionalLight(direction=(-1.0, 0.2, 0.1))],
+        {"mip": 1, "cut_plane": ((0.2, -0.9, 0.4), 5.0)}, True,
+    ),
+    # Orthographic rays along +z sample z = i + 0.5 exactly, so the plane
+    # z = 15.5 holds the blob's samples of step 15: >= 0 keeps them.
+    "u8-cut-through-samples": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction.grayscale(density_scale=0.3, emission_scale=0.8),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))],
+        {"camera": Camera(eye=(20.0, 18.0, -10.0), look_at=(20.0, 18.0, 20.0),
+                          width=23, height=17, ortho_height=50.0),
+         "cut_plane": ((0.0, 0.0, 1.0), -15.5)}, True,
+    ),
+    "u8-cut-hides-all": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction.grayscale(density_scale=0.3, emission_scale=0.8),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))],
+        {"cut_plane": ((0.0, 1.0, 0.0), -100.0)}, True,
+    ),
 }
+
+
+def case_params(extra) -> RenderParams:
+    """A RENDER_CASES case's render parameters: 40 steps from a perspective
+    camera that some rays miss the volume from, unless extra says otherwise."""
+    return RenderParams(**{
+        "camera": Camera(eye=(-30.0, 55.0, -45.0), look_at=(20.0, 18.0, 22.0),
+                         vfov_deg=60.0, width=23, height=17),
+        "max_step_count": 40, "background": (0.1, 0.2, 0.3), **extra,
+    })
 
 
 @pytest.mark.parametrize("name", sorted(RENDER_CASES))
@@ -343,11 +381,7 @@ def test_skipping_is_bit_identical_to_reference(name):
     fmt, config, tf, lights, extra, skipping = RENDER_CASES[name]
     background = int(config.empty_value)
     svt = build_svt(sparse_volume(fmt, background=background), config)
-    params = RenderParams(
-        camera=Camera(eye=(-30.0, 55.0, -45.0), look_at=(20.0, 18.0, 22.0),
-                      vfov_deg=60.0, width=23, height=17),
-        max_step_count=40, background=(0.1, 0.2, 0.3), **extra,
-    )
+    params = case_params(extra)
     assert (_live_box(svt, tf, params.mip) is not None) == skipping
     origins, dirs = params.camera.rays()
     t0, t1 = _ray_aabb(origins.T, dirs.T, np.zeros(3), np.full(3, 40.0))
@@ -360,6 +394,23 @@ def test_skipping_is_bit_identical_to_reference(name):
     want = reference_raymarch(svt, want_cache, tf, params)
     for threads in (1, 4):
         assert np.array_equal(raymarch(svt, cache, tf, params, threads=threads), want)
+    if params.cut_plane is not None:  # the cut hides some of what the frame shows
+        uncut = dataclasses.replace(params, cut_plane=None)
+        assert not np.array_equal(reference_raymarch(svt, want_cache, tf, uncut), want)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_a_cut_that_hides_the_volume_makes_no_footprint_call(monkeypatch, threads):
+    fmt, config, tf, lights, extra, _ = RENDER_CASES["u8-cut-hides-all"]
+    svt = build_svt(sparse_volume(fmt), config)
+    cache = build_illumination_cache(svt, tf, lights, 4, 16)
+    params = case_params(extra)
+    calls = footprint_calls(monkeypatch)
+    img = raymarch(svt, cache, tf, params, threads=threads)
+    assert calls == []
+    np.testing.assert_array_equal(img, np.broadcast_to(params.background, img.shape))
+    raymarch(svt, cache, tf, dataclasses.replace(params, cut_plane=None), threads=threads)
+    assert calls  # without the cut, the same frame samples
 
 
 def test_one_row_image_with_threads_matches_reference():
@@ -397,16 +448,23 @@ def test_all_resident_volume_has_no_skip_grid():
     assert _live_box(uniform_slab(), TransferFunction.grayscale(), 0) is None
 
 
-def footprint_calls(monkeypatch):
+def footprint_calls(monkeypatch, cut_tests=False):
     """The (3, m) positions of each call _march makes to trilinear_footprint,
-    from any thread."""
+    and with cut_tests to _cut_keeps, from any thread."""
     calls = []
 
     def recording(svt, px, py, pz, mip=0):
         calls.append(np.stack([px, py, pz]))
         return trilinear_footprint(svt, px, py, pz, mip)
 
+    def recording_cut(p, cut_n, cut_off):
+        calls.append(p.copy())
+        return cut_keeps(p, cut_n, cut_off)
+
+    cut_keeps = render._cut_keeps
     monkeypatch.setattr(render, "trilinear_footprint", recording)
+    if cut_tests:
+        monkeypatch.setattr(render, "_cut_keeps", recording_cut)
     return calls
 
 
@@ -429,10 +487,11 @@ def test_all_empty_volume_skips_every_step(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("skipping", [True, False])
 def test_march_positions_stay_inside_the_volume(monkeypatch, threads, skipping):
-    """Every position _march samples, for primary rays with a cut plane at
-    mips 0 and 1 and for directional- and point-light shadow rays, lies in
-    [0, extent] on each axis: from 20 random cameras, 4 of them looking
-    along an axis so that their centre rays have two zero components."""
+    """Every position _march samples or tests against the cut plane, for
+    primary rays with a cut plane at mips 0 and 1 and for directional- and
+    point-light shadow rays, lies in [0, extent] on each axis: from 20
+    random cameras, 4 of them looking along an axis so that their centre
+    rays have two zero components."""
     rng = np.random.default_rng(41)
     extent = np.asarray([29.0, 41.0, 37.0])  # x, y, z
     data = np.where(rng.random((37, 41, 29)) < 0.002, rng.integers(1, 256, (37, 41, 29)), 0)
@@ -441,7 +500,7 @@ def test_march_positions_stay_inside_the_volume(monkeypatch, threads, skipping):
     tf = TransferFunction(lut, density_scale=0.3, emission_scale=0.8)
     assert (_live_box(svt, tf, 0) is not None) == skipping
     centre = extent / 2
-    calls = footprint_calls(monkeypatch)
+    calls = footprint_calls(monkeypatch, cut_tests=True)
 
     def assert_inside(label):
         assert calls, label
@@ -560,6 +619,19 @@ def test_table_classify_is_bit_identical_to_reference():
             assert sigma.shape == want_sigma.shape and rgb.shape == want_rgb.shape
             assert np.array_equal(sigma.view(np.int64), want_sigma.view(np.int64))
             assert np.array_equal(rgb.view(np.int64), want_rgb.view(np.int64))
+
+
+@pytest.mark.parametrize("entry, value", [
+    ((5, 3), np.nan), ((5, 3), -0.5), ((5, 3), 1.5), ((0, 0), -3.0), ((255, 2), np.inf),
+    ((7, 1), np.nan), ((9, 0), -np.inf),
+])
+def test_lut_entries_outside_0_1_are_rejected(entry, value):
+    lut = TransferFunction.grayscale().lut.copy()
+    lut[entry] = value
+    with pytest.raises(ValueError, match=r"lut entries must lie in \[0, 1\]"):
+        TransferFunction(lut)
+    lut[entry] = -0.0
+    assert TransferFunction(lut, window=(-np.inf, np.inf)).lut[entry] == 0.0
 
 
 def test_classify_sends_nan_samples_to_zero():

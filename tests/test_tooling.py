@@ -9,7 +9,9 @@ oracle of itself. Every module-level import of a module but __init__.py
 field or parameter whose default is None must admit None in its
 annotation. The CLI's global options and README's CLI section must name the
 same flags, and every render and import flag that has a library default
-takes that default. Thread pools start only in render._in_blocks, the one place
+takes that default. A library parameter that restates another library
+default (the illumination cache's shadow steps and downsample factor)
+equals it. Thread pools start only in render._in_blocks, the one place
 where march blocks run. Page tables hold atlas slots; the packed slot-grid
 entries of a .svtf file (svt.pack_entry, svt._file_entries) are read only
 in the file's codec: save_svtf, load_svtf and _file_entries itself. The
@@ -33,6 +35,7 @@ from svtf import (
     load_volume,
     parse_segy,
 )
+from svtf.chunks import render_chunked
 from svtf.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -347,35 +350,38 @@ def _flags_off_their_defaults(parser: argparse.ArgumentParser, defaults: dict) -
     return off
 
 
+def _field(cls, name):
+    """The default of a dataclass field."""
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+def _param(fn, name):
+    """The default of a function parameter."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _library_defaults() -> dict:
     """The library default of each render and import flag that has one,
     keyed (command, flag), as the dataclass fields and signatures give it."""
-
-    def field(cls, name):
-        return next(f.default for f in dataclasses.fields(cls) if f.name == name)
-
-    def param(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
     render = {
-        "--size": (field(Camera, "width"), field(Camera, "height")),
-        "--up": field(Camera, "up"),
-        "--fov": field(Camera, "vfov_deg"),
-        "--ortho-height": field(Camera, "ortho_height"),
-        "--steps": field(RenderParams, "max_step_count"),
-        "--background": field(RenderParams, "background"),
-        "--shadow-steps": field(RenderParams, "shadow_steps"),
-        "--downsample": param(build_illumination_cache, "downsample_factor"),
-        "--window": field(TransferFunction, "window"),
-        "--density-scale": field(TransferFunction, "density_scale"),
-        "--emission-scale": field(TransferFunction, "emission_scale"),
+        "--size": (_field(Camera, "width"), _field(Camera, "height")),
+        "--up": _field(Camera, "up"),
+        "--fov": _field(Camera, "vfov_deg"),
+        "--ortho-height": _field(Camera, "ortho_height"),
+        "--steps": _field(RenderParams, "max_step_count"),
+        "--background": _field(RenderParams, "background"),
+        "--shadow-steps": _field(RenderParams, "shadow_steps"),
+        "--downsample": _param(build_illumination_cache, "downsample_factor"),
+        "--window": _field(TransferFunction, "window"),
+        "--density-scale": _field(TransferFunction, "density_scale"),
+        "--emission-scale": _field(TransferFunction, "emission_scale"),
     }
     return {
         **{(c, flag): want for c in ("render", "chunk-compare") for flag, want in render.items()},
-        ("import-segy", "--axis-map"): param(parse_segy, "axis_map"),
-        ("import-raw", "--dims"): param(load_volume, "dims"),
-        ("import-raw", "--format"): param(load_volume, "format"),
-        ("import-raw", "--endian"): param(load_volume, "endianness"),
+        ("import-segy", "--axis-map"): _param(parse_segy, "axis_map"),
+        ("import-raw", "--dims"): _param(load_volume, "dims"),
+        ("import-raw", "--format"): _param(load_volume, "format"),
+        ("import-raw", "--endian"): _param(load_volume, "endianness"),
     }
 
 
@@ -394,6 +400,37 @@ def test_the_rule_sees_a_flag_off_its_library_default():
     assert _flags_off_their_defaults(parser, defaults) == [
         "run --steps", "run --size", "run --gone",
     ]
+
+
+def _params_off_their_defaults(defaults: dict) -> list[str]:
+    """'function parameter' for each (function, parameter) of defaults whose
+    default is not the one given."""
+    return [
+        f"{fn.__name__} {name}" for (fn, name), want in defaults.items() if _param(fn, name) != want
+    ]
+
+
+def test_library_parameters_restate_no_other_default():
+    assert _params_off_their_defaults({
+        (build_illumination_cache, "shadow_steps"): _field(RenderParams, "shadow_steps"),
+        (render_chunked, "downsample_factor"): _param(build_illumination_cache, "downsample_factor"),
+    }) == []
+
+
+def test_the_rule_sees_a_library_parameter_off_the_default_it_restates():
+    @dataclasses.dataclass
+    class Params:
+        steps: int = 64
+
+    def cache(factor=4, steps=64):
+        return factor, steps
+
+    def chunked(factor=8):
+        return factor
+
+    defaults = {(cache, "steps"): _field(Params, "steps"),
+                (chunked, "factor"): _param(cache, "factor")}
+    assert _params_off_their_defaults(defaults) == ["chunked factor"]
 
 
 def _import_cycles(modules: dict) -> list[str]:
