@@ -18,11 +18,15 @@ interleaved rays (_in_blocks). Each block clips its own rays to the volume
 box, or to a point light, and writes each ray that ends straight into the
 image's or the cache's arrays. _march is the one place that decides which
 samples are left out, each of which would change no state, so images and
-caches are bit-identical to marching every step. Before addressing, it
-leaves out the samples of rays that have ended and, in the primary march,
-those on the cut-away side of the cut plane. After the footprint, it
-leaves out the samples whose base is NO_TILE, where _live_box allows
-skipping exactly empty steps.
+caches are bit-identical to marching every step. Each ray marches only
+the steps of its window (_schedule): those that can reach _live_box's box
+and, in the primary march, those within a voxel of the kept side of the
+cut plane. Before addressing, _march leaves out the samples of rays that
+have ended and those on the cut-away side of the plane. After the
+footprint, it leaves out the samples whose base is NO_TILE in _live_box's
+table: the cells that read only empty_value and those whose tile's value
+range the transfer function hides (a value shows when it lies in the
+window and its LUT row has sigma or a source).
 
 Each remaining sample's footprint is computed once
 (sample.trilinear_footprint): its table base is the live test, and the
@@ -48,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .sample import trilinear_dense, trilinear_footprint, trilinear_lerp
-from .svt import NO_TILE, SparseVolumeTexture
+from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
 from .volume import VolumeDims, VoxelFormat
 
 MIN_TRANSMITTANCE = 1e-3
@@ -56,6 +60,9 @@ DEFAULT_DOWNSAMPLE = 4  # volume voxels per illumination-cache voxel, along each
 # _march leaves ended rays in place, flagged off, until they make up
 # 1/_COMPACT_SHARE of its marching rows, and then compacts the rows.
 _COMPACT_SHARE = 4
+# _hidden widens each value range by this share of its larger magnitude: a
+# float64 blend of values in [lo, hi] can leave it by a few ulps.
+_BLEND_MARGIN = 2.0**-40
 
 
 def _check_count(name: str, v) -> None:
@@ -344,38 +351,77 @@ def _ray_aabb(origins, dirs, lo, hi):
     return np.maximum(near, 0.0, out=near), far
 
 
-def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
-    """The mip-0 box (lo, hi) around the live cells of a mip level, or None
-    when skipping could change a result or would skip nothing. The one
-    place that decides empty-space skipping.
+def _hidden(tf: TransferFunction, fmt: VoxelFormat, lo, hi) -> np.ndarray:
+    """Whether no value in each range [lo, hi] of raw values shows, with the
+    ranges widened by _BLEND_MARGIN. A value shows when it lies inside the
+    window and its row (TransferFunction.rows) has sigma != 0 or a non-zero
+    source. A range with a non-finite end is never hidden.
 
-    A cell of the level's footprint table is live when it names a tile
-    (svt.FootprintTable). A sample whose base corner lies in a cell that is
-    not live has footprint base NO_TILE, and all eight of its corners read
-    empty_value. When empty_value is 0 (a lerp of eight 0.0 corners is 0.0)
-    and the transfer function maps 0 to sigma 0 and a zero source, the
-    sample's step would multiply transmittance by 1.0 and add 0.0. So
-    _march leaves out each step whose footprint base is NO_TILE, and
+    Both u and its row rint(u * 255) grow with the value, so the rows that
+    values of a range can take are those from the row of its lowest value
+    inside the window to the row of its highest.
+    """
+    sigma, rgb = tf.tables()
+    lit = (sigma[:256] != 0.0) | (tf.emission_scale * rgb[:256]).any(axis=1)
+    lit_below = np.concatenate([[0], np.cumsum(lit)])  # lit rows before each row
+    with np.errstate(invalid="ignore"):  # the margin of an infinite end
+        margin = _BLEND_MARGIN * np.maximum(np.abs(lo), np.abs(hi))
+        u_lo, u_hi = lo - margin, hi + margin
+    if fmt is VoxelFormat.U8:
+        u_lo, u_hi = u_lo / 255.0, u_hi / 255.0
+    u_lo, u_hi = np.maximum(u_lo, tf.window[0]), np.minimum(u_hi, tf.window[1])
+    # fmax and fmin send a NaN row, of a non-finite range, to 0.
+    k_lo, k_hi = (
+        np.fmin(np.fmax(np.rint(u * 255.0), 0), 255).astype(np.intp) for u in (u_lo, u_hi)
+    )
+    shows = (u_lo <= u_hi) & (lit_below[k_hi + 1] > lit_below[k_lo])
+    return ~shows & np.isfinite(lo) & np.isfinite(hi)
+
+
+def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
+    """(box, table): the mip-0 box (lo, hi) around the live cells of a mip
+    level and the level's footprint table with NO_TILE at every cell that is
+    not live (the cached table itself when no cell is hidden), or None when
+    skipping could change a result or would skip nothing. The one place
+    that decides empty-space skipping.
+
+    A cell is hidden when no value its footprints can blend shows
+    (_hidden). A cell that names a tile blends values of that tile's padded
+    block, so it is hidden when the slot's value range (svt.slot_ranges) is;
+    the slot of a cell is (base + flat index of any of its voxels) //
+    span^3. A cell that names no tile blends empty_value alone, so it is
+    hidden when [empty_value, empty_value] is; when it is not, skipping is
+    off. A hidden sample has sigma 0 and a zero source, so its step would
+    multiply transmittance by 1.0 and add 0.0. So _march leaves out each
+    step whose footprint base in the returned table is NO_TILE, and
     _schedule bounds each ray's steps by the box.
 
     The box is one voxel wider on each side than the positions whose base
-    corner lies in a live cell. Every sample that may be non-zero therefore
-    lies a voxel or more inside each face of the box that is not a face of
-    the volume, far beyond any rounding error of the slab test. With no
-    live cell the box lies at infinity, which no ray's window reaches.
+    corner lies in a live cell. Every sample that may show therefore lies a
+    voxel or more inside each face of the box that is not a face of the
+    volume, far beyond any rounding error of the slab test. With no live
+    cell the box lies at infinity, which no ray's window reaches.
     """
     table = svt.footprint_table(mip)  # fetched here, before any march thread starts
-    if svt.config.empty_value != 0.0:
+    empty = np.full(1, svt.config.empty_value)
+    if not _hidden(tf, svt.format, empty, empty)[0]:
         return None
-    sigma, rgb = tf.tables()
-    zero = tf.rows(np.zeros(1), svt.format)[0]  # the row shade gives a 0 sample
-    if sigma[zero] != 0.0 or (tf.emission_scale * rgb[zero]).any():
-        return None
-    live = table.base != NO_TILE
+    live = table.base != NO_TILE  # a cell that names no tile reads empty_value: hidden
+    hidden = _hidden(tf, svt.format, *svt.slot_ranges())  # fetched here too
+    if hidden.any():
+        ts, span = svt.config.tile_size, svt.config.padded_size
+        # A voxel of each cell, per axis: the first of its tile, or its last layer.
+        cells = np.ogrid[tuple(map(slice, live.shape))]
+        z, y, x = ((c // 2) * ts + c % 2 * (ts - 1) for c in cells)
+        slot = (table.base + (z * span + y) * span + x) // span**3
+        shown = live & ~hidden.take(slot, mode="clip")  # a NO_TILE cell's slot clips to 0
+        if (shown != live).any():
+            live = shown
+            table = FootprintTable(np.where(live, table.base, NO_TILE), table.cells)
     if live.all():
         return None
     if not live.any():
-        return np.full(3, np.inf), np.full(3, np.inf)
+        return (np.full(3, np.inf), np.full(3, np.inf)), table
     scale = float(1 << mip)
     # Per axis, the voxels that are base corners in a live cell.
     on = [
@@ -384,7 +430,7 @@ def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
     ]
     lo = np.maximum([(v[0] - 0.5) * scale for v in on], 0.0)
     hi = np.minimum([(v[-1] + 2.5) * scale for v in on], _extent(svt))
-    return lo, hi
+    return (lo, hi), table
 
 
 def _extent(svt: SparseVolumeTexture) -> np.ndarray:
@@ -411,7 +457,7 @@ def _cut_keeps(p, cut_n, cut_off) -> np.ndarray:
 
 
 def _march(
-    svt, mip, box, origins, dirs, block, steps, outs, step,
+    svt, mip, skip, origins, dirs, block, steps, outs, step,
     stop=None, reach=None, positions=True, cut=None,
 ):
     """March the rays `block` of the (3, n) origins and dirs across the
@@ -425,28 +471,33 @@ def _march(
     step(p, scalars, sel, dts, state) updates the state rows sel of the
     marching rays from their (3, m) positions p (None unless positions),
     their trilinear samples and step lengths dts; stop(*state rows s:k),
-    when given, flags the marching rays that end early. cut, when given,
-    is the plane (normal, offset) whose negative side is cut away.
+    when given, flags the marching rays that end early. skip is what
+    _live_box returns, None or (box, table); the footprints are read
+    through its table. cut, when given, is the plane (normal, offset)
+    whose negative side is cut away.
 
     The one place that decides which samples are left out: those of rays
     that have ended, and those that would change no state because they
-    have sigma == 0 and a zero source: a step outside its ray's window, on
-    the cut-away side of the plane, or whose footprint base is NO_TILE when
-    a live box is given. Rows s: of the state hold the rays still marching,
-    sorted by first step, so the rays marching at step i are rows s:k. Of
-    those, the ended and the cut-away rows are dropped before addressing,
-    and no footprint (sample.Footprint) is computed when none is left; then
-    the rows whose base is NO_TILE are dropped, and only the rest are
-    blended. A ray that ends is written back and flagged off at once; the
-    rows are compacted, in order, only when the ended rows reach
-    1/_COMPACT_SHARE of rows s:k.
+    have sigma == 0 and a zero source: a step outside its ray's window
+    (_schedule, from the box and the cut plane), a sample on the cut-away
+    side of the plane, or, when skip is given, one whose footprint base is
+    NO_TILE in its table: every sample that reads empty_value alone or
+    that the transfer function hides. Rows s: of the state hold the rays
+    still marching, sorted by first step, so the rays marching at step i
+    are rows s:k. Of those, the ended and the cut-away rows are dropped
+    before addressing, and no footprint (sample.Footprint) is computed when
+    none is left; then the rows whose base is NO_TILE are dropped, and only
+    the rest are blended. A ray that ends is written back and flagged off
+    at once; the rows are compacted, in order, only when the ended rows
+    reach 1/_COMPACT_SHARE of rows s:k.
     """
+    box, table = skip or (None, None)
     o, d = origins.take(block, axis=1), dirs.take(block, axis=1)
     t0, t1 = _ray_aabb(o, d, np.zeros(3), _extent(svt))
     if reach is not None:
         t1 = np.minimum(t1, reach[block])
     dt = (t1 - t0) / steps
-    rays, first, last = _schedule(box, o, d, t0, dt, steps, t1 > t0)
+    rays, first, last = _schedule(box, cut, o, d, t0, dt, steps, t1 > t0)
     o, d, t0, dt = o.take(rays, axis=1), d.take(rays, axis=1), t0[rays], dt[rays]
     rays = block[rays]
     state = [out.take(rays, axis=-1) for out in outs]
@@ -467,7 +518,7 @@ def _march(
             keep = np.flatnonzero(sampled)
             p = p.take(keep, axis=1)
         if p.shape[1]:
-            fp = trilinear_footprint(svt, p[0], p[1], p[2], mip)
+            fp = trilinear_footprint(svt, p[0], p[1], p[2], mip, table)
             if not positions:
                 p = None
             live = None if box is None else fp.base != NO_TILE
@@ -552,7 +603,7 @@ def build_illumination_cache(
         sparse=True,
     )
     centers = np.stack(np.broadcast_arrays(xc, yc, zc)).reshape(3, -1)
-    box = _live_box(svt, tf, 0)
+    skip = _live_box(svt, tf, 0)
     sigma_of, _ = tf.tables()
 
     def absorb(p, scalars, sel, dts, state):
@@ -565,7 +616,7 @@ def build_illumination_cache(
         tau = np.zeros(centers.shape[1], dtype=np.float64)
         _in_blocks(
             lambda b: _march(
-                svt, 0, box, centers, dirs, b, shadow_steps, [tau], absorb,
+                svt, 0, skip, centers, dirs, b, shadow_steps, [tau], absorb,
                 reach=reach, positions=False,
             ),
             voxel_rows, threads,
@@ -575,15 +626,39 @@ def build_illumination_cache(
     return IlluminationCache(downsample_factor=downsample_factor, values=values)
 
 
-def _schedule(box, origins, dirs, t0, dt, steps, march):
+def _ray_half_space(origins, dirs, cut_n, cut_off):
+    """(enter, leave): the t range of each of the (3, n) rays o + t d that
+    lies within one voxel of the kept side of the cut plane, where
+    n.(o + t d) + offset >= -|n|. A ray parallel to the plane keeps every t
+    or none; a NaN crossing is left for _schedule, which reads it as the
+    full window."""
+    at_origin = cut_n @ origins + (cut_off + float(np.linalg.norm(cut_n)))
+    along = cut_n @ dirs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = -at_origin / along
+    parallel = np.where((along == 0.0) & (at_origin < 0.0), np.inf, -np.inf)
+    return np.where(along > 0.0, cross, parallel), np.where(along < 0.0, cross, np.inf)
+
+
+def _schedule(box, cut, origins, dirs, t0, dt, steps, march):
     """The rays flagged in march whose step window is not empty, sorted by
-    first step, and their [first, last) windows: every step without a box,
-    else the steps that can reach the live box, with a one-step margin on
-    each side. origins and dirs are (3, n)."""
-    if box is None:
+    first step, and their [first, last) windows: the steps that can reach
+    the live box, when there is one, and that lie within one voxel of the
+    kept side of the cut plane, when there is one (_ray_half_space), with a
+    one-step margin on each side. origins and dirs are (3, n).
+
+    The voxel of margin dwarfs the rounding of n.d and of the crossing over
+    the ray's length, for any origin and offset far below 2^52 voxels, so
+    _cut_keeps keeps no sample outside the window and still decides every
+    sample inside it."""
+    enter, leave = (None, None) if box is None else _ray_aabb(origins, dirs, *box)
+    if cut is not None:
+        kept = _ray_half_space(origins, dirs, *cut)
+        enter = kept[0] if enter is None else np.fmax(enter, kept[0])
+        leave = kept[1] if leave is None else np.fmin(leave, kept[1])
+    if enter is None:
         rays = np.flatnonzero(march)
         return rays, np.zeros(len(rays), np.int64), np.full(len(rays), steps, np.int64)
-    enter, leave = _ray_aabb(origins, dirs, *box)
     with np.errstate(divide="ignore", invalid="ignore"):
         first = np.floor((enter - t0) / dt - 0.5) - 1.0
         last = np.floor((leave - t0) / dt - 0.5) + 2.0
@@ -612,7 +687,7 @@ def raymarch(
     n = origins.shape[1]
     radiance = np.zeros((3, n), dtype=np.float64)
     trans = np.ones(n, dtype=np.float64)
-    box = _live_box(svt, tf, params.mip)
+    skip = _live_box(svt, tf, params.mip)
     sigma_of, rgb_of = tf.tables()
     source_of = np.ascontiguousarray((tf.emission_scale * rgb_of).T)
     # Incident light only matters where the transfer function emits;
@@ -641,7 +716,7 @@ def raymarch(
 
     _in_blocks(
         lambda b: _march(
-            svt, params.mip, box, origins, dirs, b, params.max_step_count, [radiance, trans],
+            svt, params.mip, skip, origins, dirs, b, params.max_step_count, [radiance, trans],
             shade, stop=lambda rad, tr: ~(tr > MIN_TRANSMITTANCE), cut=cut,
         ),
         np.arange(n).reshape(cam.height, cam.width), threads,

@@ -136,10 +136,27 @@ class Footprint:
             setattr(self, f.name, getattr(self, f.name).take(rows))
 
 
-def trilinear_footprint(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> Footprint:
+def corner_index(base, x, y, z, span: int):
+    """The flat atlas index base + (z*span + y)*span + x of level voxel
+    (x, y, z) through a footprint-table base: exact in Python ints; for
+    arrays, int64 and computed in z and y, to hold one full-size array fewer."""
+    flat = z
+    flat *= span * span
+    y *= span
+    flat += y
+    flat += x
+    flat += base
+    return flat
+
+
+def trilinear_footprint(
+    svt: SparseVolumeTexture, px, py, pz, mip: int = 0, table: FootprintTable | None = None
+) -> Footprint:
     """The footprint step of a trilinear lookup: where its eight corners lie
-    in the atlas, and how they are weighted."""
-    table = svt.footprint_table(mip)
+    in the atlas, and how they are weighted. table is the level's footprint
+    table unless given."""
+    if table is None:
+        table = svt.footprint_table(mip)
     dims = svt.mip_dims(mip)
     span = svt.config.padded_size
     px, py, pz = level_coords(px, py, pz, mip)
@@ -147,13 +164,7 @@ def trilinear_footprint(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> F
     y, dy, fy = corner_axis(py - 0.5, dims.y, span)
     z, dz, fz = corner_axis(pz - 0.5, dims.z, span * span)
     base = table.base.ravel().take(footprint_cells(table, x, y, z))
-    flat = z  # in place, to hold one full-size array fewer
-    flat *= span * span
-    y *= span
-    flat += y
-    flat += x
-    flat += base
-    return Footprint(base, flat, dx, dy, dz, fx, fy, fz)
+    return Footprint(base, corner_index(base, x, y, z, span), dx, dy, dz, fx, fy, fz)
 
 
 def trilinear_lerp(svt: SparseVolumeTexture, fp: Footprint) -> np.ndarray:

@@ -138,13 +138,14 @@ class FootprintTable:
     b is T's last voxel, so each tile has two cells per axis: its last voxel
     layer and the rest. base[cell] is the flat atlas index of level voxel
     (0, 0, 0) seen through one resident tile's padded block, so a corner
-    (x, y, z) is at base + (z*span + y)*span + x. For tile (tx, ty, tz) in
-    slot s (its page-table entry), base =
-    s*span^3 + ((pad - tz*ts)*span + pad - ty*ts)*span + pad - tx*ts. The
-    tile is the cell's own tile T if resident, else any resident tile the
-    cell's footprints reach: as pad >= 1 its block holds all eight corners,
-    with the values of their own tiles, or empty_value where those are not
-    resident. NO_TILE marks a cell whose footprints reach no resident tile.
+    (x, y, z) is at base + (z*span + y)*span + x (sample.corner_index). For
+    tile (tx, ty, tz) in slot s (its page-table entry), base is
+    _tile_base(s, tx, ty, tz) = s*span^3 + ((pad - tz*ts)*span + pad -
+    ty*ts)*span + pad - tx*ts. The tile is the cell's own tile T if
+    resident, else any resident tile the cell's footprints reach: as pad >=
+    1 its block holds all eight corners, with the values of their own
+    tiles, or empty_value where those are not resident. NO_TILE marks a
+    cell whose footprints reach no resident tile.
     """
 
     base: np.ndarray  # int64 per cell, [z, y, x]
@@ -162,9 +163,11 @@ class SparseVolumeTexture:
     # of the padded tiles (the tile data, which the records of a file hold).
     nonempty_voxel_count: int
     padded_nonempty_voxel_count: int
-    # Footprint tables by mip, built on first use. Nothing reassigns mips or
-    # atlas after construction, so a table never goes stale.
+    # Footprint tables by mip and the slots' value ranges, built on first
+    # use. Nothing reassigns mips or atlas after construction, so neither
+    # goes stale.
     _footprints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _ranges: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def mip_count(self) -> int:
@@ -183,6 +186,20 @@ class SparseVolumeTexture:
             table = self._footprints[mip] = _footprint_table(self, mip)
         return table
 
+    def slot_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), float64 by slot: the least and greatest value of each
+        slot's padded block, both NaN where the block holds a NaN.
+
+        Computed on first use, like footprint_table, so fetch them before
+        starting threads that need them.
+        """
+        if self._ranges is None:
+            data = self.atlas.data
+            blocks = data.reshape(len(data), self.config.padded_size**3)
+            lo, hi = blocks.min(axis=1), blocks.max(axis=1)
+            self._ranges = lo.astype(np.float64), hi.astype(np.float64)
+        return self._ranges
+
     def mip_dims(self, level: int) -> VolumeDims:
         return mip_level_dims(self.virtual_dims, level)
 
@@ -198,14 +215,13 @@ class SparseVolumeTexture:
 
 
 def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
-    ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
+    ts = svt.config.tile_size
     entries = svt.mips[mip].entries
     tz, ty, tx = np.nonzero(entries != EMPTY_ENTRY)
     slot = entries[tz, ty, tx].astype(np.int64)
     # One extra NO_TILE layer per axis stands for the tiles past the grid.
     base = np.full([g + 1 for g in entries.shape], NO_TILE, dtype=np.int64)
-    inner = ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
-    base[tz, ty, tx] = slot * span**3 + inner
+    base[tz, ty, tx] = _tile_base(slot, tx, ty, tz, svt.config)
     # Expand each axis from tiles T to cells 2T (the rest of T: reaches T)
     # and 2T + 1 (the last layer of T: reaches T and T + 1, and takes T + 1's
     # base only when T is not resident).
@@ -219,6 +235,13 @@ def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
         2 * (v // ts) + (v % ts == ts - 1) for v in map(np.arange, (dims.x, dims.y, dims.z))
     )
     return FootprintTable(base=np.ascontiguousarray(base), cells=cells)
+
+
+def _tile_base(slot, tx, ty, tz, config: SvtConfig):
+    """The footprint-table base of tile (tx, ty, tz) in the given slot
+    (FootprintTable): exact in Python ints, int64 for arrays."""
+    ts, pad, span = config.tile_size, config.pad, config.padded_size
+    return slot * span**3 + ((pad - tz * ts) * span + pad - ty * ts) * span + pad - tx * ts
 
 
 def tile_grid_dims(dims: VolumeDims, tile_size: int) -> VolumeDims:

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks, one test per criterion, each with its
 stated tolerance and runtime budget."""
 
+import itertools
 import math
 import os
 import time
@@ -23,6 +24,7 @@ from svtf import (
     RenderParams,
     SvtConfig,
     TransferFunction,
+    VolumeDims,
     VoxelFormat,
     apply_upload,
     atlas_extent_estimate,
@@ -39,8 +41,11 @@ from svtf import (
     write_segy,
 )
 from svtf.cli import main
+from svtf.errors import AtlasCapacityExceeded
 from svtf.planner import derive_tile_counts
-from svtf.sample import sample_trilinear_many
+from svtf.sample import corner_index, sample_trilinear_many
+from svtf.svt import _tile_base, mip_level_count, mip_level_dims, slot_grid_for, tile_grid_dims
+from svtf.upload import UploadBuffer
 
 GI = 2**30
 
@@ -208,6 +213,52 @@ def test_c09_int32_regression_probe():
     assert (below64, below32) == (2**31 - 1, 2**31 - 1)
     assert at64 == 2**31 and at32 == -(2**31)
     assert survey64 == 2_600_000_000 and survey32 < 0
+
+
+def test_c09_addressing_stays_inside_int64_and_the_uint32_flag_flips_at_2_32():
+    # The footprint-table base (svt._tile_base) and the flat corner index
+    # (sample.corner_index), evaluated in Python ints at the largest slot
+    # count each config allows (slot_grid_for raises one past it) and at the
+    # corner tiles and padded-block voxels of a 32768 x 32768 x 16384 volume.
+    # Nothing here allocates an array.
+    dims = VolumeDims(32768, 32768, 16384)
+    configs = [
+        SvtConfig(), SvtConfig(tile_size=8),
+        SvtConfig(tile_size=16, max_atlas_extent=1024 * 18),  # the 2^10 field cap
+        SvtConfig(tile_size=254, pad=1, max_atlas_extent=1024 * 256),
+    ]
+    with timer(5.0):
+        for config in configs:
+            ts, pad, span = config.tile_size, config.pad, config.padded_size
+            slots = config.max_slots_per_axis**3
+            slot_grid_for(slots, config)
+            with pytest.raises(AtlasCapacityExceeded):
+                slot_grid_for(slots + 1, config)
+            for mip in (0, mip_level_count(dims, ts) - 1):
+                level = mip_level_dims(dims, mip)
+                tiles = tile_grid_dims(level, ts)
+                for slot in (0, slots - 1):
+                    for tx, ty, tz in itertools.product(
+                        {0, tiles.x - 1}, {0, tiles.y - 1}, {0, tiles.z - 1}
+                    ):
+                        base = _tile_base(slot, tx, ty, tz, config)
+                        assert -(2**63) < base < 2**63
+                        # Each voxel of the tile's padded block, clamped to the level.
+                        corners = [
+                            {min(max(t * ts - pad + k, 0), n - 1) for k in (0, pad, span - 1)}
+                            for t, n in ((tx, level.x), (ty, level.y), (tz, level.z))
+                        ]
+                        for x, y, z in itertools.product(*corners):
+                            assert z * span * span + y * span + x < 2**63
+                            flat = corner_index(base, x, y, z, span)
+                            assert slot * span**3 <= flat < (slot + 1) * span**3 <= 2**63
+        for size, flag in ((2**32 - 1, False), (2**32, True), (2**32 + 1, True)):
+            buffer = UploadBuffer(
+                config=SvtConfig(), format=VoxelFormat.U8,
+                records=np.broadcast_to(np.uint8(0), (size,)),
+                tile_data_offsets=np.zeros(0, np.uint64), windows=[],
+            )
+            assert buffer.total_bytes == size and buffer.exceeds_uint32 is flag
 
 
 def test_c10_segy_roundtrip_and_ibm_oracle(tmp_path):

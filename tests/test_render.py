@@ -12,8 +12,10 @@ from conftest import (
     make_volume,
     reference_classify,
     reference_illumination_cache,
+    reference_mip_chain,
     reference_ray_aabb,
     reference_raymarch,
+    reference_trilinear_dense,
 )
 
 from svtf import (
@@ -34,7 +36,7 @@ from svtf import (
     write_image,
 )
 from svtf import render
-from svtf.render import _live_box, _ray_aabb, _schedule
+from svtf.render import _cut_keeps, _hidden, _live_box, _ray_aabb, _schedule
 from svtf.sample import trilinear_footprint
 from svtf.svt import NO_TILE
 
@@ -296,6 +298,19 @@ def glowing_zero_lut():
     return lut
 
 
+def ct_lut():
+    """A CT-style ramp: absorbs from entry 52 (0.2) up, emits from entry 1 up."""
+    ramp = np.linspace(0.0, 1.0, 256)
+    return np.stack([ramp, ramp, ramp, np.clip(ramp - 0.2, 0.0, 1.0)], axis=1)
+
+
+def banded_lut(lo=90, hi=130):
+    """Grayscale with entries lo..hi zeroed: a band inside the window that hides."""
+    lut = TransferFunction.grayscale().lut.copy()
+    lut[lo : hi + 1] = 0.0
+    return lut
+
+
 RENDER_CASES = {
     # name: (format, config, transfer function, lights, params, skipping on)
     "u8": (  # dense enough that rays terminate early
@@ -363,7 +378,46 @@ RENDER_CASES = {
         [DirectionalLight(direction=(0.3, -0.5, 0.8))],
         {"cut_plane": ((0.0, 1.0, 0.0), -100.0)}, True,
     ),
+    # Every tile is resident (AIR); the window hides the air tiles, as in a CT scan.
+    "f32-window-hides-air": (
+        VoxelFormat.F32, SvtConfig(),
+        TransferFunction(ct_lut(), density_scale=0.4, emission_scale=0.6, window=(0.1, 1.0)),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8)),
+         PointLight(position=(35.0, 45.0, 8.0), radius=20.0, intensity=(1.0, 0.8, 0.6))],
+        {"cut_plane": ((0.0, 0.0, 1.0), -16.0)}, True,
+    ),
+    # The air (AIR) lies in the LUT's zero band, inside the window.
+    "u8-lut-band-hides-air": (
+        VoxelFormat.U8, SvtConfig(),
+        TransferFunction(banded_lut(), density_scale=0.3, emission_scale=0.8),
+        [DirectionalLight(direction=(-1.0, 0.2, 0.1))], {}, True,
+    ),
+    "u8-window-hides-empty-value": (  # 5/255 lies below the window
+        VoxelFormat.U8, SvtConfig(empty_value=5.0),
+        TransferFunction.grayscale(density_scale=0.3, emission_scale=0.8, window=(0.1, 1.0)),
+        [DirectionalLight(direction=(0.3, -0.5, 0.8))], {}, True,
+    ),
 }
+# Cases whose empty voxels hold air instead of empty_value: seeded uniform
+# noise in [lo, hi] (raw units), so that every tile is resident.
+AIR = {"f32-window-hides-air": (0.004, 0.03), "u8-lut-band-hides-air": (100, 120)}
+# Cases that hide what skipping did not hide before. Their last tiles along
+# x hold only air or empty_value, so the hidden cells take in a face of the
+# volume and the live box leaves it out.
+HIDING = ["f32-window-hides-air", "u8-lut-band-hides-air", "u8-window-hides-empty-value"]
+
+
+def case_volume(name, n=40):
+    """A RENDER_CASES case's volume: sparse_volume over its empty value or its air."""
+    fmt, config = RENDER_CASES[name][:2]
+    background = config.empty_value
+    if name in AIR:
+        air = np.random.default_rng(12).uniform(*AIR[name], (n, n, n))
+        background = np.rint(air) if fmt is VoxelFormat.U8 else air
+    data = sparse_volume(fmt, n, background).data
+    if name in HIDING:
+        data[:, :, 32:] = np.broadcast_to(background, data.shape)[:, :, 32:]
+    return make_volume(data, fmt)
 
 
 def case_params(extra) -> RenderParams:
@@ -379,8 +433,7 @@ def case_params(extra) -> RenderParams:
 @pytest.mark.parametrize("name", sorted(RENDER_CASES))
 def test_skipping_is_bit_identical_to_reference(name):
     fmt, config, tf, lights, extra, skipping = RENDER_CASES[name]
-    background = int(config.empty_value)
-    svt = build_svt(sparse_volume(fmt, background=background), config)
+    svt = build_svt(case_volume(name), config)
     params = case_params(extra)
     assert (_live_box(svt, tf, params.mip) is not None) == skipping
     origins, dirs = params.camera.rays()
@@ -397,6 +450,41 @@ def test_skipping_is_bit_identical_to_reference(name):
     if params.cut_plane is not None:  # the cut hides some of what the frame shows
         uncut = dataclasses.replace(params, cut_plane=None)
         assert not np.array_equal(reference_raymarch(svt, want_cache, tf, uncut), want)
+
+
+@pytest.mark.parametrize("name", HIDING)
+def test_hidden_tiles_leave_out_footprint_rows(monkeypatch, name):
+    """Each case that hides resident tiles or empty_value addresses fewer
+    footprint rows, and blends fewer, in the cache and in the frame, than
+    with skipping off, and renders the same image."""
+    fmt, config, tf, lights, extra, _ = RENDER_CASES[name]
+    svt = build_svt(case_volume(name), config)
+    params = case_params(extra)
+    calls, blends = footprint_calls(monkeypatch), []
+    lerp = render.trilinear_lerp
+
+    def counting_lerp(svt, fp):
+        blends.append(len(fp.base))
+        return lerp(svt, fp)
+
+    monkeypatch.setattr(render, "trilinear_lerp", counting_lerp)
+
+    def rows():
+        counts = []
+        for run in (lambda: build_illumination_cache(svt, tf, lights, 4, 16),
+                    lambda: raymarch(svt, cache, tf, params)):
+            calls.clear()
+            blends.clear()
+            got = run()
+            counts.append((sum(c.shape[1] for c in calls), sum(blends)))
+        return np.asarray(counts), got
+
+    cache = build_illumination_cache(svt, tf, lights, 4, 16)
+    skipped, img = rows()
+    monkeypatch.setattr(render, "_live_box", lambda *args: None)
+    every, all_img = rows()
+    assert (skipped < every).all()
+    assert np.array_equal(img, all_img) and img.any()
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -453,9 +541,9 @@ def footprint_calls(monkeypatch, cut_tests=False):
     and with cut_tests to _cut_keeps, from any thread."""
     calls = []
 
-    def recording(svt, px, py, pz, mip=0):
+    def recording(svt, px, py, pz, mip=0, table=None):
         calls.append(np.stack([px, py, pz]))
-        return trilinear_footprint(svt, px, py, pz, mip)
+        return trilinear_footprint(svt, px, py, pz, mip, table)
 
     def recording_cut(p, cut_n, cut_off):
         calls.append(p.copy())
@@ -491,7 +579,8 @@ def test_march_positions_stay_inside_the_volume(monkeypatch, threads, skipping):
     primary rays with a cut plane at mips 0 and 1 and for directional- and
     point-light shadow rays, lies in [0, extent] on each axis: from 20
     random cameras, 4 of them looking along an axis so that their centre
-    rays have two zero components."""
+    rays have two zero components. A camera whose samples the cut plane
+    all cuts away may make no call, as its rays' step windows are empty."""
     rng = np.random.default_rng(41)
     extent = np.asarray([29.0, 41.0, 37.0])  # x, y, z
     data = np.where(rng.random((37, 41, 29)) < 0.002, rng.integers(1, 256, (37, 41, 29)), 0)
@@ -502,10 +591,11 @@ def test_march_positions_stay_inside_the_volume(monkeypatch, threads, skipping):
     centre = extent / 2
     calls = footprint_calls(monkeypatch, cut_tests=True)
 
-    def assert_inside(label):
-        assert calls, label
-        p = np.concatenate(calls, axis=1)
-        assert (p.min(axis=1) >= 0.0).all() and (p.max(axis=1) <= extent).all(), label
+    def assert_inside(label, sampled=True):
+        assert calls or not sampled, label
+        if calls:
+            p = np.concatenate(calls, axis=1)
+            assert (p.min(axis=1) >= 0.0).all() and (p.max(axis=1) <= extent).all(), label
         calls.clear()
 
     lights = [DirectionalLight(direction=tuple(rng.standard_normal(3))),
@@ -529,7 +619,22 @@ def test_march_positions_stay_inside_the_volume(monkeypatch, threads, skipping):
         for mip in (0, 1):
             params = RenderParams(camera=camera, max_step_count=24, cut_plane=cut, mip=mip)
             raymarch(svt, cache, tf, params, threads=threads)
-            assert_inside(f"camera {k} mip {mip}")
+            assert_inside(f"camera {k} mip {mip}", cut_keeps_a_sample(params, extent))
+
+
+def cut_keeps_a_sample(params, extent) -> bool:
+    """Whether the cut plane keeps any sample of the rays that hit the box
+    [0, extent], marched without step windows, as _march forms them."""
+    o, d = (np.ascontiguousarray(a.T) for a in params.camera.rays())
+    t0, t1 = _ray_aabb(o, d, np.zeros(3), extent)
+    hit = t1 > t0
+    o, d, t0 = o[:, hit], d[:, hit], t0[hit]
+    dt = (t1[hit] - t0) / params.max_step_count
+    normal, offset = np.asarray(params.cut_plane[0], dtype=np.float64), params.cut_plane[1]
+    return any(
+        _cut_keeps(d * (t0 + (i + 0.5) * dt) + o, normal, offset).any()
+        for i in range(params.max_step_count)
+    )
 
 
 # One non-empty voxel per volume: the centre, the 6 faces, 12 edges and 8
@@ -548,8 +653,7 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
         data = np.zeros((n, n, n), np.uint8)
         data[voxel[::-1]] = 255
         svt = build_svt(make_volume(data))
-        box = _live_box(svt, TransferFunction.grayscale(), mip)
-        assert box is not None
+        box, table = _live_box(svt, TransferFunction.grayscale(), mip)
         p = np.concatenate([
             np.asarray(voxel) + 0.5 + near,
             rng.uniform(-1.0, n + 1.0, (2000, 3)),
@@ -558,7 +662,7 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
         touches = footprint_touches_resident(svt, mip, p[:, 0], p[:, 1], p[:, 2])
         assert touches.any()
         # _march's live test: the base of the footprint step it samples with.
-        live = trilinear_footprint(svt, p[:, 0], p[:, 1], p[:, 2], mip).base != NO_TILE
+        live = trilinear_footprint(svt, p[:, 0], p[:, 1], p[:, 2], mip, table).base != NO_TILE
         assert live[touches].all()
 
         # Step windows: every step whose footprint touches a resident tile
@@ -572,7 +676,7 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
         steps = 64
         dt = (t1 - t0) / steps
         every = np.ones(len(t0), dtype=bool)
-        rays, kept_first, kept_last = _schedule(box, origins.T, dirs.T, t0, dt, steps, every)
+        rays, kept_first, kept_last = _schedule(box, None, origins.T, dirs.T, t0, dt, steps, every)
         first, last = np.zeros(len(t0), np.int64), np.zeros(len(t0), np.int64)
         first[rays], last[rays] = kept_first, kept_last  # the rest have empty windows
         for i in range(steps):
@@ -580,6 +684,163 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
             q = origins + t[:, None] * dirs
             inside = footprint_touches_resident(svt, mip, q[:, 0], q[:, 1], q[:, 2])
             assert ((first <= i) & (i < last))[inside].all()
+
+
+def cut_window_cases(rng):
+    """(name, origins, dirs, normal, offset) of rays, as (3, n), and cut
+    planes for _schedule's cut windows, in a 40 x 24 x 33 box."""
+    extent = np.asarray([40.0, 24.0, 33.0])
+    origins = rng.uniform(-30.0, 70.0, (3, 300))
+    dirs = rng.uniform(0.0, 1.0, (3, 300)) * extent[:, None] - origins
+    dirs /= np.linalg.norm(dirs, axis=0)
+    for k in range(12):
+        normal = rng.standard_normal(3) * rng.uniform(0.1, 10.0)
+        yield f"random {k}", origins, dirs, normal, float(rng.uniform(-30.0, 30.0))
+    for k in range(6):  # rays in the plane's direction: n.d is about 1e-17
+        normal = rng.standard_normal(3)
+        d = np.cross(normal, rng.standard_normal((300, 3)))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        offset = float(rng.uniform(-5.0, 5.0))
+        # Origins this far (in voxels) from the plane n.p + offset = 0.
+        side = rng.choice([-2.0, -1.5, -1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5], 300)
+        o = rng.uniform(-10.0, 50.0, (3, 300))
+        norm = np.linalg.norm(normal)
+        o -= normal[:, None] * ((normal @ o + offset) / norm**2 - side / norm)
+        yield f"parallel {k}", o, d.T.copy(), normal, offset
+    # Orthographic rays along +z from the z = 0 face, one step per voxel:
+    # they sample z = i + 0.5 exactly, and the planes hold samples.
+    xy = rng.uniform(0.0, 24.0, (2, 200))
+    o = np.vstack([xy, np.zeros(200)])
+    d = np.broadcast_to([[0.0], [0.0], [1.0]], o.shape).copy()
+    for z in (0.5, 15.5, 32.5):
+        yield f"through samples {z}", o, d, np.asarray([0.0, 0.0, 1.0]), -z
+        yield f"through samples {z}, cut above", o, d, np.asarray([0.0, 0.0, -3.0]), 3.0 * z
+    for normal, offset in (((1.0, 0.0, 0.0), 500.0), ((1.0, 0.0, 0.0), -500.0),
+                           ((0.0, -2.0, 0.0), 100.0), ((0.0, -2.0, 0.0), -100.0)):
+        yield f"beyond the box {offset}", origins, dirs, np.asarray(normal), offset
+    bad_o, bad_d = origins.copy(), dirs.copy()
+    bad_o[0, ::4] = np.nan
+    bad_d[1, 1::5] = np.nan
+    bad_d[:, 2::6] = [[np.inf], [0.0], [1.0]]
+    bad_o[2, 3::7] = -np.inf
+    yield "nan and infinite rays", bad_o, bad_d, np.asarray([0.3, -0.5, 0.8]), -4.0
+
+
+def test_cut_windows_hold_every_step_the_cut_keeps():
+    """No step whose sample _cut_keeps keeps, formed as _march forms it,
+    lies outside its ray's window from _schedule, with and without a box:
+    random planes, rays nearly parallel to the plane, planes through exact
+    sample positions, planes beyond the box on either side, and NaN and
+    infinite rays. Steps against the cut plane are left out in most cases."""
+    rng = np.random.default_rng(1234)
+    extent = np.asarray([40.0, 24.0, 33.0])
+    steps, kept_steps, windowed, walked = 33, 0, 0, 0
+    for name, o, d, normal, offset in cut_window_cases(rng):
+        with np.errstate(invalid="ignore"):
+            t0, t1 = _ray_aabb(o, d, np.zeros(3), extent)
+            dt = (t1 - t0) / steps
+        hit = t1 > t0
+        cut = (np.asarray(normal, dtype=np.float64), float(offset))
+        for box in (None, (np.zeros(3), extent)):
+            rays, ray_first, ray_last = _schedule(box, cut, o, d, t0, dt, steps, hit)
+            first, last = np.zeros(len(t0), np.int64), np.zeros(len(t0), np.int64)
+            first[rays], last[rays] = ray_first, ray_last
+            for i in range(steps):
+                p = d[:, hit] * (t0[hit] + (i + 0.5) * dt[hit])
+                p += o[:, hit]
+                with np.errstate(invalid="ignore"):
+                    kept = _cut_keeps(p, *cut)
+                window = (first[hit] <= i) & (i < last[hit])
+                assert window[kept].all(), (name, i)
+                kept_steps += int(kept.sum())
+                windowed += int(window.sum())
+            walked += steps * int(hit.sum())
+    assert 0 < kept_steps < windowed < walked * 0.7
+
+
+def hiding_scene(fmt):
+    """A 40^3 volume of air with regions that transfer functions hide or
+    show, and the transfer functions, whose LUT has a zero band inside each
+    window: u8 windows (40/255, 200/255), f32 (0.125, 0.875), then (0, 1) and
+    (-inf, inf). Regions, as u: values in the band, values at each window
+    edge (a third exactly on it), values above the window, values over the
+    whole range, -0.0 among air, and zeros; f32 also holds NaN, +inf and
+    -inf voxels inside hidden regions. Returns the volume, the transfer
+    functions and the [z, y, x] voxels that are not finite."""
+    rng = np.random.default_rng(2024)
+    u8 = fmt is VoxelFormat.U8
+    lo, hi = (40 / 255, 200 / 255) if u8 else (0.125, 0.875)
+    data = rng.uniform(0.004, 0.9 * lo, (40, 40, 40))
+    regions = [  # (z, y, x), (low, high) of the uniform values, exact value
+        ((slice(8, 32), slice(8, 32), slice(0, 16)), (0.52, 0.62), None),
+        ((slice(0, 8), slice(0, 8), slice(24, 40)), (0.8 * lo, lo), lo),
+        ((slice(32, 40), slice(0, 16), slice(0, 16)), (hi, 1.05 * hi), hi),
+        ((slice(24, 40), slice(24, 40), slice(24, 40)), (1.01 * hi, 1.0), None),
+        ((slice(0, 8), slice(32, 40), slice(0, 8)), (0.0, 1.0), None),
+        ((slice(32, 40), slice(32, 40), slice(0, 8)), (0.0, 0.0), None),
+    ]
+    for at, (a, b), exact in regions:
+        data[at] = rng.uniform(a, b, data[at].shape)
+        if exact is not None:
+            data[at][rng.random(data[at].shape) < 0.3] = exact
+    data[16:24, 0:8, 16:32][rng.random((8, 8, 16)) < 0.5] = -0.0
+    bad = np.zeros((0, 3), np.int64)
+    if u8:
+        data = np.rint(data * 255.0)
+    else:
+        bad = np.asarray([[9, 9, 1], [26, 38, 30], [30, 30, 30], [36, 4, 36]])
+        data[tuple(bad.T)] = [np.nan, np.inf, -np.inf, np.nan]
+    volume = make_volume(data.astype(fmt.dtype), fmt)
+    tfs = [TransferFunction(banded_lut(128, 160), density_scale=0.5, window=window)
+           for window in ((lo, hi), (0.0, 1.0), (-np.inf, np.inf))]
+    return volume, tfs, bad
+
+
+@pytest.mark.parametrize("mip", [0, 1])
+@pytest.mark.parametrize("fmt", [VoxelFormat.U8, VoxelFormat.F32])
+def test_every_position_whose_value_shows_has_a_live_cell(fmt, mip):
+    """_live_box's table, against the dense oracle: each position whose
+    dense trilinear value shows (its TransferFunction.rows row has sigma or
+    a source) has a footprint base that is not NO_TILE, and lies in the box.
+    Positions: every voxel centre and face, and random ones; the table
+    must hide cells that name a tile, and no cell whose slot holds a voxel
+    that is not finite."""
+    volume, tfs, bad = hiding_scene(fmt)
+    svt = build_svt(volume, SvtConfig(tile_size=4))
+    level = reference_mip_chain(volume, svt.config)[mip].data
+    g = np.arange(0.0, 40.01, 0.5)
+    p = np.concatenate([
+        np.stack(np.meshgrid(g, g, g, indexing="ij")).reshape(3, -1),
+        np.random.default_rng(5).uniform(0.0, 40.0, (3, 20000)),
+    ], axis=1)
+    scale = float(1 << mip)
+    with np.errstate(invalid="ignore"):
+        values = reference_trilinear_dense(level, *(p / scale))
+    own = svt.footprint_table(mip).base != NO_TILE
+    for tf in tfs:
+        box, table = _live_box(svt, tf, mip)
+        sigma, rgb = tf.tables()
+        row = tf.rows(values, fmt)
+        shows = (sigma[row] != 0.0) | (tf.emission_scale * rgb[row]).any(axis=1)
+        live = trilinear_footprint(svt, *p, mip, table).base != NO_TILE
+        assert shows.any() and live[shows].all()
+        inside = (p >= box[0][:, None]) & (p <= box[1][:, None])
+        assert inside.all(axis=0)[shows].all()
+        assert (own & (table.base == NO_TILE)).any()  # some tiles are hidden
+        at_bad = trilinear_footprint(svt, *(bad[:, ::-1].T + 0.5), mip, table)
+        assert (at_bad.base != NO_TILE).all()
+
+
+def test_a_range_just_below_the_window_is_widened_into_it():
+    """_hidden widens each range by a few ulps' worth (a rounded float64
+    blend of values in [lo, hi] may leave it by that much), and by no more
+    than a millionth of a millionth of its magnitude."""
+    for fmt, value in ((VoxelFormat.F32, 0.75), (VoxelFormat.U8, 191.0)):
+        u = value / 255.0 if fmt is VoxelFormat.U8 else value
+        ranges = np.asarray([value]), np.asarray([value])
+        for above, hidden in ((np.nextafter(u, np.inf), False), (u * (1 + 1e-12), True)):
+            tf = TransferFunction.grayscale(window=(above, 1.0))
+            assert _hidden(tf, fmt, *ranges).tolist() == [hidden]
 
 
 def _classify_scalars(rng, fmt, window):

@@ -14,9 +14,10 @@ default (the illumination cache's shadow steps and downsample factor)
 equals it. Thread pools start only in render._in_blocks, the one place
 where march blocks run. Page tables hold atlas slots; the packed slot-grid
 entries of a .svtf file (svt.pack_entry, svt._file_entries) are read only
-in the file's codec: save_svtf, load_svtf and _file_entries itself. The
-package's relative imports, at module level or inside a function, form no
-cycle.
+in the file's codec: save_svtf, load_svtf and _file_entries itself. Only
+render._live_box, the one place that decides empty-space skipping, reads
+the slots' value ranges (SparseVolumeTexture.slot_ranges). The package's
+relative imports, at module level or inside a function, form no cycle.
 """
 
 import argparse
@@ -225,6 +226,31 @@ def test_the_rule_sees_entry_packing_outside_the_codec():
     assert _entry_packing_outside_the_codec({"svt.py": svt, "sample.py": sample}) == [
         "svt.py:14", "svt.py:18", "sample.py:1", "sample.py:5",
     ]
+
+
+def _slot_ranges_outside_live_box(modules: dict) -> list[str]:
+    return _named_outside(modules, {"slot_ranges"}, "render.py", {"_live_box"})
+
+
+def test_only_live_box_reads_the_slot_value_ranges():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _slot_ranges_outside_live_box(modules) == []
+
+
+def test_the_rule_sees_slot_ranges_read_outside_live_box():
+    render = ast.parse(
+        "def _live_box(svt):\n    return svt.slot_ranges()\n\n"
+        "def _march(svt):\n    lo, hi = svt.slot_ranges()\n"
+    )
+    svt = ast.parse(
+        "class SparseVolumeTexture:\n"
+        "    def slot_ranges(self):\n        return self._ranges\n\n"
+        "    def stats(self):\n        return self.slot_ranges()\n"
+    )
+    sample = ast.parse("from .svt import slot_ranges\n")
+    assert _slot_ranges_outside_live_box(
+        {"render.py": render, "svt.py": svt, "sample.py": sample}
+    ) == ["render.py:5", "svt.py:6", "sample.py:1"]
 
 
 def _is_none(node) -> bool:
