@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimMismatch
 from .render import (
     DEFAULT_DOWNSAMPLE,
+    DEFAULT_SHADOW_STEPS,
     Camera,
     RenderParams,
     TransferFunction,
@@ -107,6 +108,7 @@ def render_chunked(
     params: RenderParams,
     config: SvtConfig | None = None,
     downsample_factor: int = DEFAULT_DOWNSAMPLE,
+    shadow_steps: int = DEFAULT_SHADOW_STEPS,
     threads: int = 1,
 ) -> np.ndarray:
     """Render the volume under per-chunk ("independent") or whole-volume
@@ -117,7 +119,8 @@ def render_chunked(
     the mode only changes where incident light comes from. Unified mode is
     literally a render with the global cache, hence bit-identical for any
     split. Independent mode builds each chunk's cache from that chunk's own
-    SVT alone, reproducing the border artifact.
+    SVT alone, reproducing the border artifact. downsample_factor and
+    shadow_steps are the caches' (build_illumination_cache).
     """
     if mode not in ("independent", "unified"):
         raise ValueError(f"mode must be 'independent' or 'unified', got {mode!r}")
@@ -125,7 +128,7 @@ def render_chunked(
     whole = build_svt(volume, config)
     if mode == "unified":
         cache = build_illumination_cache(
-            whole, tf, lights, downsample_factor, params.shadow_steps, threads=threads
+            whole, tf, lights, downsample_factor, shadow_steps, threads=threads
         )
     else:
         edges = split.edges(volume.dims)
@@ -134,7 +137,7 @@ def render_chunked(
             chunk_svt = build_svt(_chunk_volume(volume, split, i), config)
             caches.append(
                 build_illumination_cache(
-                    chunk_svt, tf, lights, downsample_factor, params.shadow_steps, threads=threads
+                    chunk_svt, tf, lights, downsample_factor, shadow_steps, threads=threads
                 )
             )
         cache = _ChunkedCaches(axis=split.axis, edges=edges, caches=caches)

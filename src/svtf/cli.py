@@ -97,7 +97,7 @@ def _add_render_flags(p):
                    help="repeatable; dir:dx,dy,dz[:r,g,b] or point:px,py,pz:radius[:r,g,b]")
     p.add_argument("--downsample", type=int, default=render.DEFAULT_DOWNSAMPLE,
                    help="illumination cache factor")
-    p.add_argument("--shadow-steps", type=int, default=params.shadow_steps)
+    p.add_argument("--shadow-steps", type=int, default=render.DEFAULT_SHADOW_STEPS)
     p.add_argument("--lut", default=None, help="transfer function file: 256 lines 'R G B A'")
     p.add_argument("--window", type=_pair, default=tf.window)
     p.add_argument("--density-scale", type=float, default=tf.density_scale)
@@ -124,7 +124,6 @@ def _render_params(args) -> render.RenderParams:
         max_step_count=args.steps,
         background=args.background,
         cut_plane=cut,
-        shadow_steps=args.shadow_steps,
     )
 
 
@@ -376,7 +375,8 @@ def _cmd_chunk_compare(args, threads: int) -> int:
     for mode in ("independent", "unified"):
         images[mode] = chunks.render_chunked(
             vol, split, mode, args.light, tf, params,
-            config=config, downsample_factor=args.downsample, threads=threads,
+            config=config, downsample_factor=args.downsample, shadow_steps=args.shadow_steps,
+            threads=threads,
         )
         out = f"{args.out_prefix}_{mode}.ppm"
         render.write_image(images[mode], out)

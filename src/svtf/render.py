@@ -19,10 +19,10 @@ box, or to a point light, and writes each ray that ends straight into the
 image's or the cache's arrays. _march is the one place that decides which
 samples are left out, each of which would change no state, so images and
 caches are bit-identical to marching every step. Each ray marches only
-the steps of its window (_schedule): those that can reach _live_box's box
-and, in the primary march, those within a voxel of the kept side of the
-cut plane. Before addressing, _march leaves out the samples of rays that
-have ended and those on the cut-away side of the plane. After the
+the steps of its window (_schedule): one slab test (_slab) clips it to
+_live_box's box and, in the primary march, to within a voxel of the kept
+side of the cut plane. Before addressing, _march leaves out the samples of
+rays that have ended and those on the cut-away side of the plane. After the
 footprint, it leaves out the samples whose base is NO_TILE in _live_box's
 table: the cells that read only empty_value and those whose tile's value
 range the transfer function hides (a value shows when it lies in the
@@ -57,6 +57,7 @@ from .volume import VolumeDims, VoxelFormat
 
 MIN_TRANSMITTANCE = 1e-3
 DEFAULT_DOWNSAMPLE = 4  # volume voxels per illumination-cache voxel, along each axis
+DEFAULT_SHADOW_STEPS = 64  # steps per illumination-cache shadow ray
 # _march leaves ended rays in place, flagged off, until they make up
 # 1/_COMPACT_SHARE of its marching rows, and then compacts the rows.
 _COMPACT_SHARE = 4
@@ -308,12 +309,10 @@ class RenderParams:
     max_step_count: int = 1024  # preview ~32, quality ~512
     background: tuple[float, float, float] = (0.0, 0.0, 0.0)
     cut_plane: tuple[tuple[float, float, float], float] | None = None
-    shadow_steps: int = 64
     mip: int = 0
 
     def __post_init__(self):
         _check_count("max_step_count", self.max_step_count)
-        _check_count("shadow_steps", self.shadow_steps)
         _check_finite("background", self.background)
         if self.cut_plane is not None:
             _check_finite("cut_plane", (*self.cut_plane[0], self.cut_plane[1]))
@@ -572,7 +571,7 @@ def build_illumination_cache(
     tf: TransferFunction,
     lights,
     downsample_factor: int = DEFAULT_DOWNSAMPLE,
-    shadow_steps: int = RenderParams.shadow_steps,
+    shadow_steps: int = DEFAULT_SHADOW_STEPS,
     threads: int = 1,
 ) -> IlluminationCache:
     """Beer-Lambert transmittance from every cache voxel toward every light.
@@ -588,12 +587,7 @@ def build_illumination_cache(
     for light in lights:
         if not isinstance(light, Light):
             raise TypeError(f"unknown light type {type(light).__name__}")
-    vd = svt.virtual_dims
-    dims = VolumeDims(
-        -(-vd.x // downsample_factor),
-        -(-vd.y // downsample_factor),
-        -(-vd.z // downsample_factor),
-    )
+    dims = svt.virtual_dims.ceil_div(downsample_factor)
     f = float(downsample_factor)
     zc, yc, xc = np.meshgrid(
         (np.arange(dims.z) + 0.5) * f,
@@ -626,39 +620,27 @@ def build_illumination_cache(
     return IlluminationCache(downsample_factor=downsample_factor, values=values)
 
 
-def _ray_half_space(origins, dirs, cut_n, cut_off):
-    """(enter, leave): the t range of each of the (3, n) rays o + t d that
-    lies within one voxel of the kept side of the cut plane, where
-    n.(o + t d) + offset >= -|n|. A ray parallel to the plane keeps every t
-    or none; a NaN crossing is left for _schedule, which reads it as the
-    full window."""
-    at_origin = cut_n @ origins + (cut_off + float(np.linalg.norm(cut_n)))
-    along = cut_n @ dirs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = -at_origin / along
-    parallel = np.where((along == 0.0) & (at_origin < 0.0), np.inf, -np.inf)
-    return np.where(along > 0.0, cross, parallel), np.where(along < 0.0, cross, np.inf)
-
-
 def _schedule(box, cut, origins, dirs, t0, dt, steps, march):
     """The rays flagged in march whose step window is not empty, sorted by
-    first step, and their [first, last) windows: the steps that can reach
-    the live box, when there is one, and that lie within one voxel of the
-    kept side of the cut plane, when there is one (_ray_half_space), with a
-    one-step margin on each side. origins and dirs are (3, n).
+    first step, and their [first, last) windows: the steps whose t lies in
+    every slab window (_slab) of the ray, with a one-step margin on each
+    side. The windows are the live box's, when there is one, and the cut
+    plane's, when there is one: the slab n.(o + t d) >= -(offset + |n|),
+    within one voxel of the kept side. origins and dirs are (3, n).
 
     The voxel of margin dwarfs the rounding of n.d and of the crossing over
     the ray's length, for any origin and offset far below 2^52 voxels, so
     _cut_keeps keeps no sample outside the window and still decides every
-    sample inside it."""
-    enter, leave = (None, None) if box is None else _ray_aabb(origins, dirs, *box)
+    sample inside it. A NaN bound, from a non-finite ray or an n.o that
+    overflows, leaves the window open."""
+    windows = [] if box is None else [_ray_aabb(origins, dirs, *box)]
     if cut is not None:
-        kept = _ray_half_space(origins, dirs, *cut)
-        enter = kept[0] if enter is None else np.fmax(enter, kept[0])
-        leave = kept[1] if leave is None else np.fmin(leave, kept[1])
-    if enter is None:
-        rays = np.flatnonzero(march)
-        return rays, np.zeros(len(rays), np.int64), np.full(len(rays), steps, np.int64)
+        n, offset = cut
+        at = np.fmin(n @ origins, np.inf)  # NaN reads as inf, inside even when parallel
+        windows.append(_slab(at, n @ dirs, -(offset + float(np.linalg.norm(n))), np.inf))
+    enter, leave = -np.inf, np.inf
+    for near, far in windows:
+        enter, leave = np.fmax(enter, near), np.fmin(leave, far)
     with np.errstate(divide="ignore", invalid="ignore"):
         first = np.floor((enter - t0) / dt - 0.5) - 1.0
         last = np.floor((leave - t0) / dt - 0.5) + 2.0

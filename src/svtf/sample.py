@@ -100,12 +100,18 @@ def level_coords(px, py, pz, mip: int):
     return px, py, pz
 
 
+def far_clamped(px, py, pz, mip: int):
+    """level_coords clamped to +-2^62, so that corners fit int64; past 2^52
+    no float64 has a fraction."""
+    return (np.clip(p, -(2.0**62), 2.0**62) for p in level_coords(px, py, pz, mip))
+
+
 def sample_nearest_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
     """Nearest-voxel values; out of bounds and empty tiles give empty_value.
     Voxel floor(q) is the base corner of the footprint at floor(q) + 0.5, exactly
     for |q| < 2^52; beyond that, and at NaN, q lies outside the volume."""
     dims = svt.mip_dims(mip)
-    px, py, pz = (np.clip(p, -(2.0**62), 2.0**62) for p in level_coords(px, py, pz, mip))
+    px, py, pz = far_clamped(px, py, pz, mip)
     inside = (px >= 0) & (px < dims.x) & (py >= 0) & (py < dims.y) & (pz >= 0) & (pz < dims.z)
     scale = float(1 << mip)
     with np.errstate(invalid="ignore"):  # the int64 cast of NaN rows
@@ -186,8 +192,7 @@ def trilinear_lerp(svt: SparseVolumeTexture, fp: Footprint) -> np.ndarray:
 
 
 def sample_trilinear_many(svt: SparseVolumeTexture, px, py, pz, mip: int = 0) -> np.ndarray:
-    # Clamped to +-2^62 so that corners fit int64; past 2^52 no float64 has a fraction.
-    px, py, pz = (np.clip(p, -(2.0**62), 2.0**62) for p in level_coords(px, py, pz, 0))
+    px, py, pz = far_clamped(px, py, pz, 0)
     with np.errstate(invalid="ignore"):  # the int64 cast of NaN rows, which read NaN
         return trilinear_lerp(svt, trilinear_footprint(svt, px, py, pz, mip))
 

@@ -247,14 +247,11 @@ def _tile_base(slot, tx, ty, tz, config: SvtConfig):
 def tile_grid_dims(dims: VolumeDims, tile_size: int) -> VolumeDims:
     if tile_size < 2:
         raise ValueError("tile_size must be >= 2")
-    return VolumeDims(
-        -(-dims.x // tile_size), -(-dims.y // tile_size), -(-dims.z // tile_size)
-    )
+    return dims.ceil_div(tile_size)
 
 
 def mip_level_dims(dims: VolumeDims, level: int) -> VolumeDims:
-    f = 1 << level
-    return VolumeDims(-(-dims.x // f), -(-dims.y // f), -(-dims.z // f))
+    return dims.ceil_div(1 << level)
 
 
 def check_empty_value(value: float, fmt: VoxelFormat, source="") -> None:

@@ -47,6 +47,11 @@ class VolumeDims:
     def count(self) -> int:
         return self.x * self.y * self.z
 
+    def ceil_div(self, f: int) -> "VolumeDims":
+        """These dims divided by f per axis, rounded up: the grid of f^3-voxel
+        cells that covers them."""
+        return VolumeDims(-(-self.x // f), -(-self.y // f), -(-self.z // f))
+
     def as_zyx(self) -> tuple[int, int, int]:
         return (self.z, self.y, self.x)
 

@@ -188,19 +188,20 @@ def test_c08_chunk_border_artifact():
             eye=(n / 2, n / 2, -20.0), look_at=(n / 2, n / 2, n / 2),
             width=n, height=n, ortho_height=float(n),
         )
-        params = RenderParams(camera=camera, max_step_count=128, shadow_steps=32)
+        params = RenderParams(camera=camera, max_step_count=128)
         light = [DirectionalLight(direction=(1.0, 0.0, 0.0))]
         split = ChunkSplit(axis="x", count=2)
 
-        indep = render_chunked(volume, split, "independent", light, tf, params)
-        unified = render_chunked(volume, split, "unified", light, tf, params)
+        indep = render_chunked(volume, split, "independent", light, tf, params, shadow_steps=32)
+        unified = render_chunked(volume, split, "unified", light, tf, params, shadow_steps=32)
         metric = border_artifact_metric(indep, unified, split, 4, camera, volume.dims)
         assert metric.ratio > 2.0
 
         # Unified lighting is split-agnostic: bit-identical for any count.
         for axis, count in (("x", 1), ("x", 3), ("y", 2), ("z", 5)):
             other = render_chunked(
-                volume, ChunkSplit(axis=axis, count=count), "unified", light, tf, params
+                volume, ChunkSplit(axis=axis, count=count), "unified", light, tf, params,
+                shadow_steps=32,
             )
             np.testing.assert_array_equal(other, unified)
 

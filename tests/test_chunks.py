@@ -12,6 +12,7 @@ from svtf import (
     border_artifact_metric,
     build_illumination_cache,
     build_svt,
+    raymarch,
     render_chunked,
 )
 from svtf.chunks import _chunk_volume, border_band_mask
@@ -30,15 +31,17 @@ def artifact_scene():
         height=N,
         ortho_height=float(N),
     )
-    params = RenderParams(camera=camera, max_step_count=128, shadow_steps=32)
+    params = RenderParams(camera=camera, max_step_count=128)
     return volume, tf, params
 
 
 def test_single_chunk_modes_identical():
     volume, tf, params = artifact_scene()
     split = ChunkSplit(axis="x", count=1)
-    a = render_chunked(volume, split, "independent", [LIGHT_FROM_MINUS_X], tf, params)
-    b = render_chunked(volume, split, "unified", [LIGHT_FROM_MINUS_X], tf, params)
+    a = render_chunked(volume, split, "independent", [LIGHT_FROM_MINUS_X], tf, params,
+                       shadow_steps=32)
+    b = render_chunked(volume, split, "unified", [LIGHT_FROM_MINUS_X], tf, params,
+                       shadow_steps=32)
     np.testing.assert_array_equal(a, b)
 
 
@@ -47,11 +50,11 @@ def test_zero_density_both_modes_background():
     tf = TransferFunction.grayscale()
     camera = Camera(eye=(16, 16, -10), look_at=(16, 16, 16), width=8, height=8,
                     ortho_height=16.0)
-    params = RenderParams(camera=camera, max_step_count=32, shadow_steps=8,
-                          background=(0.2, 0.3, 0.4))
+    params = RenderParams(camera=camera, max_step_count=32, background=(0.2, 0.3, 0.4))
     split = ChunkSplit(axis="x", count=2)
     for mode in ("independent", "unified"):
-        img = render_chunked(volume, split, mode, [LIGHT_FROM_MINUS_X], tf, params)
+        img = render_chunked(volume, split, mode, [LIGHT_FROM_MINUS_X], tf, params,
+                             shadow_steps=8)
         np.testing.assert_array_equal(img, np.broadcast_to((0.2, 0.3, 0.4), img.shape))
 
 
@@ -63,11 +66,11 @@ def test_unified_invariant_under_split(rng):
     tf = TransferFunction.grayscale(density_scale=0.1, emission_scale=0.8)
     camera = Camera(eye=(24, 24, -20), look_at=(24, 24, 24), width=32, height=32,
                     ortho_height=48.0)
-    params = RenderParams(camera=camera, max_step_count=64, shadow_steps=16)
+    params = RenderParams(camera=camera, max_step_count=64)
     light = [LIGHT_FROM_MINUS_X]
     images = [
         render_chunked(volume, ChunkSplit(axis=axis, count=count), "unified",
-                       light, tf, params)
+                       light, tf, params, shadow_steps=16)
         for axis, count in (("x", 1), ("x", 2), ("x", 3), ("y", 2), ("z", 4))
     ]
     for img in images[1:]:
@@ -94,11 +97,31 @@ def test_independent_cache_compositional(rng):
         np.testing.assert_array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("mode", ["independent", "unified"])
+def test_render_chunked_builds_its_caches_with_its_shadow_steps(mode):
+    volume = make_volume(np.random.default_rng(5).integers(0, 256, (16, 16, 16), np.uint8))
+    tf = TransferFunction.grayscale(density_scale=0.3)
+    camera = Camera(eye=(8, 8, -10), look_at=(8, 8, 8), width=6, height=6, ortho_height=16.0)
+    params = RenderParams(camera=camera, max_step_count=16)
+    split, light = ChunkSplit(axis="x", count=2), [LIGHT_FROM_MINUS_X]
+    images = [render_chunked(volume, split, mode, light, tf, params, shadow_steps=s)
+              for s in (3, 5)]
+    assert not np.array_equal(*images)
+    if mode == "unified":
+        whole = build_svt(volume)
+        cache = build_illumination_cache(whole, tf, light, shadow_steps=3)
+        np.testing.assert_array_equal(images[0], raymarch(whole, cache, tf, params))
+    with pytest.raises(ValueError, match="shadow_steps must be an integer >= 1"):
+        render_chunked(volume, split, mode, light, tf, params, shadow_steps=0)
+
+
 def test_border_artifact_bright_band():
     volume, tf, params = artifact_scene()
     split = ChunkSplit(axis="x", count=2)
-    indep = render_chunked(volume, split, "independent", [LIGHT_FROM_MINUS_X], tf, params)
-    unified = render_chunked(volume, split, "unified", [LIGHT_FROM_MINUS_X], tf, params)
+    indep = render_chunked(volume, split, "independent", [LIGHT_FROM_MINUS_X], tf, params,
+                           shadow_steps=32)
+    unified = render_chunked(volume, split, "unified", [LIGHT_FROM_MINUS_X], tf, params,
+                             shadow_steps=32)
 
     band = border_band_mask(split, volume.dims, params.camera, band_width_px=4)
     assert band.any() and not band.all()

@@ -718,6 +718,30 @@ def cut_window_cases(rng):
     for normal, offset in (((1.0, 0.0, 0.0), 500.0), ((1.0, 0.0, 0.0), -500.0),
                            ((0.0, -2.0, 0.0), 100.0), ((0.0, -2.0, 0.0), -100.0)):
         yield f"beyond the box {offset}", origins, dirs, np.asarray(normal), offset
+    # Rays exactly parallel to the plane (n.d == 0), their origins this many
+    # |n| from it: on either side, on it, and (at -1) exactly on the
+    # boundary n.o = -(offset + |n|) of the kept slab.
+    side = np.asarray([-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 2.0])[np.arange(300) % 7]
+    for normal, offset in (((0.0, 0.0, 2.0), -20.0), ((0.0, -4.0, 0.0), 36.0),
+                           ((-1.0, 0.0, 0.0), 23.0)):
+        normal = np.asarray(normal)
+        axis = int(np.flatnonzero(normal)[0])
+        d = rng.standard_normal((3, 300))
+        d[axis] = 0.0
+        d /= np.linalg.norm(d, axis=0)
+        o = rng.uniform(-5.0, 45.0, (3, 300))
+        o[axis] = (side * np.linalg.norm(normal) - offset) / normal[axis]  # exact
+        yield f"exactly parallel {axis}", o, d, normal, offset
+    # A finite normal whose dot product with the origins can overflow to
+    # inf - inf (NaN, or an infinity when it is summed with fused multiply-
+    # adds), while n.p of the samples at x, z < 16 is finite. Its even rays
+    # have d.x == d.z, so n.d == 0 exactly.
+    o = rng.uniform(-24.0, -20.0, (3, 300))
+    o[1] = rng.uniform(4.0, 20.0, 300)
+    d = np.vstack([np.ones(300), rng.uniform(-0.2, 0.2, 300),
+                   1.0 + (np.arange(300) % 2) * rng.uniform(-0.2, 0.2, 300)])
+    d /= np.linalg.norm(d, axis=0)
+    yield "overflowing normal", o, d, np.asarray([2.0**1020, 0.0, -(2.0**1020)]), 0.0
     bad_o, bad_d = origins.copy(), dirs.copy()
     bad_o[0, ::4] = np.nan
     bad_d[1, 1::5] = np.nan
@@ -729,9 +753,10 @@ def cut_window_cases(rng):
 def test_cut_windows_hold_every_step_the_cut_keeps():
     """No step whose sample _cut_keeps keeps, formed as _march forms it,
     lies outside its ray's window from _schedule, with and without a box:
-    random planes, rays nearly parallel to the plane, planes through exact
-    sample positions, planes beyond the box on either side, and NaN and
-    infinite rays. Steps against the cut plane are left out in most cases."""
+    random planes, rays nearly and exactly parallel to the plane, planes
+    through exact sample positions, planes beyond the box on either side, a
+    normal whose n.o overflows, and NaN and infinite rays. Steps against the
+    cut plane are left out in most cases."""
     rng = np.random.default_rng(1234)
     extent = np.asarray([40.0, 24.0, 33.0])
     steps, kept_steps, windowed, walked = 33, 0, 0, 0
@@ -742,13 +767,14 @@ def test_cut_windows_hold_every_step_the_cut_keeps():
         hit = t1 > t0
         cut = (np.asarray(normal, dtype=np.float64), float(offset))
         for box in (None, (np.zeros(3), extent)):
-            rays, ray_first, ray_last = _schedule(box, cut, o, d, t0, dt, steps, hit)
+            with np.errstate(over="ignore", invalid="ignore"):  # the overflowing normal
+                rays, ray_first, ray_last = _schedule(box, cut, o, d, t0, dt, steps, hit)
             first, last = np.zeros(len(t0), np.int64), np.zeros(len(t0), np.int64)
             first[rays], last[rays] = ray_first, ray_last
             for i in range(steps):
                 p = d[:, hit] * (t0[hit] + (i + 0.5) * dt[hit])
                 p += o[:, hit]
-                with np.errstate(invalid="ignore"):
+                with np.errstate(over="ignore", invalid="ignore"):
                     kept = _cut_keeps(p, *cut)
                 window = (first[hit] <= i) & (i < last[hit])
                 assert window[kept].all(), (name, i)
@@ -756,6 +782,34 @@ def test_cut_windows_hold_every_step_the_cut_keeps():
                 windowed += int(window.sum())
             walked += steps * int(hit.sum())
     assert 0 < kept_steps < windowed < walked * 0.7
+
+
+def test_a_ray_exactly_parallel_to_the_cut_keeps_every_step_or_none():
+    """With no box, each hitting ray with n.d == 0 keeps every step when
+    n.o + offset + |n| >= 0 or is NaN (an n.o that overflows), and no step
+    when it is < 0: on either side of the plane and on the boundary."""
+    rng = np.random.default_rng(1234)
+    extent = np.asarray([40.0, 24.0, 33.0])
+    steps, seen = 33, set()
+    for name, o, d, normal, offset in cut_window_cases(rng):
+        if not name.startswith(("exactly parallel", "overflowing normal")):
+            continue
+        t0, t1 = _ray_aabb(o, d, np.zeros(3), extent)
+        with np.errstate(over="ignore", invalid="ignore"):
+            parallel = (t1 > t0) & (normal @ d == 0.0)
+            keeps = ~(normal @ o + (offset + np.linalg.norm(normal)) < 0.0)
+            rays, first, last = _schedule(None, (normal, offset), o, d, t0, (t1 - t0) / steps,
+                                          steps, parallel)
+        assert rays.tolist() == np.flatnonzero(parallel & keeps).tolist(), name
+        assert (first == 0).all() and (last == steps).all(), name
+        seen |= {(name, bool(k)) for k in keeps[parallel]}
+    # Rays that keep every step and rays that keep none in each exactly
+    # parallel case. The overflowing normal's n.o is NaN, or an infinity
+    # when the dot product is summed with fused multiply-adds.
+    assert seen - {("overflowing normal", False), ("overflowing normal", True)} == {
+        (f"exactly parallel {axis}", keeps) for axis in range(3) for keeps in (False, True)
+    }
+    assert seen & {("overflowing normal", False), ("overflowing normal", True)}
 
 
 def hiding_scene(fmt):
@@ -829,6 +883,29 @@ def test_every_position_whose_value_shows_has_a_live_cell(fmt, mip):
         assert (own & (table.base == NO_TILE)).any()  # some tiles are hidden
         at_bad = trilinear_footprint(svt, *(bad[:, ::-1].T + 0.5), mip, table)
         assert (at_bad.base != NO_TILE).all()
+
+
+def test_a_last_layer_cell_tests_the_slot_of_the_tile_it_reads():
+    """A cell in the last voxel layer of an empty tile reads the next
+    tile's padded block, so _live_box tests that block's slot: here the
+    slot after a hidden one. Tiles of 4 along x and z; values 60 (hidden by
+    the LUT's zero band) at tile (x 0, z 1) in slot 0, and 200 at tile (x 2,
+    z 1) in slot 1; the tiles below them are empty."""
+    data = np.zeros((8, 4, 12), np.uint8)  # z, y, x
+    data[4:8, :, 0:4] = 60
+    data[4:8, :, 8:12] = 200
+    svt = build_svt(make_volume(data), SvtConfig(tile_size=4))
+    assert svt.mips[0].entries[1, 0].tolist() == [0, 0xFFFFFFFF, 1]
+    tf = TransferFunction(banded_lut(0, 80), density_scale=0.5)
+    _, table = _live_box(svt, tf, 0)
+    g = np.arange(0.25, 12.0, 0.5)
+    z = np.arange(3.5, 4.5, 0.125)  # base corner z = 3, the last layer of tile z 0
+    p = np.stack(np.meshgrid(g[g > 8.5], g[g < 4.0], z, indexing="ij")).reshape(3, -1)
+    assert (reference_trilinear_dense(data, *p) > 80).any()
+    assert (trilinear_footprint(svt, *p, 0, table).base != NO_TILE).all()
+    camera = Camera(eye=(10.0, 2.0, -10.0), look_at=(10.0, 2.0, 4.0), width=4, height=3,
+                    ortho_height=3.0)
+    assert_matches_reference(svt, tf, RenderParams(camera=camera, max_step_count=32))
 
 
 def test_a_range_just_below_the_window_is_widened_into_it():
@@ -1187,7 +1264,7 @@ def test_render_rejects_a_thread_count_that_is_not_a_positive_integer(threads):
         raymarch(svt, cache, tf, params, threads=threads)
 
 
-@pytest.mark.parametrize("name", ["max_step_count", "shadow_steps"])
+@pytest.mark.parametrize("name", ["max_step_count"])
 @pytest.mark.parametrize("value", [0, -1, 1.5])
 def test_render_params_reject_a_count_that_is_not_a_positive_integer(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):

@@ -396,7 +396,7 @@ def _library_defaults() -> dict:
         "--ortho-height": _field(Camera, "ortho_height"),
         "--steps": _field(RenderParams, "max_step_count"),
         "--background": _field(RenderParams, "background"),
-        "--shadow-steps": _field(RenderParams, "shadow_steps"),
+        "--shadow-steps": _param(build_illumination_cache, "shadow_steps"),
         "--downsample": _param(build_illumination_cache, "downsample_factor"),
         "--window": _field(TransferFunction, "window"),
         "--density-scale": _field(TransferFunction, "density_scale"),
@@ -438,7 +438,7 @@ def _params_off_their_defaults(defaults: dict) -> list[str]:
 
 def test_library_parameters_restate_no_other_default():
     assert _params_off_their_defaults({
-        (build_illumination_cache, "shadow_steps"): _field(RenderParams, "shadow_steps"),
+        (render_chunked, "shadow_steps"): _param(build_illumination_cache, "shadow_steps"),
         (render_chunked, "downsample_factor"): _param(build_illumination_cache, "downsample_factor"),
     }) == []
 
