@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .svt import SvtConfig, _ceil_cbrt, atlas_dims
+from .svt import SvtConfig, atlas_dims
 
 UINT32_LIMIT = 2**32
 INT32_LIMIT = 2**31
@@ -109,7 +109,7 @@ def check_overflow(inputs: PlanInputs) -> CapacityReport:
         mip_factor=float(MIP_FACTOR),
         net_payload_voxels=net,
         upload_buffer_bytes=upload,
-        atlas_extent_estimate=_ceil_cbrt(sum(counts)) * config.padded_size,
+        atlas_extent_estimate=atlas_extent_estimate(counts, config),
         fits_uint32_upload=upload < UINT32_LIMIT,
         fits_int32_index=inputs.nonempty_voxels < INT32_LIMIT,
         occupancy_breakeven=float(breakeven),

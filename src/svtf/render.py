@@ -200,11 +200,11 @@ class TransferFunction:
 class IlluminationCache:
     """Per-voxel incident RGB radiance on a grid downsampled from the volume.
 
-    The cache holds its light as channel-first (3, z, y, x) float64 planes,
-    copied from the values given unless those are already a view of such
-    planes, as build_illumination_cache makes them. values becomes a
-    read-only (z, y, x, 3) view of the planes, so what it shows is always
-    what sample_incident reads, and dims is read off them.
+    The cache holds its light as channel-first (3, z + 2, y + 2, x + 2)
+    float64 planes: the values given, copied inside one voxel of edge copies
+    per face as a padded tile is, read by the sparse corner rule. values
+    becomes a read-only (z, y, x, 3) view of the interior, so what it shows
+    is always what sample_incident reads, and dims is read off it.
     """
 
     downsample_factor: int
@@ -212,16 +212,16 @@ class IlluminationCache:
     planes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        planes = np.moveaxis(self.values, -1, 0)
-        planes = np.ascontiguousarray(planes, dtype=np.float64)
-        values = np.moveaxis(planes, 0, -1)
+        planes = np.moveaxis(np.asarray(self.values, dtype=np.float64), -1, 0)
+        planes = np.ascontiguousarray(np.pad(planes, [(0, 0)] + [(1, 1)] * 3, mode="edge"))
+        values = np.moveaxis(planes[:, 1:-1, 1:-1, 1:-1], 0, -1)
         values.flags.writeable = False
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "values", values)
 
     @property
     def dims(self) -> VolumeDims:
-        z, y, x = self.planes.shape[1:]
+        z, y, x = self.values.shape[:3]
         return VolumeDims(x, y, z)
 
     def sample_incident(self, px, py, pz) -> np.ndarray:
@@ -315,9 +315,12 @@ class RenderParams:
         _check_count("max_step_count", self.max_step_count)
         _check_finite("background", self.background)
         if self.cut_plane is not None:
-            _check_finite("cut_plane", (*self.cut_plane[0], self.cut_plane[1]))
-            if not np.any(self.cut_plane[0]):
-                raise ValueError(f"cut_plane normal must not be zero, got {self.cut_plane[0]}")
+            normal = self.cut_plane[0]
+            _check_finite("cut_plane", (*normal, self.cut_plane[1]))
+            with np.errstate(over="ignore"):  # _schedule's |n|: inf when it overflows
+                length = np.linalg.norm(normal)
+            if not np.any(normal) or length == np.inf:
+                raise ValueError(f"cut_plane normal must be non-zero of finite length, got {normal}")
 
 
 def _slab(o, d, lo, hi):

@@ -15,13 +15,14 @@ order, so a footprint's corners are read with the block strides
 (span^2, span, 1) from the table's base, whatever the atlas's size.
 
 Every lookup, sparse or dense, addresses its corners the same way
-(corner_axis): per axis the clamped base corner and the step to the
-second corner, which is the axis stride or, at a clamped edge, 0. The
-eight corner indices are the flat base index plus sums of the three steps,
-and _gather_lerp blends them in one fixed float64 order.
+(corner_axis): per axis the base corner floor(q) clamped to [-1, n - 1],
+and the second corner one stride on. Past a face, corners -1 and n read
+the border of edge copies that padded tiles and the illumination cache
+carry. The eight corner indices are the flat base index plus sums of the
+strides, and _gather_lerp blends them in one fixed float64 order.
 
 A sparse trilinear lookup is two steps: trilinear_footprint computes each
-position's Footprint (table base, flat corner index, steps, fractions),
+position's Footprint (table base, flat corner index, fractions),
 and trilinear_lerp blends its corners. The marcher keeps the footprint
 between them, so that it can drop the samples whose base is NO_TILE
 without addressing their corners twice.
@@ -36,38 +37,34 @@ import numpy as np
 from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
 
 
-def corner_axis(q: np.ndarray, n: int, stride: int):
-    """One axis, of n voxels and the given stride, of the footprints whose
-    base corner is floor(q): the clamped base corner, the step from it to
-    the second corner, and the fraction q - floor(q).
+def corner_axis(q: np.ndarray, n: int):
+    """One axis, of n voxels, of the footprints whose base corner is
+    floor(q): that corner clamped to [-1, n - 1], and the fraction
+    q - floor(q). The second corner is the base corner plus one.
 
-    The step is stride where 0 <= floor(q) < n - 1, else 0: the clamp of
-    floor(q) + 1 less the clamped base corner, times stride. A NaN q gives
-    corner 0, step 0 and a NaN fraction.
+    Past a face both corners land on the edge voxel or its border copy:
+    -1 and 0 below, n - 1 and n above. A NaN q gives a NaN fraction.
     """
     b = np.floor(q)
     f = q - b
     b = b.astype(np.int64)
-    # Viewed unsigned, a negative b (or NaN's int64 minimum) is out of range.
-    step = (b.view(np.uint64) < n - 1).astype(np.int64)
-    if stride != 1:
-        step *= stride
-    np.clip(b, 0, n - 1, out=b)
-    return b, step, f
+    np.clip(b, -1, n - 1, out=b)
+    return b, f
 
 
 def footprint_cells(table: FootprintTable, x, y, z) -> np.ndarray:
-    """Flat index into table.base of the cells of clamped base corners."""
+    """Flat index into table.base of the cells of base corners; corner -1
+    reads through voxel 0's cell."""
     _, t_y, t_x = table.base.shape
     cx, cy, cz = table.cells
-    cell = (cz * (t_y * t_x))[z]
-    cell += (cy * t_x)[y]
-    cell += cx[x]
+    cell = (cz * (t_y * t_x)).take(z, mode="clip")
+    cell += (cy * t_x).take(y, mode="clip")
+    cell += cx.take(x, mode="clip")
     return cell
 
 
-def _gather_lerp(take, i, dx, dy, dz, fx, fy, fz):
-    """Blend of the eight corners i + {0, dx} + {0, dy} + {0, dz}, read by
+def _gather_lerp(take, i, sy: int, sz: int, fx, fy, fz):
+    """Blend of the eight corners i + {0, 1} + {0, sy} + {0, sz}, read by
     take, as dense clamped-edge interpolation does: x first, then y, then z.
     """
     gx = 1.0 - fx
@@ -75,14 +72,14 @@ def _gather_lerp(take, i, dx, dy, dz, fx, fy, fz):
 
     def along_x(j):
         v = take(j) * gx
-        v += take(j + dx) * fx
+        v += take(j + 1) * fx
         return v
 
-    k = i + dz
+    k = i + sz
     v0 = along_x(i) * gy
-    v0 += along_x(i + dy) * fy
+    v0 += along_x(i + sy) * fy
     v1 = along_x(k) * gy
-    v1 += along_x(k + dy) * fy
+    v1 += along_x(k + sy) * fy
     v0 *= 1.0 - fz
     v1 *= fz
     v0 += v1
@@ -128,10 +125,7 @@ class Footprint:
 
     base: np.ndarray  # footprint-table base; NO_TILE where no tile answers
     flat: np.ndarray  # atlas index of the base corner (negative at NO_TILE)
-    dx: np.ndarray  # steps to the second corner per axis
-    dy: np.ndarray
-    dz: np.ndarray
-    fx: np.ndarray  # fractions per axis
+    fx: np.ndarray  # fractions per axis; the second corner is one stride on
     fy: np.ndarray
     fz: np.ndarray
 
@@ -166,28 +160,29 @@ def trilinear_footprint(
     dims = svt.mip_dims(mip)
     span = svt.config.padded_size
     px, py, pz = level_coords(px, py, pz, mip)
-    x, dx, fx = corner_axis(px - 0.5, dims.x, 1)
-    y, dy, fy = corner_axis(py - 0.5, dims.y, span)
-    z, dz, fz = corner_axis(pz - 0.5, dims.z, span * span)
+    x, fx = corner_axis(px - 0.5, dims.x)
+    y, fy = corner_axis(py - 0.5, dims.y)
+    z, fz = corner_axis(pz - 0.5, dims.z)
     base = table.base.ravel().take(footprint_cells(table, x, y, z))
-    return Footprint(base, corner_index(base, x, y, z, span), dx, dy, dz, fx, fy, fz)
+    return Footprint(base, corner_index(base, x, y, z, span), fx, fy, fz)
 
 
 def trilinear_lerp(svt: SparseVolumeTexture, fp: Footprint) -> np.ndarray:
     """The lerp step of a trilinear lookup: the blend of each footprint's
     eight corners; a footprint whose base is NO_TILE reads empty_value."""
-    data = svt.atlas.data
-    flat, dx, dy, dz, fx, fy, fz = fp.flat, fp.dx, fp.dy, fp.dz, fp.fx, fp.fy, fp.fz
+    span = svt.config.padded_size
+    strides = span, span * span
+    fx, fy, fz = fp.fx, fp.fy, fp.fz
     dead = fp.base == NO_TILE
     empty = svt.config.empty_value
     if dead.all():  # also every lookup in an empty atlas
-        return _gather_lerp(lambda j: empty, 0, 0, 0, 0, fx, fy, fz)
+        return _gather_lerp(lambda j: empty, 0, *strides, fx, fy, fz)
     # Live indices lie in the atlas; a dead row's index is negative, reads
     # voxel 0 under mode="clip", and is then replaced.
-    voxels = data.ravel()
-    out = _gather_lerp(lambda j: voxels.take(j, mode="clip"), flat, dx, dy, dz, fx, fy, fz)
+    voxels = svt.atlas.data.ravel()
+    out = _gather_lerp(lambda j: voxels.take(j, mode="clip"), fp.flat, *strides, fx, fy, fz)
     if dead.any():
-        out[dead] = _gather_lerp(lambda j: empty, 0, 0, 0, 0, fx[dead], fy[dead], fz[dead])
+        out[dead] = _gather_lerp(lambda j: empty, 0, *strides, fx[dead], fy[dead], fz[dead])
     return out
 
 
@@ -214,20 +209,21 @@ def sample_trilinear(svt: SparseVolumeTexture, pos, mip: int = 0) -> float:
 
 
 def trilinear_dense(arr: np.ndarray, px, py, pz) -> np.ndarray:
-    """Clamped-edge trilinear lookup in a dense [z, y, x] array, or in
-    channel-first [c, z, y, x] data, which gives (c, n).
-
-    Uses the same corner addressing and arithmetic order as the sparse
-    path; the renderer uses it for illumination-cache lookups.
+    """Clamped-edge trilinear lookup in dense [z, y, x] data, or channel-first
+    [c, z, y, x] data, which gives (c, n), held with a one-voxel border of
+    edge copies on every face; positions are in the interior's coordinates.
+    Same corner rule and arithmetic order as the sparse path; the renderer
+    uses it for illumination-cache lookups.
     """
     nz, ny, nx = arr.shape[-3:]
     planes = arr.astype(np.float64, copy=False).reshape(*arr.shape[:-3], nz * ny * nx)
-    x, dx, fx = corner_axis(np.asarray(px, dtype=np.float64) - 0.5, nx, 1)
-    y, dy, fy = corner_axis(np.asarray(py, dtype=np.float64) - 0.5, ny, nx)
-    z, dz, fz = corner_axis(np.asarray(pz, dtype=np.float64) - 0.5, nz, ny * nx)
+    x, fx = corner_axis(np.asarray(px, dtype=np.float64) - 0.5, nx - 2)
+    y, fy = corner_axis(np.asarray(py, dtype=np.float64) - 0.5, ny - 2)
+    z, fz = corner_axis(np.asarray(pz, dtype=np.float64) - 0.5, nz - 2)
     flat = z * (ny * nx)
     flat += y * nx
     flat += x
+    flat += ny * nx + nx + 1  # voxel (0, 0, 0) inside the border
     return _gather_lerp(
-        lambda j: planes.take(j, axis=-1, mode="clip"), flat, dx, dy, dz, fx, fy, fz
+        lambda j: planes.take(j, axis=-1, mode="clip"), flat, nx, ny * nx, fx, fy, fz
     )

@@ -33,7 +33,7 @@ from .volume import DenseVolume, VolumeDims, VoxelFormat
 
 EMPTY_ENTRY = np.uint32(0xFFFFFFFF)
 _COORD_BITS = 10  # per-axis field in a packed page-table entry
-NO_TILE = np.iinfo(np.int64).min  # footprint-table cell that no resident tile answers
+NO_TILE = -(2**62)  # cell no resident tile answers; + any corner offset stays < 0
 # Voxels that a thresholded mask and the tile-record codec handle at a time,
 # so that their temporaries stay small next to the atlas.
 _CHUNK_VOXELS = 2**20
@@ -133,13 +133,14 @@ class BuildStats:
 class FootprintTable:
     """The padded tile that answers each trilinear footprint of a mip level.
 
-    Per axis, the corners of a footprint are the clamps of b and b + 1 (b:
-    the clamped base corner). They lie in b's tile T, and in T + 1 only when
-    b is T's last voxel, so each tile has two cells per axis: its last voxel
-    layer and the rest. base[cell] is the flat atlas index of level voxel
-    (0, 0, 0) seen through one resident tile's padded block, so a corner
-    (x, y, z) is at base + (z*span + y)*span + x (sample.corner_index). For
-    tile (tx, ty, tz) in slot s (its page-table entry), base is
+    Per axis, the corners of a footprint are b and b + 1 (b: the base
+    corner, clamped to [-1, n - 1]; -1 reads voxel 0's cell). They lie in
+    b's tile T, or T + 1 only when b is T's last voxel, so each tile has two
+    cells per axis; corners -1 and n lie in T's border of edge copies.
+    base[cell] is the flat atlas index of level voxel (0, 0, 0) seen
+    through one resident tile's padded block, so a corner (x, y, z) is at
+    base + (z*span + y)*span + x (sample.corner_index). For tile
+    (tx, ty, tz) in slot s (its page-table entry), base is
     _tile_base(s, tx, ty, tz) = s*span^3 + ((pad - tz*ts)*span + pad -
     ty*ts)*span + pad - tx*ts. The tile is the cell's own tile T if
     resident, else any resident tile the cell's footprints reach: as pad >=

@@ -1359,6 +1359,22 @@ def reference_classify(tf: TransferFunction, scalars: np.ndarray, fmt: VoxelForm
     return sigma, rgb
 
 
+def edge_positions(rng, dims, scale: float = 1.0):
+    """Positions at and past every face of a grid of VolumeDims. Per axis of
+    n voxels the corner coordinates q (a position less half a voxel) are 3
+    each in [-1, 0) and [n - 1, n), exactly -1 and n - 1, n + 3, +-2^62 and
+    NaN; every combination of the three axes, as (q + 0.5) * scale, one
+    array per axis."""
+    axes = [
+        (np.concatenate([
+            rng.uniform(-1.0, 0.0, 3), [-1.0, n - 1.0], rng.uniform(n - 1.0, n, 3),
+            [n + 3.0, 2.0**62, -(2.0**62), np.nan],
+        ]) + 0.5) * scale
+        for n in (dims.x, dims.y, dims.z)
+    ]
+    return [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+
+
 def reference_trilinear_dense(arr: np.ndarray, px, py, pz) -> np.ndarray:
     """Clamped-edge trilinear lookup in a dense [z, y, x(, c)] array.
 

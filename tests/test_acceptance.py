@@ -44,7 +44,14 @@ from svtf.cli import main
 from svtf.errors import AtlasCapacityExceeded
 from svtf.planner import derive_tile_counts
 from svtf.sample import corner_index, sample_trilinear_many
-from svtf.svt import _tile_base, mip_level_count, mip_level_dims, slot_grid_for, tile_grid_dims
+from svtf.svt import (
+    NO_TILE,
+    _tile_base,
+    mip_level_count,
+    mip_level_dims,
+    slot_grid_for,
+    tile_grid_dims,
+)
 from svtf.upload import UploadBuffer
 
 GI = 2**30
@@ -220,8 +227,10 @@ def test_c09_addressing_stays_inside_int64_and_the_uint32_flag_flips_at_2_32():
     # The footprint-table base (svt._tile_base) and the flat corner index
     # (sample.corner_index), evaluated in Python ints at the largest slot
     # count each config allows (slot_grid_for raises one past it) and at the
-    # corner tiles and padded-block voxels of a 32768 x 32768 x 16384 volume.
-    # Nothing here allocates an array.
+    # corner tiles and padded-block voxels of a 32768 x 32768 x 16384 volume,
+    # with the corners -1 and n past the faces, which lie in the border. A
+    # dead footprint's index, NO_TILE plus the least or greatest corner
+    # offset, stays negative and inside int64. Nothing here allocates an array.
     dims = VolumeDims(32768, 32768, 16384)
     configs = [
         SvtConfig(), SvtConfig(tile_size=8),
@@ -238,16 +247,24 @@ def test_c09_addressing_stays_inside_int64_and_the_uint32_flag_flips_at_2_32():
             for mip in (0, mip_level_count(dims, ts) - 1):
                 level = mip_level_dims(dims, mip)
                 tiles = tile_grid_dims(level, ts)
+                least = corner_index(NO_TILE, -1, -1, -1, span)
+                greatest = corner_index(NO_TILE, level.x, level.y, level.z, span)
+                assert -(2**63) <= least < greatest < 0
                 for slot in (0, slots - 1):
                     for tx, ty, tz in itertools.product(
                         {0, tiles.x - 1}, {0, tiles.y - 1}, {0, tiles.z - 1}
                     ):
                         base = _tile_base(slot, tx, ty, tz, config)
                         assert -(2**63) < base < 2**63
-                        # Each voxel of the tile's padded block, clamped to the level.
+                        # Each voxel of the tile's padded block, clamped to the level,
+                        # and a face tile's corners -1 and n, which lie in its border.
                         corners = [
                             {min(max(t * ts - pad + k, 0), n - 1) for k in (0, pad, span - 1)}
-                            for t, n in ((tx, level.x), (ty, level.y), (tz, level.z))
+                            | ({-1} if t == 0 else set()) | ({n} if t == g - 1 else set())
+                            for t, n, g in (
+                                (tx, level.x, tiles.x), (ty, level.y, tiles.y),
+                                (tz, level.z, tiles.z),
+                            )
                         ]
                         for x, y, z in itertools.product(*corners):
                             assert z * span * span + y * span + x < 2**63

@@ -66,6 +66,13 @@ def test_plan_survey_flags(capsys):
     assert abs(int(values["atlas_extent_estimate"]) - 1872) / 1872 < 0.05
 
 
+def test_plan_past_the_atlas_capacity_exits_3(capsys):
+    code, out, err = run(capsys, "plan", "--nonempty", "10000000000000")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: AtlasCapacityExceeded: ")
+
+
 @pytest.mark.parametrize("nonempty", ["0", "100000"])
 @pytest.mark.parametrize("occupancy", ["0", "-0.5", "nan", "1.5"])
 def test_plan_rejects_an_occupancy_outside_0_1(capsys, nonempty, occupancy):
@@ -497,6 +504,7 @@ def test_probe_far_outside_reads_without_a_warning(tmp_path, capsys, volume_file
         (["--ortho-height", "0"], 2),
         (["--ortho-height", "-5"], 2),
         (["--cut-plane", "0,0,0"], 2),
+        (["--cut-plane", "1e200,0,0"], 2),
     ],
 )
 def test_render_rejects_non_finite_vectors(tmp_path, capsys, volume_file, flags, code):

@@ -69,6 +69,17 @@ def test_check_overflow_dense():
     assert report.fits_uint32_upload is False
 
 
+def test_check_overflow_reads_the_build_atlas_extent():
+    """The report's atlas extent is atlas_extent_estimate's, capacity check
+    included: a count past the 113^3 slot cube of the default extent raises."""
+    for nonempty in (SURVEY_NONEMPTY, 10**9, 4096):
+        report = check_overflow(PlanInputs(config=SvtConfig(), nonempty_voxels=nonempty))
+        counts = derive_tile_counts(nonempty, SvtConfig())
+        assert report.atlas_extent_estimate == atlas_extent_estimate(counts, SvtConfig())
+    with pytest.raises(CapacityExceeded, match="113"):
+        check_overflow(PlanInputs(config=SvtConfig(), nonempty_voxels=10**13))
+
+
 def test_occupancy_breakeven():
     report = check_overflow(PlanInputs(config=SvtConfig(), bytes_per_voxel=1))
     assert abs(report.occupancy_breakeven - 0.50) < 0.02

@@ -4,14 +4,17 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from conftest import (
+    edge_positions,
     footprint_touches_resident,
     make_volume,
     reference_classify,
     reference_illumination_cache,
+    reference_incident,
     reference_mip_chain,
     reference_ray_aabb,
     reference_raymarch,
@@ -113,10 +116,21 @@ def test_cache_values_always_show_the_light_it_samples():
             c.values[0, 0, 0, 0] = 5.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.values = np.zeros_like(c.values)
-        np.testing.assert_array_equal(c.values, np.moveaxis(c.planes, 0, -1))
+        interior = np.moveaxis(c.planes[:, 1:-1, 1:-1, 1:-1], 0, -1)
+        np.testing.assert_array_equal(c.values, interior)
+        # The border holds edge copies: the planes are the values edge-padded.
+        padded = np.pad(np.moveaxis(c.values, -1, 0), [(0, 0)] + [(1, 1)] * 3, mode="edge")
+        np.testing.assert_array_equal(c.planes, padded)
     np.testing.assert_array_equal(cache.values, given - 1.0)
     np.testing.assert_array_equal(cache.sample_incident(*at), before)
     np.testing.assert_array_equal(before[:, 0], given[2, 0, 1] - 1.0)
+    # At and past every face the border reads the edge, as the reference does.
+    rng = np.random.default_rng(77)
+    for c in (built, cache):
+        p = edge_positions(rng, c.dims, c.downsample_factor)
+        with np.errstate(invalid="ignore"):  # the int64 cast of NaN rows
+            got, want = c.sample_incident(*p), reference_incident(c, *p).T
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cache_dims_are_read_off_its_values():
@@ -1262,6 +1276,18 @@ def test_render_rejects_a_thread_count_that_is_not_a_positive_integer(threads):
     params = RenderParams(camera=ortho_camera(8, 4, 4), max_step_count=8)
     with pytest.raises(ValueError, match="threads must be an integer >= 1"):
         raymarch(svt, cache, tf, params, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "normal", [(2.0**1020, 0.0, -(2.0**1020)), (1e200, 0.0, 0.0), (0.0, -1e155, 1e155)]
+)
+def test_render_params_reject_a_cut_normal_whose_length_overflows(normal):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-zero of finite length"):
+            RenderParams(camera=ortho_camera(), cut_plane=(normal, 0.0))
+        # A long normal whose length is finite is kept.
+        assert RenderParams(camera=ortho_camera(), cut_plane=((1e150, 0.0, -1e150), 0.0))
 
 
 @pytest.mark.parametrize("name", ["max_step_count"])

@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    edge_positions,
     make_volume,
     random_build_case,
     random_volume,
     reference_sample_nearest_many,
+    reference_mip_chain,
     reference_sample_trilinear_many,
     reference_trilinear_dense,
 )
@@ -24,8 +26,13 @@ from svtf import (
     sample_trilinear,
     save_svtf,
 )
-from svtf.sample import sample_nearest_many, sample_trilinear_many, trilinear_dense
-from svtf.svt import mip_chain
+from svtf.sample import (
+    sample_nearest_many,
+    sample_trilinear_many,
+    trilinear_dense,
+    trilinear_footprint,
+)
+from svtf.svt import NO_TILE
 
 
 def positions_with_seams(rng, dims, n):
@@ -144,20 +151,31 @@ def test_trilinear_same_value_from_both_sides_of_seam(rng):
 
 
 def test_mip_sampling_matches_downsampled_dense(rng):
-    vol = random_volume(rng, max_dim=64, fill=0.4)
-    svt = build_svt(vol)
-    levels = mip_chain(vol, svt.config)
-    for mip, level in enumerate(levels):
-        d = level.dims
-        n = 500
-        px = rng.uniform(0, d.x, n) * (1 << mip)
-        py = rng.uniform(0, d.y, n) * (1 << mip)
-        pz = rng.uniform(0, d.z, n) * (1 << mip)
-        got = sample_trilinear_many(svt, px, py, pz, mip)
-        want = reference_trilinear_dense(
-            level.data, px / (1 << mip), py / (1 << mip), pz / (1 << mip)
-        )
-        np.testing.assert_array_equal(got, want)
+    """Inside every level, and at and past its faces (edge_positions), bit
+    for bit against the reference mip chain; the f32 volume has mips 0-4."""
+    f32 = rng.standard_normal((37, 45, 70)).astype(np.float32)
+    for vol, cfg in (
+        (random_volume(rng, max_dim=64, fill=0.4), SvtConfig()),
+        (make_volume(np.where(f32 > 1.0, f32, 0), VoxelFormat.F32), SvtConfig(tile_size=8)),
+    ):
+        svt = build_svt(vol, cfg)
+        levels = reference_mip_chain(vol, cfg)
+        assert len(levels) == svt.mip_count
+        for mip, level in enumerate(levels):
+            d = level.dims
+            n = 500
+            px = rng.uniform(0, d.x, n) * (1 << mip)
+            py = rng.uniform(0, d.y, n) * (1 << mip)
+            pz = rng.uniform(0, d.z, n) * (1 << mip)
+            edges = edge_positions(rng, d, 1 << mip)
+            px, py, pz = (np.concatenate([p, e]) for p, e in zip((px, py, pz), edges))
+            got = sample_trilinear_many(svt, px, py, pz, mip)
+            with np.errstate(invalid="ignore"):  # the int64 cast of NaN rows
+                want = reference_trilinear_dense(
+                    level.data, px / (1 << mip), py / (1 << mip), pz / (1 << mip)
+                )
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert svt.mip_count >= 3
 
 
 def test_mip_out_of_range():
@@ -281,7 +299,8 @@ def test_first_read_from_many_threads_expands_once(tmp_path, rng, monkeypatch):
 def test_dense_lookup_is_bit_identical_to_reference():
     """trilinear_dense against the 3-D fancy-index lookup it replaced: scalar
     and RGB grids, one-voxel axes, u8/f32/f64 values, positions on voxel
-    centres and faces, outside the grid, and NaN. RGB grids go in
+    centres and faces, outside the grid, and NaN. trilinear_dense reads the
+    grid with a one-voxel edge-copy border on every face. RGB grids go in
     channel-first and come out as (3, n): the reference's (z, y, x, 3) grid
     and (n, 3) result, transposed."""
     rng = np.random.default_rng(909)
@@ -299,10 +318,11 @@ def test_dense_lookup_is_bit_identical_to_reference():
         axes[trial % 3][-1] = np.nan
         with np.errstate(invalid="ignore"):
             if arr.ndim == 3:
-                got = trilinear_dense(arr, *axes)
+                got = trilinear_dense(np.pad(arr, 1, mode="edge"), *axes)
                 want = reference_trilinear_dense(arr, *axes)
             else:
-                got = trilinear_dense(np.moveaxis(arr, -1, 0), *axes)
+                planes = np.pad(np.moveaxis(arr, -1, 0), [(0, 0)] + [(1, 1)] * 3, mode="edge")
+                got = trilinear_dense(planes, *axes)
                 want = reference_trilinear_dense(arr, *axes).T
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -318,7 +338,9 @@ def _gradient():
 def test_far_positions_read_the_clamped_edge_without_a_warning():
     """Trilinear reads the clamped edge, nearest the empty value (the
     positions lie outside), NaN reads NaN and the empty value, and neither
-    sampler warns, at mips 0 and 1."""
+    sampler warns, at mips 0 and 1. At every mip of the gradient and of
+    random builds, positions at and past every face (edge_positions) read
+    as the reference samplers do, bit for bit, without a warning."""
     x = np.array([2.0**63, 1e19, np.inf, 2.0**62, 1e6, -(2.0**63), -np.inf, np.nan])
     yz = np.full(len(x), 1.5)
     svt = _gradient()
@@ -329,6 +351,47 @@ def test_far_positions_read_the_clamped_edge_without_a_warning():
             nearest = sample_nearest_many(svt, x, yz, yz, mip)
         assert got[:7].tolist() == [far] * 5 + [near] * 2 and np.isnan(got[7])
         assert nearest.tolist() == [0.0] * len(x)
+    rng = np.random.default_rng(4242)
+    builds = [svt] + [build_svt(*random_build_case(rng, max_fill=0.5)) for _ in range(6)]
+    for svt in builds:
+        for mip in range(svt.mip_count):
+            d = svt.mip_dims(mip)
+            p = edge_positions(rng, d, 1 << mip)
+            pairs = (
+                (sample_trilinear_many, reference_sample_trilinear_many),
+                (sample_nearest_many, reference_sample_nearest_many),
+            )
+            for fn, ref in pairs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = fn(svt, *p, mip)
+                with np.errstate(invalid="ignore"):  # the reference's int64 casts
+                    want = ref(svt, *p, mip)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_dead_footprint_at_a_low_face_indexes_below_zero():
+    """trilinear_footprint's flat index is negative wherever its base is
+    NO_TILE, at positions within half a voxel of each low face, whose base
+    corner is -1 or 0: NO_TILE plus a negative corner offset must not wrap
+    into the atlas. Live rows index inside it."""
+    data = np.zeros((12, 10, 14), np.uint8)
+    data[-1, -1, -1] = data[0, 0, 0] = 9
+    svt = build_svt(make_volume(data), SvtConfig(tile_size=4))
+    rng = np.random.default_rng(31)
+    dead_rows = live_rows = 0
+    for mip in range(svt.mip_count):
+        d, scale = svt.mip_dims(mip), float(1 << mip)
+        for axis in range(3):
+            p = [rng.uniform(0.0, n, 300) * scale for n in (d.x, d.y, d.z)]
+            p[axis] = rng.uniform(-0.5, 0.5, 300) * scale
+            fp = trilinear_footprint(svt, *p, mip)
+            dead = fp.base == NO_TILE
+            assert (fp.flat[dead] < 0).all()
+            assert ((fp.flat[~dead] >= 0) & (fp.flat[~dead] < svt.atlas.data.size)).all()
+            dead_rows += int(dead.sum())
+            live_rows += int((~dead).sum())
+    assert dead_rows > 1000 and live_rows > 100
 
 
 @pytest.mark.parametrize("pos", [(np.inf, 1.5, 1.5), (np.nan, 1, 1), (1, 1, -np.inf)])

@@ -514,6 +514,74 @@ def test_every_atlas_holds_exactly_its_resident_tiles(tmp_path, fmt, empty, thre
                     assert base[2 * tz, 2 * ty, 2 * tx] == int(slot) * span**3 + inner
 
 
+def assert_border_copies_the_edge(svt, data) -> int:
+    """Every voxel of every resident padded block that lies past a face of
+    its mip level equals, bit for bit, the block's voxel at the position
+    clamped to the level: the edge voxel it copies. Returns how many
+    voxels past a face were compared."""
+    ts, pad, span = svt.config.tile_size, svt.config.pad, svt.config.padded_size
+    bits = data.view(np.uint32 if data.dtype == np.float32 else np.uint8)
+    compared = 0
+    for mip, table in enumerate(svt.mips):
+        dims = svt.mip_dims(mip)
+        for tz, ty, tx in np.argwhere(table.entries != EMPTY_ENTRY).tolist():
+            block = bits[int(table.entries[tz, ty, tx])]
+            # Per axis (z, y, x): the in-block index of each voxel's clamped position.
+            clamped = [
+                np.clip(np.arange(span) + t * ts - pad, 0, n - 1) - (t * ts - pad)
+                for t, n in ((tz, dims.z), (ty, dims.y), (tx, dims.x))
+            ]
+            past = [c != np.arange(span) for c in clamped]
+            outside = past[0][:, None, None] | past[1][None, :, None] | past[2]
+            if outside.any():
+                edge = block[np.ix_(*clamped)]
+                np.testing.assert_array_equal(block[outside], edge[outside])
+                compared += int(outside.sum())
+    return compared
+
+
+def test_a_padded_tile_border_past_a_face_holds_the_edge_voxel(tmp_path):
+    """The invariant the sampler's corner rule reads (sample.corner_axis):
+    corners -1 and n of a footprint at a face lie in its tile's border and
+    read the edge voxel. Random u8 and f32 builds, tiles 2-8, pad 1 and 2,
+    dims that are not multiples of the tile, a non-zero empty_value, a
+    float threshold, and NaN, +-inf and -0.0 voxels on the faces; checked
+    after build_svt, after load_svtf expands its records and after
+    apply_upload."""
+    rng = np.random.default_rng(2718)
+    compared = 0
+    for trial in range(24):
+        f32 = trial % 2 == 1
+        ts = int(rng.integers(2, 9))
+        shape = tuple(int(ts * rng.integers(0, 4) + rng.integers(1, ts)) for _ in range(3))
+        empty = 3.0 if f32 else 200.0
+        threshold = 0.25 if f32 and trial % 4 == 1 else 0.0
+        occupied = rng.random(shape) < rng.uniform(0.02, 0.3)
+        if f32:
+            background = empty + rng.uniform(-threshold, threshold, shape)
+            data = np.where(occupied, rng.standard_normal(shape) * 10, background)
+            data = data.astype(np.float32)
+            faces = [data[0], data[-1], data[:, 0], data[:, -1], data[..., 0], data[..., -1]]
+            for face, value in zip(faces, [np.nan, np.inf, -np.inf, -0.0, np.nan, np.inf]):
+                face[rng.random(face.shape) < 0.3] = value
+        else:
+            data = np.where(occupied, rng.integers(0, 256, shape), int(empty)).astype(np.uint8)
+        fmt = VoxelFormat.F32 if f32 else VoxelFormat.U8
+        cfg = SvtConfig(
+            tile_size=ts, pad=1 + trial // 2 % 2, empty_value=empty,
+            float_empty_threshold=threshold,
+        )
+        with np.errstate(invalid="ignore"):  # the mip of +inf and -inf is NaN
+            svt = build_svt(make_volume(data, fmt), cfg)
+        path = tmp_path / f"t{trial}.svtf"
+        save_svtf(svt, path)
+        loaded = load_svtf(path)
+        applied = apply_upload(serialize_upload(svt), cfg, svt.mips)
+        for atlas in (svt.atlas, loaded.atlas, applied):
+            compared += assert_border_copies_the_edge(svt, atlas.data)
+    assert compared > 100_000
+
+
 @pytest.mark.parametrize("cap", range(1, 7))
 def test_slot_grid_is_the_smallest_slot_cube_side_by_its_z_layers(cap):
     # Tile 2, pad 1: a padded tile is 4 voxels, so an extent of 4*cap to
