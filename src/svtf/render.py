@@ -24,9 +24,11 @@ _live_box's box and, in the primary march, to within a voxel of the kept
 side of the cut plane. Before addressing, _march leaves out the samples of
 rays that have ended and those on the cut-away side of the plane. After the
 footprint, it leaves out the samples whose base is NO_TILE in _live_box's
-table: the cells that read only empty_value and those whose tile's value
+table: the cells that read only empty_value, those whose tile's value
 range the transfer function hides (a value shows when it lies in the
-window and its LUT row has sigma or a source).
+window and its LUT row has sigma or a source), and, through the table's
+footprint bits, the footprints inside resident tiles whose eight corners
+all hold empty_value.
 
 Each remaining sample's footprint is computed once
 (sample.trilinear_footprint): its table base is the live test, and the
@@ -51,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sample import trilinear_dense, trilinear_footprint, trilinear_lerp
+from .sample import far_clamped, trilinear_dense, trilinear_footprint, trilinear_lerp
 from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
 from .volume import VolumeDims, VoxelFormat
 
@@ -225,9 +227,11 @@ class IlluminationCache:
         return VolumeDims(x, y, z)
 
     def sample_incident(self, px, py, pz) -> np.ndarray:
-        """Incident RGB at mip-0 positions, as (3, n)."""
+        """Incident RGB at mip-0 positions, as (3, n). Far and infinite
+        positions read the clamped edge (sample.far_clamped), NaN reads NaN."""
         f = float(self.downsample_factor)
-        return trilinear_dense(self.planes, px / f, py / f, pz / f)
+        with np.errstate(invalid="ignore"):  # the int64 cast of NaN rows
+            return trilinear_dense(self.planes, *far_clamped(px / f, py / f, pz / f, 0))
 
 
 @dataclass(frozen=True)
@@ -383,9 +387,9 @@ def _hidden(tf: TransferFunction, fmt: VoxelFormat, lo, hi) -> np.ndarray:
 def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
     """(box, table): the mip-0 box (lo, hi) around the live cells of a mip
     level and the level's footprint table with NO_TILE at every cell that is
-    not live (the cached table itself when no cell is hidden), or None when
-    skipping could change a result or would skip nothing. The one place
-    that decides empty-space skipping.
+    not live (the cached table's bases when no cell is hidden) and the
+    texture's footprint bits, or None when skipping could change a result or
+    would skip nothing. The one place that decides empty-space skipping.
 
     A cell is hidden when no value its footprints can blend shows
     (_hidden). A cell that names a tile blends values of that tile's padded
@@ -393,10 +397,15 @@ def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
     the slot of a cell is (base + flat index of any of its voxels) //
     span^3. A cell that names no tile blends empty_value alone, so it is
     hidden when [empty_value, empty_value] is; when it is not, skipping is
-    off. A hidden sample has sigma 0 and a zero source, so its step would
-    multiply transmittance by 1.0 and add 0.0. So _march leaves out each
-    step whose footprint base in the returned table is NO_TILE, and
-    _schedule bounds each ray's steps by the box.
+    off. Inside a live cell, a footprint whose eight corners all hold
+    empty_value blends it alone as well, so it is hidden too: the table
+    carries svt.footprint_bits, and sample.trilinear_footprint gives each
+    footprint whose bit is clear base NO_TILE. Where some atlas voxel holds
+    empty_value, the table is returned even when every cell is live. A
+    hidden sample has sigma 0 and a zero source, so its step would multiply
+    transmittance by 1.0 and add 0.0. So _march leaves out each step whose
+    footprint base in the returned table is NO_TILE, and _schedule bounds
+    each ray's steps by the box.
 
     The box is one voxel wider on each side than the positions whose base
     corner lies in a live cell. Every sample that may show therefore lies a
@@ -410,6 +419,8 @@ def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
         return None
     live = table.base != NO_TILE  # a cell that names no tile reads empty_value: hidden
     hidden = _hidden(tf, svt.format, *svt.slot_ranges())  # fetched here too
+    bits = svt.footprint_bits()  # and these
+    base = table.base
     if hidden.any():
         ts, span = svt.config.tile_size, svt.config.padded_size
         # A voxel of each cell, per axis: the first of its tile, or its last layer.
@@ -419,9 +430,10 @@ def _live_box(svt: SparseVolumeTexture, tf: TransferFunction, mip: int):
         shown = live & ~hidden.take(slot, mode="clip")  # a NO_TILE cell's slot clips to 0
         if (shown != live).any():
             live = shown
-            table = FootprintTable(np.where(live, table.base, NO_TILE), table.cells)
-    if live.all():
+            base = np.where(live, base, NO_TILE)
+    if live.all() and bits is None:
         return None
+    table = FootprintTable(base, table.cells, bits)
     if not live.any():
         return (np.full(3, np.inf), np.full(3, np.inf)), table
     scale = float(1 << mip)

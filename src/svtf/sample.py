@@ -25,7 +25,9 @@ A sparse trilinear lookup is two steps: trilinear_footprint computes each
 position's Footprint (table base, flat corner index, fractions),
 and trilinear_lerp blends its corners. The marcher keeps the footprint
 between them, so that it can drop the samples whose base is NO_TILE
-without addressing their corners twice.
+without addressing their corners twice. The marcher's table carries
+footprint bits, which trilinear_footprint applies: a footprint inside a
+resident tile that reads only empty_value gets base NO_TILE too.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import dataclasses
 import numpy as np
 
 from .svt import NO_TILE, FootprintTable, SparseVolumeTexture
+
+_BIT = (1 << np.arange(8)).astype(np.uint8)  # bit k of a byte packed LSB first
 
 
 def corner_axis(q: np.ndarray, n: int):
@@ -154,7 +158,12 @@ def trilinear_footprint(
 ) -> Footprint:
     """The footprint step of a trilinear lookup: where its eight corners lie
     in the atlas, and how they are weighted. table is the level's footprint
-    table unless given."""
+    table unless given.
+
+    A table with bits (FootprintTable.bits) gives the footprints whose
+    base corner's bit is clear, which read empty_value alone, base and
+    flat NO_TILE, as if their cell named no tile.
+    """
     if table is None:
         table = svt.footprint_table(mip)
     dims = svt.mip_dims(mip)
@@ -164,7 +173,15 @@ def trilinear_footprint(
     y, fy = corner_axis(py - 0.5, dims.y)
     z, fz = corner_axis(pz - 0.5, dims.z)
     base = table.base.ravel().take(footprint_cells(table, x, y, z))
-    return Footprint(base, corner_index(base, x, y, z, span), fx, fy, fz)
+    flat = corner_index(base, x, y, z, span)
+    if table.bits is not None:
+        # A NO_TILE row's negative index reads byte 0 under mode="clip"; its
+        # base is NO_TILE whichever bit that holds.
+        byte = table.bits.take(flat >> 3, mode="clip")
+        clear = byte & _BIT.take(flat & 7) == 0
+        np.copyto(base, NO_TILE, where=clear)
+        np.copyto(flat, NO_TILE, where=clear)
+    return Footprint(base, flat, fx, fy, fz)
 
 
 def trilinear_lerp(svt: SparseVolumeTexture, fp: Footprint) -> np.ndarray:

@@ -40,6 +40,9 @@ _CHUNK_VOXELS = 2**20
 # Output voxels of an f32 mip level summed at a time, so that their float64
 # pair sums stay in cache.
 _MIP_SLAB_VOXELS = 2**16
+# Atlas voxels that SparseVolumeTexture._slot_scan reads at a time, so that a
+# chunk and its footprint bits stay in cache between the passes over it.
+_SCAN_VOXELS = 2**18
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,17 @@ class FootprintTable:
     1 its block holds all eight corners, with the values of their own
     tiles, or empty_value where those are not resident. NO_TILE marks a
     cell whose footprints reach no resident tile.
+
+    The march's table (render._live_box) also carries bits, the texture's
+    footprint bits, one per atlas voxel: a footprint whose base corner's
+    bit is clear reads empty_value alone, and sample.trilinear_footprint
+    gives it base NO_TILE, as if its cell named no tile. The level's own
+    table has none.
     """
 
     base: np.ndarray  # int64 per cell, [z, y, x]
     cells: tuple  # per axis (x, y, z): the cell of each voxel of the level
+    bits: np.ndarray | None = None  # SparseVolumeTexture.footprint_bits, or None
 
 
 @dataclass
@@ -164,11 +174,11 @@ class SparseVolumeTexture:
     # of the padded tiles (the tile data, which the records of a file hold).
     nonempty_voxel_count: int
     padded_nonempty_voxel_count: int
-    # Footprint tables by mip and the slots' value ranges, built on first
-    # use. Nothing reassigns mips or atlas after construction, so neither
-    # goes stale.
+    # Footprint tables by mip, and the slots' value ranges with the
+    # footprint bits (_slot_scan), built on first use. Nothing reassigns
+    # mips or atlas after construction, so neither goes stale.
     _footprints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _ranges: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _scan: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def mip_count(self) -> int:
@@ -191,15 +201,53 @@ class SparseVolumeTexture:
         """(lo, hi), float64 by slot: the least and greatest value of each
         slot's padded block, both NaN where the block holds a NaN.
 
-        Computed on first use, like footprint_table, so fetch them before
+        Computed on first use, with footprint_bits, so fetch them before
         starting threads that need them.
         """
-        if self._ranges is None:
+        return self._slot_scan()[:2]
+
+    def footprint_bits(self) -> np.ndarray | None:
+        """One bit per atlas voxel, packed LSB first in flat atlas order: set
+        when the footprint whose base corner is that voxel, its 2x2x2 block,
+        holds a voxel other than empty_value (NaN included). A voxel on a
+        block's last layer of any axis is no base corner, and its bit is
+        unspecified. None when no voxel is empty (padded_nonempty_voxel_count
+        is the atlas's voxel count), as every bit would be set.
+
+        Computed on first use, with slot_ranges.
+        """
+        return self._slot_scan()[2]
+
+    def _slot_scan(self):
+        """(lo, hi, bits) of slot_ranges and footprint_bits, from one pass over
+        the atlas that takes a chunk of slots at a time while it is in cache.
+        Each bit ORs the voxel's block as three shifted ORs over the chunk's
+        whole slots, by span^2, span and 1; a chunk holds a multiple of 8
+        slots, so its bits pack into whole bytes."""
+        if self._scan is None:
             data = self.atlas.data
-            blocks = data.reshape(len(data), self.config.padded_size**3)
-            lo, hi = blocks.min(axis=1), blocks.max(axis=1)
-            self._ranges = lo.astype(np.float64), hi.astype(np.float64)
-        return self._ranges
+            span = self.config.padded_size
+            span3 = span**3
+            blocks = data.reshape(len(data), span3)
+            lo, hi = np.empty(len(data)), np.empty(len(data))
+            bits = None
+            if self.padded_nonempty_voxel_count != blocks.size:
+                bits = np.empty(-(-blocks.size // 8), dtype=np.uint8)
+                empty = np.asarray(self.config.empty_value, dtype=data.dtype)
+            step = 8 * max(1, _SCAN_VOXELS // (8 * span3))
+            for start in range(0, len(data), step):
+                part = blocks[start : start + step]
+                lo[start : start + len(part)] = part.min(axis=1)
+                hi[start : start + len(part)] = part.max(axis=1)
+                if bits is not None:
+                    read = np.not_equal(part, empty).ravel()
+                    for s in (span * span, span, 1):  # one flat run: slot by slot is slower
+                        np.logical_or(read[:-s], read[s:], out=read[:-s])
+                    packed = np.packbits(read, bitorder="little")
+                    at = start * span3 // 8
+                    bits[at : at + len(packed)] = packed
+            self._scan = lo, hi, bits
+        return self._scan
 
     def mip_dims(self, level: int) -> VolumeDims:
         return mip_level_dims(self.virtual_dims, level)
@@ -367,7 +415,8 @@ def build_mip_level(volume: DenseVolume) -> DenseVolume:
     # Children per output voxel along each axis: 2, or 1 at an odd axis's end.
     cz, cy, cx = (np.minimum(n - 2 * np.arange(-(-n // 2)), 2).astype(np.uint16) for n in d.shape)
     if volume.format is not VoxelFormat.U8:
-        return DenseVolume.from_array(_f32_means(d, cz, cy, cx), volume.format)
+        with np.errstate(invalid="ignore"):  # +inf and -inf children: a NaN mean, quietly
+            return DenseVolume.from_array(_f32_means(d, cz, cy, cx), volume.format)
     # Eight u8 children sum to at most 2040, so uint16 holds u8 sums exactly
     # in any order: pair sums along x, then y, then z. The mean rounds as
     # floor(sum / count + 0.5): (sum + 4) >> 3 for eight children, and

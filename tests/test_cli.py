@@ -182,6 +182,17 @@ def test_build_rejects_a_nan_float_empty_threshold(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_of_a_mip_block_of_plus_and_minus_infinity_prints_no_warning(tmp_path, capsys):
+    data = np.ones((8, 8, 8), np.float32)
+    data[0, 0, 0], data[0, 0, 1] = np.inf, -np.inf  # voxels (0, 0, 0) and (1, 0, 0)
+    raw = tmp_path / "inf.raw"
+    save_volume(make_volume(data, VoxelFormat.F32), raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "build", str(raw), "-o", str(tmp_path / "o.svtf"), "--tile", "4")
+    assert code == 0 and err == ""
+
+
 def test_render_of_a_nan_voxel_exits_0_with_a_finite_image(tmp_path, capsys):
     # NaN is a legal f32 voxel value; samples that read it lie outside
     # every transfer-function window.

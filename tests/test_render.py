@@ -550,6 +550,37 @@ def test_all_resident_volume_has_no_skip_grid():
     assert _live_box(uniform_slab(), TransferFunction.grayscale(), 0) is None
 
 
+def test_an_all_resident_volume_of_sparse_tiles_skips_inside_its_tiles(monkeypatch):
+    """Every tile of a 3%-filled volume is resident, so no cell is hidden,
+    yet _live_box returns a table with footprint bits over the whole box:
+    the march blends fewer rows, and its cache and image equal the march
+    with skipping off and the reference marchers."""
+    rng = np.random.default_rng(23)
+    data = np.where(rng.random((24, 20, 28)) < 0.03, rng.integers(1, 256, (24, 20, 28)), 0)
+    svt = build_svt(make_volume(data.astype(np.uint8)), SvtConfig(tile_size=8))
+    assert (svt.mips[0].entries != 0xFFFFFFFF).all()
+    tf = TransferFunction.grayscale(density_scale=0.5)
+    (lo, hi), table = _live_box(svt, tf, 0)
+    assert (table.base == svt.footprint_table(0).base).all() and table.bits is not None
+    assert (lo == 0.0).all() and (hi == [28.0, 20.0, 24.0]).all()
+    params = RenderParams(camera=Camera(eye=(-20.0, 30.0, -25.0), look_at=(14.0, 10.0, 12.0),
+                                        width=9, height=7), max_step_count=40)
+    img, _ = assert_matches_reference(svt, tf, params)
+    rows = []
+    lerp = render.trilinear_lerp
+    monkeypatch.setattr(render, "trilinear_lerp", lambda svt, fp: rows.append(len(fp.base))
+                        or lerp(svt, fp))
+    cache = build_illumination_cache(svt, tf, LIGHTS, 4, 8)
+    raymarch(svt, cache, tf, params)
+    skipping = sum(rows)
+    rows.clear()
+    monkeypatch.setattr(render, "_live_box", lambda *args: None)
+    every_cache = build_illumination_cache(svt, tf, LIGHTS, 4, 8)
+    assert np.array_equal(every_cache.values, cache.values)
+    assert np.array_equal(raymarch(svt, every_cache, tf, params), img)
+    assert 0 < skipping < sum(rows) / 2
+
+
 def footprint_calls(monkeypatch, cut_tests=False):
     """The (3, m) positions of each call _march makes to trilinear_footprint,
     and with cut_tests to _cut_keeps, from any thread."""
@@ -657,8 +688,24 @@ def cut_keeps_a_sample(params, extent) -> bool:
 _SINGLE_VOXELS = [*itertools.product((16, 24, 31), repeat=3), (32, 20, 33), (39, 39, 39)]
 
 
+def footprint_reads_nonzero(level: np.ndarray, scale: float, p) -> np.ndarray:
+    """Brute force: does any of the eight clamped trilinear corners of each
+    (n, 3) position read a non-zero voxel of the dense [z, y, x] level?"""
+    axes = []
+    for q, n in zip(p.T / scale, level.shape[::-1]):
+        b = np.floor(q - 0.5).astype(np.int64)
+        axes.append((np.clip(b, 0, n - 1), np.clip(b + 1, 0, n - 1)))
+    out = np.zeros(len(p), dtype=bool)
+    for x, y, z in itertools.product(*axes):
+        out |= level[z, y, x] != 0
+    return out
+
+
 @pytest.mark.parametrize("mip", [0, 1])
-def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
+def test_live_box_never_skips_a_footprint_touching_a_resident_tile(mip):
+    """The cells of _live_box's table name a tile for every footprint that
+    touches a resident tile, and its footprint bits skip no footprint that
+    reads a non-empty voxel, while they do skip some inside resident tiles."""
     n = 40
     rng = np.random.default_rng(3)
     grid = np.arange(-2.5, 2.51, 0.25)  # hits voxel centres and faces exactly
@@ -666,7 +713,8 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
     for voxel in _SINGLE_VOXELS:
         data = np.zeros((n, n, n), np.uint8)
         data[voxel[::-1]] = 255
-        svt = build_svt(make_volume(data))
+        volume = make_volume(data)
+        svt = build_svt(volume)
         box, table = _live_box(svt, TransferFunction.grayscale(), mip)
         p = np.concatenate([
             np.asarray(voxel) + 0.5 + near,
@@ -675,9 +723,16 @@ def test_skip_grid_never_skips_a_footprint_touching_a_resident_tile(mip):
         ])
         touches = footprint_touches_resident(svt, mip, p[:, 0], p[:, 1], p[:, 2])
         assert touches.any()
+        # The cells: the table's bases, without its footprint bits.
+        cells = dataclasses.replace(table, bits=None)
+        named = trilinear_footprint(svt, p[:, 0], p[:, 1], p[:, 2], mip, cells).base != NO_TILE
+        assert named[touches].all()
         # _march's live test: the base of the footprint step it samples with.
         live = trilinear_footprint(svt, p[:, 0], p[:, 1], p[:, 2], mip, table).base != NO_TILE
-        assert live[touches].all()
+        level = reference_mip_chain(volume, svt.config)[mip].data
+        reads = footprint_reads_nonzero(level, float(1 << mip), p)
+        assert reads.any() and live[reads].all()
+        assert (named & ~live).any()
 
         # Step windows: every step whose footprint touches a resident tile
         # lies inside its ray's window.
@@ -1117,6 +1172,8 @@ def blocks(threads, height=6):
 ])
 def test_compaction_is_bit_identical_to_reference(monkeypatch, tile_size, depths, shares):
     svt, tf, params = depth_scene(depths, tile_size=tile_size)
+    if tile_size == 16:  # empty_value 0 glows without absorbing: skipping is off
+        tf = TransferFunction(glowing_zero_lut(), density_scale=50.0, emission_scale=0.7)
     assert (_live_box(svt, tf, 0) is not None) == (tile_size == 4)
     want, seen = assert_matches_reference(svt, tf, params, seen=compactions(monkeypatch))
     assert want.any()

@@ -10,6 +10,7 @@ from conftest import (
     make_volume,
     random_build_case,
     random_volume,
+    reference_incident,
     reference_sample_nearest_many,
     reference_mip_chain,
     reference_sample_trilinear_many,
@@ -18,6 +19,7 @@ from conftest import (
 
 import svtf.svt
 from svtf import (
+    IlluminationCache,
     SvtConfig,
     VoxelFormat,
     build_svt,
@@ -368,6 +370,33 @@ def test_far_positions_read_the_clamped_edge_without_a_warning():
                 with np.errstate(invalid="ignore"):  # the reference's int64 casts
                     want = ref(svt, *p, mip)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_far_cache_positions_read_the_clamped_edge_without_a_warning():
+    """IlluminationCache.sample_incident clamps positions as the sparse
+    samplers do (sample.far_clamped): on a 4x2x2 cache whose x-ramp reads
+    0.0 to 3.0, far and infinite x read the edge, NaN reads NaN, and
+    nothing warns. Positions at and past every face of random caches
+    (edge_positions) read as reference_incident does, bit for bit."""
+    ramp = np.broadcast_to(np.arange(4.0)[None, None, :, None], (2, 2, 4, 3))
+    cache = IlluminationCache(downsample_factor=2, values=ramp)
+    x = np.array([1e19, np.inf, 2.0**63, 1e6, -1e19, -np.inf, -(2.0**63), np.nan])
+    yz = np.full(len(x), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cache.sample_incident(x, yz, yz)
+    assert (got[:, :4] == 3.0).all() and (got[:, 4:7] == 0.0).all() and np.isnan(got[:, 7]).all()
+    rng = np.random.default_rng(2727)
+    for factor in (1, 2, 3, 4):
+        dims = rng.integers(1, 7, 3)
+        cache = IlluminationCache(factor, rng.uniform(0.0, 2.0, (*dims, 3)))
+        p = edge_positions(rng, cache.dims, factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cache.sample_incident(*p)
+        with np.errstate(invalid="ignore"):  # the reference's int64 casts of NaN
+            want = reference_incident(cache, *p).T
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_a_dead_footprint_at_a_low_face_indexes_below_zero():

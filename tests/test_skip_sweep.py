@@ -5,15 +5,21 @@ infinite voxels), empty or noise-filled "air" backgrounds, non-zero
 empty_value, tile sizes 4 to 16, LUTs with zero bands, windows on exact u8
 values and on value-range edges, perspective, orthographic and axis-aligned
 cameras, cut planes (random, through sample positions and parallel to the
-rays), both light kinds, mips 0 to 2 and 1 or 4 threads. Every cache and
+rays), both light kinds, mips 0 to 2 and 1 or 4 threads. The last
+SPARSE_GROUPS groups hold sparse resident tiles instead: single voxels on
+a tile's last layer and on the volume's faces, over empty_value, at tile
+sizes 2 to 8, where skipping leaves out the footprints inside resident
+tiles that read empty_value alone (svt.footprint_bits). Every cache and
 image must be bit-identical to the march with render._live_box patched to
 return None, that is with skipping off, and every REFERENCE_EVERY-th case
 of a finite volume also to the reference marchers. Where skipping is on,
-every random position whose dense value shows must have a live cell in
-the box, as a frame's few samples would rarely find a wrongly hidden cell.
+every random position whose dense value shows must have a live footprint
+in the box, as a frame's few samples would rarely find a wrongly hidden
+cell or footprint.
 """
 
 import collections
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,7 @@ from svtf.svt import NO_TILE
 
 SEED = 2026
 GROUPS, PER_GROUP = 8, 30
+SPARSE_GROUPS = 2  # drawn after the GROUPS groups, by _sparse_volume
 REFERENCE_EVERY = 5
 
 
@@ -113,6 +120,38 @@ def _volume(rng, fmt):
     return data.astype(fmt.dtype), config
 
 
+def _sparse_volume(rng, fmt):
+    """(data, config, voxels) of a small volume of empty_value holding 1 to 5
+    single voxels, each with each axis on a tile's last layer, on a face of
+    the volume or anywhere; voxels holds their mip-0 centres as (3, m)."""
+    nz, ny, nx = (int(n) for n in rng.integers(6, 25, 3))
+    ts = int(rng.integers(2, 9))
+    u8 = fmt is VoxelFormat.U8
+    empty = 0.0
+    if rng.random() < 0.3:
+        empty = float(rng.integers(1, 60)) if u8 else float(np.float32(rng.uniform(-0.2, 0.3)))
+    data = np.full((nz, ny, nx), empty)
+    voxels = []
+    for _ in range(int(rng.integers(1, 6))):
+        at = []
+        for n in (nz, ny, nx):
+            kind = rng.integers(0, 3)
+            if kind == 0:  # the last layer of a tile, or the last voxel of a partial one
+                at.append(min(int(rng.integers(0, -(-n // ts))) * ts + ts - 1, n - 1))
+            elif kind == 1:
+                at.append(int(rng.choice([0, n - 1])))
+            else:
+                at.append(int(rng.integers(0, n)))
+        data[tuple(at)] = rng.uniform(0.05, 1.0) * (255.0 if u8 else 1.0)
+        voxels.append(np.asarray(at[::-1], dtype=np.float64) + 0.5)
+    if u8:
+        data = np.clip(np.rint(data), 0, 255)
+    elif rng.random() < 0.3:
+        data[tuple(rng.integers(0, [nz, ny, nx]))] = rng.choice([np.nan, np.inf, -np.inf])
+    config = SvtConfig(tile_size=ts, pad=int(rng.integers(1, 3)), empty_value=empty)
+    return data.astype(fmt.dtype), config, np.asarray(voxels).T
+
+
 def _camera(rng, extent):
     """(camera, axis): a perspective or orthographic camera from a random
     side, or one looking along an axis (axis is then that axis, else None)."""
@@ -176,13 +215,22 @@ class Case:
     params: RenderParams
     threads: int
     cut: str  # the kind of cut plane (_cut)
+    voxels: np.ndarray | None = None  # a sparse case's single voxels (_sparse_volume)
 
 
-def draw_case(rng) -> Case:
+def draw_case(rng, sparse=False) -> Case:
     fmt = VoxelFormat.U8 if rng.random() < 0.5 else VoxelFormat.F32
-    data, config = _volume(rng, fmt)
+    voxels = None
+    if sparse:
+        data, config, voxels = _sparse_volume(rng, fmt)
+    else:
+        data, config = _volume(rng, fmt)
     volume = make_volume(data, fmt)
     tf = _lut(rng, fmt, data)
+    if sparse and rng.random() < 0.8:  # empty_value's LUT row hides: skipping is on
+        row = tf.rows(np.asarray([config.empty_value]), fmt)[0]
+        if row < 256:
+            tf.lut[row] = 0.0
     extent = np.asarray(data.shape[::-1], dtype=np.float64)
     camera, axis = _camera(rng, extent)
     cut, steps, kind = _cut(rng, extent, camera, axis, int(rng.integers(6, 21)))
@@ -192,13 +240,24 @@ def draw_case(rng) -> Case:
                           mip=int(rng.integers(0, min(3, svt.mip_count))))
     cache_args = int(rng.integers(2, 5)), int(rng.integers(3, 9))
     threads = int(rng.choice([1, 4], p=[0.8, 0.2]))
-    return Case(volume, svt, tf, _lights(rng, extent), cache_args, params, threads, kind)
+    return Case(volume, svt, tf, _lights(rng, extent), cache_args, params, threads, kind, voxels)
 
 
 def group_cases(group):
-    """The cases of one group, drawn in order from its own seeded generator."""
+    """The cases of one group, drawn in order from its own seeded generator;
+    the groups from GROUPS on are sparse."""
     rng = np.random.default_rng([SEED, group])
-    return (draw_case(rng) for _ in range(PER_GROUP))
+    return (draw_case(rng, sparse=group >= GROUPS) for _ in range(PER_GROUP))
+
+
+def near_voxels(c: Case, rng, n):
+    """n positions, as (3, n), around a sparse case's single voxels: half
+    within 1.5 voxels of the frame's mip, where footprints read a voxel,
+    and half within a tile, where most read only empty_value."""
+    extent = np.asarray(c.volume.data.shape[::-1], dtype=np.float64)
+    reach = float(1 << c.params.mip) * rng.choice([1.5, c.svt.config.tile_size], n)
+    p = c.voxels[:, rng.integers(0, c.voxels.shape[1], n)] + rng.uniform(-reach, reach, (3, n))
+    return np.clip(p, 0.0, extent[:, None])
 
 
 def assert_shown_positions_are_live(c: Case, skip, rng, name, n=3000):
@@ -206,7 +265,8 @@ def assert_shown_positions_are_live(c: Case, skip, rng, name, n=3000):
     frame's mip shows has a footprint base that is not NO_TILE in
     _live_box's table, and lies in its box. Half of the positions have one
     coordinate in a tile's last voxel layer, whose footprints reach into
-    the next tile."""
+    the next tile. A sparse case adds n positions around its single voxels
+    (near_voxels)."""
     (lo, hi), table = skip
     extent = np.asarray(c.volume.data.shape[::-1], dtype=np.float64)
     p = rng.uniform(0.0, extent, (n, 3)).T
@@ -216,6 +276,8 @@ def assert_shown_positions_are_live(c: Case, skip, rng, name, n=3000):
     tiles = -(-np.asarray(level.shape[::-1]) // ts)
     layer = (rng.integers(0, tiles[axis]) + 1) * ts - 0.5 + rng.uniform(0.0, 1.0, n // 2)
     p[axis, half] = np.minimum(layer * scale, extent[axis])
+    if c.voxels is not None:
+        p = np.concatenate([p, near_voxels(c, rng, n)], axis=1)
     values = reference_trilinear_dense(level, *(p / scale))
     sigma, rgb = c.tf.tables()
     row = c.tf.rows(values, c.svt.format)
@@ -227,7 +289,7 @@ def assert_shown_positions_are_live(c: Case, skip, rng, name, n=3000):
 
 # An infinite voxel weighted 0 blends to NaN, and numpy warns of it.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("group", range(GROUPS))
+@pytest.mark.parametrize("group", range(GROUPS + SPARSE_GROUPS))
 def test_skipping_sweep_is_bit_identical_to_marching_every_step(monkeypatch, group):
     rng = np.random.default_rng([SEED, group, 1])
     for k, c in enumerate(group_cases(group)):
@@ -252,14 +314,29 @@ def test_skipping_sweep_is_bit_identical_to_marching_every_step(monkeypatch, gro
             assert np.array_equal(img, reference_raymarch(svt, want_cache, tf, params)), name
 
 
+def skips_inside_resident_tiles(c: Case, table, rng, n=2000) -> bool:
+    """Whether the footprint bits of _live_box's table leave out any of n
+    random positions (near_voxels, in a sparse case) whose cell names a
+    live tile: a skip inside a resident tile."""
+    if table.bits is None:
+        return False
+    extent = np.asarray(c.volume.data.shape[::-1], dtype=np.float64)
+    p = rng.uniform(0.0, extent, (n, 3)).T if c.voxels is None else near_voxels(c, rng, n)
+    cells = trilinear_footprint(c.svt, *p, c.params.mip, dataclasses.replace(table, bits=None))
+    bits = trilinear_footprint(c.svt, *p, c.params.mip, table)
+    return bool(((cells.base != NO_TILE) & (bits.base == NO_TILE)).any())
+
+
 def test_the_sweep_draws_every_kind_of_case():
     """The sweep holds cases with skipping on (at least 40%) and off, cases
     whose transfer function hides resident cells at each mip (at mips 1 and
-    2, a frame over hidden air), skipping over non-finite voxels, each kind
-    of cut plane, both light kinds, formats and thread counts, and cases
-    that the reference marchers check."""
+    2, a frame over hidden air), cases that skip footprints inside resident
+    tiles at each mip, skipping over non-finite voxels, each kind of cut
+    plane, both light kinds, formats and thread counts, and cases that the
+    reference marchers check."""
     seen = collections.Counter()
-    for group in range(GROUPS):
+    rng = np.random.default_rng([SEED, 2])
+    for group in range(GROUPS + SPARSE_GROUPS):
         for k, c in enumerate(group_cases(group)):
             skip = render._live_box(c.svt, c.tf, c.params.mip)
             finite = np.isfinite(c.volume.data).all()
@@ -267,6 +344,9 @@ def test_the_sweep_draws_every_kind_of_case():
                 (c.svt.footprint_table(c.params.mip).base != NO_TILE) & (skip[1].base == NO_TILE)
             ).any():
                 seen[("hides resident cells at mip", c.params.mip)] += 1
+            if skip is not None and skips_inside_resident_tiles(c, skip[1], rng):
+                seen[("skips inside resident tiles at mip", c.params.mip)] += 1
+                seen[("skips inside resident tiles", c.voxels is not None)] += 1
             seen.update([
                 ("skipping", skip is not None), ("cut", c.cut), ("threads", c.threads),
                 ("format", c.svt.format.value), *(("light", type(x).__name__) for x in c.lights),
@@ -278,6 +358,8 @@ def test_the_sweep_draws_every_kind_of_case():
     for key in [
         ("skipping", False), ("skipping over non-finite voxels", True),
         *(("hides resident cells at mip", mip) for mip in (0, 1, 2)),
+        *(("skips inside resident tiles at mip", mip) for mip in (0, 1, 2)),
+        ("skips inside resident tiles", False), ("skips inside resident tiles", True),
         *(("cut", kind) for kind in ("none", "random", "samples", "parallel")),
         ("threads", 1), ("threads", 4), ("format", "u8"), ("format", "f32"),
         ("light", "DirectionalLight"), ("light", "PointLight"),

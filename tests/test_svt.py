@@ -4,6 +4,7 @@ import re
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -580,6 +581,120 @@ def test_a_padded_tile_border_past_a_face_holds_the_edge_voxel(tmp_path):
         for atlas in (svt.atlas, loaded.atlas, applied):
             compared += assert_border_copies_the_edge(svt, atlas.data)
     assert compared > 100_000
+
+
+def reference_footprint_bits(svt, data) -> np.ndarray:
+    """Per slot, in Python: whether the 2x2x2 block at each base corner
+    (i, j, k) < span - 1 of the slot holds a voxel other than empty_value,
+    as (slots, span - 1, span - 1, span - 1)."""
+    empty = np.asarray(svt.config.empty_value, dtype=data.dtype)
+    out = []
+    for block in data:
+        read = block != empty
+        corners = itertools.product((slice(None, -1), slice(1, None)), repeat=3)
+        out.append(np.logical_or.reduce([read[c] for c in corners]))
+    return np.asarray(out, dtype=bool).reshape(len(data), *[svt.config.padded_size - 1] * 3)
+
+
+def footprint_bits_of_base_corners(svt, bits) -> np.ndarray:
+    """footprint_bits unpacked to the base corners that reference_footprint_bits covers."""
+    span = svt.config.padded_size
+    unpacked = np.unpackbits(bits, count=svt.slot_count * span**3, bitorder="little")
+    return unpacked.reshape(-1, span, span, span)[:, :-1, :-1, :-1].astype(bool)
+
+
+def test_footprint_bits_match_a_per_slot_oracle(tmp_path, monkeypatch):
+    """Each footprint bit says whether some corner of the 2x2x2 block at
+    its base corner differs from empty_value, and footprint_bits is None
+    exactly when no atlas voxel equals it. Random u8 and f32 builds, tiles
+    2-8, pad 1 and 2, dims that are not multiples of the tile, a non-zero
+    empty_value, a float threshold, NaN and +-inf voxels and sparse fills
+    of about 3%; the same bits after build_svt, load_svtf and apply_upload.
+    The scan takes 8 slots at a time in half the trials, so that many
+    chunks meet. slot_ranges equals each slot's min and max bit for bit."""
+    rng = np.random.default_rng(1618)
+    bits_checked = 0
+    for trial in range(24):
+        f32 = trial % 2 == 1
+        ts = int(rng.integers(2, 9))
+        shape = tuple(int(ts * rng.integers(0, 4) + rng.integers(1, ts)) for _ in range(3))
+        empty = float(rng.choice([0.0, 3.0 if f32 else 200.0]))
+        threshold = 0.25 if f32 and trial % 4 == 1 else 0.0
+        fill = 0.03 if trial % 3 else rng.uniform(0.1, 0.5)
+        occupied = rng.random(shape) < fill
+        if f32:
+            background = empty + rng.uniform(-threshold, threshold, shape)
+            data = np.where(occupied, rng.standard_normal(shape) * 10, background)
+            data = data.astype(np.float32)
+            for value in (np.nan, np.inf, -np.inf):
+                data[tuple(rng.integers(0, shape))] = value
+        else:
+            data = np.where(occupied, rng.integers(0, 256, shape), int(empty)).astype(np.uint8)
+        fmt = VoxelFormat.F32 if f32 else VoxelFormat.U8
+        cfg = SvtConfig(
+            tile_size=ts, pad=1 + trial // 2 % 2, empty_value=empty,
+            float_empty_threshold=threshold,
+        )
+        svt = build_svt(make_volume(data, fmt), cfg)
+        path = tmp_path / f"t{trial}.svtf"
+        save_svtf(svt, path)
+        uploaded = apply_upload(serialize_upload(svt), cfg, svt.mips)
+        applied = SparseVolumeTexture(
+            cfg, fmt, svt.virtual_dims, svt.mips, uploaded,
+            svt.nonempty_voxel_count, svt.padded_nonempty_voxel_count,
+        )
+        with monkeypatch.context() as m:
+            if trial % 2:
+                m.setattr(svt_module, "_SCAN_VOXELS", 1)
+            got = [(tex, tex.footprint_bits()) for tex in (svt, load_svtf(path), applied)]
+        atlas = svt.atlas.data
+        want = reference_footprint_bits(svt, atlas)
+        every = atlas.reshape(len(atlas), cfg.padded_size**3)
+        for tex, bits in got:
+            assert tex.atlas.data.tobytes() == atlas.tobytes()
+            if bits is None:
+                assert not (atlas == np.asarray(empty, atlas.dtype)).any()
+                continue
+            assert bits.shape == (-(-atlas.size // 8),)
+            assert np.array_equal(footprint_bits_of_base_corners(tex, bits), want), trial
+            assert np.array_equal(bits, got[0][1]), trial
+            lo, hi = tex.slot_ranges()
+            assert np.array_equal(lo.view(np.int64), every.min(axis=1).astype(float).view(np.int64))
+            assert np.array_equal(hi.view(np.int64), every.max(axis=1).astype(float).view(np.int64))
+            bits_checked += want.size
+    assert bits_checked > 100_000
+
+
+def test_footprint_bits_are_none_when_every_atlas_voxel_is_set():
+    """A volume with no voxel equal to empty_value, whose padded tiles are
+    all non-empty, skips the bitmap; a 2x2x2 block of empty_value brings it
+    back, with its base corner's bit clear in each slot that holds it."""
+    data = np.full((9, 7, 10), 5, np.uint8)
+    cfg = SvtConfig(tile_size=4)
+    svt = build_svt(make_volume(data), cfg)
+    assert svt.padded_nonempty_voxel_count == svt.atlas.data.size
+    assert svt.footprint_bits() is None
+    data[4:6, 2:4, 5:7] = 0
+    svt = build_svt(make_volume(data), cfg)
+    bits = svt.footprint_bits()
+    assert bits is not None
+    assert np.array_equal(
+        footprint_bits_of_base_corners(svt, bits), reference_footprint_bits(svt, svt.atlas.data)
+    )
+    assert not footprint_bits_of_base_corners(svt, bits).all()
+
+
+def test_a_mip_block_of_plus_and_minus_infinity_is_nan_without_a_warning():
+    """+inf and -inf children sum to NaN: the mip voxel is NaN, and neither
+    the pair sums nor numpy's reduce of a NaN layer warn."""
+    data = np.ones((8, 8, 8), np.float32)
+    data[0, 0, 0], data[0, 0, 1] = np.inf, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svt = build_svt(make_volume(data, VoxelFormat.F32), SvtConfig(tile_size=4))
+        level = build_mip_level(make_volume(data, VoxelFormat.F32))
+    assert np.isnan(level.data[0, 0, 0]) and (level.data.ravel()[1:] == 1.0).all()
+    assert np.isnan(sample_nearest(svt, (1.0, 1.0, 1.0), mip=1))
 
 
 @pytest.mark.parametrize("cap", range(1, 7))

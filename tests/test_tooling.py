@@ -16,7 +16,8 @@ where march blocks run. Page tables hold atlas slots; the packed slot-grid
 entries of a .svtf file (svt.pack_entry, svt._file_entries) are read only
 in the file's codec: save_svtf, load_svtf and _file_entries itself. Only
 render._live_box, the one place that decides empty-space skipping, reads
-the slots' value ranges (SparseVolumeTexture.slot_ranges). The package's
+the slots' value ranges and the footprint bits
+(SparseVolumeTexture.slot_ranges and footprint_bits). The package's
 relative imports, at module level or inside a function, form no cycle.
 """
 
@@ -229,7 +230,7 @@ def test_the_rule_sees_entry_packing_outside_the_codec():
 
 
 def _slot_ranges_outside_live_box(modules: dict) -> list[str]:
-    return _named_outside(modules, {"slot_ranges"}, "render.py", {"_live_box"})
+    return _named_outside(modules, {"slot_ranges", "footprint_bits"}, "render.py", {"_live_box"})
 
 
 def test_only_live_box_reads_the_slot_value_ranges():
@@ -251,6 +252,20 @@ def test_the_rule_sees_slot_ranges_read_outside_live_box():
     assert _slot_ranges_outside_live_box(
         {"render.py": render, "svt.py": svt, "sample.py": sample}
     ) == ["render.py:5", "svt.py:6", "sample.py:1"]
+
+
+def test_the_rule_sees_footprint_bits_read_outside_live_box():
+    render = ast.parse(
+        "def _live_box(svt):\n    return svt.footprint_bits()\n\n"
+        "def _march(svt):\n    return svt.footprint_bits\n"
+    )
+    sample = ast.parse(
+        "from .svt import footprint_bits\n\n"
+        "def trilinear_footprint(svt, table):\n    return table.bits, svt.footprint_bits()\n"
+    )
+    assert _slot_ranges_outside_live_box({"render.py": render, "sample.py": sample}) == [
+        "render.py:5", "sample.py:1", "sample.py:4",
+    ]
 
 
 def _is_none(node) -> bool:
