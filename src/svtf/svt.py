@@ -37,8 +37,8 @@ NO_TILE = -(2**62)  # cell no resident tile answers; + any corner offset stays <
 # Voxels that a thresholded mask and the tile-record codec handle at a time,
 # so that their temporaries stay small next to the atlas.
 _CHUNK_VOXELS = 2**20
-# Output voxels of an f32 mip level summed at a time, so that their float64
-# pair sums stay in cache.
+# Output voxels of a mip level summed at a time, so that their pair sums stay
+# in cache.
 _MIP_SLAB_VOXELS = 2**16
 # Atlas voxels that SparseVolumeTexture._slot_scan reads at a time, so that a
 # chunk and its footprint bits stay in cache between the passes over it.
@@ -190,8 +190,6 @@ class SparseVolumeTexture:
         Fetch it before starting threads that sample the level, so that they
         do not each build it.
         """
-        if not 0 <= mip < self.mip_count:
-            raise ValueError(f"mip {mip} out of range (have {self.mip_count})")
         table = self._footprints.get(mip)
         if table is None:
             table = self._footprints[mip] = _footprint_table(self, mip)
@@ -250,6 +248,9 @@ class SparseVolumeTexture:
         return self._scan
 
     def mip_dims(self, level: int) -> VolumeDims:
+        """The level's dims; ValueError for a mip the texture does not have."""
+        if not 0 <= level < self.mip_count:
+            raise ValueError(f"mip {level} out of range (have {self.mip_count})")
         return mip_level_dims(self.virtual_dims, level)
 
     @property
@@ -264,6 +265,7 @@ class SparseVolumeTexture:
 
 
 def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
+    dims = svt.mip_dims(mip)  # first: it checks the mip
     ts = svt.config.tile_size
     entries = svt.mips[mip].entries
     tz, ty, tx = np.nonzero(entries != EMPTY_ENTRY)
@@ -279,7 +281,6 @@ def _footprint_table(svt: SparseVolumeTexture, mip: int) -> FootprintTable:
         cells = np.repeat(tiles[:-1], 2, axis=0)
         np.copyto(cells[1::2], tiles[1:], where=cells[1::2] == NO_TILE)
         base = np.moveaxis(cells, 0, axis)
-    dims = svt.mip_dims(mip)
     cells = tuple(
         2 * (v // ts) + (v % ts == ts - 1) for v in map(np.arange, (dims.x, dims.y, dims.z))
     )
@@ -337,18 +338,6 @@ def nonempty_mask(values: np.ndarray, config: SvtConfig) -> np.ndarray:
     return out
 
 
-def _pair_sums(a: np.ndarray, axis: int) -> np.ndarray:
-    """uint16 sums of the (2i, 2i + 1) pairs along one axis; a lone last one is kept."""
-    n = a.shape[axis]
-    half = n // 2
-    out = np.empty(a.shape[:axis] + (n - half,) + a.shape[axis + 1 :], dtype=np.uint16)
-    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    np.add(src[0 : 2 * half : 2], src[1::2], out=dst[:half], dtype=np.uint16)
-    if n % 2:
-        dst[half] = src[n - 1]
-    return out
-
-
 def _reduced_slab(d: np.ndarray, z: int, oy: int, ox: int) -> np.ndarray:
     """numpy's float64 reduce of the children of output layer z, over a
     zero-padded copy of its two input layers: the order the f32 mips keep."""
@@ -358,50 +347,61 @@ def _reduced_slab(d: np.ndarray, z: int, oy: int, ox: int) -> np.ndarray:
     return padded.reshape(1, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5), dtype=np.float64)[0]
 
 
-def _f32_means(d: np.ndarray, cz, cy, cx) -> np.ndarray:
-    """float32 means of each voxel's children, summed in float64.
+def _child_means(d: np.ndarray, cz, cy, cx) -> np.ndarray:
+    """The means of each voxel's children, in d's dtype, a few output
+    layers at a time.
 
-    The sums are those of numpy's reduce over a zero-padded copy,
+    u8 children are summed in uint16: eight sum to at most 2040, so the
+    sums are exact in any order. The mean rounds half up, to
+    floor(sum / count + 0.5): the float32 quotient (sum + count // 2) /
+    count is exact for a count of 1, 2, 4 or 8, and the cast to uint8
+    truncates it. f32 children are summed in float64, and the
+    sums are those of numpy's reduce over a zero-padded copy,
     reshape(oz, 2, oy, 2, ox, 2).sum(axis=(1, 3, 5)); its order fixes the
     rounding and NaN bits that the container holds. That reduce starts at
     +0.0 and adds, for each (z, y) child pair in raster order, the x pair
-    x0 + x1 as pair + sums. Here the sum is formed the same way, a few
-    output layers at a time. A lone last x child is its own pair, and
-    missing y and z pairs are left out: a sum started at +0.0 is never
-    -0.0, so adding a padding +0.0 changes nothing. Two cases go through
-    numpy's own reduce, one output layer at a time (_reduced_slab): a level
-    one voxel wide in x, where numpy sums the x and y pairs as one run of
-    four, and a layer holding a NaN sum, whose NaN bits follow numpy's loop.
+    x0 + x1 as pair + sums, and so does the loop here. A lone last x child
+    is its own pair, and missing y and z pairs are left out: a sum started
+    at +0.0 is never -0.0, so adding a padding +0.0 changes nothing. Two
+    cases go through numpy's own reduce, one output layer at a time
+    (_reduced_slab): a level one voxel wide in x, where numpy sums the x
+    and y pairs as one run of four, and a layer holding a NaN sum, whose
+    NaN bits follow numpy's loop. Its float64 sums of u8 children are
+    exact integers, so a u8 level one voxel wide takes them as they are.
     """
     nx = d.shape[2]
     oz, oy, ox = len(cz), len(cy), len(cx)
     hx = nx // 2
+    sum_dtype = np.uint16 if d.dtype == np.uint8 else np.float64
     rows = max(1, _MIP_SLAB_VOXELS // (oy * ox))
-    sums = np.empty((min(rows, oz), oy, ox))
+    sums = np.empty((min(rows, oz), oy, ox), dtype=sum_dtype)
     pair = np.empty_like(sums)
     counts = cy[:, None] * cx
-    out = np.empty((oz, oy, ox), dtype=np.float32)
+    out = np.empty((oz, oy, ox), dtype=d.dtype)
     for z0 in range(0, oz, rows):
         k = min(rows, oz - z0)
         layers = sums[:k]
         if ox == 1:
             redo = range(k)
         else:
-            layers.fill(0.0)
+            layers.fill(0)
             for dz, dy in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 src = d[2 * z0 + dz : 2 * (z0 + k) : 2, dy::2]
                 pz, py = src.shape[:2]
                 part, acc = pair[:pz, :py], layers[:pz, :py]
                 x0, x1 = src[..., 0 : 2 * hx : 2], src[..., 1::2]
-                np.add(x0, x1, out=part[..., :hx], dtype=np.float64)
+                np.add(x0, x1, out=part[..., :hx], dtype=sum_dtype)
                 if nx % 2:
                     part[..., hx] = src[..., nx - 1]
                 np.add(part, acc, out=acc)
             redo = np.flatnonzero(np.isnan(layers).any(axis=(1, 2))).tolist()
         for z in redo:
             layers[z] = _reduced_slab(d, z0 + z, oy, ox)
-        np.divide(layers, cz[z0 : z0 + k, None, None] * counts, out=layers)
-        out[z0 : z0 + k] = layers
+        n = cz[z0 : z0 + k, None, None] * counts
+        if sum_dtype is np.uint16:
+            out[z0 : z0 + k] = np.divide(layers + n // 2, n, dtype=np.float32)
+        else:
+            out[z0 : z0 + k] = np.divide(layers, n, out=layers)
     return out
 
 
@@ -414,25 +414,8 @@ def build_mip_level(volume: DenseVolume) -> DenseVolume:
     d = volume.data
     # Children per output voxel along each axis: 2, or 1 at an odd axis's end.
     cz, cy, cx = (np.minimum(n - 2 * np.arange(-(-n // 2)), 2).astype(np.uint16) for n in d.shape)
-    if volume.format is not VoxelFormat.U8:
-        with np.errstate(invalid="ignore"):  # +inf and -inf children: a NaN mean, quietly
-            return DenseVolume.from_array(_f32_means(d, cz, cy, cx), volume.format)
-    # Eight u8 children sum to at most 2040, so uint16 holds u8 sums exactly
-    # in any order: pair sums along x, then y, then z. The mean rounds as
-    # floor(sum / count + 0.5): (sum + 4) >> 3 for eight children, and
-    # (2*sum + count) // (2*count) on an odd axis's last layer, which has fewer.
-    sums = _pair_sums(_pair_sums(_pair_sums(d, 2), 1), 0)
-    edges = []
-    for axis, n in enumerate(d.shape):
-        if n % 2:
-            layer = tuple(slice(-1, None) if a == axis else slice(None) for a in range(3))
-            counts = cz[layer[0], None, None] * cy[layer[1], None] * cx[layer[2]]
-            edges.append((layer, (2 * sums[layer] + counts) // (2 * counts)))
-    np.add(sums, 4, out=sums)
-    np.right_shift(sums, 3, out=sums)
-    for layer, edge in edges:
-        sums[layer] = edge
-    return DenseVolume.from_array(sums.astype(np.uint8), volume.format)
+    with np.errstate(invalid="ignore"):  # +inf and -inf f32 children: a NaN mean, quietly
+        return DenseVolume.from_array(_child_means(d, cz, cy, cx), volume.format)
 
 
 def mip_level_count(dims: VolumeDims, tile_size: int) -> int:
@@ -596,38 +579,42 @@ def _chunks(n: int, config: SvtConfig) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def encode_records(atlas: TileAtlas, config: SvtConfig) -> tuple[np.ndarray, np.ndarray]:
+def encode_records(svt: SparseVolumeTexture) -> tuple[np.ndarray, np.ndarray]:
     """Occupancy-compress every atlas slot: (uint64 record offsets, uint8 records).
 
-    The records are written a chunk of slots at a time into one array, sized
-    by a first count of the slots' non-empty voxels. An atlas that still
-    holds its records gives them back as they are.
+    A voxel is recorded when it is not empty_value (NaN included): every
+    empty voxel of a built or expanded atlas is exactly that value. The
+    records are written a chunk of slots at a time into one array, sized by
+    padded_nonempty_voxel_count; a loaded record can hold empty_value at a
+    set bit, so that count is an upper bound and the array is cut to the
+    records written. An atlas that still holds its records gives them back
+    as they are.
     """
-    held = atlas._records
-    if held is not None and held.config == config:
+    held = svt.atlas._records
+    if held is not None:
         return held.offsets, held.records
-    data = atlas.data
+    config, data = svt.config, svt.atlas.data
     n = len(data)
-    chunks = _chunks(n, config)
-    nonempty = sum(int(np.count_nonzero(nonempty_mask(data[chunk], config))) for chunk in chunks)
-    records = np.empty(n * config.occupancy_mask_bytes + nonempty * data.itemsize, dtype=np.uint8)
+    mask_bytes = config.occupancy_mask_bytes
+    records = np.empty(n * mask_bytes + svt.padded_nonempty_voxel_count * data.itemsize, np.uint8)
+    empty = np.asarray(config.empty_value, dtype=data.dtype)
     dtype_le = data.dtype.newbyteorder("<")
     sizes = np.zeros(n, dtype=np.int64)
     end = 0
-    for chunk in chunks:
+    for chunk in _chunks(n, config):
         flat = data[chunk].reshape(-1, config.padded_size**3)
-        occupied = nonempty_mask(flat, config)
+        occupied = flat != empty
         payload = flat[occupied].astype(dtype_le, copy=False).view(np.uint8)
         payload_ends = np.cumsum(occupied.sum(axis=1) * flat.dtype.itemsize)
         masks = np.packbits(occupied, axis=1, bitorder="little")
         payload_starts = np.concatenate(([0], payload_ends[:-1]))
         bounds = zip(masks, payload_starts.tolist(), payload_ends.tolist())
         parts = [p for m, a, b in bounds for p in (m, payload[a:b])]
-        sizes[chunk] = config.occupancy_mask_bytes + payload_ends - payload_starts
+        sizes[chunk] = mask_bytes + payload_ends - payload_starts
         start, end = end, end + int(sizes[chunk].sum())
         np.concatenate(parts, out=records[start:end])
     offsets = (np.cumsum(sizes) - sizes).astype(np.uint64)
-    return offsets, records
+    return offsets, records[:end]
 
 
 @dataclass(frozen=True)
@@ -820,7 +807,7 @@ def save_svtf(svt: SparseVolumeTexture, path) -> None:
     padded_nonempty_voxel_count is the value count of the records written.
     """
     cfg, stats = svt.config, svt.stats
-    offsets, records = encode_records(svt.atlas, cfg)
+    offsets, records = encode_records(svt)
     tables = []
     for table, count in zip(svt.mips, stats.nonempty_tile_count):
         g = table.grid_dims

@@ -91,7 +91,7 @@ def serialize_upload(
     svt: SparseVolumeTexture, window_elements: int = WINDOW_ELEMENTS
 ) -> UploadBuffer:
     """Emit tiles in atlas-slot order as occupancy-compressed records."""
-    offsets, records = encode_records(svt.atlas, svt.config)
+    offsets, records = encode_records(svt)
     buffer = UploadBuffer(svt.config, svt.format, records, offsets, windows=[])
     if buffer.exceeds_uint32:
         log.warning("upload stream is %d bytes, beyond the uint32 offset range", records.size)

@@ -478,6 +478,17 @@ def test_probe_rejects_a_non_finite_position(tmp_path, capsys, volume_file, pos,
     ]
 
 
+@pytest.mark.parametrize("mip", ["-1", "2"])
+def test_probe_checks_the_mip_the_same_way_in_both_modes(tmp_path, capsys, volume_file, mip):
+    svt_path = tmp_path / "vol.svtf"
+    assert run(capsys, "build", str(volume_file), "-o", str(svt_path))[0] == 0
+    for nearest in ([], ["--nearest"]):
+        argv = ["probe", str(svt_path), "--pos", "1,1,1", "--mip", mip, *nearest]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: ValueError: mip {mip} out of range (have 2)"]
+
+
 @pytest.mark.parametrize("nearest", [[], ["--nearest"]])
 def test_probe_far_outside_reads_without_a_warning(tmp_path, capsys, volume_file, nearest):
     svt_path = tmp_path / "vol.svtf"

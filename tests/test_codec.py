@@ -168,7 +168,7 @@ def test_encode_records_peak_memory_is_bounded(tmp_path, rng, monkeypatch):
     n = svt.slot_count
     tracemalloc.start()
     try:
-        offsets, records = svt_module.encode_records(svt.atlas, svt.config)
+        offsets, records = svt_module.encode_records(svt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -561,3 +561,32 @@ def test_resaved_container_counts_the_values_it_writes(tmp_path, rng):
     reloaded = load_svtf(again)
     assert reloaded.stats.padded_nonempty_voxel_count == svt.stats.padded_nonempty_voxel_count - 1
     np.testing.assert_array_equal(reloaded.atlas.data, loaded.atlas.data)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0])
+def test_a_loaded_atlas_saves_and_streams_back_exactly(tmp_path, value):
+    # One voxel of 1.0 inside an 8^3 f32 volume, tile 4, threshold 0.25:
+    # one record of one value, the file's last four bytes. Patched to 0.1,
+    # inside the threshold, the value loads as it is; patched to
+    # empty_value, it loads empty. The build applied the threshold once, so
+    # after the atlas expands a re-save and a stream record every voxel that
+    # is not empty_value, and the atlas comes back as it was read.
+    data = np.zeros((8, 8, 8), np.float32)
+    data[1, 2, 1] = 1.0
+    cfg = SvtConfig(tile_size=4, float_empty_threshold=0.25)
+    svt = build_svt(make_volume(data, VoxelFormat.F32), cfg)
+    assert (svt.slot_count, svt.padded_nonempty_voxel_count) == (1, 1)
+    path, again = tmp_path / "built.svtf", tmp_path / "again.svtf"
+    save_svtf(svt, path)
+    blob = path.read_bytes()
+    assert blob[-4:] == struct.pack("<f", 1.0)
+    path.write_bytes(blob[:-4] + struct.pack("<f", value))
+    loaded = load_svtf(path)
+    atlas = loaded.atlas.data
+    assert atlas[atlas != 0].tolist() == ([np.float32(value)] if value else [])
+    save_svtf(loaded, again)
+    reloaded = load_svtf(again)
+    assert reloaded.padded_nonempty_voxel_count == (1 if value else 0)
+    assert reloaded.atlas.data.tobytes() == atlas.tobytes()
+    streamed = apply_upload(serialize_upload(loaded), cfg, loaded.mips)
+    assert streamed.data.tobytes() == atlas.tobytes()

@@ -379,6 +379,18 @@ def test_build_matches_reference_on_edge_volumes(fmt, shape, fill):
         assert_build_matches_reference(make_volume(data, fmt), cfg)
 
 
+def _u8_rounding_volumes(rng, shapes=()):
+    """u8 rounding on one-voxel, odd and even axes in every combination, and
+    on the given shapes: eight children where a voxel has them, fewer on an
+    odd axis's last layer. Sums of 4 mod 8 round up; x pairs of 0 and 1 sum
+    to 1 on every layer."""
+    for shape in [*itertools.product([1, 2, 5, 6], [1, 3, 4], [1, 7, 8]), *shapes]:
+        ties = rng.choice(np.array([0, 1, 2, 3, 4, 5, 252, 253, 254, 255], np.uint8), size=shape)
+        pairs = np.resize(np.array([0, 1], np.uint8), shape[2])
+        yield make_volume(ties)
+        yield make_volume(np.broadcast_to(pairs, shape).copy())
+
+
 def test_mip_level_matches_reference_on_extreme_values():
     rng = np.random.default_rng(99)
     u8_values = np.array([0, 1, 127, 128, 254, 255], np.uint8)
@@ -405,15 +417,7 @@ def test_mip_level_matches_reference_on_extreme_values():
         volumes.append(make_volume(np.full(shape, 255, np.uint8)))
     for shape in [(2, 2, 2), (1, 1, 1), (3, 5, 7), (40, 40, 40), (39, 41, 40), (17, 2, 33)]:
         volumes.append(make_volume(np.full(shape, 255, np.uint8)))
-    # u8 rounding on one-voxel, odd and even axes in every combination:
-    # (sum + 4) >> 3 where a voxel has eight children, a division on an odd
-    # axis's last layer. Sums of 4 mod 8 round up; x pairs of 0 and 1 sum
-    # to 1 on every layer.
-    for shape in itertools.product([1, 2, 5, 6], [1, 3, 4], [1, 7, 8]):
-        ties = rng.choice(np.array([0, 1, 2, 3, 4, 5, 252, 253, 254, 255], np.uint8), size=shape)
-        pairs = np.resize(np.array([0, 1], np.uint8), shape[2])
-        volumes.append(make_volume(ties))
-        volumes.append(make_volume(np.broadcast_to(pairs, shape).copy()))
+    volumes.extend(_u8_rounding_volumes(rng))
     for vol in volumes:
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = build_mip_level(vol), reference_build_mip_level(vol)
@@ -467,6 +471,33 @@ def test_f32_mip_level_matches_the_numpy_reduce_across_many_slabs(monkeypatch):
             with np.errstate(invalid="ignore"):
                 got, want = build_mip_level(vol).data, reference_build_mip_level(vol).data
             assert got.tobytes() == want.tobytes()
+
+
+def test_u8_mip_level_matches_the_reference_across_many_slabs(monkeypatch):
+    # The rounding volumes cut into one output layer a slab, into slabs of
+    # several layers (the last one short) and into one slab.
+    shapes = [(30, 6, 9), (31, 5, 6), (40, 7, 2), (9, 31, 1), (64, 64, 64)]
+    for slab_voxels in (1, 50, svt_module._MIP_SLAB_VOXELS):
+        monkeypatch.setattr(svt_module, "_MIP_SLAB_VOXELS", slab_voxels)
+        for vol in _u8_rounding_volumes(np.random.default_rng(13), shapes):
+            got, want = build_mip_level(vol).data, reference_build_mip_level(vol).data
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (slab_voxels, vol.data.shape)
+
+
+def test_u8_mip_level_peak_is_its_output_and_a_few_slabs():
+    # A 128^3 u8 level (2 MiB) halves to 256 KiB. Its children are summed a
+    # slab at a time in uint16, so the level holds its output and a few
+    # slabs, not sums the size of the input.
+    vol = make_volume(np.random.default_rng(5).integers(0, 256, (128,) * 3, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        out = build_mip_level(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes == 64**3
+    assert peak <= out.data.nbytes + 8 * 2 * svt_module._MIP_SLAB_VOXELS, peak
 
 
 @pytest.mark.parametrize(

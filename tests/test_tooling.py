@@ -17,7 +17,9 @@ entries of a .svtf file (svt.pack_entry, svt._file_entries) are read only
 in the file's codec: save_svtf, load_svtf and _file_entries itself. Only
 render._live_box, the one place that decides empty-space skipping, reads
 the slots' value ranges and the footprint bits
-(SparseVolumeTexture.slot_ranges and footprint_bits). The package's
+(SparseVolumeTexture.slot_ranges and footprint_bits). Only build_svt
+applies float_empty_threshold (svt.nonempty_mask), so the codec and the
+slot scan test each voxel exactly against empty_value. The package's
 relative imports, at module level or inside a function, form no cycle.
 """
 
@@ -265,6 +267,27 @@ def test_the_rule_sees_footprint_bits_read_outside_live_box():
     )
     assert _slot_ranges_outside_live_box({"render.py": render, "sample.py": sample}) == [
         "render.py:5", "sample.py:1", "sample.py:4",
+    ]
+
+
+def _threshold_outside_build(modules: dict) -> list[str]:
+    return _named_outside(modules, {"nonempty_mask"}, "svt.py", {"build_svt"})
+
+
+def test_only_build_svt_applies_the_float_threshold():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _threshold_outside_build(modules) == []
+
+
+def test_the_rule_sees_the_threshold_applied_outside_build_svt():
+    svt = ast.parse(
+        "def nonempty_mask(values, config):\n    return values\n\n"
+        "def build_svt(volume, config):\n    return nonempty_mask(volume, config)\n\n"
+        "def encode_records(svt):\n    return nonempty_mask(svt.atlas.data, svt.config)\n"
+    )
+    upload = ast.parse("from .svt import nonempty_mask\nfrom . import svt\nm = svt.nonempty_mask\n")
+    assert _threshold_outside_build({"svt.py": svt, "upload.py": upload}) == [
+        "svt.py:8", "upload.py:1", "upload.py:3",
     ]
 
 
